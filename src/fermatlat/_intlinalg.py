@@ -9,10 +9,12 @@ products whose every intermediate value stays below 2**53.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .errors import VerificationError
 
 Mat = list[list[int]]
 Vec = list[int]
@@ -642,6 +644,174 @@ def crt_reconstruct_int_matrix(residue_fn, verify_fn, max_primes: int = 18):
         if verify_fn(cand):
             return cand
     return None
+
+
+# ---------------------------------------------------------------------------
+# Integer numpy arrays and certified pivot columns
+
+_INT64_SAFE = 2**62
+
+
+def int_array(a) -> np.ndarray:
+    """An integer matrix as a numpy array: int64 when every entry is below
+    2**62 in absolute value, Python ints (dtype object) otherwise."""
+    arr = np.asarray(a)
+    if arr.dtype == object:
+        if arr.size and max(abs(int(x)) for x in arr.flat) < _INT64_SAFE:
+            return arr.astype(np.int64)
+        return arr
+    if arr.size == 0:
+        return arr.astype(np.int64)
+    if arr.dtype.kind not in "iu":
+        raise TypeError(f"integer matrix expected, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _abs_max(a: np.ndarray) -> int:
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact product of integer arrays (numpy matmul broadcasting): in int64
+    when no partial sum can reach 2**62, in Python ints otherwise."""
+    k = a.shape[-1]
+    if _abs_max(a) * _abs_max(b) * max(k, 1) < _INT64_SAFE:
+        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
+    return a.astype(object) @ b.astype(object)
+
+
+def _modp_dot(f: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """(f @ rows) mod p for residues below 2**31 without int64 overflow:
+    f is split into 16-bit halves and summed in chunks of 2**14 rows."""
+    out = np.zeros(rows.shape[1], dtype=np.int64)
+    for s in range(0, len(f), 2**14):
+        fc, rc = f[s:s + 2**14], rows[s:s + 2**14]
+        lo = (fc & 0xFFFF) @ rc % p
+        hi = (fc >> 16) @ rc % p
+        out = (out + lo + hi * 65536) % p
+    return out
+
+
+def modp_rref(a, p: int) -> tuple[list[int], np.ndarray]:
+    """Pivot columns and reduced row echelon rows of A mod p.
+
+    Rows are reduced one at a time against the echelon rows found so far, so
+    at most rank(A mod p) rows of length ncols are kept besides A itself.
+    """
+    a = np.asarray(a)
+    ncols = a.shape[1] if a.ndim == 2 else 0
+    pivots: list[int] = []
+    ech = np.zeros((0, ncols), dtype=np.int64)
+    for raw in a:
+        row = np.mod(raw, p).astype(np.int64)
+        if pivots:
+            row = (row - _modp_dot(row[pivots], ech, p)) % p
+        nz = np.flatnonzero(row)
+        if nz.size == 0:
+            continue
+        c = int(nz[0])
+        row = row * pow(int(row[c]), p - 2, p) % p
+        ech = (ech - np.outer(ech[:, c], row)) % p
+        ech = np.vstack([ech, row])
+        pivots.append(c)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [pivots[i] for i in order], ech[order]
+
+
+def _ratrecon(x: int, m: int, bound: int):
+    """(a, b) with a/b = x mod m, |a| <= bound, 0 < b <= bound, or None."""
+    r0, r1, s0, s1 = m, x % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if s1 == 0 or abs(s1) > bound:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _rational_matrix(residues: np.ndarray, m: int):
+    """(den, N) with N/den = residues mod m entrywise and the entries of
+    N/den in lowest terms below sqrt(m/2), or None when none exists."""
+    bound = isqrt(m // 2)
+    sym = np.where(2 * residues > m, residues - m, residues)
+    if _abs_max(sym) <= bound:
+        return 1, sym
+    fracs = {}
+    den = 1
+    for idx, x in np.ndenumerate(sym):
+        if abs(int(x)) > bound:
+            ab = _ratrecon(int(x), m, bound)
+            if ab is None:
+                return None
+            fracs[idx] = ab
+            den = lcm(den, ab[1])
+    n = sym.astype(object) * den
+    for idx, (num, b) in fracs.items():
+        n[idx] = num * (den // b)
+    return den, n
+
+
+def _pivots_precede(a: list[int], b: list[int]) -> bool:
+    """Whether pivot list a comes first: at the first difference a has the
+    smaller column, or b has run out.  The exact pivot set precedes every
+    mod-p pivot set that differs from it."""
+    for x, y in zip(a, b):
+        if x != y:
+            return x < y
+    return len(a) > len(b)
+
+
+def _certify_pivots(a: np.ndarray, pivots: list[int], den: int, n: np.ndarray,
+                    block: int) -> bool:
+    """Exact checks that pivots are the lexicographically first independent
+    columns of A, given N with A[:, pivots] . N == den . A (pivot columns
+    are independent by their rank mod p)."""
+    if set(pivots) != {b * block + t for b in {c // block for c in pivots} for t in range(block)}:
+        return False
+    if any(n[i, c] != den for i, c in enumerate(pivots)):
+        return False
+    mask = np.arange(a.shape[1])[None, :] < np.array(pivots, dtype=np.int64)[:, None]
+    if mask.size and np.any(n[mask] != 0):
+        return False
+    left = a[:, pivots]
+    if _abs_max(a) * den >= _INT64_SAFE:
+        a = a.astype(object)
+    for s in range(0, a.shape[1], 64):
+        if np.any(int_matmul(left, n[:, s:s + 64]) != a[:, s:s + 64] * den):
+            return False
+    return True
+
+
+def certified_pivot_columns(a, block: int = 1) -> list[int]:
+    """Lexicographically first maximal set of Q-independent columns of the
+    integer matrix A, chosen mod p and certified exactly.
+
+    Each prime gives a pivot set P and reduced rows E mod p; primes that
+    agree on P are combined by CRT and rational reconstruction into N/den
+    with A[:, P] . N == den . A, which is checked as an exact integer product
+    together with the reduced-echelon support of N.  P must be a union of
+    whole blocks of `block` consecutive columns.  Raises VerificationError
+    when no prime certifies.
+    """
+    a = int_array(a)
+    if a.ndim != 2:
+        raise ValueError("matrix expected")
+    best, acc, mod = None, None, 1
+    for p in MODP_PRIMES:
+        pivots, ech = modp_rref(a, p)
+        if best is None or _pivots_precede(pivots, best):
+            best, acc, mod = pivots, ech, p
+        elif pivots != best:
+            continue
+        else:
+            _g, inv = _inv_mod(mod % p, p)
+            acc = acc.astype(object)
+            acc = acc + ((ech.astype(object) - acc) * inv % p) * mod
+            mod *= p
+        rat = _rational_matrix(acc, mod)
+        if rat is not None and _certify_pivots(a, best, rat[0], int_array(rat[1]), block):
+            return best
+    raise VerificationError("no prime certified the pivot columns")
 
 
 # ---------------------------------------------------------------------------

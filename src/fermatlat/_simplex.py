@@ -8,6 +8,7 @@ clarity and exactness over speed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from ._intlinalg import solve_rational
@@ -137,7 +138,7 @@ def _duals(a, basis, cost, n, m):
     for col in cols + [cb]:
         for x in col:
             fx = Fraction(x)
-            den = den * fx.denominator // _gcd(den, fx.denominator)
+            den = lcm(den, fx.denominator)
     bt = [[int(Fraction(cols[c][r]) * den) for c in range(m)] for r in range(m)]
     rhs = [[int(Fraction(cb[c]) * den)] for c in range(m)]
     # Solve y.B = c_B  <=>  (B^T) y^T = c_B^T; bt is already B arranged by rows.
@@ -151,9 +152,3 @@ def _unflip(y, flips):
     if y is None:
         return None
     return [v * f for v, f in zip(y, flips)]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

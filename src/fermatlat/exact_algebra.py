@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import IncompatibleRingError
@@ -319,7 +320,7 @@ class CyclotomicElement:
         den = 1
         for c in self.coords:
             if isinstance(c, Fraction):
-                den = den * c.denominator // _gcd(den, c.denominator)
+                den = lcm(den, c.denominator)
         scaled = [int(c * den) for c in self.coords]
         m = _multiplication_matrix(self.d, scaled)
         return Fraction(det_bareiss(m), den ** len(self.coords))
@@ -332,7 +333,7 @@ class CyclotomicElement:
         den = 1
         for c in self.coords:
             if isinstance(c, Fraction):
-                den = den * c.denominator // _gcd(den, c.denominator)
+                den = lcm(den, c.denominator)
         scaled = [int(c * den) for c in self.coords]
         m = _multiplication_matrix(self.d, scaled)
         rhs = [[den if i == 0 else 0] for i in range(phi)]
@@ -340,10 +341,6 @@ class CyclotomicElement:
         if sol is None:
             raise ZeroDivisionError("zero divisor in cyclotomic ring")
         return CyclotomicElement(self.d, [row[0] for row in sol])
-
-    def divide_exact(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        q = self * other.inverse()
-        return q
 
     # -- predicates and conversions ------------------------------------------
 
@@ -402,12 +399,6 @@ def _as_number(x):
     raise TypeError(f"coordinate {x!r} must be int or Fraction")
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 @lru_cache(maxsize=None)
 def euler_phi(d: int) -> int:
     return len(cyclotomic_polynomial(d)) - 1
@@ -437,14 +428,6 @@ def _power_trace(d: int, i: int) -> Fraction:
     z = CyclotomicElement.zeta(d, i)
     m = _multiplication_matrix(d, [int(c) for c in z.coords])
     return Fraction(sum(m[t][t] for t in range(len(m))))
-
-
-def cyclotomic_mul(a: CyclotomicElement, b: CyclotomicElement) -> CyclotomicElement:
-    return a * b
-
-
-def cyclotomic_conj(a: CyclotomicElement) -> CyclotomicElement:
-    return a.conj()
 
 
 def character_eval(a: GroupRingElement, d: int, powers: Iterable[int]) -> CyclotomicElement:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from . import _intlinalg as la
 from ._simplex import OPTIMAL, solve_lp
 from .errors import EmptyFormError
@@ -210,11 +211,11 @@ def _separating_weights(points, b, farkas, m):
     w = [v - shift for v in w]
     den = 1
     for v in w:
-        den = den * v.denominator // _gcd(den, v.denominator)
+        den = lcm(den, v.denominator)
     wi = [int(v * den) for v in w]
     g = 0
     for v in wi:
-        g = _gcd(g, abs(v))
+        g = gcd(g, v)
     if g > 1:
         wi = [v // g for v in wi]
     return wi
@@ -261,11 +262,11 @@ def _normalize_weights(w, m):
     w = [Fraction(v) - shift for v in w]
     den = 1
     for v in w:
-        den = den * v.denominator // _gcd(den, v.denominator)
+        den = lcm(den, v.denominator)
     wi = [int(v * den) for v in w]
     g = 0
     for v in wi:
-        g = _gcd(g, abs(v))
+        g = gcd(g, v)
     if g > 1:
         wi = [v // g for v in wi]
     return wi
@@ -305,9 +306,3 @@ def directional_depth_oracle(form: HomogeneousForm) -> bool:
             if res.status != OPTIMAL or res.objective is None or -res.objective <= 0:
                 return False
     return True
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -337,7 +338,7 @@ def glue_with_basis(spec: GlueSpec):
     den = 1
     for gv in spec.glue_vectors:
         for x in gv:
-            den = den * x.denominator // _gcd(den, x.denominator)
+            den = lcm(den, x.denominator)
     rows: Mat = [[den if i == j else 0 for j in range(n)] for i in range(n)]
     for gv in spec.glue_vectors:
         rows.append([int(x * den) for x in gv])
@@ -370,12 +371,6 @@ def glue_index(spec: GlueSpec, glued: IntegerLattice) -> int:
     if idx * idx != ratio:
         raise InvalidGlueError("determinant ratio is not a perfect square")
     return idx
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,23 @@ def test_outputs_byte_deterministic_across_processes():
     assert b'"gram"' in runs[0]
 
 
+@pytest.mark.parametrize("args", [["verify", "--suite", "cubic", "--fast"], ["git", "check"]],
+                         ids=["verify", "git"])
+def test_verify_and_git_byte_deterministic_across_processes(args, tmp_path):
+    if args[0] == "git":
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"m": 4, "degree": 3, "terms": [
+            {"exponents": [3, 0, 0, 0], "coeff": "1"},
+            {"exponents": [0, 1, 1, 1], "coeff": "-2/3"},
+            {"exponents": [0, 3, 0, 0], "coeff": "5"}]}))
+        args = args + [str(path)]
+    cmd = [sys.executable, "-m", "fermatlat.cli", *args]
+    runs = [subprocess.run(cmd, capture_output=True, check=True).stdout
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert b"elapsed_ms" not in runs[0]
+
+
 def test_no_floats_in_output(capsys):
     code, out, _ = run_cli(["lattice", "--d", "3", "--n", "2"], capsys)
     payload = json.loads(out)

@@ -4,6 +4,7 @@ from fermatlat.errors import VerificationError
 from fermatlat.exact_algebra import CyclotomicElement
 from fermatlat.fermat_homology import build_primitive
 from fermatlat.hermitian_eigen import (
+    HermitianLattice,
     chi_form_on_classes,
     chi_reduce,
     cor23_rank,
@@ -102,6 +103,29 @@ def test_hermitian_signature_diagonal():
     h = hermitian_gram(3, 2, +1)
     one_by_one = type(h)(3, [[CyclotomicElement.from_int(3, 3)]], "h_plus")
     assert hermitian_signature(one_by_one) == (1, 0)
+
+
+def test_signature_refused_when_embeddings_disagree():
+    # At zeta -> exp(2 pi i/5) and exp(4 pi i/5) these reductions have
+    # signatures (10, 3), (12, 1) for k = 1 and (1, 2), (3, 0) for k = 2.
+    prim = build_primitive(5, 2)
+    for k in (1, 2):
+        with pytest.raises(VerificationError):
+            hermitian_signature(chi_reduce(prim, k))
+
+
+def test_signature_per_embedding_over_q_zeta5():
+    # sqrt(5) = z - z^2 - z^3 + z^4 is positive at t = 1 and negative at t = 2.
+    z = CyclotomicElement.zeta(5)
+    root5 = z - z * z - z * z * z + z * z * z * z
+    zero = CyclotomicElement.zero(5)
+    h = HermitianLattice(5, [[root5, zero], [zero, root5]], "raw")
+    with pytest.raises(VerificationError):
+        hermitian_signature(h)
+    five = root5 * root5
+    assert five == 5
+    h = HermitianLattice(5, [[five, zero], [zero, -five]], "raw")
+    assert hermitian_signature(h) == (1, 1)
 
 
 def test_gram_is_hermitian_validated():
