@@ -2,15 +2,17 @@
 
 Matrices are lists of lists of Python ints (arbitrary precision) unless a
 function explicitly works on numpy arrays.  numpy is used only where the
-result is provably exact: mod-p elimination in int64, and float64 matrix
-products whose every intermediate value stays below 2**53.
+result is provably exact: float64 matrix products whose every intermediate
+value stays below 2**53, and mod-p elimination on float64 residues, whose
+moduli satisfy (p - 1)**2 * 128 < 2**53 so that every 128-term product-sum
+is exact (checked: other moduli raise ValueError).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
+from math import isqrt, lcm
+from typing import Sequence
 
 import numpy as np
 
@@ -19,12 +21,12 @@ from .errors import VerificationError
 Mat = list[list[int]]
 Vec = list[int]
 
-# Primes just below 2**31 so that products of two residues fit in int64.
+# The 20 largest primes below 2**23, the moduli of the float64 elimination.
 MODP_PRIMES: tuple[int, ...] = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
-    2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
-    2147483423, 2147483399, 2147483353, 2147483323, 2147483269,
-    2147483249, 2147483237, 2147483179, 2147483171, 2147483137,
+    8388593, 8388587, 8388581, 8388571, 8388547,
+    8388539, 8388473, 8388461, 8388451, 8388449,
+    8388439, 8388427, 8388421, 8388409, 8388377,
+    8388371, 8388319, 8388301, 8388287, 8388283,
 )
 
 _FLOAT_EXACT_LIMIT = 2**53
@@ -38,29 +40,18 @@ def mat_transpose(a: Sequence[Sequence[int]]) -> Mat:
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_abs_max(a: Sequence[Sequence[int]]) -> int:
-    m = 0
-    for row in a:
-        for x in row:
-            if x < 0:
-                x = -x
-            if x > m:
-                m = x
-    return m
-
-
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Mat:
     """Exact matrix product, using float64 BLAS when provably lossless."""
-    n, k = len(a), len(a[0]) if a else 0
     if not a or not b:
         return []
-    m = len(b[0])
-    amax, bmax = mat_abs_max(a), mat_abs_max(b)
-    if amax and bmax and amax * bmax * k < _FLOAT_EXACT_LIMIT:
-        prod = np.array(a, dtype=np.float64) @ np.array(b, dtype=np.float64)
-        return [[int(x) for x in row] for row in prod]
-    bt = mat_transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    # float64 holds every |x| < 2**53 exactly; a larger entry fails the bound.
+    try:
+        af, bf = np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)
+        if _abs_max(af) * _abs_max(bf) * af.shape[1] < _FLOAT_EXACT_LIMIT:
+            return _as_int64(af @ bf).tolist()
+    except OverflowError:
+        pass
+    return int_matmul(np.array(a, dtype=object), np.array(b, dtype=object)).tolist()
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vec:
@@ -201,9 +192,15 @@ def saturate_row_span(rows: Sequence[Sequence[int]]) -> Mat:
     cand = 1
     for i, c in enumerate(pivots):
         cand *= h[i][c]
-    for p in prime_factors(cand):
+    primes = prime_factors(cand)
+    if not all(map(_exact_modulus, primes)):
+        # Beyond the mod-p kernel's range: the saturation is the integer
+        # kernel of the integer kernel.
+        ker = right_kernel(h)
+        return right_kernel(ker) if ker else mat_identity(len(h[0]))
+    for p in primes:
         while True:
-            null = modp_kernel(_as_modp(mat_transpose(h), p), p)
+            null = modp_kernel(mat_transpose(h), p)
             if null.shape[0] == 0:
                 break
             new_rows = list(h)
@@ -463,12 +460,6 @@ def solve_rational(a: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]):
     return [row[n:n + w] for row in m]
 
 
-def inv_rational(a: Sequence[Sequence[int]]):
-    """Exact inverse of a nonsingular integer matrix, as Fractions."""
-    n = len(a)
-    return solve_rational(a, mat_identity(n))
-
-
 def rational_row_space_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Basis of the right kernel of a rational matrix (rows), by elimination."""
     if not rows:
@@ -508,40 +499,172 @@ def rational_row_space_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[F
 
 
 # ---------------------------------------------------------------------------
-# Mod-p linear algebra (numpy, int64; p < 2**31 keeps products in range)
+# Mod-p linear algebra: blocked elimination on float64 residues
 
-def _as_modp(a, p: int) -> np.ndarray:
-    arr = np.asarray(a, dtype=object) if not isinstance(a, np.ndarray) else a
-    if isinstance(arr, np.ndarray) and arr.dtype != object:
-        return np.mod(arr.astype(np.int64), p)
-    return np.array([[int(x) % p for x in row] for row in a], dtype=np.int64)
+# Column panel width.  Every product-sum below has at most _PANEL terms, each
+# a residue times a value in [0, p], plus one residue: for an integer p with
+# (p - 1)**2 * _PANEL < 2**53, i.e. p <= 2**23, that stays below 2**53, so
+# float64 (and BLAS dgemm) computes it exactly.
+_PANEL = 128
+
+
+def _exact_modulus(p: int) -> bool:
+    return p >= 2 and (p - 1) ** 2 * _PANEL < _FLOAT_EXACT_LIMIT
+
+
+def _residues(blocks, p: int) -> np.ndarray:
+    """The integer matrices in blocks, side by side, reduced mod p into one
+    float64 array (written by the ufunc, with no integer copy).  Raises
+    ValueError for a modulus outside the exact range of the elimination."""
+    if not _exact_modulus(p):
+        raise ValueError(f"modulus {p} is outside the exact float64 range")
+    blocks = [int_array(b) for b in blocks]
+    if any(b.ndim != 2 for b in blocks):
+        raise ValueError("matrix expected")
+    m = np.empty((len(blocks[0]), sum(b.shape[1] for b in blocks)))
+    c = 0
+    for b in blocks:
+        np.mod(b, p, out=m[:, c:c + b.shape[1]], casting="unsafe")
+        c += b.shape[1]
+    return m
+
+
+def _as_int64(m: np.ndarray) -> np.ndarray:
+    """The integer-valued float64 array m as int64, converted in place a row
+    chunk at a time (the returned array shares m's memory)."""
+    out = m.view(np.int64)
+    for s in range(0, len(m), _PANEL):
+        out[s:s + _PANEL] = m[s:s + _PANEL]
+    return out
+
+
+def _cols(idx: list[int]):
+    """Column index: a slice (so a view) when idx is a contiguous run."""
+    if idx and idx[-1] - idx[0] == len(idx) - 1:
+        return slice(idx[0], idx[-1] + 1)
+    return np.array(idx, dtype=np.intp)
+
+
+def _lower_inverse(low: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p of the lower triangle (diagonal included, nonzero) of a
+    square residue matrix, by forward substitution."""
+    k = len(low)
+    inv = np.zeros((k, k))
+    for t in range(k):
+        row = p - np.mod(low[t, :t] @ inv[:t], p)
+        row[t] += 1
+        inv[t] = np.mod(row * pow(int(low[t, t]), p - 2, p), p)
+    return inv
+
+
+def _eliminate_panel(m: np.ndarray, r: int, c0: int, c1: int, p: int,
+                     pivots: list[int]) -> None:
+    """Row echelon step for columns c0:c1 of m below row r, in place.
+
+    The per-pivot loop runs on a copy of the panel and keeps, LU style, each
+    pivot and the multipliers under it; the rows of m are swapped along.
+    Panel entries are reduced only where they are read: a column before its
+    pivot search, a row before it is scaled; each entry takes at most _PANEL
+    updates in between.  The trailing columns then take one triangular solve
+    for the new pivot rows and one matrix product for the rows under them.
+    """
+    w = m[r:, c0:c1].copy()
+    local: list[int] = []
+    for j in range(c1 - c0):
+        t = len(local)
+        if t == len(w):
+            break
+        col = w[t:, j]
+        np.mod(col, p, out=col)
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
+            continue
+        i = t + int(nz[0])
+        if i != t:
+            w[[t, i]] = w[[i, t]]
+            m[[r + t, r + i]] = m[[r + i, r + t]]
+        row = np.mod(w[t, j + 1:], p)
+        row = np.mod(row * pow(int(w[t, j]), p - 2, p), p)
+        w[t, j + 1:] = row
+        below = t + 1 + np.flatnonzero(w[t + 1:, j])
+        w[below, j + 1:] += np.outer(w[below, j], p - row)
+        local.append(j)
+    k = len(local)
+    if k and c1 < m.shape[1]:
+        low = w[:, local]
+        top = m[r:r + k, c1:]
+        top[:] = np.mod(_lower_inverse(low[:k], p) @ top, p)
+        neg = p - top
+        bottom = m[r + k:, c1:]
+        for s in range(0, bottom.shape[1], _PANEL):
+            blk = bottom[:, s:s + _PANEL]
+            prod = low[k:] @ neg[:, s:s + _PANEL]
+            prod += blk
+            np.mod(prod, p, out=blk)
+    panel = m[r:, c0:c1]
+    panel[:] = 0
+    for t, j in enumerate(local):
+        panel[t, j] = 1
+        panel[t, j + 1:] = w[t, j + 1:]
+    pivots.extend(c0 + j for j in local)
+
+
+def _back_reduce(m: np.ndarray, pivots: list[int], p: int) -> None:
+    """Row echelon form (unit pivots) to reduced row echelon form, in place.
+
+    Pivot rows are taken in blocks of _PANEL from the bottom up.  A block's
+    non-pivot columns are solved against its unit upper triangular pivot
+    minor, then cleared from the rows above with one product per column
+    chunk.  Pivot columns become the identity.
+    """
+    rank = len(pivots)
+    pivot_set = set(pivots)
+    free = [c for c in range(m.shape[1]) if c not in pivot_set]
+    for b0 in reversed(range(0, rank, _PANEL)):
+        b1 = min(b0 + _PANEL, rank)
+        pcols = _cols(pivots[b0:b1])
+        rows = m[b0:b1]
+        if free:
+            fcols = _cols(free)
+            # Reversing rows and columns makes the minor lower triangular.
+            minor = rows[:, pcols][::-1, ::-1]
+            x = np.mod(_lower_inverse(minor, p)[::-1, ::-1] @ rows[:, fcols], p)
+            rows[:, fcols] = x
+            coef = m[:b0, pcols]
+            neg = p - x
+            for s in range(0, len(free), _PANEL):
+                chunk = _cols(free[s:s + _PANEL])
+                prod = coef @ neg[:, s:s + _PANEL]
+                prod += m[:b0, chunk]
+                m[:b0, chunk] = np.mod(prod, p)
+        m[:b1, pcols] = 0
+        rows[:, pcols] = np.eye(b1 - b0)
+
+
+def _rref(m: np.ndarray, p: int) -> list[int]:
+    """Reduce the float64 residue matrix m to its reduced row echelon form
+    mod p, in place; returns the pivot columns.
+
+    Blocked elimination with delayed reduction (Dumas, Giorgi and Pernet,
+    "FFLAS and FFPACK", ACM TOMS 2008): per-pivot work is confined to a
+    panel of _PANEL columns, the rest is float64 matrix products reduced
+    mod p after each product of at most _PANEL terms; _residues checks p.
+    """
+    pivots: list[int] = []
+    for c0 in range(0, m.shape[1], _PANEL):
+        if len(pivots) == len(m):
+            break
+        _eliminate_panel(m, len(pivots), c0, min(c0 + _PANEL, m.shape[1]), p, pivots)
+    _back_reduce(m, pivots, p)
+    return pivots
 
 
 def modp_eliminate(a, p: int):
-    """Row-reduce a copy of A mod p; returns (reduced, pivot_columns)."""
-    m = _as_modp(a, p)
-    nrows, ncols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        col = m[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        rest = np.nonzero(m[:, c])[0]
-        rest = rest[rest != r]
-        if rest.size:
-            m[rest] = (m[rest] - np.outer(m[rest, c], m[r])) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    """Reduced row echelon form of A mod p: (reduced, pivot_columns), with
+    reduced an int64 array of A's shape whose rows past the rank are zero."""
+    m = _residues([a], p)
+    pivots = _rref(m, p)
+    return _as_int64(m), pivots
 
 
 def modp_rank(a, p: int) -> int:
@@ -551,46 +674,25 @@ def modp_rank(a, p: int) -> int:
 def modp_kernel(a, p: int) -> np.ndarray:
     """Basis (rows) of the right kernel of A mod p."""
     m, pivots = modp_eliminate(a, p)
-    ncols = m.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(m[i, fc])) % p
+    pivot_set = set(pivots)
+    free = [c for c in range(m.shape[1]) if c not in pivot_set]
+    basis = np.zeros((len(free), m.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -m[:len(pivots), free].T % p
     return basis
 
 
 def modp_solve_matrix(a, b, p: int):
-    """Solve A*X = B mod p for square A; returns X or None if singular."""
-    a = _as_modp(a, p)
-    b = _as_modp(b, p)
-    n = a.shape[0]
-    m = np.concatenate([a, b], axis=1)
-    r = 0
-    for c in range(n):
-        col = m[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            return None
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        rest = np.nonzero(m[:, c])[0]
-        rest = rest[rest != r]
-        if rest.size:
-            m[rest] = (m[rest] - np.outer(m[rest, c], m[r])) % p
-        r += 1
-    return m[:, n:]
+    """Solve A*X = B mod p for square A; returns X or None if singular.
 
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    g, x = _inv_mod(m1 % m2, m2)
-    assert g == 1
-    t = ((r2 - r1) * x) % m2
-    return r1 + m1 * t, m1 * m2
+    Reduces [A | B]: A is invertible mod p exactly when the pivots are the
+    columns of A, and then the reduced form is [I | X].
+    """
+    m = _residues([a, b], p)
+    n = len(m)
+    if _rref(m, p) != list(range(n)):
+        return None
+    return _as_int64(m)[:, n:]
 
 
 def _inv_mod(a: int, m: int) -> tuple[int, int]:
@@ -656,13 +758,18 @@ def int_array(a) -> np.ndarray:
     """An integer matrix as a numpy array: int64 when every entry is below
     2**62 in absolute value, Python ints (dtype object) otherwise."""
     arr = np.asarray(a)
-    if arr.dtype == object:
-        if arr.size and max(abs(int(x)) for x in arr.flat) < _INT64_SAFE:
+    if arr.dtype.kind == "f" and not isinstance(a, np.ndarray):
+        # numpy reads an int in [2**63, 2**64) next to small ints as float64.
+        arr = np.array(a, dtype=object)
+        if not all(isinstance(x, (int, np.integer)) for x in arr.flat):
+            raise TypeError("integer matrix expected")
+    if arr.dtype == object or arr.dtype.kind == "u":
+        if not arr.size or max(abs(int(x)) for x in arr.flat) < _INT64_SAFE:
             return arr.astype(np.int64)
-        return arr
+        return arr.astype(object)
     if arr.size == 0:
         return arr.astype(np.int64)
-    if arr.dtype.kind not in "iu":
+    if arr.dtype.kind != "i":
         raise TypeError(f"integer matrix expected, got dtype {arr.dtype}")
     return arr.astype(np.int64, copy=False)
 
@@ -678,44 +785,6 @@ def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if _abs_max(a) * _abs_max(b) * max(k, 1) < _INT64_SAFE:
         return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
     return a.astype(object) @ b.astype(object)
-
-
-def _modp_dot(f: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
-    """(f @ rows) mod p for residues below 2**31 without int64 overflow:
-    f is split into 16-bit halves and summed in chunks of 2**14 rows."""
-    out = np.zeros(rows.shape[1], dtype=np.int64)
-    for s in range(0, len(f), 2**14):
-        fc, rc = f[s:s + 2**14], rows[s:s + 2**14]
-        lo = (fc & 0xFFFF) @ rc % p
-        hi = (fc >> 16) @ rc % p
-        out = (out + lo + hi * 65536) % p
-    return out
-
-
-def modp_rref(a, p: int) -> tuple[list[int], np.ndarray]:
-    """Pivot columns and reduced row echelon rows of A mod p.
-
-    Rows are reduced one at a time against the echelon rows found so far, so
-    at most rank(A mod p) rows of length ncols are kept besides A itself.
-    """
-    a = np.asarray(a)
-    ncols = a.shape[1] if a.ndim == 2 else 0
-    pivots: list[int] = []
-    ech = np.zeros((0, ncols), dtype=np.int64)
-    for raw in a:
-        row = np.mod(raw, p).astype(np.int64)
-        if pivots:
-            row = (row - _modp_dot(row[pivots], ech, p)) % p
-        nz = np.flatnonzero(row)
-        if nz.size == 0:
-            continue
-        c = int(nz[0])
-        row = row * pow(int(row[c]), p - 2, p) % p
-        ech = (ech - np.outer(ech[:, c], row)) % p
-        ech = np.vstack([ech, row])
-        pivots.append(c)
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return [pivots[i] for i in order], ech[order]
 
 
 def _ratrecon(x: int, m: int, bound: int):
@@ -782,6 +851,18 @@ def _certify_pivots(a: np.ndarray, pivots: list[int], den: int, n: np.ndarray,
     return True
 
 
+def _echelon_rows(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Pivot columns and nonzero reduced rows of A mod p.  A is fed to the
+    kernel 64 rows at a time below the rows kept, so at most rank + 64 rows
+    are held: the realified matrices here are often of low rank."""
+    ech, pivots = np.zeros((0, a.shape[1]), dtype=np.int64), []
+    for s in range(0, len(a), 64):
+        reduced, pivots = modp_eliminate(np.vstack([ech, a[s:s + 64]]), p)
+        ech = reduced[:len(pivots)].copy()
+        del reduced
+    return pivots, ech
+
+
 def certified_pivot_columns(a, block: int = 1) -> list[int]:
     """Lexicographically first maximal set of Q-independent columns of the
     integer matrix A, chosen mod p and certified exactly.
@@ -798,7 +879,7 @@ def certified_pivot_columns(a, block: int = 1) -> list[int]:
         raise ValueError("matrix expected")
     best, acc, mod = None, None, 1
     for p in MODP_PRIMES:
-        pivots, ech = modp_rref(a, p)
+        pivots, ech = _echelon_rows(a, p)
         if best is None or _pivots_precede(pivots, best):
             best, acc, mod = pivots, ech, p
         elif pivots != best:
@@ -823,10 +904,3 @@ def floor_sqrt_fraction(x: Fraction) -> int:
         raise ValueError("negative radicand")
     n, d = x.numerator, x.denominator
     return isqrt(n * d) // d
-
-
-def gcd_vector(v: Iterable[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g

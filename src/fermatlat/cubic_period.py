@@ -61,9 +61,6 @@ class CubicFourfoldLattice:
 
     # -- pairings -------------------------------------------------------
 
-    def pair_o(self, v: Sequence[int], w: Sequence[int]) -> int:
-        return self.lambda_o.pairing(v, w)
-
     def norm_o(self, v: Sequence[int]) -> int:
         return self.lambda_o.norm(v)
 
@@ -400,8 +397,7 @@ def _coefficient_domains(n, bound, congruence):
     if congruence is None:
         return [[base[:] for _ in range(n)]]
     rows, mod = congruence
-    rows_np = la._as_modp(rows, mod)
-    null = la.modp_kernel(rows_np, mod)
+    null = la.modp_kernel(rows, mod)
     reps = []
     # Enumerate nonzero classes of the solution space mod `mod` (small by
     # construction: the searches here have solution spaces of dimension <= 2).

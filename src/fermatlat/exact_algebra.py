@@ -347,14 +347,6 @@ class CyclotomicElement:
     def is_integral(self) -> bool:
         return all(not isinstance(c, Fraction) or c.denominator == 1 for c in self.coords)
 
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.coords[0])
-
     def integral_coords(self) -> tuple[int, ...]:
         if not self.is_integral():
             raise ValueError(f"{self!r} is not integral")

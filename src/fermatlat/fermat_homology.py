@@ -329,18 +329,13 @@ def _build_primitive_cached(d: int, n: int, with_actions: bool) -> PrimitiveFerm
         raise VerificationError(
             f"primitive rank {quotient.rank} disagrees with the rank formula {expected}")
 
-    monomial_images = {K: projection_row(projection, i)
-                       for i, K in enumerate(milnor.basis)}
+    monomial_images = {K: list(projection[i]) for i, K in enumerate(milnor.basis)}
 
     actions: dict[str, la.Mat] = {}
     if with_actions:
         actions = _build_actions(d, n, milnor, quotient, projection, reps)
     return PrimitiveFermatLattice(d, n, quotient, monomial_images, actions,
                                   projection, milnor)
-
-
-def projection_row(projection: la.Mat, i: int) -> list[int]:
-    return list(projection[i])
 
 
 def _milnor_mu_action(d: int, n: int, milnor: MilnorModule, i: int) -> la.Mat:

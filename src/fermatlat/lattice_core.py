@@ -130,11 +130,6 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
     return divisors, (u, v)
 
 
-def hermite_normal_form(m: Sequence[Sequence[int]]) -> Mat:
-    h, _ = la.hnf_row(m)
-    return h
-
-
 # ---------------------------------------------------------------------------
 # Radical quotient
 
@@ -153,31 +148,30 @@ def radical_quotient(lattice: IntegerLattice, kernel_rows: Optional[Mat] = None)
     n = lattice.rank
     if kernel_rows is None:
         kernel_rows = la.right_kernel(g)
+        pivots = [next(c for c, x in enumerate(row) if x) for row in kernel_rows]
     else:
         prod = la.mat_mul(kernel_rows, g)
         if any(x for row in prod for x in row):
             raise ValueError("supplied kernel rows are not in the radical")
-        kernel_rows, _ = la.hnf_row(kernel_rows)
+        kernel_rows, pivots = la.hnf_row(kernel_rows)
     r = len(kernel_rows)
     if r == 0:
         ident = la.mat_identity(n)
         return IntegerLattice(g, lattice.symmetry, lattice.label), ident, ident
 
     k = kernel_rows
-    # Fast path: find r coordinates T on which the kernel has a unimodular minor.
-    _, pivots = la.hnf_row(k)
-    sub = [[row[c] for c in pivots] for row in k]
-    if len(pivots) == r and abs(la.det_bareiss(sub)) == 1:
-        t_cols = list(pivots)
-        s_cols = [c for c in range(n) if c not in set(t_cols)]
-        x = la.solve_rational(sub, la.mat_identity(r))
-        x_int = [[int(v) for v in row] for row in x]
-        m = la.mat_mul(x_int, [[row[c] for c in s_cols] for row in k])
+    # Fast path: k is in row HNF, so its pivot minor is upper triangular with
+    # positive pivots and the entries above each pivot reduced modulo it.  It
+    # is unimodular iff every pivot is 1, and then it is the identity, so the
+    # kernel rows already solve for the pivot coordinates T.
+    if all(k[i][c] == 1 for i, c in enumerate(pivots)):
+        t_index = {c: i for i, c in enumerate(pivots)}
+        s_cols = [c for c in range(n) if c not in t_index]
         proj = []
-        t_index = {c: i for i, c in enumerate(t_cols)}
         for i in range(n):
             if i in t_index:
-                proj.append([-v for v in m[t_index[i]]])
+                row = k[t_index[i]]
+                proj.append([-row[c] for c in s_cols])
             else:
                 proj.append([1 if s_cols[j] == i else 0 for j in range(len(s_cols))])
         qgram = [[g[a][b] for b in s_cols] for a in s_cols]
@@ -275,31 +269,15 @@ def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:
     if x is None:
         return False
     # Exponent divides d; now pin each p-part.
-    for p, v in _factorize(dd):
+    for p in la.prime_factors(dd):
         if n - la.modp_rank(gnp, p) != 1:
             return False
-        if v > 1:
+        if dd % (p * p) == 0:
             # The unique p-divisor must be exactly p^v: (d/p) * G^{-1} must be
             # non-integral, i.e. X is not divisible by p.
             if all(val % p == 0 for row in x for val in row):
                 return False
     return True
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            v = 0
-            while n % p == 0:
-                n //= p
-                v += 1
-            out.append((p, v))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def pfaffian_square_check(lattice: IntegerLattice) -> bool:
@@ -450,51 +428,6 @@ def _ldl(g: Mat) -> tuple[list[Fraction], list[list[Fraction]]]:
             val = a[i][j] - sum(d[k] * mu[k][i] * mu[k][j] for k in range(i))
             mu[i][j] = val / d[i]
     return d, mu
-
-
-# ---------------------------------------------------------------------------
-# Size reduction (deterministic, exact; improves box coverage on any Gram)
-
-def size_reduce_gram(gram: Mat, max_sweeps: int = 32) -> tuple[Mat, Mat]:
-    """Integral size-reduction sweeps on a Gram matrix.
-
-    Returns (reduced_gram, U) with U unimodular and reduced = U * gram * U^T.
-    Purely Gram-based; reduces |G_ij| against nonzero diagonal entries.
-    """
-    n = len(gram)
-    g = [list(row) for row in gram]
-    u = la.mat_identity(n)
-
-    def potential() -> int:
-        return sum(abs(x) for row in g for x in row)
-
-    for _ in range(max_sweeps):
-        before = potential()
-        for j in range(n):
-            if g[j][j] == 0:
-                continue
-            for i in range(n):
-                if i == j:
-                    continue
-                q = _round_nearest(g[i][j], g[j][j])
-                if q:
-                    # b_i <- b_i - q b_j
-                    for t in range(n):
-                        g[i][t] -= q * g[j][t]
-                    for t in range(n):
-                        g[t][i] -= q * g[t][j]
-                    for t in range(n):
-                        u[i][t] -= q * u[j][t]
-        if potential() >= before:
-            break
-    return g, u
-
-
-def _round_nearest(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if 2 * abs(r) > abs(b):
-        q += 1 if b > 0 else -1
-    return q
 
 
 # ---------------------------------------------------------------------------
