@@ -11,7 +11,7 @@ is exact (checked: other moduli raise ValueError).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 import numpy as np
@@ -41,8 +41,9 @@ def mat_transpose(a: Sequence[Sequence[int]]) -> Mat:
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Mat:
-    """Exact matrix product, using float64 BLAS when provably lossless."""
-    if not a or not b:
+    """Exact matrix product, using float64 BLAS when provably lossless.
+    The operands are lists of rows or integer arrays."""
+    if len(a) == 0 or len(b) == 0:
         return []
     # float64 holds every |x| < 2**53 exactly; a larger entry fails the bound.
     try:
@@ -315,7 +316,7 @@ def smith_normal_form(a: Sequence[Sequence[int]], with_transform: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# Rank, determinant, characteristic polynomial
+# Rank, determinant, inertia, inverse, characteristic polynomial
 
 def rank_exact(a: Sequence[Sequence[int]]) -> int:
     """Rank over Q by fraction-free Gaussian elimination."""
@@ -411,22 +412,90 @@ def charpoly(a: Sequence[Sequence[int]]) -> list[int]:
     return coeffs
 
 
-def descartes_sign_counts(coeffs: Sequence[int]) -> tuple[int, int, int]:
-    """(positive, negative, zero) root counts of a real-rooted polynomial.
+def clear_denominators(rows) -> tuple[Mat, int]:
+    """(S, den) with rows = S / den for the least common denominator den of
+    the entries (ints or Fractions)."""
+    den = lcm(1, *(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
-    coeffs are highest degree first.  Exact by Descartes' rule, which is an
-    equality for polynomials with all roots real.
+
+def inertia(a) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a symmetric integer
+    matrix, exactly: Sylvester's law of inertia on a fraction-free symmetric
+    elimination (Bareiss, Math. Comp. 1968).
+
+    Each step pivots on a nonzero diagonal entry of the remaining block,
+    swapping its row and column to the front.  When that diagonal is zero
+    but some entry m_ij is not, the congruence e_i += e_j (on rows and
+    columns) makes the diagonal entry 2 m_ij.  A remaining block of zeros
+    counts as zero eigenvalues.  The remaining block is D_k times the Schur
+    complement, where D_k is the k-th leading minor of the transformed
+    matrix and the last pivot, so each division by it is exact, and the
+    k-th diagonal entry of the congruent diagonal form has the sign of
+    D_(k+1) * D_k.  Only Python ints are used.  Raises ValueError for a
+    matrix that is not symmetric.
     """
-    n = len(coeffs) - 1
-    zero = 0
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        zero += 1
-        cs.pop()
-    signs = [1 if c > 0 else -1 for c in cs if c != 0]
-    pos = sum(1 for x, y in zip(signs, signs[1:]) if x != y)
-    neg = n - zero - pos
-    return pos, neg, zero
+    if len(a) == 0:
+        return 0, 0, 0
+    m = int_array(a).astype(object)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or np.any(m != m.T):
+        raise ValueError("inertia requires a symmetric matrix")
+    pos = neg = 0
+    prev = 1
+    while len(m):
+        nz = np.flatnonzero(m.diagonal())
+        if nz.size:
+            i = int(nz[0])
+        else:
+            off = np.argwhere(m)
+            if not len(off):
+                break
+            i, j = (int(x) for x in off[0])
+            m[i] += m[j]
+            m[:, i] += m[:, j]
+        if i:
+            m[[0, i]] = m[[i, 0]]
+            m[:, [0, i]] = m[:, [i, 0]]
+        pivot = m[0, 0]
+        if (pivot > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        col = m[1:, 0]
+        m = (m[1:, 1:] * pivot - np.outer(col, col)) // prev
+        prev = pivot
+    return pos, neg, len(m)
+
+
+def fraction_free_inverse(a):
+    """(X, q) with A^-1 = X / q exactly, q > 0 and gcd(q, entries of X) = 1,
+    or None when A is singular.
+
+    Fraction-free Gauss-Jordan elimination on [A | I]: every division by the
+    previous pivot is exact, and at the end the left block is D * I for
+    D = +-det(A), so the right block is D * A^-1.
+    """
+    n = len(a)
+    if n == 0:
+        return [], 1
+    m = np.hstack([int_array(a), np.eye(n, dtype=np.int64)]).astype(object)
+    prev = 1
+    for k in range(n):
+        nz = np.flatnonzero(m[k:, k])
+        if not nz.size:
+            return None
+        i = k + int(nz[0])
+        if i != k:
+            m[[k, i]] = m[[i, k]]
+        pivot = m[k, k]
+        rest = np.r_[0:k, k + 1:n]
+        m[rest] = (m[rest] * pivot - np.outer(m[rest, k], m[k])) // prev
+        prev = pivot
+    x = m[:, n:]
+    g = gcd(prev, *x.flat)
+    if prev < 0:
+        g = -g
+    return (x // g).tolist(), prev // g
 
 
 # ---------------------------------------------------------------------------

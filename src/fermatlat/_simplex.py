@@ -12,6 +12,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from ._intlinalg import solve_rational
+from .errors import VerificationError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -55,7 +56,9 @@ def solve_lp(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
     basis = [n + i for i in range(m)]
     cost1 = [Fraction(0)] * n + [Fraction(1)] * m
     status = _run_simplex(tab, basis, cost1, n + m)
-    assert status == OPTIMAL
+    if status != OPTIMAL:
+        # The phase-one objective is bounded below by 0.
+        raise VerificationError(f"phase-one LP ended {status}, not optimal")
     obj1 = sum(cost1[basis[i]] * tab[i][-1] for i in range(m))
     if obj1 > 0:
         y = _duals(a, basis, cost1, n, m)

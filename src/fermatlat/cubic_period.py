@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _intlinalg as la
-from .errors import ResourceBoundError, VerificationError
+from .errors import InvalidGlueError, ResourceBoundError, VerificationError
 from .exact_algebra import CyclotomicElement, euler_phi, _reduction_rows
 from .fermat_homology import build_primitive
 from .hermitian_eigen import (
@@ -109,16 +109,35 @@ class CubicFourfoldLattice:
     def pair_full(self, a: Sequence[int], b: Sequence[int]) -> int:
         return self.lambda_full.pairing(a, b)
 
+    def copy(self) -> "CubicFourfoldLattice":
+        """A copy whose lists can be changed without touching this one."""
+        return CubicFourfoldLattice(
+            self.lambda_o.copy(), self.lambda_full.copy(), self.eta_in_lambda[:],
+            _copy_rows(self.lambda_o_in_lambda),
+            {name: _copy_rows(m) for name, m in self.actions_o.items()},
+            {name: _copy_rows(m) for name, m in self.actions_full.items()},
+            self.disc_generator[:], self.glue_class,
+            _copy_rows(self.reduced_basis), _copy_rows(self.reduction_transform))
 
-@lru_cache(maxsize=None)
+
+def _copy_rows(m: la.Mat) -> la.Mat:
+    return [row[:] for row in m]
+
+
 def build_cubic_lattices() -> CubicFourfoldLattice:
     """Construct the pair (even rank-22 lattice, glued unimodular rank-23).
 
     The glue class is found by exhaustive search over the nine candidate
     discriminant classes of lambda_o + Z eta; exactly one works up to sign.
-    Every structural claim is asserted: parities, signatures, discriminants,
-    the fixed vector, and the orthogonal-complement relation.
+    Every structural claim is checked: parities, signatures, discriminants,
+    the fixed vector, and the orthogonal-complement relation.  The result is
+    cached; each call returns a copy.
     """
+    return _build_cubic_lattices().copy()
+
+
+@lru_cache(maxsize=None)
+def _build_cubic_lattices() -> CubicFourfoldLattice:
     prim = build_primitive(3, 4)
     lambda_o = prim.lattice.relabel("lambda_o")
     if signature(lambda_o) != (20, 2) or not is_even(lambda_o):
@@ -138,7 +157,7 @@ def build_cubic_lattices() -> CubicFourfoldLattice:
         spec = GlueSpec([lambda_o, eta_lattice], [gv])
         try:
             glued, basis = glue_with_basis(spec)
-        except Exception:
+        except InvalidGlueError:
             continue
         if abs(determinant(glued)) == 1:
             # (a, b) and (2a, 2b) generate the same glue group; keep one
@@ -157,18 +176,18 @@ def build_cubic_lattices() -> CubicFourfoldLattice:
     if is_even(lambda_full):
         raise VerificationError("glued lattice must be odd")
 
-    basis_int_inv = _rational_inverse(basis)
-    eta_in_lambda = _express([Fraction(0)] * 22 + [Fraction(1)], basis_int_inv)
-    lambda_o_in_lambda = [
-        _express([Fraction(1 if j == i else 0) for j in range(22)] + [Fraction(0)],
-                 basis_int_inv)
-        for i in range(22)]
+    inverse = _rational_inverse(basis)
+    # Row i of basis^-1 holds the glued coordinates of the i-th orthogonal-sum
+    # basis vector (e_0..e_21 span lambda_o, e_22 is eta): it must be integral.
+    coords = _divide_exact(*inverse, "vector does not lie in the glued lattice")
+    eta_in_lambda = coords[22]
+    lambda_o_in_lambda = coords[:22]
 
     actions_o = dict(prim.actions)
     actions_full = {}
     for name, m in actions_o.items():
         block = [row + [0] for row in m] + [[0] * 22 + [1]]
-        mat = _conjugate_rational(block, basis, basis_int_inv)
+        mat = _conjugate_rational(block, basis, inverse)
         actions_full[name] = mat
         if la.mat_mul(la.mat_mul(mat, lambda_full.gram), la.mat_transpose(mat)) != lambda_full.gram:
             raise VerificationError(f"action {name} does not preserve the glued pairing")
@@ -285,8 +304,12 @@ def _snf_with_transform(m):
 
 
 def _int_inverse(m):
-    inv = la.solve_rational(m, la.mat_identity(len(m)))
-    return [[int(x) for x in row] for row in inv]
+    """Inverse of a unimodular integer matrix; raises VerificationError if
+    the inverse is not integral."""
+    inv, q = _rational_inverse(m)
+    if q != 1:
+        raise VerificationError("matrix is not unimodular")
+    return inv
 
 
 def _round_nearest(a: int, b: int) -> int:
@@ -310,43 +333,31 @@ def _disc_generator(lattice: IntegerLattice) -> list[Fraction]:
     return [Fraction(v, 3) for v in x]
 
 
-def _rational_inverse(basis):
-    n = len(basis)
-    den = 1
-    for row in basis:
-        for x in row:
-            den = lcm(den, x.denominator)
-    scaled = [[int(x * den) for x in row] for row in basis]
-    inv = la.solve_rational(scaled, la.mat_identity(n))
-    return [[v * den for v in row] for row in inv]
+def _rational_inverse(basis) -> tuple[la.Mat, int]:
+    """(X, q) with basis^-1 = X / q in lowest terms, for a nonsingular
+    square matrix of integers or Fractions."""
+    scaled, den = la.clear_denominators(basis)
+    inv = la.fraction_free_inverse(scaled)
+    if inv is None:
+        raise VerificationError("basis matrix is singular")
+    x, q = inv
+    # (S / den)^-1 = den * X / q, with gcd(X, q) = 1.
+    g = gcd(den, q)
+    return [[v * (den // g) for v in row] for row in x], q // g
 
 
-def _express(vec, basis_inv) -> list[int]:
-    out = []
-    n = len(basis_inv)
-    for j in range(n):
-        val = sum(Fraction(vec[i]) * basis_inv[i][j] for i in range(n))
-        if val.denominator != 1:
-            raise VerificationError("vector does not lie in the glued lattice")
-        out.append(int(val))
-    return out
+def _divide_exact(m: la.Mat, q: int, message: str) -> la.Mat:
+    if any(x % q for row in m for x in row):
+        raise VerificationError(message)
+    return [[x // q for x in row] for row in m]
 
 
-def _conjugate_rational(block, basis, basis_inv) -> la.Mat:
-    """basis * block * basis^{-1}, asserted integral."""
-    n = len(block)
-    left = [[sum(Fraction(basis[i][t]) * block[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = sum(left[i][t] * basis_inv[t][j] for t in range(n))
-            if val.denominator != 1:
-                raise VerificationError("transported action is not integral")
-            row.append(int(val))
-        out.append(row)
-    return out
+def _conjugate_rational(block: la.Mat, basis, inverse: tuple[la.Mat, int]) -> la.Mat:
+    """basis * block * basis^{-1}, checked integral."""
+    scaled, den = la.clear_denominators(basis)
+    x, q = inverse
+    return _divide_exact(la.mat_mul(la.mat_mul(scaled, block), x), den * q,
+                         "transported action is not integral")
 
 
 def _assert_orthogonal_complement(lambda_full, eta_in_lambda, lambda_o_in_lambda):
@@ -375,6 +386,12 @@ def bounded_box_vectors(lattice: IntegerLattice, norm: int, bound: int,
     if bound < 1:
         raise ValueError("bound must be >= 1")
     n = lattice.rank
+    # _scan_grid filters norms in float64 and rechecks them in int64: both are
+    # exact when every partial sum of c.G.c is below 2**53.
+    gmax = max((abs(x) for row in lattice.gram for x in row), default=0)
+    if bound * bound * gmax * n * n >= 2**53:
+        raise ResourceBoundError(
+            "box norms may reach 2**53, beyond the exact float64 norm filter")
     gram = np.array(lattice.gram, dtype=np.int64)
     domains = _coefficient_domains(n, bound, congruence)
     hits: list[tuple[int, ...]] = []
@@ -493,7 +510,6 @@ def nodal_vectors_in_box(built: CubicFourfoldLattice, bound: int,
 # ---------------------------------------------------------------------------
 # Eisenstein eigenlattices
 
-@lru_cache(maxsize=None)
 def eigenlattice(k: int, conjugate: bool = False):
     """The chi_k-eigenlattice V_k of the last-k-coordinate action on the
     rank-22 lattice, as a saturated Z[zeta_3]-lattice with the hermitian form
@@ -502,8 +518,15 @@ def eigenlattice(k: int, conjugate: bool = False):
     Returns (HermitianLattice, z_basis) where z_basis holds the Z[zeta_3]
     basis vectors as length-22 rows of cyclotomic integers.  The eigenvalue
     convention on homology is u -> zeta_3; `conjugate` switches to the other
-    member of the conjugate pair.
+    member of the conjugate pair.  The result is cached; each call returns a
+    copy.
     """
+    h, basis = _eigenlattice(k, conjugate)
+    return h.copy(), _copy_rows(basis)
+
+
+@lru_cache(maxsize=None)
+def _eigenlattice(k: int, conjugate: bool):
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2, or 3")
     built = build_cubic_lattices()
@@ -818,9 +841,7 @@ def planted_remark_self_test() -> bool:
 
 def _conjugate_int(u: la.Mat, m: la.Mat) -> la.Mat:
     """u * m * u^{-1} for unimodular u, exactly."""
-    inv = la.solve_rational(u, la.mat_identity(len(u)))
-    inv_int = [[int(x) for x in row] for row in inv]
-    return la.mat_mul(la.mat_mul(u, m), inv_int)
+    return la.mat_mul(la.mat_mul(u, m), _int_inverse(u))
 
 
 def nodal_complement_signature(built: CubicFourfoldLattice, v: Sequence[int]) -> tuple[int, int]:

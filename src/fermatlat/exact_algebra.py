@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Mapping
 
-from .errors import IncompatibleRingError
+from .errors import IncompatibleRingError, VerificationError
 from ._intlinalg import det_bareiss, solve_rational
 
 
@@ -178,12 +178,14 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
         q, r = divmod(num[i + len(den) - 1], den[-1])
-        assert r == 0
+        if r:
+            raise VerificationError("polynomial quotient is not integral")
         out[i] = q
         if q:
             for j, c in enumerate(den):
                 num[i + j] -= q * c
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise VerificationError("polynomial division leaves a remainder")
     return out
 
 

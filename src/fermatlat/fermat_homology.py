@@ -287,16 +287,54 @@ class PrimitiveFermatLattice:
 def build_primitive(d: int, n: int, with_actions: Optional[bool] = None) -> PrimitiveFermatLattice:
     """Radical quotient of the Milnor lattice, with the symmetry action.
 
-    Results are cached per (d, n, actions) since construction is deterministic
-    and the value is treated as immutable.
+    The deterministic construction is cached per (d, n, actions) as read-only
+    integer arrays; every call returns a new object with its own lists, so
+    callers may change them without changing what later calls return.
     """
     if with_actions is None:
         with_actions = (d - 1) ** (n + 1) <= 256
-    return _build_primitive_cached(d, n, bool(with_actions))
+    lattice, projection, actions, basis, milnor_lattice, star = _build_primitive_cached(
+        d, n, bool(with_actions))
+    proj = projection.tolist()
+    return PrimitiveFermatLattice(
+        d, n, _thawed(lattice), {K: row[:] for K, row in zip(basis, proj)},
+        {name: mat.tolist() for name, mat in actions.items()}, proj,
+        MilnorModule(d, n, list(basis), _thawed(milnor_lattice), star))
+
+
+def _frozen(a) -> np.ndarray:
+    """A read-only copy of an integer matrix in the narrowest dtype that
+    holds it: the cached builds take a byte or two per entry, not a list
+    slot."""
+    a = la.int_array(a)
+    if a.dtype != object and a.size:
+        top = max(int(a.max()), -int(a.min()))
+        a = a.astype(next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                          if np.iinfo(t).max >= top))
+    else:
+        a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def _thawed(frozen) -> IntegerLattice:
+    gram, symmetry, label = frozen
+    return IntegerLattice.from_checked(gram.tolist(), symmetry, label)
 
 
 @lru_cache(maxsize=None)
-def _build_primitive_cached(d: int, n: int, with_actions: bool) -> PrimitiveFermatLattice:
+def _build_primitive_cached(d: int, n: int, with_actions: bool):
+    prim = _build_primitive(d, n, with_actions)
+    milnor = prim.milnor
+    return ((_frozen(prim.lattice.np_gram()), prim.lattice.symmetry, prim.lattice.label),
+            _frozen(prim.projection),
+            {name: _frozen(mat) for name, mat in prim.actions.items()},
+            tuple(milnor.basis),
+            (_frozen(milnor.lattice.np_gram()), milnor.lattice.symmetry, milnor.lattice.label),
+            milnor.star_value)
+
+
+def _build_primitive(d: int, n: int, with_actions: bool) -> PrimitiveFermatLattice:
     milnor = build_milnor(d, n)
     rank = len(milnor.basis)
     expected = rank_formula(d, n)

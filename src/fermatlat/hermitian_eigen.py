@@ -16,6 +16,7 @@ selected Gram matrices become CyclotomicElement objects.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -57,6 +58,14 @@ class HermitianLattice:
             for j in range(self.rank):
                 if gram[i][j].conj() != gram[j][i]:
                     raise VerificationError("gram matrix is not hermitian")
+
+    def copy(self) -> "HermitianLattice":
+        """A copy whose lists can be changed without touching this one."""
+        out = copy.copy(self)
+        out.gram = [row[:] for row in self.gram]
+        if self.basis_labels is not None:
+            out.basis_labels = list(self.basis_labels)
+        return out
 
     def determinant(self) -> CyclotomicElement:
         return _field_det(self.d, self.gram)
@@ -440,7 +449,7 @@ def _twists(d: int) -> list[tuple[dict[int, int], list[int]]]:
     raise VerificationError(f"no twists separate the complex embeddings of Q(zeta_{d})")
 
 
-def _twisted_trace_form(d: int, coords: np.ndarray, alpha: dict[int, int]) -> la.Mat:
+def _twisted_trace_form(d: int, coords: np.ndarray, alpha: dict[int, int]) -> np.ndarray:
     """The symmetric rational form Tr(alpha h(x, y)) on the restriction of
     scalars, in the Q-basis e_i zeta^s."""
     r, _c, phi = coords.shape
@@ -454,7 +463,7 @@ def _twisted_trace_form(d: int, coords: np.ndarray, alpha: dict[int, int]) -> la
         rows[delta] = la.int_array(vec)
     form = np.stack([np.stack([la.int_matmul(coords, rows[s - t]) for t in range(phi)], axis=-1)
                      for s in range(phi)], axis=1)
-    return form.reshape(r * phi, r * phi).tolist()
+    return form.reshape(r * phi, r * phi)
 
 
 def _embedding_signatures(d: int, coords: np.ndarray) -> tuple[list[tuple[int, int]], int]:
@@ -470,8 +479,7 @@ def _embedding_signatures(d: int, coords: np.ndarray) -> tuple[list[tuple[int, i
     r, phi = coords.shape[0], coords.shape[2]
     signs, diffs, nullity = [], [], 0
     for alpha, alpha_signs in _twists(d):
-        pos, neg, zero = la.descartes_sign_counts(la.charpoly(
-            _twisted_trace_form(d, coords, alpha)))
+        pos, neg, zero = la.inertia(_twisted_trace_form(d, coords, alpha))
         if alpha == {0: 1}:
             if zero % phi:
                 raise VerificationError("trace-form nullity is not a multiple of phi(d)")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,7 +54,7 @@ class IntegerLattice:
 
     def np_gram(self) -> np.ndarray:
         if self._np is None:
-            self._np = np.array(self.gram, dtype=np.int64) if self.rank else np.zeros((0, 0), dtype=np.int64)
+            self._np = la.int_array(self.gram) if self.rank else np.zeros((0, 0), dtype=np.int64)
         return self._np
 
     def pairing(self, v: Sequence[int], w: Sequence[int]) -> int:
@@ -66,6 +65,17 @@ class IntegerLattice:
 
     def is_symmetric(self) -> bool:
         return self.symmetry == SYMMETRIC
+
+    @classmethod
+    def from_checked(cls, gram: Mat, symmetry: str, label: Optional[str] = None) -> "IntegerLattice":
+        """A lattice that takes over gram, a list of int rows already known
+        to match symmetry, without copying or rechecking it."""
+        out = cls.__new__(cls)
+        out.rank, out.gram, out.symmetry, out.label, out._np = len(gram), gram, symmetry, label, None
+        return out
+
+    def copy(self) -> "IntegerLattice":
+        return IntegerLattice.from_checked([row[:] for row in self.gram], self.symmetry, self.label)
 
     def relabel(self, label: str) -> "IntegerLattice":
         return IntegerLattice(self.gram, self.symmetry, label)
@@ -150,8 +160,7 @@ def radical_quotient(lattice: IntegerLattice, kernel_rows: Optional[Mat] = None)
         kernel_rows = la.right_kernel(g)
         pivots = [next(c for c, x in enumerate(row) if x) for row in kernel_rows]
     else:
-        prod = la.mat_mul(kernel_rows, g)
-        if any(x for row in prod for x in row):
+        if any(map(any, la.mat_mul(kernel_rows, lattice.np_gram()))):
             raise ValueError("supplied kernel rows are not in the radical")
         kernel_rows, pivots = la.hnf_row(kernel_rows)
     r = len(kernel_rows)
@@ -165,17 +174,17 @@ def radical_quotient(lattice: IntegerLattice, kernel_rows: Optional[Mat] = None)
     # is unimodular iff every pivot is 1, and then it is the identity, so the
     # kernel rows already solve for the pivot coordinates T.
     if all(k[i][c] == 1 for i, c in enumerate(pivots)):
-        t_index = {c: i for i, c in enumerate(pivots)}
-        s_cols = [c for c in range(n) if c not in t_index]
-        proj = []
-        for i in range(n):
-            if i in t_index:
-                row = k[t_index[i]]
-                proj.append([-row[c] for c in s_cols])
-            else:
-                proj.append([1 if s_cols[j] == i else 0 for j in range(len(s_cols))])
-        qgram = [[g[a][b] for b in s_cols] for a in s_cols]
-        reps = [[1 if j == c else 0 for j in range(n)] for c in s_cols]
+        pivot_set = set(pivots)
+        s_cols = [c for c in range(n) if c not in pivot_set]
+        kernel = la.int_array(k)
+        proj = np.zeros((n, len(s_cols)), dtype=kernel.dtype)
+        proj[s_cols, range(len(s_cols))] = 1
+        proj[pivots] = -kernel[:, s_cols]
+        proj = proj.tolist()
+        reps = np.eye(n, dtype=np.int64)[s_cols].tolist()
+        # A principal submatrix of the checked Gram needs no new check.
+        quotient = IntegerLattice.from_checked(
+            lattice.np_gram()[np.ix_(s_cols, s_cols)].tolist(), lattice.symmetry, lattice.label)
     else:
         # General path: complete the saturated kernel to a basis via SNF.
         divisors, u, v = la.smith_normal_form(k, with_transform=True)
@@ -185,7 +194,7 @@ def radical_quotient(lattice: IntegerLattice, kernel_rows: Optional[Mat] = None)
         reps = [[int(x) for x in row] for row in w][r:]
         qgram = la.mat_mul(la.mat_mul(reps, g), la.mat_transpose(reps))
         proj = [row[r:] for row in v]
-    quotient = IntegerLattice(qgram, lattice.symmetry, lattice.label)
+        quotient = IntegerLattice(qgram, lattice.symmetry, lattice.label)
     return quotient, proj, reps
 
 
@@ -195,14 +204,13 @@ def radical_quotient(lattice: IntegerLattice, kernel_rows: Optional[Mat] = None)
 def signature(lattice: IntegerLattice) -> tuple[int, int]:
     """Counts of positive and negative eigenvalues, exactly.
 
-    Uses the integer characteristic polynomial and Descartes' rule of signs,
-    which is exact for the real-rooted charpoly of a symmetric matrix.
+    Sylvester's law of inertia on a fraction-free symmetric elimination of
+    the Gram matrix (_intlinalg.inertia): O(n^3) integer operations, no
+    floats.
     """
     if not lattice.is_symmetric():
         raise WrongSymmetryError("signature requires a symmetric pairing")
-    if lattice.rank == 0:
-        return 0, 0
-    pos, neg, _zero = la.descartes_sign_counts(la.charpoly(lattice.gram))
+    pos, neg, _zero = la.inertia(lattice.gram)
     return pos, neg
 
 
@@ -296,41 +304,37 @@ def pfaffian_square_check(lattice: IntegerLattice) -> bool:
 
 def glue_with_basis(spec: GlueSpec):
     """Glued overlattice plus the rational basis rows expressing it in the
-    orthogonal-sum coordinates."""
+    orthogonal-sum coordinates.
+
+    The glue vectors are scaled once by their common denominator den into
+    integer rows S; every integrality check is then a divisibility test on
+    an exact integer product (S.G0 by den, S.G0.S^T by den^2), and the glued
+    Gram is H.G0.H^T / den^2 for the HNF rows H of [den.I; S].
+    """
     g0 = spec.combined_gram()
     n = spec.total_rank()
     sym = spec.symmetry()
-    # Integrality of all pairings among generators.
-    for gv in spec.glue_vectors:
-        if len(gv) != n:
-            raise InvalidGlueError("glue vector of wrong length")
-        pair_with_lattice = [sum(Fraction(g0[i][j]) * gv[j] for j in range(n)) for i in range(n)]
-        if any(x.denominator != 1 for x in pair_with_lattice):
-            raise InvalidGlueError("glue vector pairs non-integrally with a component vector")
-    for a in spec.glue_vectors:
-        for b in spec.glue_vectors:
-            val = sum(a[i] * Fraction(g0[i][j]) * b[j] for i in range(n) for j in range(n))
-            if val.denominator != 1:
-                raise InvalidGlueError("glue vectors pair non-integrally with each other")
-    # Common denominator, then HNF of all generators.
-    den = 1
-    for gv in spec.glue_vectors:
-        for x in gv:
-            den = lcm(den, x.denominator)
-    rows: Mat = [[den if i == j else 0 for j in range(n)] for i in range(n)]
-    for gv in spec.glue_vectors:
-        rows.append([int(x * den) for x in gv])
-    h, _ = la.hnf_row(rows)
+    gvs = spec.glue_vectors
+    # Checked in generator order: a wrong length is reported unless an
+    # earlier glue vector already pairs non-integrally.
+    short = next((k for k, gv in enumerate(gvs) if len(gv) != n), len(gvs))
+    scaled, den = la.clear_denominators(gvs[:short])
+    with_lattice = la.mat_mul(scaled, g0)
+    if any(x % den for row in with_lattice for x in row):
+        raise InvalidGlueError("glue vector pairs non-integrally with a component vector")
+    if short < len(gvs):
+        raise InvalidGlueError("glue vector of wrong length")
+    if any(x % (den * den) for row in la.mat_mul(with_lattice, la.mat_transpose(scaled))
+           for x in row):
+        raise InvalidGlueError("glue vectors pair non-integrally with each other")
+    h, _ = la.hnf_row([[den if i == j else 0 for j in range(n)] for i in range(n)] + scaled)
     if len(h) != n:
         raise InvalidGlueError("glued generators do not span the rational span")
-    basis = [[Fraction(x, den) for x in row] for row in h]
-    gram = []
-    for brow in basis:
-        tmp = [sum(brow[i] * g0[i][j] for i in range(n)) for j in range(n)]
-        gram.append([sum(tmp[j] * bcol[j] for j in range(n)) for bcol in basis])
-    if any(x.denominator != 1 for row in gram for x in row):
+    gram = la.mat_mul(la.mat_mul(h, g0), la.mat_transpose(h))
+    if any(x % (den * den) for row in gram for x in row):
         raise InvalidGlueError("glued lattice has a non-integral pairing")
-    glued = IntegerLattice([[int(x) for x in row] for row in gram], sym)
+    glued = IntegerLattice([[x // (den * den) for x in row] for row in gram], sym)
+    basis = [[Fraction(x, den) for x in row] for row in h]
     return glued, basis
 
 

@@ -117,6 +117,62 @@ def test_bounded_box_cap():
         bounded_box_vectors(lat, 2, 2)
 
 
+def test_bounded_box_float_guard():
+    # 2**49 * bound**2 * n**2 = 2**51: the float64 norm filter is exact.
+    ok = IntegerLattice([[2**49, 0], [0, 1]])
+    assert bounded_box_vectors(ok, 2**49 + 1, 1) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    for big in (2**51, 2**70):
+        with pytest.raises(ResourceBoundError):
+            bounded_box_vectors(IntegerLattice([[big, 0], [0, 1]]), big + 1, 1)
+
+
+def test_rational_inverse_in_lowest_terms():
+    from fractions import Fraction
+    from fermatlat.cubic_period import _int_inverse, _rational_inverse
+
+    assert _rational_inverse([[Fraction(1, 3), 0], [0, 1]]) == ([[3, 0], [0, 1]], 1)
+    assert _rational_inverse([[Fraction(3, 2), 0], [0, 1]]) == ([[2, 0], [0, 3]], 3)
+    assert _int_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    with pytest.raises(VerificationError):
+        _int_inverse([[2, 0], [0, 1]])
+    with pytest.raises(VerificationError):
+        _rational_inverse([[1, 2], [2, 4]])
+
+
+def test_cached_builders_hand_out_copies():
+    prim = build_primitive(3, 4)
+    reference = (prim.lattice.gram, prim.projection, prim.actions, prim.monomial_images,
+                 prim.milnor.gram)
+    built = build_cubic_lattices()
+    cubic_reference = (built.actions_o, built.actions_full, built.lambda_full.gram,
+                       built.reduction_transform, built.eta_in_lambda)
+    eigen_reference = eigenlattice(1)[0].gram
+    # The reproduction: this used to change the cached build, after which
+    # the cubic construction raised "transported action is not integral".
+    build_primitive(3, 4).actions["u_1"][0][0] += 7
+    prim = build_primitive(3, 4)
+    prim.lattice.gram[0][0] += 1
+    prim.projection[0][0] += 1
+    prim.monomial_images[next(iter(prim.monomial_images))][0] += 1
+    prim.milnor.gram[0][0] += 1
+    built = build_cubic_lattices()
+    built.actions_o["u_1"][0][0] += 7
+    built.lambda_full.gram[0][0] += 1
+    built.reduction_transform[0][0] += 1
+    built.eta_in_lambda[0] += 1
+    h, basis = eigenlattice(1)
+    h.gram[0][0] = h.gram[0][0] * 2
+    basis.pop()
+    prim = build_primitive(3, 4)
+    assert (prim.lattice.gram, prim.projection, prim.actions, prim.monomial_images,
+            prim.milnor.gram) == reference
+    built = build_cubic_lattices()
+    assert (built.actions_o, built.actions_full, built.lambda_full.gram,
+            built.reduction_transform, built.eta_in_lambda) == cubic_reference
+    h, basis = eigenlattice(1)
+    assert h.gram == eigen_reference and len(basis) == h.rank
+
+
 def test_nodal_box_on_sublattice(built):
     hits = nodal_vectors_in_box(built, 1, sublattice_rank=8)
     assert hits

@@ -147,3 +147,14 @@ def test_zeta_powers_cycle():
 def test_mismatched_conductor():
     with pytest.raises(IncompatibleRingError):
         CyclotomicElement.zeta(3) * CyclotomicElement.zeta(4)
+
+
+def test_poly_divide_exact_raises_typed_errors():
+    from fermatlat.errors import VerificationError
+    from fermatlat.exact_algebra import _poly_divide_exact
+
+    assert _poly_divide_exact([-1, 0, 1], [1, 1]) == [-1, 1]
+    with pytest.raises(VerificationError, match="not integral"):
+        _poly_divide_exact([0, 1], [0, 2])          # x / 2x: non-integral quotient
+    with pytest.raises(VerificationError, match="remainder"):
+        _poly_divide_exact([1, 0, 1], [1, 1])       # x^2 + 1 = (x + 1)(x - 1) + 2

@@ -169,3 +169,13 @@ def test_build_deterministic_json():
 def test_milnor_basis_order():
     basis = milnor_basis(3, 1)
     assert basis == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_frozen_builds_keep_every_entry():
+    import numpy as np
+    from fermatlat.fermat_homology import _frozen
+
+    for mat in ([[1, -128], [127, 0]], [[300, -40000]], [[2**40, -(2**62)]], [[2**70, 1]], [[]]):
+        frozen = _frozen(mat)
+        assert frozen.tolist() == mat and not frozen.flags.writeable
+    assert _frozen([[1, -127]]).dtype == np.int8 and _frozen([[128]]).dtype == np.int16

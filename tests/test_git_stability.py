@@ -118,3 +118,13 @@ def test_json_roundtrip():
     assert back.terms == F3A2.terms
     frac = HomogeneousForm(3, 2, {(1, 1, 0): Fraction(-3, 7)})
     assert HomogeneousForm.from_json(frac.to_json()).terms == frac.terms
+
+
+def test_solve_lp_phase_one_failure_is_typed(monkeypatch):
+    from fermatlat import _simplex
+    from fermatlat.errors import VerificationError
+
+    assert _simplex.solve_lp([[1, 1]], [1], [1, 1]).status == _simplex.OPTIMAL
+    monkeypatch.setattr(_simplex, "_run_simplex", lambda *_args: _simplex.UNBOUNDED)
+    with pytest.raises(VerificationError):
+        _simplex.solve_lp([[1, 1]], [1], [1, 1])

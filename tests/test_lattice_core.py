@@ -70,6 +70,18 @@ def test_radical_quotient_explicit():
     assert la.mat_mul(reps, proj) == [[1]]
 
 
+def test_radical_quotient_supplied_kernel_edge_cases():
+    # Entries beyond int64, with the kernel supplied.
+    big = IntegerLattice([[2**70, 0, 2**70], [0, 0, 0], [2**70, 0, 2**70]])
+    q, proj, reps = radical_quotient(big, [[0, 1, 0], [1, 0, -1]])
+    assert q.gram == [[2**70]] and proj == [[1], [0], [1]] and reps == [[0, 0, 1]]
+    # Everything is radical: the quotient has rank 0.
+    q, proj, reps = radical_quotient(IntegerLattice([[0, 0], [0, 0]]), [[1, 0], [0, 1]])
+    assert q.rank == 0 and proj == [[], []] and reps == []
+    with pytest.raises(ValueError):
+        radical_quotient(A2, [[1, 0]])
+
+
 def test_radical_quotient_nondegenerate_identity():
     q, proj, _ = radical_quotient(A2)
     assert q.gram == A2.gram and proj == [[1, 0], [0, 1]]
