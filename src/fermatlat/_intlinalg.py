@@ -6,12 +6,21 @@ result is provably exact: float64 matrix products whose every intermediate
 value stays below 2**53, and mod-p elimination on float64 residues, whose
 moduli satisfy (p - 1)**2 * 128 < 2**53 so that every 128-term product-sum
 is exact (checked: other moduli raise ValueError).
+
+Exact dense elimination over Q has one kernel, _fraction_free: Bareiss's
+fraction-free elimination on Python ints, in row echelon form for
+rank_exact and det_bareiss and in Gauss-Jordan form for solve_rational,
+rational_row_space_kernel and fraction_free_inverse, which return
+Fractions (or a common denominator) only at the end.  The Hermite and Smith
+forms, the symmetric inertia elimination and the mod-p _rref are separate
+algorithms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -212,7 +221,7 @@ def saturate_row_span(rows: Sequence[Sequence[int]]) -> Mat:
                         for j, x in enumerate(row):
                             combo[j] += ci * x
                 if any(v % p for v in combo):
-                    raise ArithmeticError("mod-p kernel did not lift to a divisible row")
+                    raise VerificationError("mod-p kernel did not lift to a divisible row")
                 new_rows.append([v // p for v in combo])
             h, pivots = hnf_row(new_rows)
     return h
@@ -316,69 +325,122 @@ def smith_normal_form(a: Sequence[Sequence[int]], with_transform: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# Rank, determinant, inertia, inverse, characteristic polynomial
+# Fraction-free elimination: rank, determinant, rational solve, kernel, inverse
 
-def rank_exact(a: Sequence[Sequence[int]]) -> int:
-    """Rank over Q by fraction-free Gaussian elimination."""
-    m = [list(r) for r in a]
+def _fraction_free(a, reduce: bool = False) -> tuple[Mat, list[int], int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix: (M, pivots,
+    sign), with sign the parity of the row swaps.
+
+    Each column pivots on its first nonzero entry at or below the current
+    row.  The step with pivot p after previous pivot q maps every cleared row
+    to (p * row - row[c] * pivot_row) / q, an exact division (Bareiss, Math.
+    Comp. 22, 1968): each entry stays a minor of A.  Without reduce only the
+    rows below the pivot are cleared, from the pivot column on, giving a row
+    echelon form whose k-th pivot is the k-th pivotal minor.  With reduce
+    every other row is cleared (Gauss-Jordan form, Nakos, Turner and
+    Williams, SIGSAM Bull. 31, 1997): each pivot row then carries the last
+    pivot D at its pivot column and zeros at the others, so M[:rank] / D is
+    the reduced row echelon form.  Entries must be ints or numpy integers
+    (anything else raises TypeError).
+    """
+    m = [list(map(index, r)) for r in a]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    rank = 0
+    pivots: list[int] = []
+    sign = 1
     prev = 1
     for c in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][c]:
-                piv = i
-                break
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        for i in range(rank + 1, nrows):
-            row = m[i]
-            if row[c] == 0:
-                # Still rescale for Bareiss consistency.
-                for j in range(c + 1, ncols):
-                    row[j] = row[j] * pr[c] // prev
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        lo = 0 if reduce else c
+        pr = m[r][lo:]
+        p = m[r][c]
+        for i in (range(nrows) if reduce else range(r + 1, nrows)):
+            if i == r:
                 continue
+            row = m[i]
             f = row[c]
-            for j in range(c + 1, ncols):
-                row[j] = (row[j] * pr[c] - f * pr[j]) // prev
-            row[c] = 0
-        prev = pr[c]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+            if f:
+                row[lo:] = [(x * p - f * y) // prev for x, y in zip(row[lo:], pr)]
+            elif p != prev:
+                row[lo:] = [x * p // prev for x in row[lo:]]
+        prev = p
+        pivots.append(c)
+    return m, pivots, sign
+
+
+def rank_exact(a: Sequence[Sequence[int]]) -> int:
+    """Rank over Q."""
+    return len(_fraction_free(a)[1])
 
 
 def det_bareiss(a: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
+    """Exact determinant of a square integer matrix: the last pivot of the
+    fraction-free row echelon form, with the sign of the row swaps."""
     n = len(a)
     if n == 0:
         return 1
-    m = [list(r) for r in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = None
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    m, pivots, sign = _fraction_free(a)
+    return sign * m[n - 1][n - 1] if len(pivots) == n else 0
 
+
+def solve_rational(a: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]):
+    """Solve A*X = B exactly over Q; A square integer, B an integer matrix
+    (list of rows).  Returns X as a list of rows of Fractions, or None if A
+    is singular.  Gauss-Jordan on [A | B] leaves [D*I | D*X]."""
+    n = len(a)
+    m, pivots, _ = _fraction_free([list(row) + list(brow) for row, brow in zip(a, rhs)],
+                                   reduce=True)
+    if pivots != list(range(n)):
+        return None
+    den = m[n - 1][n - 1] if n else 1
+    return [[Fraction(x, den) for x in row[n:]] for row in m]
+
+
+def rational_row_space_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Basis of the right kernel of a rational matrix (rows): one vector per
+    non-pivot column f of the reduced row echelon form, with 1 at f."""
+    m, pivots, _ = _fraction_free(clear_denominators(rows)[0], reduce=True)
+    if not m:
+        return []
+    den = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    basis = []
+    for fc in (c for c in range(len(m[0])) if c not in pivots):
+        v = [Fraction(0)] * len(m[0])
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = Fraction(-m[i][fc], den)
+        basis.append(v)
+    return basis
+
+
+def fraction_free_inverse(a):
+    """(X, q) with A^-1 = X / q exactly, q > 0 and gcd(q, entries of X) = 1,
+    or None when A is singular.  Gauss-Jordan on [A | I] leaves
+    [D*I | D*A^-1] with D = +-det(A)."""
+    n = len(a)
+    if n == 0:
+        return [], 1
+    m, pivots, _ = _fraction_free([list(row) + [int(i == j) for j in range(n)]
+                                   for i, row in enumerate(a)], reduce=True)
+    if pivots != list(range(n)):
+        return None
+    d = m[n - 1][n - 1]
+    g = gcd(d, *(x for row in m for x in row[n:]))
+    if d < 0:
+        g = -g
+    return [[x // g for x in row[n:]] for row in m], d // g
+
+
+# ---------------------------------------------------------------------------
+# Characteristic polynomial, inertia
 
 def charpoly(a: Sequence[Sequence[int]]) -> list[int]:
     """Coefficients of det(xI - A), highest degree first, by Berkowitz.
@@ -465,106 +527,6 @@ def inertia(a) -> tuple[int, int, int]:
         m = (m[1:, 1:] * pivot - np.outer(col, col)) // prev
         prev = pivot
     return pos, neg, len(m)
-
-
-def fraction_free_inverse(a):
-    """(X, q) with A^-1 = X / q exactly, q > 0 and gcd(q, entries of X) = 1,
-    or None when A is singular.
-
-    Fraction-free Gauss-Jordan elimination on [A | I]: every division by the
-    previous pivot is exact, and at the end the left block is D * I for
-    D = +-det(A), so the right block is D * A^-1.
-    """
-    n = len(a)
-    if n == 0:
-        return [], 1
-    m = np.hstack([int_array(a), np.eye(n, dtype=np.int64)]).astype(object)
-    prev = 1
-    for k in range(n):
-        nz = np.flatnonzero(m[k:, k])
-        if not nz.size:
-            return None
-        i = k + int(nz[0])
-        if i != k:
-            m[[k, i]] = m[[i, k]]
-        pivot = m[k, k]
-        rest = np.r_[0:k, k + 1:n]
-        m[rest] = (m[rest] * pivot - np.outer(m[rest, k], m[k])) // prev
-        prev = pivot
-    x = m[:, n:]
-    g = gcd(prev, *x.flat)
-    if prev < 0:
-        g = -g
-    return (x // g).tolist(), prev // g
-
-
-# ---------------------------------------------------------------------------
-# Rational solving
-
-def solve_rational(a: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]):
-    """Solve A*X = B exactly over Q; A square nonsingular.
-
-    rhs is given column-wise as a matrix B (list of rows).  Returns X as a
-    list of rows of Fractions, or None if A is singular.
-    """
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(x) for x in brow]
-         for row, brow in zip(a, rhs)]
-    w = len(rhs[0]) if rhs else 0
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return [row[n:n + w] for row in m]
-
-
-def rational_row_space_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel of a rational matrix (rows), by elimination."""
-    if not rows:
-        return []
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis
 
 
 # ---------------------------------------------------------------------------

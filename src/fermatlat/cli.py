@@ -27,6 +27,7 @@ from .git_stability import (
 from .lattice_core import (
     determinant,
     discriminant,
+    dumps_canonical,
     is_even,
     lattice_to_json,
     signature,
@@ -136,7 +137,7 @@ def _cmd_lattice(args) -> int:
                               for name, mat in sorted(prim.actions.items())}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_dumps(lattice_to_json(lattice)))
+            fh.write(dumps_canonical(lattice_to_json(lattice)))
     _emit(payload)
     failed = any(c["status"] == "fail" for c in checks)
     _err(f"{kind} lattice d={args.d} n={args.n}: rank {lattice.rank}"
@@ -201,7 +202,7 @@ def _cmd_git_cone(args) -> int:
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_dumps(extended.to_json()))
+            fh.write(dumps_canonical(extended.to_json()))
     _emit(payload)
     _err(f"extended to {extended.m} variables, {len(extended.terms)} terms")
     return 0
@@ -213,12 +214,8 @@ def _load_form(path: str) -> HomogeneousForm:
     return HomogeneousForm.from_json(obj)
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
 def _emit(payload) -> None:
-    sys.stdout.write(_dumps(payload) + "\n")
+    sys.stdout.write(dumps_canonical(payload) + "\n")
 
 
 def _err(msg: str) -> None:

@@ -35,6 +35,7 @@ from .lattice_core import (
     glue_with_basis,
     is_even,
     signature,
+    smith_normal_form,
 )
 
 BOX_POINT_LIMIT = 40_000_000
@@ -264,7 +265,7 @@ def _special_adapted_basis(built: CubicFourfoldLattice):
         rows[pivot] = list(v)
         rows[0], rows[pivot] = rows[pivot], rows[0]
     else:
-        _divs, (_u1, v1) = _snf_with_transform([v])
+        _divs, (_u1, v1) = smith_normal_form([v])
         rows = _int_inverse(v1)
         if rows[0] == [-x for x in v]:
             rows[0] = list(v)
@@ -296,11 +297,6 @@ def _special_adapted_basis(built: CubicFourfoldLattice):
         if not changed:
             break
     return g, rows
-
-
-def _snf_with_transform(m):
-    divisors, u, v = la.smith_normal_form(m, with_transform=True)
-    return divisors, (u, v)
 
 
 def _int_inverse(m):
@@ -428,10 +424,6 @@ def _coefficient_domains(n, bound, congruence):
     reps = sorted(set(reps))
     domains = []
     for rep in reps:
-        if all(v == 0 for v in rep) and len(reps) > 1:
-            # The zero class only contains multiples of mod; keep it (it may
-            # contain valid vectors) but note it collapses the domain.
-            pass
         dom = []
         ok = True
         for j in range(n):

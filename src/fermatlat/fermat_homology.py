@@ -8,6 +8,7 @@ dimensions.
 
 from __future__ import annotations
 
+import math
 import os
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -509,18 +510,16 @@ def resolution_check(d: int, n: int) -> dict:
 
 
 def _image_kernel_index(image_rows: la.Mat, kernel_rows: la.Mat) -> int:
-    """Index of the image inside the kernel (both of equal rank)."""
+    """Index of the image inside the kernel (both of equal rank).
+
+    Lattices with the same Q-span have row HNFs with the same pivot columns,
+    and the covolume of each is the product of its HNF pivots, so the index
+    is the ratio of the two products."""
     if not kernel_rows:
         return 1
-    im_h, _ = la.hnf_row(image_rows)
-    _, pivots = la.hnf_row(kernel_rows)
-    sub = [[r[c] for c in pivots] for r in kernel_rows]
-    inv = la.solve_rational(sub, la.mat_identity(len(kernel_rows)))
-    coords = []
-    for row in im_h:
-        rhs = [row[c] for c in pivots]
-        coords.append([sum(inv[i][j] * rhs[j] for j in range(len(rhs)))
-                       for i in range(len(kernel_rows))])
-    if any(x.denominator != 1 for r in coords for x in r):
+    if not la.same_row_span(kernel_rows + image_rows, kernel_rows):
         raise VerificationError("image does not lie in the kernel")
-    return abs(la.det_bareiss([[int(x) for x in r] for r in coords]))
+    im_h, im_pivots = la.hnf_row(image_rows)
+    ker_h, ker_pivots = la.hnf_row(kernel_rows)
+    return (math.prod(r[c] for r, c in zip(im_h, im_pivots))
+            // math.prod(r[c] for r, c in zip(ker_h, ker_pivots)))

@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
 from . import _intlinalg as la
 from ._simplex import OPTIMAL, solve_lp
-from .errors import EmptyFormError
+from .errors import EmptyFormError, VerificationError
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,8 @@ def is_semistable_diagonal(form: HomogeneousForm) -> tuple[bool, dict]:
         lam = res.x[:len(points)]
         return True, {"lambda": [str(v) for v in lam],
                       "points": [list(p) for p in points]}
-    weights = _separating_weights(points, b, res.duals, form.m)
+    # The Farkas dual y has y.(p - b) < 0 on every point: flip it.
+    weights = _normalize_weights([-v for v in res.duals[:form.m]], form.m)
     return False, {"separating_weights": weights,
                    "points": [list(p) for p in points]}
 
@@ -201,26 +203,6 @@ def _interior_lp(points, b, m):
     return solve_lp(rows, rhs, cost)
 
 
-def _separating_weights(points, b, farkas, m):
-    """Integer weight vector from a Farkas dual: w.(p - b) < 0 for all p,
-    flipped and normalized to sum zero and positive values on points."""
-    y = farkas[:m]
-    w = [-v for v in y]
-    # Shift by a constant (allowed on the degree hyperplane) to zero the sum.
-    shift = Fraction(sum(w), m)
-    w = [v - shift for v in w]
-    den = 1
-    for v in w:
-        den = lcm(den, v.denominator)
-    wi = [int(v * den) for v in w]
-    g = 0
-    for v in wi:
-        g = gcd(g, v)
-    if g > 1:
-        wi = [v // g for v in wi]
-    return wi
-
-
 def _supporting_weights(points, b, res, m):
     """Integer weights w with w.(p - b) <= 0 on all points, < 0 on some."""
     if res.duals is not None:
@@ -244,7 +226,7 @@ def _supporting_weights(points, b, res, m):
                     return _normalize_weights(w, m)
                 if all(v >= 0 for v in vals):
                     return _normalize_weights([-v for v in w], m)
-    raise ArithmeticError("no supporting functional found for a boundary barycenter")
+    raise VerificationError("no supporting functional found for a boundary barycenter")
 
 
 def _functional_through(points, subset, b, m):
@@ -258,18 +240,12 @@ def _functional_through(points, subset, b, m):
 
 
 def _normalize_weights(w, m):
+    """Integer weights proportional to w shifted to sum zero (a shift allowed
+    on the degree hyperplane), divided by their content."""
     shift = Fraction(sum(Fraction(v) for v in w), m)
-    w = [Fraction(v) - shift for v in w]
-    den = 1
-    for v in w:
-        den = lcm(den, v.denominator)
-    wi = [int(v * den) for v in w]
-    g = 0
-    for v in wi:
-        g = gcd(g, v)
-    if g > 1:
-        wi = [v // g for v in wi]
-    return wi
+    wi = la.clear_denominators([[Fraction(v) - shift for v in w]])[0][0]
+    g = gcd(*wi)
+    return [v // g for v in wi] if g > 1 else wi
 
 
 def _affine_rank(points) -> int:

@@ -557,7 +557,7 @@ def _cyclo_divmod(a: CyclotomicElement, b: CyclotomicElement):
             return q, r
         if best is None or nr < best[0]:
             best = (nr, q, r)
-    raise ArithmeticError("division with remainder failed; conductor not norm-Euclidean?")
+    raise VerificationError("division with remainder failed; conductor not norm-Euclidean?")
 
 
 def cyclotomic_row_echelon(d: int, rows: list[list[CyclotomicElement]]):

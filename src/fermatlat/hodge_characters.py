@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from .errors import NonUniqueError
+from .errors import NonUniqueError, VerificationError
 from .fermat_homology import rank_formula
 
 
@@ -77,7 +77,7 @@ def hodge_numbers(d: int, n: int) -> dict[int, int]:
         counts[p] = counts.get(p, 0) + 1
     total = sum(counts.values())
     if total != rank_formula(d, n):
-        raise ArithmeticError("character count disagrees with the rank formula")
+        raise VerificationError("character count disagrees with the rank formula")
     return dict(sorted(counts.items()))
 
 

@@ -379,11 +379,3 @@ def _random_cubic(rng: random.Random, m: int) -> HomogeneousForm:
         e = monos[rng.randrange(len(monos))]
         terms[e] = Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
     return HomogeneousForm(m, 3, terms)
-
-
-def run_all(bound: int = 2, fast: bool = False) -> dict:
-    reports = {name: run_suite(name, bound=bound, fast=fast) for name in SUITES}
-    return {
-        "suites": reports,
-        "ok": all(r["ok"] for r in reports.values()),
-    }

@@ -1,10 +1,16 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from fermatlat import git_stability
 from fermatlat.cli import main
+
+SEED = os.path.join(os.path.dirname(__file__), "data", "cli_seed.json")
 
 
 def run_cli(args, capsys):
@@ -189,3 +195,40 @@ def test_no_floats_in_output(capsys):
             for v in x:
                 walk(v)
     walk(payload)
+
+
+def _seed():
+    with open(SEED) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("key", sorted(_seed()["args"]))
+def test_stdout_matches_stored_digest_across_processes(key):
+    """tests/data/cli_seed.json holds the sha256 of the stdout of commands
+    whose output goes through rank, determinant, rational solve, rational
+    kernel and inverse, as printed by the separate eliminations that the
+    one fraction-free kernel replaced."""
+    seed = _seed()
+    cmd = [sys.executable, "-m", "fermatlat.cli", *seed["args"][key]]
+    out = subprocess.run(cmd, capture_output=True, check=True).stdout
+    assert hashlib.sha256(out).hexdigest() == seed["stdout"][key]
+
+
+def test_git_check_reports_a_failed_support_search(tmp_path, monkeypatch, capsys):
+    """No supporting functional is a verification failure: exit 1 and a
+    message on stderr, not a traceback."""
+    search = git_stability._supporting_weights
+    monkeypatch.setattr(git_stability, "_supporting_weights",
+                        lambda points, b, _res, m: search(points, b, SimpleNamespace(duals=None), m))
+    monkeypatch.setattr(git_stability, "_functional_through", lambda *args: None)
+    # x^3 + y^3 + xyz: full affine rank, barycenter (1, 1, 1) a vertex.
+    form = {"m": 3, "degree": 3,
+            "terms": [{"exponents": [3, 0, 0], "coeff": "1"},
+                      {"exponents": [0, 3, 0], "coeff": "1"},
+                      {"exponents": [1, 1, 1], "coeff": "1"}]}
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(form))
+    code, out, err = run_cli(["git", "check", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failure: no supporting functional")

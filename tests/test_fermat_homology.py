@@ -3,8 +3,9 @@ import random
 import pytest
 
 from fermatlat import _intlinalg as la
-from fermatlat.errors import ResourceBoundError
+from fermatlat.errors import ResourceBoundError, VerificationError
 from fermatlat.fermat_homology import (
+    _image_kernel_index,
     build_milnor,
     build_primitive,
     connecting_map,
@@ -150,6 +151,16 @@ def test_resolution_reports():
     assert rep34["module_ranks"] == [2, 4, 8, 16, 32, 22]
     # the integral image sits with index d inside the kernel at odd stages
     assert [s["image_kernel_index"] for s in rep34["stages"]] == [3, 1, 3, 1]
+
+
+def test_image_kernel_index_is_a_pivot_ratio():
+    kernel = [[1, 1, 0], [0, 2, 0]]
+    assert _image_kernel_index([[3, 3, 0], [0, 2, 0]], kernel) == 3
+    assert _image_kernel_index([[2, 0, 0], [1, 3, 0]], kernel) == 3
+    assert _image_kernel_index([[1, 3, 0], [0, 2, 0]], kernel) == 1
+    assert _image_kernel_index([], []) == 1
+    with pytest.raises(VerificationError, match="image does not lie in the kernel"):
+        _image_kernel_index([[1, 0, 0], [0, 1, 0]], kernel)
 
 
 def test_resolution_composites_are_zero():

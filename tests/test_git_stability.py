@@ -7,6 +7,7 @@ import pytest
 from fermatlat.errors import EmptyFormError
 from fermatlat.git_stability import (
     HomogeneousForm,
+    _normalize_weights,
     cone_extend,
     directional_depth_oracle,
     exponent_points,
@@ -128,3 +129,10 @@ def test_solve_lp_phase_one_failure_is_typed(monkeypatch):
     monkeypatch.setattr(_simplex, "_run_simplex", lambda *_args: _simplex.UNBOUNDED)
     with pytest.raises(VerificationError):
         _simplex.solve_lp([[1, 1]], [1], [1, 1])
+
+
+def test_normalize_weights_sums_to_zero_with_content_one():
+    assert _normalize_weights([2, 4, 0], 3) == [0, 1, -1]
+    assert _normalize_weights([Fraction(1, 2), Fraction(3, 2), 1], 3) == [-1, 1, 0]
+    assert _normalize_weights([Fraction(-1, 3), 0, 0, 0], 4) == [-3, 1, 1, 1]
+    assert _normalize_weights([5, 5, 5], 3) == [0, 0, 0]

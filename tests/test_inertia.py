@@ -1,6 +1,7 @@
 """The fraction-free inertia and inverse kernels against independent oracles:
 Descartes' rule on the Berkowitz characteristic polynomial (the signature
-path they replaced), numpy eigenvalues, and Fraction elimination."""
+path they replaced), numpy eigenvalues, and the former Fraction
+Gauss-Jordan solver (kept in test_fraction_free as an oracle)."""
 
 from fractions import Fraction
 from math import gcd
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from fermatlat import _intlinalg as la
 from fermatlat.errors import WrongSymmetryError
 from fermatlat.lattice_core import IntegerLattice, signature
+from test_fraction_free import oracle_solve
 
 
 def descartes_sign_counts(coeffs):
@@ -121,7 +123,7 @@ def test_fraction_free_inverse_matches_fractions(n, bound, data):
     a = [[data.draw(st.integers(-bound, bound)) for _ in range(n)] for _ in range(n)]
     if data.draw(st.booleans()) and n > 2:
         a[-1] = [x + y for x, y in zip(a[0], a[1])]     # singular
-    expected = la.solve_rational(a, la.mat_identity(n)) if n else []
+    expected = oracle_solve(a, la.mat_identity(n)) if n else []
     got = la.fraction_free_inverse(a)
     if expected is None:
         assert got is None
