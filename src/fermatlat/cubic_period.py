@@ -5,6 +5,12 @@ norm-3 vector eta adjoined, glues the odd unimodular rank-23 overlattice,
 and implements the special/nodal vector predicates, bounded box searches,
 Eisenstein eigenlattices, and the hyperplane-versus-eigenball tests used to
 check the arrangement claims at evidence level.
+
+The eigenlattices and eigenball tests work on integer coordinate arrays over
+Z[zeta_3] (see hermitian_eigen): the eigenspace is the left kernel of one
+integer matrix, its Gram and the restricted forms are _hermitian_product
+calls, and only the Euclidean echelon basis and the public results are
+CyclotomicElement objects.
 """
 
 from __future__ import annotations
@@ -12,19 +18,22 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _intlinalg as la
 from .errors import InvalidGlueError, ResourceBoundError, VerificationError
-from .exact_algebra import CyclotomicElement, euler_phi, _reduction_rows
+from .exact_algebra import CyclotomicElement, euler_phi
 from .fermat_homology import build_primitive
 from .hermitian_eigen import (
     HermitianLattice,
     _coords_array,
     _embedding_signatures,
+    _hermitian_product,
+    _to_elements,
+    _zeta_table,
     cyclotomic_row_echelon,
 )
 from .lattice_core import (
@@ -217,24 +226,21 @@ def construct_special_vector(built: CubicFourfoldLattice) -> list[int]:
     if h[0][0] != 1:
         raise VerificationError("eta is not primitive in the glued lattice")
     e0 = u[0]
-    e0sq = full.pairing(e0, e0)
-    target = 1 - e0sq
+    target = 1 - full.pairing(e0, e0)
     emb = built.lambda_o_in_lambda
-    adjustment = None
-    for i in range(22):
-        for j in range(i, 22):
-            for (a, b) in itertools.product(range(-3, 4), repeat=2):
-                y = [a * emb[i][t] + b * emb[j][t] for t in range(23)]
-                if full.pairing(y, y) + 2 * full.pairing(e0, y) == target:
-                    adjustment = y
-                    break
-            if adjustment:
-                break
-        if adjustment:
-            break
-    if adjustment is None:
+    # e = e0 + a emb_i + b emb_j has e.e = 1 iff
+    # a^2 G_ii + 2ab G_ij + b^2 G_jj + 2 (a f_i + b f_j) = 1 - e0.e0.
+    pair = la.mat_mul(emb, full.gram)
+    g = la.mat_mul(pair, la.mat_transpose(emb))
+    f = la.mat_vec(pair, e0)
+    hit = next(((i, j, a, b) for i in range(22) for j in range(i, 22)
+                for a, b in itertools.product(range(-3, 4), repeat=2)
+                if a * a * g[i][i] + 2 * a * b * g[i][j] + b * b * g[j][j]
+                + 2 * (a * f[i] + b * f[j]) == target), None)
+    if hit is None:
         raise VerificationError("no norm adjustment found for the e-vector scan")
-    e = [x + y for x, y in zip(e0, adjustment)]
+    i, j, a, b = hit
+    e = [x + a * y + b * z for x, y, z in zip(e0, emb[i], emb[j])]
     v_full = [b - 3 * a for a, b in zip(e, eta)]
     rows = emb + [eta]
     sol = la.solve_rational(la.mat_transpose(rows), [[x] for x in v_full])
@@ -523,114 +529,37 @@ def _eigenlattice(k: int, conjugate: bool):
         raise ValueError("k must be 1, 2, or 3")
     built = build_cubic_lattices()
     prim = build_primitive(3, 4)
-    names = [f"u_{i}" for i in range(6 - k, 6)]
-    mats = [prim.actions[name] for name in names]
-    zrows = _common_eigenspace_z_basis(3, 22, mats, conjugate=conjugate)
+    mats = [prim.actions[f"u_{i}"] for i in range(6 - k, 6)]
+    zrows = la.int_array(_common_eigenspace_z_basis(3, 22, mats, conjugate=conjugate))
     # Permutations inside the window act by a single scalar on the eigenspace
     # (the sign character under this generator normalization), so the
     # eigenspace is a full G_k-isotypic piece.
+    phi = euler_phi(3)
     for j in range(6 - k, 5):
-        smat = prim.actions[f"s_{j}"]
-        for row in zrows:
-            vec = _z_row_to_cyclo(3, row)
-            moved = _apply_int_matrix(vec, smat)
-            if moved != vec and moved != [-x for x in vec]:
-                raise VerificationError(
-                    "permutation part is not scalar on the eigenspace")
-    cyc_rows = [_z_row_to_cyclo(3, row) for row in zrows]
-    basis = cyclotomic_row_echelon(3, cyc_rows)
-    gram = _hermitian_gram_of(basis, built.lambda_o.gram)
-    h = HermitianLattice(3, gram, "raw", basis_labels=None)
+        smat = np.kron(np.eye(phi, dtype=np.int64), la.int_array(prim.actions[f"s_{j}"]))
+        moved = la.int_matmul(zrows, smat)
+        if not ((moved == zrows).all(axis=1) | (moved == -zrows).all(axis=1)).all():
+            raise VerificationError("permutation part is not scalar on the eigenspace")
+    coords = zrows.reshape(len(zrows), phi, 22).transpose(0, 2, 1)
+    basis = cyclotomic_row_echelon(3, _to_elements(3, coords))
+    b = _coords_array(3, basis)[0]
+    gram = _hermitian_product(3, b, la.int_array(built.lambda_o.gram)[..., None], b)
+    h = HermitianLattice(3, _to_elements(3, gram), "raw", basis_labels=None)
     return h, basis
 
 
 def _common_eigenspace_z_basis(d: int, n: int, mats: list[la.Mat], conjugate: bool):
+    """Saturated Z-basis of {x in Z[zeta_d]^n : x T = zeta^(+-1) x for every
+    T in mats}, each x as the row (x_0, ..., x_{phi-1}) of the integer vectors
+    of its power-basis coordinates: the left kernel of the blocks
+    kron(I_phi, T) - kron(M, I_n), where row j of M is zeta^j times the
+    eigenvalue."""
     phi = euler_phi(d)
-    red = _reduction_rows(d)
-    target = 1 if not conjugate else d - 1
-    zcoords = [0] * phi
-    if target < phi:
-        zcoords[target] = 1
-        zrow = zcoords
-    else:
-        zrow = list(red[target]) if target < len(red) else None
-    if zrow is None:
-        z = CyclotomicElement.zeta(d, target)
-        zrow = [int(c) for c in z.coords]
-    conds = []
-    for t in mats:
-        a = [[0] * (phi * n) for _ in range(phi * n)]
-        for j in range(phi):
-            zmult = _zeta_power_times(d, j, zrow)
-            for r in range(n):
-                row = a[j * n + r]
-                for c in range(n):
-                    if t[r][c]:
-                        row[j * n + c] += t[r][c]
-                for tcoord in range(phi):
-                    coeff = zmult[tcoord]
-                    if coeff:
-                        row[tcoord * n + r] -= coeff
-        conds.append(a)
-    big = [sum((conds[i][r] for i in range(len(mats))), []) for r in range(phi * n)]
-    return la.left_kernel(big)
-
-
-def _zeta_power_times(d: int, j: int, zrow: list[int]) -> list[int]:
-    """Power-basis coordinates of zeta_d^j * (element with coords zrow)."""
-    z = CyclotomicElement(d, zrow)
-    out = CyclotomicElement.zeta(d, j) * z
-    return [int(c) for c in out.coords]
-
-
-def _z_row_to_cyclo(d: int, row: Sequence[int]) -> list[CyclotomicElement]:
-    phi = euler_phi(d)
-    n = len(row) // phi
-    out = []
-    for i in range(n):
-        coords = [row[j * n + i] for j in range(phi)]
-        out.append(CyclotomicElement(d, coords))
-    return out
-
-
-def _apply_int_matrix(vec: list[CyclotomicElement], mat: la.Mat) -> list[CyclotomicElement]:
-    n = len(vec)
-    out = []
-    for j in range(n):
-        acc = CyclotomicElement.zero(vec[0].d)
-        for i in range(n):
-            if mat[i][j]:
-                acc = acc + vec[i] * mat[i][j]
-        out.append(acc)
-    return out
-
-
-def _hermitian_gram_of(basis: list[list[CyclotomicElement]], gram: la.Mat):
-    r = len(basis)
-    out = []
-    for i in range(r):
-        gi = _vec_times_int_gram(basis[i], gram)
-        row = []
-        for j in range(r):
-            acc = CyclotomicElement.zero(basis[0][0].d)
-            for t, x in enumerate(gi):
-                if x:
-                    acc = acc + x * basis[j][t].conj()
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _vec_times_int_gram(vec: list[CyclotomicElement], gram: la.Mat):
-    n = len(vec)
-    out = []
-    for j in range(n):
-        acc = CyclotomicElement.zero(vec[0].d)
-        for i in range(n):
-            if gram[i][j] and vec[i]:
-                acc = acc + vec[i] * gram[i][j]
-        out.append(acc)
-    return out
+    target = d - 1 if conjugate else 1
+    eigen = _zeta_table(d)[(np.arange(phi) + target) % d]
+    shift = np.kron(eigen, np.eye(n, dtype=np.int64))
+    blocks = [np.kron(np.eye(phi, dtype=np.int64), la.int_array(t)) - shift for t in mats]
+    return la.left_kernel(np.hstack(blocks).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -648,58 +577,38 @@ def hyperplane_meets_eigenball(v: Sequence[int], k: int) -> tuple[bool, bool]:
     if not built.is_special(v):
         raise VerificationError("hyperplane test requires a special vector")
     h, basis = eigenlattice(k)
-    gv = la.vec_mat(list(v), built.lambda_o.gram)
-    ell = []
-    for row in basis:
-        acc = CyclotomicElement.zero(3)
-        for t, x in enumerate(row):
-            if gv[t] and x:
-                acc = acc + x * gv[t]
-        ell.append(acc)
-    return ball_meets_restriction(h.gram, ell)
+    gv = la.int_array(la.vec_mat(list(v), built.lambda_o.gram))
+    ell = la.int_matmul(_coords_array(3, basis)[0].transpose(0, 2, 1), gv)
+    return ball_meets_restriction(h.gram, _to_elements(3, ell[None])[0])
 
 
 def ball_meets_restriction(gram: list[list[CyclotomicElement]],
                            ell: list[CyclotomicElement]) -> tuple[bool, bool]:
     """Signature test of a hermitian form restricted to the kernel of a
-    functional: (has negative direction, functional vanished identically)."""
+    functional: (has negative direction, functional vanished identically).
+
+    With p the first index where ell is nonzero, the rows
+    ell[p] e_i - ell[i] e_p (i != p) are an integral basis of ell[p] times the
+    kernel over Q(zeta_d).  The form on them is |ell[p]|^2 times the
+    restriction, and |ell[p]|^2 is positive at every embedding, as is the
+    common denominator that _coords_array clears; neither changes the
+    negative index, which must agree at every embedding.
+    """
     if all(not x for x in ell):
         return True, True
-    r = len(gram)
-    d = gram[0][0].d if r else 3
-    piv = next(i for i in range(r) if ell[i])
-    inv = ell[piv].inverse()
-    combos = []
-    for i in range(r):
-        if i == piv:
-            continue
-        c = [CyclotomicElement.zero(d) for _ in range(r)]
-        c[i] = CyclotomicElement.one(d)
-        c[piv] = -(ell[i] * inv)
-        combos.append(c)
-    restricted = []
-    for a in combos:
-        row = []
-        for b in combos:
-            acc = CyclotomicElement.zero(d)
-            for i in range(r):
-                if not a[i]:
-                    continue
-                for j in range(r):
-                    if gram[i][j] and b[j]:
-                        acc = acc + a[i] * gram[i][j] * b[j].conj()
-            row.append(acc)
-        restricted.append(row)
-    scale = 1
-    for row in restricted:
-        for e in row:
-            for c in e.coords:
-                den = c.denominator if isinstance(c, Fraction) else 1
-                scale = lcm(scale, den)
-    if scale != 1:
-        restricted = [[e * scale for e in row] for row in restricted]
-    neg = _negative_index(restricted)
-    return neg > 0, False
+    d = ell[0].d
+    g = _coords_array(d, gram)[0]
+    e = _coords_array(d, [ell])[0][0]
+    r = len(e)
+    p = next(i for i in range(r) if e[i].any())
+    others = [i for i in range(r) if i != p]
+    rows = np.zeros((r - 1,) + e.shape, dtype=e.dtype)
+    rows[np.arange(r - 1), others] = e[p]
+    rows[:, p] = -e[others]
+    sigs, _nullity = _embedding_signatures(d, _hermitian_product(d, rows, g, rows))
+    if len({q for _p, q in sigs}) > 1:
+        raise VerificationError("negative index differs across complex embeddings")
+    return sigs[0][1] > 0, False
 
 
 def orbit_specials(built: CubicFourfoldLattice, seeds: Sequence[Sequence[int]],
@@ -728,18 +637,6 @@ def orbit_specials(built: CubicFourfoldLattice, seeds: Sequence[Sequence[int]],
         if not built.is_special(w):
             raise VerificationError("orbit expansion left the special set")
     return sorted(out)
-
-
-def _negative_index(gram: list[list[CyclotomicElement]]) -> int:
-    """Number of negative eigenvalues of a (possibly degenerate) hermitian
-    form, from its twisted trace forms; it must agree at every embedding."""
-    if not gram:
-        return 0
-    d = gram[0][0].d
-    sigs, _nullity = _embedding_signatures(d, _coords_array(d, gram)[0])
-    if len({q for _p, q in sigs}) > 1:
-        raise VerificationError("negative index differs across complex embeddings")
-    return sigs[0][1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,21 @@
 """Exact arithmetic foundations: group rings of (Z/d)^k and cyclotomic integers.
 
 Everything here is immutable and exact.  Group-ring elements are finite
-integer combinations of exponent tuples; cyclotomic elements are vectors in
-the power basis of Z[zeta_d] reduced modulo the d-th cyclotomic polynomial.
+integer combinations of exponent tuples, held in a read-only mapping (the
+cached star and connecting elements are shared); cyclotomic elements are
+vectors in the power basis of Z[zeta_d] reduced modulo the d-th cyclotomic
+polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import IncompatibleRingError, VerificationError
-from ._intlinalg import det_bareiss, solve_rational
+from ._intlinalg import clear_denominators, det_bareiss, solve_rational
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +46,10 @@ class GroupRingElement:
             clean[key] = clean.get(key, 0) + c
         self.d = d
         self.k = k
-        self.coeffs = {e: c for e, c in clean.items() if c != 0}
+        self.coeffs = MappingProxyType({e: c for e, c in clean.items() if c != 0})
+
+    def __reduce__(self):
+        return GroupRingElement, (self.d, self.k, dict(self.coeffs))
 
     # -- constructors -------------------------------------------------------
 
@@ -319,11 +324,7 @@ class CyclotomicElement:
 
     def norm(self) -> Fraction:
         """Field norm from Q(zeta_d) to Q (product over all Galois conjugates)."""
-        den = 1
-        for c in self.coords:
-            if isinstance(c, Fraction):
-                den = lcm(den, c.denominator)
-        scaled = [int(c * den) for c in self.coords]
+        (scaled,), den = clear_denominators([self.coords])
         m = _multiplication_matrix(self.d, scaled)
         return Fraction(det_bareiss(m), den ** len(self.coords))
 
@@ -332,11 +333,7 @@ class CyclotomicElement:
         if not any(self.coords):
             raise ZeroDivisionError("zero has no inverse")
         phi = len(self.coords)
-        den = 1
-        for c in self.coords:
-            if isinstance(c, Fraction):
-                den = lcm(den, c.denominator)
-        scaled = [int(c * den) for c in self.coords]
+        (scaled,), den = clear_denominators([self.coords])
         m = _multiplication_matrix(self.d, scaled)
         rhs = [[den if i == 0 else 0] for i in range(phi)]
         sol = solve_rational(m, rhs)
@@ -418,7 +415,6 @@ def _multiplication_matrix(d: int, coords: list[int]) -> list[list[int]]:
 @lru_cache(maxsize=None)
 def _power_trace(d: int, i: int) -> Fraction:
     """Trace of zeta_d^i, as the trace of its multiplication matrix."""
-    coords = [0] * euler_phi(d)
     z = CyclotomicElement.zeta(d, i)
     m = _multiplication_matrix(d, [int(c) for c in z.coords])
     return Fraction(sum(m[t][t] for t in range(len(m))))

@@ -8,10 +8,17 @@ zeta-power twists that monomial representatives pick up across the diagonal
 coset (the bare table, taken literally with `0 otherwise', presents a form of
 the wrong rank; consistency of both readings is reported, not assumed).
 
-Matrices over Z[zeta_d] are handled as integer coordinate arrays of shape
-(rows, cols, phi(d)) in the power basis; their restriction of scalars
-replaces each entry by its phi x phi multiplication matrix.  Only the
-selected Gram matrices become CyclotomicElement objects.
+Matrices over Z[zeta_d] are integer coordinate arrays of shape
+(rows, cols, phi(d)) in the power basis, or, while products are formed,
+(d, rows, cols) stacks of integer coefficients of the powers of zeta.
+Every product (the chi-reduction sums over the action group, hermitian
+Grams a . g . conj(b)^T, restrictions to kernels) is an exact integer array
+product; _zeta_sum turns a stack into coordinates.  The restriction of
+scalars replaces each entry by its phi x phi multiplication matrix.
+CyclotomicElement objects appear only for scalars (table entries, the
+imaginary unit, the Euclidean division of cyclotomic_row_echelon), in the
+field elimination of HermitianLattice.determinant, and in the public
+results: HermitianLattice.gram and chi_form_on_vectors.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import copy
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,10 +61,10 @@ class HermitianLattice:
         self.basis_labels = basis_labels
         self.excluded = excluded
         self.parity_consistent = parity_consistent
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if gram[i][j].conj() != gram[j][i]:
-                    raise VerificationError("gram matrix is not hermitian")
+        coords = _coords_array(d, gram)[0]
+        conj = la.int_matmul(coords, _zeta_table(d)[-np.arange(euler_phi(d)) % d])
+        if not np.array_equal(conj.transpose(1, 0, 2), coords):
+            raise VerificationError("gram matrix is not hermitian")
 
     def copy(self) -> "HermitianLattice":
         """A copy whose lists can be changed without touching this one."""
@@ -107,19 +114,47 @@ def expected_sign(n: int) -> int:
 def _coords_array(d: int, gram: Sequence[Sequence[CyclotomicElement]]):
     """(coords, den): integer coordinates of shape (rows, cols, phi) of
     den * gram, den the least common denominator of the entries."""
-    den = 1
-    for row in gram:
-        for e in row:
-            for c in e.coords:
-                if isinstance(c, Fraction):
-                    den = lcm(den, c.denominator)
-    coords = [[[int(c * den) for c in e.coords] for e in row] for row in gram]
+    rows, den = la.clear_denominators([e.coords for row in gram for e in row])
     shape = (len(gram), len(gram[0]) if gram else 0, euler_phi(d))
-    return la.int_array(coords).reshape(shape), den
+    return la.int_array(rows).reshape(shape), den
 
 
 def _to_elements(d: int, coords: np.ndarray) -> list[list[CyclotomicElement]]:
     return [[CyclotomicElement(d, e) for e in row] for row in coords.tolist()]
+
+
+@lru_cache(maxsize=None)
+def _zeta_table(d: int) -> np.ndarray:
+    """Read-only (d, phi) array whose row s is the coordinates of zeta^s."""
+    table = la.int_array([CyclotomicElement.zeta(d, s).coords for s in range(d)])
+    table.setflags(write=False)
+    return table
+
+
+def _zeta_sum(d: int, coeff: np.ndarray) -> np.ndarray:
+    """Coordinates of sum_s coeff[s] zeta^s for a (d, r, c) stack."""
+    return la.int_matmul(np.moveaxis(coeff, 0, -1), _zeta_table(d))
+
+
+def _shifted_product(d: int, x: np.ndarray, y: np.ndarray, sign: int = 1) -> np.ndarray:
+    """The (d, r, m) stack z[w] = sum of x[i] @ y[j] over i + sign*j = w
+    (mod d), for a (d, r, n) stack x and an (e, n, m) stack y, as one exact
+    product: row block w of the left factor is x[w - sign*j] for j < e."""
+    shifts = (np.arange(d)[:, None] - sign * np.arange(len(y))) % d
+    e, n, m = y.shape
+    left = x[shifts].transpose(0, 2, 1, 3).reshape(d, x.shape[1], e * n)
+    return la.int_matmul(left, y.reshape(e * n, m))
+
+
+def _hermitian_product(d: int, a: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coordinates of a . g . conj(b)^T for coordinate arrays a (r, n, phi),
+    g (n, m, phi) and b (c, m, phi); g may have a last axis of length 1
+    (an integer matrix).  The term of a's zeta^s, g's zeta^u and b's zeta^t
+    is binned under the power s + u - t mod d."""
+    stack = np.zeros((d,) + a.shape[:2], dtype=a.dtype)
+    stack[:a.shape[-1]] = np.moveaxis(a, -1, 0)
+    ag = _shifted_product(d, stack, np.moveaxis(g, -1, 0))
+    return _zeta_sum(d, _shifted_product(d, ag, np.moveaxis(b, -1, 0).transpose(0, 2, 1), -1))
 
 
 def _realify(d: int, coords: np.ndarray, index: Optional[np.ndarray] = None) -> np.ndarray:
@@ -153,11 +188,8 @@ def _times(d: int, coords: np.ndarray, element: Sequence[int]) -> np.ndarray:
 def _imaginary_unit(d: int) -> tuple[tuple[int, ...], int]:
     """(1 + zeta)(1 - zeta)^{-1} as (integer coordinates, denominator)."""
     zeta = CyclotomicElement.zeta(d)
-    mu = (1 + zeta) * (1 - zeta).inverse()
-    den = 1
-    for c in mu.coords:
-        den = lcm(den, Fraction(c).denominator)
-    return tuple(int(c * den) for c in mu.coords), den
+    (coords,), den = la.clear_denominators([((1 + zeta) * (1 - zeta).inverse()).coords])
+    return tuple(coords), den
 
 
 @lru_cache(maxsize=None)
@@ -237,8 +269,10 @@ def hermitian_gram(d: int, n: int, sign: int) -> HermitianLattice:
     coords = _coords_array(d, [values])[0][0]
     scale = 1
     if parity:
-        # Every diagonal entry is the value at K - L = 0.
-        coords, scale = _normalize_coords(d, n, coords, coords[0] if values[0] else None)
+        # Every diagonal entry is the value at K - L = 0, the first value:
+        # the (0, 0) entry of the values as a 1-row array.
+        coords, scale = _parity_normalize(d, n, coords[None])
+        coords = coords[0]
     index = _difference_index(d, gens)
     selected = _pivot_columns(d, coords, index)
     gram = _to_elements(d, coords[index[np.ix_(selected, selected)]])
@@ -270,32 +304,24 @@ def off_parity_consistency_report(d: int, n: int) -> dict:
     }
 
 
-def _parity_normalize(d: int, n: int, gram: list[list[CyclotomicElement]]):
+def _parity_normalize(d: int, n: int, coords: np.ndarray):
     """Make the raw reduction pairing hermitian with canonical positive diagonal.
 
-    Odd ambient parity is skew-hermitian and is multiplied by the purely
-    imaginary unit (1+zeta)(1-zeta)^{-1}; a global sign then pins the diagonal
-    to (1 -/+ zeta)(1 -/+ zbar) > 0.  Returns (gram, scale) where scale clears
-    any denominators the normalization introduced (expected 1).
+    coords is the (r, c, phi) coordinate array of the pairing.  Odd ambient
+    parity is skew-hermitian and is multiplied by the purely imaginary unit
+    (1+zeta)(1-zeta)^{-1}; a global sign then pins the first nonzero
+    diagonal entry to (1 -/+ zeta)(1 -/+ zbar) > 0.  Returns (coordinates of
+    scale * normalized form, scale), where scale clears any denominators the
+    normalization introduced (expected 1).
     """
-    if not gram:
-        return gram, 1
-    coords, den = _coords_array(d, gram)
-    diag = next((coords[i, i] for i in range(min(coords.shape[:2])) if gram[i][i]), None)
-    coords, scale = _normalize_coords(d, n, coords, diag, den)
-    return _to_elements(d, coords), scale
-
-
-def _normalize_coords(d: int, n: int, coords: np.ndarray, diag, den: int = 1):
-    """_parity_normalize on the coordinate array of den * gram, with diag
-    the coordinates of its first nonzero diagonal entry (None if there is
-    none).  Returns (coordinates of scale * normalized gram, scale)."""
+    diag = next((coords[i, i] for i in range(min(coords.shape[:2])) if coords[i, i].any()),
+                None)
+    den = 1
     if n % 2 == 1:
-        mu, mu_den = _imaginary_unit(d)
+        mu, den = _imaginary_unit(d)
         coords = _times(d, coords, mu)
         if diag is not None:
             diag = _times(d, diag, mu)
-        den *= mu_den
     if diag is not None and sum(int(x) * t for x, t in zip(diag, _trace_row(d))) < 0:
         coords = -coords
     common = gcd(den, *(int(x) for x in np.unique(coords)))
@@ -345,34 +371,27 @@ def _field_det(d: int, gram: list[list[CyclotomicElement]]) -> CyclotomicElement
 # Character reduction of the primitive lattice
 
 def _chi_coefficients(prim: PrimitiveFermatLattice, k: int, vectors: la.Mat) -> np.ndarray:
-    """Coordinate array of chi_form_on_vectors, built from the integer
-    coefficient matrix of each power of zeta."""
+    """Coordinate array of chi_form_on_vectors.
+
+    sum_{i in (Z/d)^k} T^i zeta^{|i|} = prod_j sum_e T_j^e zeta^e, so the
+    moved vectors b T^i, binned by |i| mod d, take one stack product per
+    action; the pairing with a . G is one more product.
+    """
     d, n = prim.d, prim.n
     if not 1 <= k <= n + 1:
         raise ValueError("k out of range")
-    g = prim.lattice.gram
-    names = [f"u_{i}" for i in range(n + 2 - k, n + 2)]
-    mats = [prim.action(name) for name in names]
-    powers = []
-    for m in mats:
-        pw = [la.mat_identity(prim.lattice.rank)]
+    rank = prim.lattice.rank
+    vecs = la.int_array(vectors).reshape(-1, rank)
+    moved = np.zeros((d,) + vecs.shape, dtype=vecs.dtype)
+    moved[0] = vecs
+    for i in range(n + 2 - k, n + 2):
+        t = la.int_array(prim.action(f"u_{i}"))
+        powers = [np.eye(rank, dtype=np.int64)]
         for _ in range(d - 1):
-            pw.append(la.mat_mul(pw[-1], m))
-        powers.append(pw)
-    nrows = len(vectors)
-    coeff: list[la.Mat] = [[[0] * nrows for _ in range(nrows)] for _ in range(d)]
-    vg = la.mat_mul(vectors, g)
-    vt = la.mat_transpose(vectors)
-    for exps in itertools.product(range(d), repeat=k):
-        m = None
-        for pw, e in zip(powers, exps):
-            m = pw[e] if m is None else la.mat_mul(m, pw[e])
-        block = la.mat_mul(vg, la.mat_mul(la.mat_transpose(m), vt))
-        s = sum(exps) % d
-        coeff[s] = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(coeff[s], block)]
-    stacked = la.int_array(coeff).reshape(d, nrows, nrows).transpose(1, 2, 0)
-    zetas = la.int_array([CyclotomicElement.zeta(d, s).coords for s in range(d)])
-    return la.int_matmul(stacked, zetas)
+            powers.append(la.int_matmul(powers[-1], t))
+        moved = _shifted_product(d, moved, np.stack(powers))
+    paired = la.int_matmul(vecs, la.int_array(prim.lattice.gram))
+    return _zeta_sum(d, la.int_matmul(paired, moved.transpose(0, 2, 1)))
 
 
 def chi_form_on_vectors(prim: PrimitiveFermatLattice, k: int,
@@ -399,9 +418,8 @@ def chi_reduce(prim: PrimitiveFermatLattice, k: int) -> HermitianLattice:
     d falls outside the rank-formula hypothesis and is tagged excluded.
     """
     d, n = prim.d, prim.n
-    raw = _chi_coefficients(prim, k, la.mat_identity(prim.lattice.rank))
-    diag = next((raw[i, i] for i in range(len(raw)) if raw[i, i].any()), None)
-    raw, scaling = _normalize_coords(d, n, raw, diag)
+    identity = np.eye(prim.lattice.rank, dtype=np.int64)
+    raw, scaling = _parity_normalize(d, n, _chi_coefficients(prim, k, identity))
     selected = _pivot_columns(d, raw)
     h = HermitianLattice(d, _to_elements(d, raw[np.ix_(selected, selected)]),
                          H_PLUS if n % 2 == 0 else H_MINUS,
@@ -548,15 +566,12 @@ def _cyclo_divmod(a: CyclotomicElement, b: CyclotomicElement):
     rounded = [int(c + Fraction(1, 2)) if c >= 0 else -int(-c + Fraction(1, 2))
                for c in base]
     nb = b.norm()
-    best = None
     for offsets in itertools.product((0, -1, 1), repeat=len(base)):
         q = CyclotomicElement(a.d, [r + o for r, o in zip(rounded, offsets)])
         r = a - q * b
         nr = r.norm()
         if nr < nb:
             return q, r
-        if best is None or nr < best[0]:
-            best = (nr, q, r)
     raise VerificationError("division with remainder failed; conductor not norm-Euclidean?")
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from . import _intlinalg as la
 from .cubic_period import (
     build_cubic_lattices,
@@ -45,6 +47,7 @@ from .hermitian_eigen import (
     hermitian_gram,
     hermitian_signature,
     signatures_agree_up_to_sign,
+    _coords_array,
     _parity_normalize,
 )
 from .hodge_characters import (
@@ -192,10 +195,9 @@ def _suite_hermitian(bound=2, fast=False):
         h = hermitian_gram(d, n, sign)
         prim = build_primitive(d, n)
         classes = [K + (0,) for K in h.basis_labels]
-        chi = chi_form_on_classes(prim, 1, classes)
+        chi = _coords_array(d, chi_form_on_classes(prim, 1, classes))[0]
         chi, _ = _parity_normalize(d, n, chi)
-        agree = all(chi[i][j] == h.gram[i][j]
-                    for i in range(h.rank) for j in range(h.rank))
+        agree = np.array_equal(chi, _coords_array(d, h.gram)[0])
         want = cor23_rank(d, n - 1)
         checks.append(_check(
             f"hermitian_gram matches chi_reduce on matched basis (d={d}, n={n})",

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -8,8 +9,10 @@ from fermatlat.fermat_homology import (
     _image_kernel_index,
     build_milnor,
     build_primitive,
+    connecting_element,
     connecting_map,
     milnor_basis,
+    milnor_star_element,
     monomial_pairing,
     monomial_pairing_oracle,
     rank_formula,
@@ -190,3 +193,17 @@ def test_frozen_builds_keep_every_entry():
         frozen = _frozen(mat)
         assert frozen.tolist() == mat and not frozen.flags.writeable
     assert _frozen([[1, -127]]).dtype == np.int8 and _frozen([[128]]).dtype == np.int16
+
+
+def test_cached_group_ring_elements_are_read_only():
+    # The star and connecting elements are lru_cached and shared: a caller
+    # that could change their coefficients would change every later build.
+    gram, conn = build_milnor(3, 2).gram, connecting_map(3, 2)
+    for elt in (milnor_star_element(3, 2), connecting_element(3, 2),
+                build_primitive(3, 2).milnor.star_value):
+        key = next(iter(elt.coeffs))
+        with pytest.raises(TypeError):
+            elt.coeffs[key] += 5
+        assert pickle.loads(pickle.dumps(elt)) == elt
+    assert build_milnor(3, 2).gram == gram
+    assert connecting_map(3, 2) == conn

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fermatlat.errors import VerificationError
@@ -14,6 +15,7 @@ from fermatlat.hermitian_eigen import (
     hermitian_signature,
     off_parity_consistency_report,
     signatures_agree_up_to_sign,
+    _coords_array,
     _parity_normalize,
 )
 
@@ -62,10 +64,9 @@ def test_hermitian_gram_matches_reduction_on_basis():
         h = hermitian_gram(d, n, sign)
         prim = build_primitive(d, n)
         classes = [K + (0,) for K in h.basis_labels]
-        chi = chi_form_on_classes(prim, 1, classes)
+        chi = _coords_array(d, chi_form_on_classes(prim, 1, classes))[0]
         chi, _ = _parity_normalize(d, n, chi)
-        assert all(chi[i][j] == h.gram[i][j]
-                   for i in range(h.rank) for j in range(h.rank))
+        assert np.array_equal(chi, _coords_array(d, h.gram)[0])
 
 
 def test_off_parity_table_is_inconsistent():
