@@ -50,18 +50,11 @@ def mat_transpose(a: Sequence[Sequence[int]]) -> Mat:
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Mat:
-    """Exact matrix product, using float64 BLAS when provably lossless.
-    The operands are lists of rows or integer arrays."""
+    """Exact matrix product of lists of rows or integer arrays, as a list of
+    rows of Python ints (int_matmul on int_array operands)."""
     if len(a) == 0 or len(b) == 0:
         return []
-    # float64 holds every |x| < 2**53 exactly; a larger entry fails the bound.
-    try:
-        af, bf = np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)
-        if _abs_max(af) * _abs_max(bf) * af.shape[1] < _FLOAT_EXACT_LIMIT:
-            return _as_int64(af @ bf).tolist()
-    except OverflowError:
-        pass
-    return int_matmul(np.array(a, dtype=object), np.array(b, dtype=object)).tolist()
+    return int_matmul(int_array(a), int_array(b)).tolist()
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vec:
@@ -740,38 +733,39 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def symmetric_mod(x: int, m: int) -> int:
-    x %= m
-    if 2 * x > m:
-        x -= m
-    return x
+def symmetric_residues(a: np.ndarray, m: int) -> np.ndarray:
+    """The residues a in [0, m) moved to the symmetric range (-m/2, m/2]."""
+    return np.where(2 * a > m, a - m, a)
+
+
+def _crt_combine(acc: np.ndarray, mod: int, res: np.ndarray, p: int) -> np.ndarray:
+    """The array congruent to acc (in [0, mod)) mod `mod` and to res (in
+    [0, p)) mod p, with entries in [0, mod*p): int64 while mod*p < 2**62,
+    Python ints beyond."""
+    _g, inv = _inv_mod(mod % p, p)
+    if mod * p >= _INT64_SAFE:
+        acc, res = acc.astype(object), res.astype(object)
+    return acc + (res - acc) % p * inv % p * mod
 
 
 def crt_reconstruct_int_matrix(residue_fn, verify_fn, max_primes: int = 18):
     """Reconstruct an integer matrix from mod-p images, verifying exactly.
 
     residue_fn(p) returns the matrix mod p as a numpy array (or None to skip
-    the prime).  After each new prime the symmetric-range CRT candidate is
-    tested with verify_fn(candidate_rows); the first verified candidate is
-    returned.  Returns None if no candidate verifies.
+    the prime).  After each new prime the symmetric-range CRT candidate, an
+    integer array, is tested with verify_fn(candidate); the first verified
+    candidate is returned.  Returns None if no candidate verifies.
     """
-    acc = None
-    mod = 1
-    last = None
+    acc, mod, last = None, 1, None
     for p in MODP_PRIMES[:max_primes]:
         res = residue_fn(p)
         if res is None:
             continue
-        res = np.mod(res, p).astype(object)
-        if acc is None:
-            acc, mod = res, p
-        else:
-            g, inv = _inv_mod(mod % p, p)
-            delta = (res - (acc % p)) % p
-            acc = acc + (delta * inv % p) * mod
-            mod *= p
-        cand = [[symmetric_mod(int(x), mod) for x in row] for row in acc]
-        if cand == last:
+        res = np.mod(res, p)
+        acc = res if acc is None else _crt_combine(acc, mod, res, p)
+        mod *= p
+        cand = symmetric_residues(acc, mod)
+        if last is not None and np.array_equal(cand, last):
             continue
         last = cand
         if verify_fn(cand):
@@ -810,10 +804,18 @@ def _abs_max(a: np.ndarray) -> int:
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of integer arrays (numpy matmul broadcasting): in int64
-    when no partial sum can reach 2**62, in Python ints otherwise."""
-    k = a.shape[-1]
-    if _abs_max(a) * _abs_max(b) * max(k, 1) < _INT64_SAFE:
+    """Exact product of integer arrays (numpy matmul broadcasting).
+
+    float64 BLAS when every entry and every partial sum is below 2**53,
+    int64 when all are below 2**62, Python ints (dtype object) otherwise;
+    the result is int64 in the first two cases.
+    """
+    ma, mb = _abs_max(a), _abs_max(b)
+    top, bound = max(ma, mb), ma * mb * max(a.shape[-1], 1)
+    if top < _FLOAT_EXACT_LIMIT and bound < _FLOAT_EXACT_LIMIT:
+        prod = a.astype(np.float64) @ b.astype(np.float64)
+        return _as_int64(prod) if np.ndim(prod) else np.int64(prod)
+    if top < _INT64_SAFE and bound < _INT64_SAFE:
         return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
     return a.astype(object) @ b.astype(object)
 
@@ -833,7 +835,7 @@ def _rational_matrix(residues: np.ndarray, m: int):
     """(den, N) with N/den = residues mod m entrywise and the entries of
     N/den in lowest terms below sqrt(m/2), or None when none exists."""
     bound = isqrt(m // 2)
-    sym = np.where(2 * residues > m, residues - m, residues)
+    sym = symmetric_residues(residues, m)
     if _abs_max(sym) <= bound:
         return 1, sym
     fracs = {}
@@ -916,9 +918,7 @@ def certified_pivot_columns(a, block: int = 1) -> list[int]:
         elif pivots != best:
             continue
         else:
-            _g, inv = _inv_mod(mod % p, p)
-            acc = acc.astype(object)
-            acc = acc + ((ech.astype(object) - acc) * inv % p) * mod
+            acc = _crt_combine(acc, mod, ech, p)
             mod *= p
         rat = _rational_matrix(acc, mod)
         if rat is not None and _certify_pivots(a, best, rat[0], int_array(rat[1]), block):

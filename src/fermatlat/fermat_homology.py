@@ -195,20 +195,29 @@ def build_milnor(d: int, n: int) -> MilnorModule:
     w = milnor_star_element(d, n)
     sign = parity_sign(n)
     k = n + 1
-    # Coefficient table over the full group (Z/d)^(n+1), mixed-radix indexed.
+    # Gram[i][j] = sign * w[(K_i - K_j) mod d], read off a table over the
+    # full group (Z/d)^(n+1) at the mixed-radix code of K_i - K_j.  The codes
+    # are accumulated one coordinate at a time, so no (N, N, n+1) array forms.
     table = np.zeros(d ** k, dtype=np.int64)
-    radix = np.array([d ** i for i in range(k)], dtype=np.int64)
     for exps, c in w.coeffs.items():
-        code = int(sum(e * d ** i for i, e in enumerate(exps)))
-        table[code] = c
-    b = np.array(basis, dtype=np.int64)
-    # Gram[i][j] = sign * w[(K_i - K_j) mod d]
-    diff = (b[:, None, :] - b[None, :, :]) % d
-    codes = diff @ radix
-    gram_np = sign * table[codes]
-    gram = [[int(x) for x in row] for row in gram_np]
-    symmetry = SYMMETRIC if n % 2 == 0 else ANTISYMMETRIC
-    lattice = IntegerLattice(gram, symmetry, label=f"milnor(d={d},n={n})")
+        table[sum(e * d ** i for i, e in enumerate(exps))] = sign * c
+    # int32 codes: d**(n+1) < 2**31 for every N = (d-1)**(n+1) whose N x N
+    # arrays fit in memory (every N up to 2**19 at d = 3, more at larger d).
+    b = np.array(basis, dtype=np.int32)
+    codes = np.zeros((rank, rank), dtype=np.int32)
+    for i in range(k):
+        diff = np.subtract.outer(b[:, i], b[:, i])
+        np.mod(diff, d, out=diff)
+        diff *= d ** i
+        codes += diff
+    del diff
+    gram_np = _narrowed(table)[codes]
+    del codes
+    symmetric = n % 2 == 0
+    if not np.array_equal(gram_np, gram_np.T if symmetric else -gram_np.T):
+        raise VerificationError("Milnor Gram does not match its symmetry")
+    lattice = IntegerLattice.from_checked(
+        gram_np.tolist(), SYMMETRIC if symmetric else ANTISYMMETRIC, label=f"milnor(d={d},n={n})")
     return MilnorModule(d, n, basis, lattice, w)
 
 
@@ -303,17 +312,21 @@ def build_primitive(d: int, n: int, with_actions: Optional[bool] = None) -> Prim
         MilnorModule(d, n, list(basis), _thawed(milnor_lattice), star))
 
 
+def _narrowed(a: np.ndarray) -> np.ndarray:
+    """A copy of the integer array a in the narrowest signed dtype that
+    holds every entry and its negative."""
+    if a.dtype == object or not a.size:
+        return a.copy()
+    top = max(int(a.max()), -int(a.min()))
+    return a.astype(next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                         if np.iinfo(t).max >= top))
+
+
 def _frozen(a) -> np.ndarray:
     """A read-only copy of an integer matrix in the narrowest dtype that
     holds it: the cached builds take a byte or two per entry, not a list
     slot."""
-    a = la.int_array(a)
-    if a.dtype != object and a.size:
-        top = max(int(a.max()), -int(a.min()))
-        a = a.astype(next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                          if np.iinfo(t).max >= top))
-    else:
-        a = a.copy()
+    a = _narrowed(la.int_array(a))
     a.flags.writeable = False
     return a
 
@@ -335,34 +348,26 @@ def _build_primitive_cached(d: int, n: int, with_actions: bool):
             milnor.star_value)
 
 
+# Builds whose radical no prime certified, so that the HNF of the
+# connecting image was taken instead (_build_primitive counts them).
+radical_fallbacks = 0
+
+
 def _build_primitive(d: int, n: int, with_actions: bool) -> PrimitiveFermatLattice:
+    global radical_fallbacks
     milnor = build_milnor(d, n)
     rank = len(milnor.basis)
     expected = rank_formula(d, n)
     expected_radical = rank - expected
 
-    if expected_radical == 0:
-        kernel: la.Mat = []
-    else:
-        gens = connecting_map(d, n)
-        gnp = milnor.lattice.np_gram()
-        prod = la.mat_mul(gens, milnor.gram)
-        if any(x for row in prod for x in row):
-            raise VerificationError("resolution image is not in the radical")
-        # The connecting image can sit with finite index inside the radical
-        # (index d at odd stages); saturate to get the radical itself.
-        kernel = la.saturate_row_span(gens)
-        if len(kernel) != expected_radical:
-            raise VerificationError(
-                f"radical generators span rank {len(kernel)}, expected {expected_radical}")
-        # Certify rank(G) = rank - radical: mod-p lower bound meets the kernel bound.
-        for p in la.MODP_PRIMES[:4]:
-            if la.modp_rank(gnp, p) == expected:
-                break
-        else:
-            raise VerificationError("could not certify the Milnor rank")
+    kernel = None
+    if expected_radical:
+        kernel = _certified_radical(milnor.lattice.np_gram(), expected_radical)
+        if kernel is None:
+            radical_fallbacks += 1
+            kernel = _saturated_radical(d, n, milnor, expected)
 
-    quotient, projection, reps = radical_quotient(milnor.lattice, kernel_rows=kernel or None)
+    quotient, projection, reps = radical_quotient(milnor.lattice, kernel_rows=kernel)
     quotient = quotient.relabel(f"primitive(d={d},n={n})")
     if quotient.rank != expected:
         raise VerificationError(
@@ -377,29 +382,87 @@ def _build_primitive(d: int, n: int, with_actions: bool) -> PrimitiveFermatLatti
                                   projection, milnor)
 
 
-def _milnor_mu_action(d: int, n: int, milnor: MilnorModule, i: int) -> la.Mat:
+def _certified_radical(gram: np.ndarray, size: int) -> Optional[la.Mat]:
+    """Row HNF of the radical {x : x.G = 0}, from the mod-p kernel of G and
+    certified exactly; None when none of the first four primes certifies.
+
+    For each prime the kernel of G mod p is put in reduced row echelon form
+    and lifted to symmetric residues K (_radical_candidate), which is
+    accepted by _is_radical_basis.  Those checks prove that K is a Z-basis
+    of the radical: K.G = 0 with an identity pivot minor puts `size`
+    independent rows in the radical, so rank(G) <= N - size, while the
+    mod-p kernel has dimension `size` and the rank mod p is at most the
+    rank over Q, so rank(G) = N - size (the rank formula) and K spans the
+    radical over Q.  An integer vector c.K of that span has the integer
+    coefficients c on the pivot columns, so K is saturated.  A lifted RREF
+    keeps its zeros, so K is also the radical's unique row HNF.
+    """
+    for p in la.MODP_PRIMES[:4]:
+        k, pivots = _radical_candidate(gram, p)
+        if _is_radical_basis(k, pivots, gram, size):
+            return k.tolist()
+    return None
+
+
+def _radical_candidate(gram: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """A basis of the kernel of G mod p in reduced row echelon form, lifted
+    to symmetric residues, and its pivot columns."""
+    k, pivots = la.modp_eliminate(la.modp_kernel(gram, p), p)
+    return la.symmetric_residues(k[:len(pivots)], p), pivots
+
+
+def _is_radical_basis(k: np.ndarray, pivots: list[int], gram: np.ndarray, size: int) -> bool:
+    """Exact checks on a lifted kernel basis K of G mod p: its pivot
+    columns form the size x size identity (so K has exactly `size` rows,
+    unit pivots and zeros elsewhere in the pivot columns), and K.G == 0
+    (int_matmul, a float64 product under the 2**53 guard)."""
+    return (np.array_equal(k[:, pivots], np.eye(size, dtype=k.dtype))
+            and not np.any(la.int_matmul(k, gram)))
+
+
+def _saturated_radical(d: int, n: int, milnor: MilnorModule, expected: int) -> la.Mat:
+    """The radical as the saturation of the connecting image R_n -> R_{n+1}
+    (integer HNF), with the Milnor rank certified mod p."""
+    gens = connecting_map(d, n)
+    gnp = milnor.lattice.np_gram()
+    if np.any(la.int_matmul(la.int_array(gens), gnp)):
+        raise VerificationError("resolution image is not in the radical")
+    # The connecting image can sit with finite index inside the radical
+    # (index d at odd stages); saturate to get the radical itself.
+    kernel = la.saturate_row_span(gens)
+    if len(kernel) != len(milnor.basis) - expected:
+        raise VerificationError(
+            f"radical generators span rank {len(kernel)}, expected {len(milnor.basis) - expected}")
+    # Certify rank(G) = rank - radical: mod-p lower bound meets the kernel bound.
+    for p in la.MODP_PRIMES[:4]:
+        if la.modp_rank(gnp, p) == expected:
+            return kernel
+    raise VerificationError("could not certify the Milnor rank")
+
+
+def _milnor_mu_action(d: int, n: int, milnor: MilnorModule, i: int) -> np.ndarray:
     """Row-convention matrix of multiplication by u_i (1-indexed) on the Milnor basis."""
     size = len(milnor.basis)
-    rows = [[0] * size for _ in range(size)]
+    rows = np.zeros((size, size), dtype=np.int64)
     pos = i - 1
     for r, K in enumerate(milnor.basis):
         e = K[pos]
         if e < d - 2:
-            rows[r][milnor.index[K[:pos] + (e + 1,) + K[pos + 1:]]] = 1
+            rows[r, milnor.index[K[:pos] + (e + 1,) + K[pos + 1:]]] = 1
         else:
             for j in range(d - 1):
-                rows[r][milnor.index[K[:pos] + (j,) + K[pos + 1:]]] = -1
+                rows[r, milnor.index[K[:pos] + (j,) + K[pos + 1:]]] = -1
     return rows
 
 
-def _milnor_transposition_action(d: int, n: int, milnor: MilnorModule, i: int) -> la.Mat:
+def _milnor_transposition_action(d: int, n: int, milnor: MilnorModule, i: int) -> np.ndarray:
     """Swap of z_i and z_{i+1} (1-indexed), twisted by the sign character."""
     size = len(milnor.basis)
-    rows = [[0] * size for _ in range(size)]
+    rows = np.zeros((size, size), dtype=np.int64)
     for r, K in enumerate(milnor.basis):
         swapped = list(K)
         swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-        rows[r][milnor.index[tuple(swapped)]] = -1
+        rows[r, milnor.index[tuple(swapped)]] = -1
     return rows
 
 
@@ -408,50 +471,51 @@ def _build_actions(d: int, n: int, milnor: MilnorModule,
                    section: la.Mat) -> dict[str, la.Mat]:
     # The radical is preserved by every action, so pushing through any
     # representative section is well defined.
-    actions: dict[str, la.Mat] = {}
+    sec, proj = la.int_array(section), la.int_array(projection)
+    actions: dict[str, np.ndarray] = {}
 
-    def push(mat: la.Mat) -> la.Mat:
-        return la.mat_mul(la.mat_mul(section, mat), projection)
+    def push(mat: np.ndarray) -> np.ndarray:
+        return la.int_matmul(la.int_matmul(sec, mat), proj)
 
     for i in range(1, n + 2):
         actions[f"u_{i}"] = push(_milnor_mu_action(d, n, milnor, i))
     for i in range(1, n + 1):
         actions[f"s_{i}"] = push(_milnor_transposition_action(d, n, milnor, i))
 
-    prod = la.mat_identity(quotient.rank)
+    prod = np.eye(quotient.rank, dtype=np.int64)
     for i in range(1, n + 2):
-        prod = la.mat_mul(prod, actions[f"u_{i}"])
-    u0 = la.mat_identity(quotient.rank)
+        prod = la.int_matmul(prod, actions[f"u_{i}"])
+    u0 = np.eye(quotient.rank, dtype=np.int64)
     for _ in range(d - 1):
-        u0 = la.mat_mul(u0, prod)
+        u0 = la.int_matmul(u0, prod)
     actions["u_0"] = u0
 
-    _verify_actions(d, n, quotient, actions, prod)
-    return actions
+    _verify_actions(d, quotient, actions, prod)
+    return {name: m.tolist() for name, m in actions.items()}
 
 
-def _verify_actions(d: int, n: int, quotient: IntegerLattice,
-                    actions: dict[str, la.Mat], mu_product: la.Mat) -> None:
-    g = quotient.gram
-    ident = la.mat_identity(quotient.rank)
+def _verify_actions(d: int, quotient: IntegerLattice,
+                    actions: dict[str, np.ndarray], mu_product: np.ndarray) -> None:
+    g = quotient.np_gram()
+    ident = np.eye(quotient.rank, dtype=np.int64)
     for name, m in actions.items():
-        if la.mat_mul(la.mat_mul(m, g), la.mat_transpose(m)) != g:
+        if not np.array_equal(la.int_matmul(la.int_matmul(m, g), m.T), g):
             raise VerificationError(f"action {name} does not preserve the pairing")
         order = d if name.startswith("u_") else 2
         p = ident
         for _ in range(order):
-            p = la.mat_mul(p, m)
-        if p != ident:
+            p = la.int_matmul(p, m)
+        if not np.array_equal(p, ident):
             raise VerificationError(f"action {name} does not have order dividing {order}")
-    if la.mat_mul(actions["u_0"], mu_product) != ident:
+    if not np.array_equal(la.int_matmul(actions["u_0"], mu_product), ident):
         raise VerificationError("u_0 is not inverse to u_1...u_{n+1}")
     # The defining relation sum_k u_0^k = 0 must hold on the quotient.
-    acc = [[0] * quotient.rank for _ in range(quotient.rank)]
+    acc = np.zeros_like(ident)
     p = ident
     for _ in range(d):
-        acc = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(acc, p)]
-        p = la.mat_mul(p, actions["u_0"])
-    if any(x for row in acc for x in row):
+        acc = acc + p
+        p = la.int_matmul(p, actions["u_0"])
+    if np.any(acc):
         raise VerificationError("sum of powers of u_0 does not vanish")
 
 

@@ -78,7 +78,7 @@ class IntegerLattice:
         return IntegerLattice.from_checked([row[:] for row in self.gram], self.symmetry, self.label)
 
     def relabel(self, label: str) -> "IntegerLattice":
-        return IntegerLattice(self.gram, self.symmetry, label)
+        return IntegerLattice.from_checked([row[:] for row in self.gram], self.symmetry, label)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntegerLattice) and self.gram == other.gram
@@ -258,7 +258,6 @@ def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:
     cyclic of the right order, via mod-p kernel dimension and an exact
     non-divisibility check.  Avoids a full Smith normal form.
     """
-    g = lattice.gram
     n = lattice.rank
     gnp = lattice.np_gram()
     dd = int(d)
@@ -270,8 +269,7 @@ def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:
         return inv
 
     def verify(candidate):
-        prod = la.mat_mul(g, candidate)
-        return all(prod[i][j] == (dd if i == j else 0) for i in range(n) for j in range(n))
+        return np.array_equal(la.int_matmul(gnp, candidate), dd * np.eye(n, dtype=np.int64))
 
     x = la.crt_reconstruct_int_matrix(residue, verify)
     if x is None:
@@ -283,7 +281,7 @@ def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:
         if dd % (p * p) == 0:
             # The unique p-divisor must be exactly p^v: (d/p) * G^{-1} must be
             # non-integral, i.e. X is not divisible by p.
-            if all(val % p == 0 for row in x for val in row):
+            if not np.any(x % p):
                 return False
     return True
 

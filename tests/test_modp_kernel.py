@@ -1,9 +1,11 @@
 """The blocked float64 mod-p elimination against a per-pivot Gauss-Jordan
-oracle, the exact-product helpers around it, and the primitive lattices
+oracle, the exact-product helpers around it, the certified mod-p radical
+of build_primitive (and its HNF fallback), and the primitive lattices
 against stored digests of the outputs of the per-pivot implementation."""
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermatlat import _intlinalg as la
+from fermatlat import fermat_homology as fh
 from fermatlat.fermat_homology import build_primitive
 from fermatlat.lattice_core import dumps_canonical
 
@@ -156,6 +159,13 @@ def test_saturation_with_a_prime_beyond_the_kernel_range():
     assert la.saturate_row_span([[q, 0], [0, 3]]) == [[1, 0], [0, 1]]
 
 
+def test_symmetric_residues():
+    assert la.symmetric_residues(np.arange(7), 7).tolist() == [0, 1, 2, 3, -3, -2, -1]
+    assert la.symmetric_residues(np.arange(6), 6).tolist() == [0, 1, 2, 3, -2, -1]
+    big = np.array([0, 2**69, 2**69 + 1, 2**70], dtype=object)
+    assert la.symmetric_residues(big, 2**70 + 1).tolist() == [0, 2**69, -2**69, -1]
+
+
 def test_int_array_entry_between_2_63_and_2_64():
     arr = la.int_array([[2**63, 1], [0, 1]])
     assert arr.dtype == object
@@ -179,16 +189,123 @@ def test_mat_mul_matches_python_ints(n, k, m, bound, data):
     assert all(type(x) is int for row in prod for x in row)
 
 
-def primitive_digests(d, n):
-    prim = build_primitive(d, n)
+MAGNITUDES = [0, 1, 7, 2**26, 2**26 + 1, 3 * 2**25, 2**31, 2**31 + 1, 2**52, 2**53 - 1, 2**53,
+              2**61, 2**62 - 1, 2**62, 2**63 - 1, 2**63, 2**70]
+
+
+@st.composite
+def matmul_operands(draw):
+    """Integer operands of every shape int_matmul is given: matrices (empty
+    ones included), 1-D against 2-D, and the (d, r, c) stacks of
+    hermitian_eigen._shifted_product, with abs-max entries drawn on both
+    sides of 2**53 and 2**62 (so are the products with the inner dimension)."""
+    kind = draw(st.sampled_from(["2d", "1d@2d", "2d@1d", "1d@1d", "stack"]))
+    k, rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    shape_a, shape_b = {"2d": ((rows, k), (k, cols)), "1d@2d": ((k,), (k, cols)),
+                        "2d@1d": ((rows, k), (k,)), "1d@1d": ((k,), (k,)),
+                        "stack": ((draw(st.sampled_from([3, 4, 5])), rows, k), (k, cols))}[kind]
+
+    def operand(shape):
+        top = draw(st.sampled_from(MAGNITUDES))
+        size = int(np.prod(shape))
+        entries = [draw(st.integers(-top, top)) for _ in range(size)]
+        if size:
+            entries[draw(st.integers(0, size - 1))] = draw(st.sampled_from([top, -top]))
+        arr = la.int_array(np.array(entries, dtype=object).reshape(shape))
+        return arr.astype(object) if draw(st.booleans()) else arr
+
+    return operand(shape_a), operand(shape_b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matmul_operands())
+def test_int_matmul_matches_object_matmul(operands):
+    a, b = operands
+    prod = la.int_matmul(a, b)
+    expected = a.astype(object) @ b.astype(object)
+    if np.ndim(expected) == 0:  # 1-D @ 1-D: a scalar, int64 or a Python int
+        assert prod == expected
+        return
+    assert prod.shape == expected.shape
+    assert np.array_equal(np.asarray(prod, dtype=object), expected)
+    ma = max((abs(int(x)) for x in a.flat), default=0)
+    mb = max((abs(int(x)) for x in b.flat), default=0)
+    below = max(ma, mb) < 2**62 and ma * mb * max(a.shape[-1], 1) < 2**62
+    assert prod.dtype == (np.int64 if below else object)
+
+
+def primitive_digests(prim):
     parts = {"gram": prim.lattice.gram, "projection": prim.projection,
              "actions": dict(sorted(prim.actions.items()))}
     return {k: hashlib.sha256(dumps_canonical(v).encode()).hexdigest() for k, v in parts.items()}
 
 
+def stored_digests(key):
+    with open(DATA) as f:
+        return json.load(f)[key]
+
+
 @pytest.mark.parametrize("key", ["3,7", "5,3", "4,4", "3,8"])
-def test_primitive_lattices_match_stored_digests(key):
-    with open(DATA) as fh:
-        stored = json.load(fh)[key]
+def test_primitive_lattices_match_stored_digests(key, monkeypatch):
+    # Built afresh, each rung must take the certified mod-p radical: a
+    # regression onto the HNF fallback fails here, not only in the timings.
+    fh._build_primitive_cached.cache_clear()
+    monkeypatch.setattr(fh, "radical_fallbacks", 0)
     d, n = map(int, key.split(","))
-    assert primitive_digests(d, n) == stored
+    digests = primitive_digests(build_primitive(d, n))
+    assert fh.radical_fallbacks == 0
+    assert digests == stored_digests(key)
+
+
+@pytest.mark.parametrize("key", ["3,4", "4,3"])
+def test_fallback_when_no_prime_certifies(key, monkeypatch):
+    monkeypatch.setattr(fh, "_is_radical_basis", lambda *args: False)
+    monkeypatch.setattr(fh, "radical_fallbacks", 0)
+    d, n = map(int, key.split(","))
+    assert primitive_digests(fh._build_primitive(d, n, True)) == stored_digests(key)
+    assert fh.radical_fallbacks == 1
+
+
+def tampered(k, pivots, how):
+    """K with one change that _is_radical_basis must refuse: an entry off
+    the radical (seen by K.G), or, keeping K.G == 0 so that only the pivot
+    minor sees it, a row doubled (an index-2 sublattice), a row added to
+    another (a nonzero in another pivot column) or a row dropped."""
+    k = k.copy()
+    if how == "row dropped":
+        return k[1:], pivots[1:]
+    if how == "entry":
+        k[0, next(c for c in range(k.shape[1]) if c not in pivots)] += 1
+    elif how == "row doubled":
+        k[0] *= 2
+    else:
+        k[0] += k[1]
+    return k, pivots
+
+
+@pytest.mark.parametrize("how", ["entry", "row doubled", "row added", "row dropped"])
+def test_tampered_radical_is_refused(how, monkeypatch):
+    milnor = fh.build_milnor(3, 4)
+    gram = milnor.lattice.np_gram()
+    size = len(milnor.basis) - fh.rank_formula(3, 4)
+    k, pivots = fh._radical_candidate(gram, la.MODP_PRIMES[0])
+    assert fh._is_radical_basis(k, pivots, gram, size)
+    assert not fh._is_radical_basis(*tampered(k, pivots, how), gram, size)
+
+    candidate = fh._radical_candidate
+    monkeypatch.setattr(fh, "_radical_candidate", lambda g, p: tampered(*candidate(g, p), how))
+    monkeypatch.setattr(fh, "radical_fallbacks", 0)
+    assert primitive_digests(fh._build_primitive(3, 4, True)) == stored_digests("3,4")
+    assert fh.radical_fallbacks == 1
+
+
+@pytest.mark.parametrize("d,n", [(3, 5), (4, 3), (5, 2), (3, 7), (5, 3)])
+def test_certified_radical_is_the_saturated_connecting_image(d, n):
+    milnor = fh.build_milnor(d, n)
+    size = len(milnor.basis) - fh.rank_formula(d, n)
+    gens = fh.connecting_map(d, n)
+    assert fh._certified_radical(milnor.lattice.np_gram(), size) == la.saturate_row_span(gens)
+    if n % 2:
+        # At odd n the connecting image has index d in the radical.
+        h, pivots = la.hnf_row(gens)
+        assert math.prod(row[c] for row, c in zip(h, pivots)) == d
