@@ -1,11 +1,13 @@
 """Exact integer and rational linear algebra used throughout the package.
 
-Matrices are lists of lists of Python ints (arbitrary precision) unless a
-function explicitly works on numpy arrays.  numpy is used only where the
-result is provably exact: float64 matrix products whose every intermediate
-value stays below 2**53, and mod-p elimination on float64 residues, whose
-moduli satisfy (p - 1)**2 * 128 < 2**53 so that every 128-term product-sum
-is exact (checked: other moduli raise ValueError).
+The pure-Python kernels (mat_vec, vec_mat, dot, mat_transpose, the Hermite
+and Smith forms, _fraction_free) turn lists of rows or integer arrays into
+lists of Python ints on entry (int_rows), so no narrow numpy dtype wraps
+inside them, and return lists of lists of Python ints.  numpy is used only
+where the result is provably exact: float64 matrix products whose every
+intermediate value stays below 2**53, and mod-p elimination on float64
+residues, whose moduli satisfy (p - 1)**2 * 128 < 2**53 so that every
+128-term product-sum is exact (checked: other moduli raise ValueError).
 
 Exact dense elimination over Q has one kernel, _fraction_free: Bareiss's
 fraction-free elimination on Python ints, in row echelon form for
@@ -19,7 +21,7 @@ algorithms.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import index
 from typing import Sequence
 
@@ -45,8 +47,17 @@ def mat_identity(n: int) -> Mat:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def int_rows(a) -> Mat:
+    """The integer matrix a as fresh lists of Python ints: .tolist() for an
+    integer array, operator.index on each entry otherwise (TypeError for a
+    non-integer).  A vector v goes through as int_rows([v])[0]."""
+    if isinstance(a, np.ndarray) and a.dtype.kind in "iu":
+        return a.tolist()
+    return [list(map(index, r)) for r in a]
+
+
 def mat_transpose(a: Sequence[Sequence[int]]) -> Mat:
-    return [list(col) for col in zip(*a)] if a else []
+    return [list(col) for col in zip(*int_rows(a))] if len(a) else []
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Mat:
@@ -58,13 +69,13 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Mat:
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vec:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    v = int_rows([v])[0]
+    return [sum(x * y for x, y in zip(row, v)) for row in int_rows(a)]
 
 
 def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> Vec:
-    n = len(a[0])
-    out = [0] * n
-    for c, row in zip(v, a):
+    out = [0] * len(a[0])
+    for c, row in zip(int_rows([v])[0], int_rows(a)):
         if c:
             for j, x in enumerate(row):
                 out[j] += c * x
@@ -72,7 +83,7 @@ def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> Vec:
 
 
 def dot(v: Sequence[int], w: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(v, w))
+    return sum(x * y for x, y in zip(*int_rows([v, w])))
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +97,7 @@ def hnf_row(a: Sequence[Sequence[int]], with_transform: bool = False):
     column of each row.  Pivot entries are positive and entries above each
     pivot are reduced into [0, pivot).
     """
-    rows = [list(r) for r in a]
+    rows = int_rows(a)
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     u = mat_identity(nrows) if with_transform else None
@@ -146,7 +157,7 @@ def hnf_row(a: Sequence[Sequence[int]], with_transform: bool = False):
 
 def left_kernel(a: Sequence[Sequence[int]]) -> Mat:
     """Saturated basis of {x : x*A = 0}, in row HNF."""
-    if not a:
+    if not len(a):
         return []
     h, pivots, u = hnf_row(a, with_transform=True)
     ker = u[len(h):]
@@ -229,7 +240,7 @@ def smith_normal_form(a: Sequence[Sequence[int]], with_transform: bool = False):
     Divisors are nonnegative, in divisibility order, padded with zeros up to
     min(nrows, ncols).
     """
-    m = [list(r) for r in a]
+    m = int_rows(a)
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     u = mat_identity(nrows) if with_transform else None
@@ -317,6 +328,45 @@ def smith_normal_form(a: Sequence[Sequence[int]], with_transform: bool = False):
     return divisors
 
 
+def smith_divisors_mod(a, modulus: int) -> list[int]:
+    """Smith divisors of a square integer matrix A with |det A| = modulus > 0,
+    by elimination over Z/(modulus) (Domich, Kannan and Trotter, Math. Oper.
+    Res. 12, 1987): the row lattice L of A contains modulus * Z^n, so every
+    entry may be reduced mod the modulus (in int64 while products of two
+    residues stay below 2**62) and none grows.  Euclidean row and column
+    steps on a smallest nonzero residue leave a diagonal, and then L is the
+    sum of (p_i Z + modulus Z) e_i: cyclic factors of order gcd(p_i,
+    modulus), put in divisibility order by gcd/lcm exchanges.  Raises
+    VerificationError when their orders do not multiply to the modulus.
+    """
+    n = len(a)
+    m = int_array(a).reshape(n, n).astype(object) % modulus
+    if modulus < 2**31:
+        m = m.astype(np.int64)
+    orders: list[int] = []
+    while len(orders) < n:
+        t = len(orders)
+        block = np.where(m[t:, t:] == 0, modulus, m[t:, t:])
+        i, j = divmod(int(np.argmin(block)), n - t)
+        if block[i, j] == modulus:
+            orders += [modulus] * (n - t)
+            break
+        m[[t, t + i]] = m[[t + i, t]]
+        m[:, [t, t + j]] = m[:, [t + j, t]]
+        p = m[t, t]
+        m[t + 1:, t:] = (m[t + 1:, t:] - np.outer(m[t + 1:, t] // p, m[t, t:])) % modulus
+        m[t:, t + 1:] = (m[t:, t + 1:] - np.outer(m[t:, t], m[t, t + 1:] // p)) % modulus
+        if not (m[t + 1:, t].any() or m[t, t + 1:].any()):
+            orders.append(gcd(int(p), modulus))
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = gcd(orders[i], orders[j])
+            orders[i], orders[j] = g, orders[i] * orders[j] // g
+    if prod(orders) != modulus:
+        raise VerificationError("Smith divisors do not multiply to the modulus")
+    return orders
+
+
 # ---------------------------------------------------------------------------
 # Fraction-free elimination: rank, determinant, rational solve, kernel, inverse
 
@@ -334,9 +384,9 @@ def _fraction_free(a, reduce: bool = False) -> tuple[Mat, list[int], int]:
     Williams, SIGSAM Bull. 31, 1997): each pivot row then carries the last
     pivot D at its pivot column and zeros at the others, so M[:rank] / D is
     the reduced row echelon form.  Entries must be ints or numpy integers
-    (anything else raises TypeError).
+    (anything else raises TypeError, from int_rows).
     """
-    m = [list(map(index, r)) for r in a]
+    m = int_rows(a)
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
@@ -786,17 +836,36 @@ def int_array(a) -> np.ndarray:
     if arr.dtype.kind == "f" and not isinstance(a, np.ndarray):
         # numpy reads an int in [2**63, 2**64) next to small ints as float64.
         arr = np.array(a, dtype=object)
+    if arr.dtype == object or arr.dtype.kind == "u":
         if not all(isinstance(x, (int, np.integer)) for x in arr.flat):
             raise TypeError("integer matrix expected")
-    if arr.dtype == object or arr.dtype.kind == "u":
         if not arr.size or max(abs(int(x)) for x in arr.flat) < _INT64_SAFE:
             return arr.astype(np.int64)
-        return arr.astype(object)
+        return arr.astype(object, copy=False)
     if arr.size == 0:
         return arr.astype(np.int64)
     if arr.dtype.kind != "i":
         raise TypeError(f"integer matrix expected, got dtype {arr.dtype}")
     return arr.astype(np.int64, copy=False)
+
+
+def frozen_int_array(a) -> np.ndarray:
+    """The integer matrix a as a read-only array in the narrowest signed
+    dtype that holds every entry and its negative (dtype object where
+    int_array keeps Python ints); a read-only array already in that form is
+    returned as it is, so its holders share it.  Its negation cannot wrap,
+    its sums and products can: widen it with int_array first."""
+    arr = a if isinstance(a, np.ndarray) and a.dtype.kind == "i" else int_array(a)
+    dtype = arr.dtype
+    if dtype != object:
+        top = _abs_max(arr)
+        dtype = next((np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                      if np.iinfo(t).max >= top), np.dtype(object))
+    if dtype == arr.dtype and not arr.flags.writeable:
+        return arr
+    out = arr.astype(dtype)
+    out.flags.writeable = False
+    return out
 
 
 def _abs_max(a: np.ndarray) -> int:

@@ -133,8 +133,7 @@ def _cmd_lattice(args) -> int:
         "checks": checks,
     }
     if kind == "primitive" and prim.actions:
-        payload["actions"] = {name: [row for row in mat]
-                              for name, mat in sorted(prim.actions.items())}
+        payload["actions"] = {name: mat.tolist() for name, mat in sorted(prim.actions.items())}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dumps_canonical(lattice_to_json(lattice)))

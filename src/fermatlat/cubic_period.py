@@ -120,9 +120,11 @@ class CubicFourfoldLattice:
         return self.lambda_full.pairing(a, b)
 
     def copy(self) -> "CubicFourfoldLattice":
-        """A copy whose lists can be changed without touching this one."""
+        """A copy whose lists can be changed without touching this one (the
+        lattices share their read-only Grams)."""
         return CubicFourfoldLattice(
-            self.lambda_o.copy(), self.lambda_full.copy(), self.eta_in_lambda[:],
+            self.lambda_o.relabel(self.lambda_o.label),
+            self.lambda_full.relabel(self.lambda_full.label), self.eta_in_lambda[:],
             _copy_rows(self.lambda_o_in_lambda),
             {name: _copy_rows(m) for name, m in self.actions_o.items()},
             {name: _copy_rows(m) for name, m in self.actions_full.items()},
@@ -193,13 +195,14 @@ def _build_cubic_lattices() -> CubicFourfoldLattice:
     eta_in_lambda = coords[22]
     lambda_o_in_lambda = coords[:22]
 
-    actions_o = dict(prim.actions)
+    actions_o = {name: m.tolist() for name, m in prim.actions.items()}
     actions_full = {}
     for name, m in actions_o.items():
         block = [row + [0] for row in m] + [[0] * 22 + [1]]
         mat = _conjugate_rational(block, basis, inverse)
         actions_full[name] = mat
-        if la.mat_mul(la.mat_mul(mat, lambda_full.gram), la.mat_transpose(mat)) != lambda_full.gram:
+        moved = la.mat_mul(la.mat_mul(mat, lambda_full.gram), la.mat_transpose(mat))
+        if moved != lambda_full.gram.tolist():
             raise VerificationError(f"action {name} does not preserve the glued pairing")
         if la.vec_mat(eta_in_lambda, mat) != eta_in_lambda:
             raise VerificationError(f"action {name} does not fix eta")
@@ -209,7 +212,7 @@ def _build_cubic_lattices() -> CubicFourfoldLattice:
     built = CubicFourfoldLattice(
         lambda_o, lambda_full, eta_in_lambda, lambda_o_in_lambda,
         actions_o, actions_full, gamma, glue_class,
-        lambda_o.gram, la.mat_identity(22))
+        lambda_o.gram.tolist(), la.mat_identity(22))
     reduced_gram, u = _special_adapted_basis(built)
     built.reduced_basis = reduced_gram
     built.reduction_transform = u
@@ -323,7 +326,7 @@ def _round_nearest(a: int, b: int) -> int:
 
 def _disc_generator(lattice: IntegerLattice) -> list[Fraction]:
     """A generator of the order-3 discriminant group, as a dual vector."""
-    ker = la.modp_kernel(lattice.np_gram(), 3)
+    ker = la.modp_kernel(lattice.gram, 3)
     if ker.shape[0] != 1:
         raise VerificationError("discriminant group is not cyclic of order 3")
     x = [int(v) % 3 for v in ker[0]]
@@ -390,11 +393,11 @@ def bounded_box_vectors(lattice: IntegerLattice, norm: int, bound: int,
     n = lattice.rank
     # _scan_grid filters norms in float64 and rechecks them in int64: both are
     # exact when every partial sum of c.G.c is below 2**53.
-    gmax = max((abs(x) for row in lattice.gram for x in row), default=0)
+    gram = la.int_array(lattice.gram)
+    gmax = int(abs(gram).max()) if n else 0
     if bound * bound * gmax * n * n >= 2**53:
         raise ResourceBoundError(
             "box norms may reach 2**53, beyond the exact float64 norm filter")
-    gram = np.array(lattice.gram, dtype=np.int64)
     domains = _coefficient_domains(n, bound, congruence)
     hits: list[tuple[int, ...]] = []
     for dom in domains:

@@ -153,11 +153,6 @@ class GroupRingElement:
         return " + ".join(parts)
 
 
-def ring_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    """Convolution product in the group ring."""
-    return a * b
-
-
 def bar(a: GroupRingElement) -> GroupRingElement:
     return a.bar()
 

@@ -211,13 +211,11 @@ def build_milnor(d: int, n: int) -> MilnorModule:
         diff *= d ** i
         codes += diff
     del diff
-    gram_np = _narrowed(table)[codes]
+    gram = la.frozen_int_array(table)[codes]
     del codes
-    symmetric = n % 2 == 0
-    if not np.array_equal(gram_np, gram_np.T if symmetric else -gram_np.T):
-        raise VerificationError("Milnor Gram does not match its symmetry")
-    lattice = IntegerLattice.from_checked(
-        gram_np.tolist(), SYMMETRIC if symmetric else ANTISYMMETRIC, label=f"milnor(d={d},n={n})")
+    gram.flags.writeable = False
+    lattice = IntegerLattice(gram, SYMMETRIC if n % 2 == 0 else ANTISYMMETRIC,
+                             label=f"milnor(d={d},n={n})")
     return MilnorModule(d, n, basis, lattice, w)
 
 
@@ -262,11 +260,12 @@ def connecting_map(d: int, k: int) -> la.Mat:
 # The primitive Fermat lattice
 
 class PrimitiveFermatLattice:
-    """Primitive middle homology with pairing, monomial images, and symmetry action."""
+    """Primitive middle homology with pairing, monomial images, and symmetry
+    action: read-only integer arrays, like lattice.gram."""
 
     def __init__(self, d: int, n: int, lattice: IntegerLattice,
-                 monomial_images: dict[tuple[int, ...], list[int]],
-                 actions: dict[str, la.Mat], projection: la.Mat,
+                 monomial_images: dict[tuple[int, ...], np.ndarray],
+                 actions: dict[str, np.ndarray], projection: np.ndarray,
                  milnor: MilnorModule):
         self.d = d
         self.n = n
@@ -276,7 +275,7 @@ class PrimitiveFermatLattice:
         self.projection = projection
         self.milnor = milnor
 
-    def action(self, name: str) -> la.Mat:
+    def action(self, name: str) -> np.ndarray:
         return self.actions[name]
 
     def mu_generator_names(self) -> list[str]:
@@ -297,55 +296,23 @@ class PrimitiveFermatLattice:
 def build_primitive(d: int, n: int, with_actions: Optional[bool] = None) -> PrimitiveFermatLattice:
     """Radical quotient of the Milnor lattice, with the symmetry action.
 
-    The deterministic construction is cached per (d, n, actions) as read-only
-    integer arrays; every call returns a new object with its own lists, so
-    callers may change them without changing what later calls return.
+    The deterministic construction is cached per (d, n, actions).  Every
+    call returns new lattice, module and dict objects over the cached
+    read-only arrays, which all calls share and no caller can write to.
     """
     if with_actions is None:
         with_actions = (d - 1) ** (n + 1) <= 256
-    lattice, projection, actions, basis, milnor_lattice, star = _build_primitive_cached(
-        d, n, bool(with_actions))
-    proj = projection.tolist()
-    return PrimitiveFermatLattice(
-        d, n, _thawed(lattice), {K: row[:] for K, row in zip(basis, proj)},
-        {name: mat.tolist() for name, mat in actions.items()}, proj,
-        MilnorModule(d, n, list(basis), _thawed(milnor_lattice), star))
-
-
-def _narrowed(a: np.ndarray) -> np.ndarray:
-    """A copy of the integer array a in the narrowest signed dtype that
-    holds every entry and its negative."""
-    if a.dtype == object or not a.size:
-        return a.copy()
-    top = max(int(a.max()), -int(a.min()))
-    return a.astype(next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                         if np.iinfo(t).max >= top))
-
-
-def _frozen(a) -> np.ndarray:
-    """A read-only copy of an integer matrix in the narrowest dtype that
-    holds it: the cached builds take a byte or two per entry, not a list
-    slot."""
-    a = _narrowed(la.int_array(a))
-    a.flags.writeable = False
-    return a
-
-
-def _thawed(frozen) -> IntegerLattice:
-    gram, symmetry, label = frozen
-    return IntegerLattice.from_checked(gram.tolist(), symmetry, label)
+    prim = _build_primitive_cached(d, n, bool(with_actions))
+    lattice, milnor = prim.lattice, prim.milnor
+    module = MilnorModule(d, n, list(milnor.basis), milnor.lattice.relabel(milnor.lattice.label),
+                          milnor.star_value)
+    return PrimitiveFermatLattice(d, n, lattice.relabel(lattice.label), dict(prim.monomial_images),
+                                  dict(prim.actions), prim.projection, module)
 
 
 @lru_cache(maxsize=None)
-def _build_primitive_cached(d: int, n: int, with_actions: bool):
-    prim = _build_primitive(d, n, with_actions)
-    milnor = prim.milnor
-    return ((_frozen(prim.lattice.np_gram()), prim.lattice.symmetry, prim.lattice.label),
-            _frozen(prim.projection),
-            {name: _frozen(mat) for name, mat in prim.actions.items()},
-            tuple(milnor.basis),
-            (_frozen(milnor.lattice.np_gram()), milnor.lattice.symmetry, milnor.lattice.label),
-            milnor.star_value)
+def _build_primitive_cached(d: int, n: int, with_actions: bool) -> PrimitiveFermatLattice:
+    return _build_primitive(d, n, with_actions)
 
 
 # Builds whose radical no prime certified, so that the HNF of the
@@ -362,7 +329,7 @@ def _build_primitive(d: int, n: int, with_actions: bool) -> PrimitiveFermatLatti
 
     kernel = None
     if expected_radical:
-        kernel = _certified_radical(milnor.lattice.np_gram(), expected_radical)
+        kernel = _certified_radical(milnor.gram, expected_radical)
         if kernel is None:
             radical_fallbacks += 1
             kernel = _saturated_radical(d, n, milnor, expected)
@@ -373,16 +340,16 @@ def _build_primitive(d: int, n: int, with_actions: bool) -> PrimitiveFermatLatti
         raise VerificationError(
             f"primitive rank {quotient.rank} disagrees with the rank formula {expected}")
 
-    monomial_images = {K: list(projection[i]) for i, K in enumerate(milnor.basis)}
+    monomial_images = dict(zip(milnor.basis, projection))
 
-    actions: dict[str, la.Mat] = {}
+    actions: dict[str, np.ndarray] = {}
     if with_actions:
         actions = _build_actions(d, n, milnor, quotient, projection, reps)
     return PrimitiveFermatLattice(d, n, quotient, monomial_images, actions,
                                   projection, milnor)
 
 
-def _certified_radical(gram: np.ndarray, size: int) -> Optional[la.Mat]:
+def _certified_radical(gram: np.ndarray, size: int) -> Optional[np.ndarray]:
     """Row HNF of the radical {x : x.G = 0}, from the mod-p kernel of G and
     certified exactly; None when none of the first four primes certifies.
 
@@ -400,7 +367,7 @@ def _certified_radical(gram: np.ndarray, size: int) -> Optional[la.Mat]:
     for p in la.MODP_PRIMES[:4]:
         k, pivots = _radical_candidate(gram, p)
         if _is_radical_basis(k, pivots, gram, size):
-            return k.tolist()
+            return k
     return None
 
 
@@ -424,7 +391,7 @@ def _saturated_radical(d: int, n: int, milnor: MilnorModule, expected: int) -> l
     """The radical as the saturation of the connecting image R_n -> R_{n+1}
     (integer HNF), with the Milnor rank certified mod p."""
     gens = connecting_map(d, n)
-    gnp = milnor.lattice.np_gram()
+    gnp = milnor.gram
     if np.any(la.int_matmul(la.int_array(gens), gnp)):
         raise VerificationError("resolution image is not in the radical")
     # The connecting image can sit with finite index inside the radical
@@ -467,8 +434,8 @@ def _milnor_transposition_action(d: int, n: int, milnor: MilnorModule, i: int) -
 
 
 def _build_actions(d: int, n: int, milnor: MilnorModule,
-                   quotient: IntegerLattice, projection: la.Mat,
-                   section: la.Mat) -> dict[str, la.Mat]:
+                   quotient: IntegerLattice, projection: np.ndarray,
+                   section: np.ndarray) -> dict[str, np.ndarray]:
     # The radical is preserved by every action, so pushing through any
     # representative section is well defined.
     sec, proj = la.int_array(section), la.int_array(projection)
@@ -491,12 +458,12 @@ def _build_actions(d: int, n: int, milnor: MilnorModule,
     actions["u_0"] = u0
 
     _verify_actions(d, quotient, actions, prod)
-    return {name: m.tolist() for name, m in actions.items()}
+    return {name: la.frozen_int_array(m) for name, m in actions.items()}
 
 
 def _verify_actions(d: int, quotient: IntegerLattice,
                     actions: dict[str, np.ndarray], mu_product: np.ndarray) -> None:
-    g = quotient.np_gram()
+    g = quotient.gram
     ident = np.eye(quotient.rank, dtype=np.int64)
     for name, m in actions.items():
         if not np.array_equal(la.int_matmul(la.int_matmul(m, g), m.T), g):

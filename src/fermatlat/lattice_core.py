@@ -29,36 +29,34 @@ ANTISYMMETRIC = "antisymmetric"
 
 
 class IntegerLattice:
-    """Finitely generated free abelian group with an integer Gram matrix."""
+    """Finitely generated free abelian group with an integer Gram matrix.
 
-    __slots__ = ("rank", "gram", "symmetry", "label", "_np")
+    gram is a read-only integer array in the narrowest signed dtype that
+    holds every entry and its negative (_intlinalg.frozen_int_array), so
+    lattices, quotients and cached builds share it instead of copying it.
+    Products of it go through int_matmul; widen it with int_array before
+    any other arithmetic, since numpy wraps narrow integers silently.
+    """
 
-    def __init__(self, gram: Sequence[Sequence[int]], symmetry: str = SYMMETRIC,
-                 label: Optional[str] = None):
-        g = [[int(x) for x in row] for row in gram]
-        n = len(g)
-        if any(len(row) != n for row in g):
+    __slots__ = ("rank", "gram", "symmetry", "label")
+
+    def __init__(self, gram, symmetry: str = SYMMETRIC, label: Optional[str] = None):
+        g = la.frozen_int_array(gram)
+        if g.shape == (0,):
+            g = g.reshape(0, 0)
+        if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("gram matrix must be square")
         if symmetry not in (SYMMETRIC, ANTISYMMETRIC):
             raise ValueError(f"unknown symmetry {symmetry!r}")
-        sign = 1 if symmetry == SYMMETRIC else -1
-        for i in range(n):
-            for j in range(i, n):
-                if g[i][j] != sign * g[j][i]:
-                    raise ValueError("gram matrix does not match its symmetry flag")
-        self.rank = n
+        if not np.array_equal(g, g.T if symmetry == SYMMETRIC else -g.T):
+            raise ValueError("gram matrix does not match its symmetry flag")
+        self.rank = len(g)
         self.gram = g
         self.symmetry = symmetry
         self.label = label
-        self._np = None
-
-    def np_gram(self) -> np.ndarray:
-        if self._np is None:
-            self._np = la.int_array(self.gram) if self.rank else np.zeros((0, 0), dtype=np.int64)
-        return self._np
 
     def pairing(self, v: Sequence[int], w: Sequence[int]) -> int:
-        return la.dot(la.vec_mat(list(v), self.gram), list(w))
+        return la.dot(la.vec_mat(v, self.gram), w)
 
     def norm(self, v: Sequence[int]) -> int:
         return self.pairing(v, v)
@@ -66,22 +64,11 @@ class IntegerLattice:
     def is_symmetric(self) -> bool:
         return self.symmetry == SYMMETRIC
 
-    @classmethod
-    def from_checked(cls, gram: Mat, symmetry: str, label: Optional[str] = None) -> "IntegerLattice":
-        """A lattice that takes over gram, a list of int rows already known
-        to match symmetry, without copying or rechecking it."""
-        out = cls.__new__(cls)
-        out.rank, out.gram, out.symmetry, out.label, out._np = len(gram), gram, symmetry, label, None
-        return out
-
-    def copy(self) -> "IntegerLattice":
-        return IntegerLattice.from_checked([row[:] for row in self.gram], self.symmetry, self.label)
-
     def relabel(self, label: str) -> "IntegerLattice":
-        return IntegerLattice.from_checked([row[:] for row in self.gram], self.symmetry, label)
+        return IntegerLattice(self.gram, self.symmetry, label)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, IntegerLattice) and self.gram == other.gram
+        return (isinstance(other, IntegerLattice) and np.array_equal(self.gram, other.gram)
                 and self.symmetry == other.symmetry)
 
     def __repr__(self) -> str:
@@ -118,9 +105,8 @@ class GlueSpec:
         g = [[0] * n for _ in range(n)]
         off = 0
         for c in self.components:
-            for i in range(c.rank):
-                for j in range(c.rank):
-                    g[off + i][off + j] = c.gram[i][j]
+            for i, row in enumerate(c.gram.tolist()):
+                g[off + i][off:off + c.rank] = row
             off += c.rank
         return g
 
@@ -143,14 +129,15 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
 # ---------------------------------------------------------------------------
 # Radical quotient
 
-def radical_quotient(lattice: IntegerLattice, kernel_rows: Optional[Mat] = None):
+def radical_quotient(lattice: IntegerLattice, kernel_rows=None):
     """Quotient by the kernel of the pairing.
 
     Returns (quotient, projection, representatives): projection is a
     rank x quotient-rank integer matrix whose row i gives the class of old
     basis vector e_i in the quotient basis; representatives lifts the quotient
-    basis back (representatives * projection = identity).  The quotient basis
-    is saturated and deterministic (HNF of the kernel, then either a
+    basis back (representatives * projection = identity).  Both are
+    read-only arrays in the format of IntegerLattice.gram.  The quotient
+    basis is saturated and deterministic (HNF of the kernel, then either a
     coordinate subsection certified by a unimodular minor or an SNF basis
     completion).
     """
@@ -160,12 +147,12 @@ def radical_quotient(lattice: IntegerLattice, kernel_rows: Optional[Mat] = None)
         kernel_rows = la.right_kernel(g)
         pivots = [next(c for c, x in enumerate(row) if x) for row in kernel_rows]
     else:
-        if any(map(any, la.mat_mul(kernel_rows, lattice.np_gram()))):
+        if len(kernel_rows) and np.any(la.int_matmul(la.int_array(kernel_rows), g)):
             raise ValueError("supplied kernel rows are not in the radical")
         kernel_rows, pivots = la.hnf_row(kernel_rows)
     r = len(kernel_rows)
     if r == 0:
-        ident = la.mat_identity(n)
+        ident = la.frozen_int_array(np.eye(n, dtype=np.int64))
         return IntegerLattice(g, lattice.symmetry, lattice.label), ident, ident
 
     k = kernel_rows
@@ -180,11 +167,8 @@ def radical_quotient(lattice: IntegerLattice, kernel_rows: Optional[Mat] = None)
         proj = np.zeros((n, len(s_cols)), dtype=kernel.dtype)
         proj[s_cols, range(len(s_cols))] = 1
         proj[pivots] = -kernel[:, s_cols]
-        proj = proj.tolist()
-        reps = np.eye(n, dtype=np.int64)[s_cols].tolist()
-        # A principal submatrix of the checked Gram needs no new check.
-        quotient = IntegerLattice.from_checked(
-            lattice.np_gram()[np.ix_(s_cols, s_cols)].tolist(), lattice.symmetry, lattice.label)
+        reps = np.eye(n, dtype=np.int64)[s_cols]
+        quotient = IntegerLattice(g[np.ix_(s_cols, s_cols)], lattice.symmetry, lattice.label)
     else:
         # General path: complete the saturated kernel to a basis via SNF.
         divisors, u, v = la.smith_normal_form(k, with_transform=True)
@@ -195,7 +179,7 @@ def radical_quotient(lattice: IntegerLattice, kernel_rows: Optional[Mat] = None)
         qgram = la.mat_mul(la.mat_mul(reps, g), la.mat_transpose(reps))
         proj = [row[r:] for row in v]
         quotient = IntegerLattice(qgram, lattice.symmetry, lattice.label)
-    return quotient, proj, reps
+    return quotient, la.frozen_int_array(proj), la.frozen_int_array(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +202,7 @@ def is_even(lattice: IntegerLattice) -> bool:
     """Whether every vector has even self-pairing (diagonal test)."""
     if not lattice.is_symmetric():
         raise WrongSymmetryError("parity requires a symmetric pairing")
-    return all(lattice.gram[i][i] % 2 == 0 for i in range(lattice.rank))
+    return not np.any(np.diagonal(lattice.gram) % 2)
 
 
 def determinant(lattice: IntegerLattice) -> int:
@@ -226,15 +210,14 @@ def determinant(lattice: IntegerLattice) -> int:
 
 
 def discriminant(lattice: IntegerLattice) -> DiscriminantData:
-    """Elementary divisors of coker(L -> L*), for nondegenerate L."""
-    divisors = la.smith_normal_form(lattice.gram)
-    if any(dv == 0 for dv in divisors):
+    """Elementary divisors of coker(L -> L*), for nondegenerate L: the order
+    D = |det|, then the Smith divisors by elimination mod D, whose entries
+    stay below D where a Smith form over Z lets them grow without bound."""
+    order = abs(determinant(lattice))
+    if order == 0:
         raise DegenerateLatticeError("discriminant requires a nondegenerate pairing")
-    nontrivial = tuple(dv for dv in divisors if dv > 1)
-    order = 1
-    for dv in divisors:
-        order *= dv
-    return DiscriminantData(nontrivial, order)
+    divisors = la.smith_divisors_mod(lattice.gram, order)
+    return DiscriminantData(tuple(dv for dv in divisors if dv > 1), order)
 
 
 def discriminant_group_generators(lattice: IntegerLattice) -> list[tuple[list[Fraction], int]]:
@@ -259,7 +242,7 @@ def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:
     non-divisibility check.  Avoids a full Smith normal form.
     """
     n = lattice.rank
-    gnp = lattice.np_gram()
+    gnp = lattice.gram
     dd = int(d)
 
     def residue(p):
@@ -284,17 +267,6 @@ def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:
             if not np.any(x % p):
                 return False
     return True
-
-
-def pfaffian_square_check(lattice: IntegerLattice) -> bool:
-    """For antisymmetric nondegenerate L, det(Gram) is a perfect square."""
-    if lattice.is_symmetric():
-        raise WrongSymmetryError("pfaffian check requires an antisymmetric pairing")
-    det = la.det_bareiss(lattice.gram)
-    if det < 0:
-        return False
-    r = la.floor_sqrt_fraction(Fraction(det))
-    return r * r == det
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +312,6 @@ def glue(spec: GlueSpec) -> IntegerLattice:
     return glue_with_basis(spec)[0]
 
 
-def glue_index(spec: GlueSpec, glued: IntegerLattice) -> int:
-    """Index of the orthogonal sum inside the glued lattice."""
-    d0 = la.det_bareiss(spec.combined_gram())
-    d1 = la.det_bareiss(glued.gram)
-    if d1 == 0:
-        raise DegenerateLatticeError("glued lattice is degenerate")
-    ratio = Fraction(d0, d1)
-    idx = la.floor_sqrt_fraction(ratio)
-    if idx * idx != ratio:
-        raise InvalidGlueError("determinant ratio is not a perfect square")
-    return idx
-
-
 # ---------------------------------------------------------------------------
 # Short vectors (definite lattices)
 
@@ -378,7 +337,7 @@ def short_vectors(lattice: IntegerLattice, norm: int) -> list[tuple[int, ...]]:
         return [tuple([0] * lattice.rank)]
     if sign * norm < 0:
         return []
-    g = lattice.gram if sign > 0 else [[-x for x in row] for row in lattice.gram]
+    g = (lattice.gram if sign > 0 else -lattice.gram).tolist()
     target = norm if sign > 0 else -norm
     found = _fincke_pohst(g, target)
     return sorted(found)
@@ -436,7 +395,7 @@ def _ldl(g: Mat) -> tuple[list[Fraction], list[list[Fraction]]]:
 # Serialization
 
 def lattice_to_json(lattice: IntegerLattice) -> dict:
-    flat = [x for row in lattice.gram for x in row]
+    flat = lattice.gram.ravel().tolist()
     return {
         "rank": lattice.rank,
         "symmetry": lattice.symmetry,

@@ -164,6 +164,15 @@ def test_outputs_byte_deterministic_across_processes():
     assert b'"gram"' in runs[0]
 
 
+def test_rank_183_discriminant_finishes_across_processes():
+    # The Smith form over Z let the entries of this Gram grow without bound;
+    # the divisors mod |det| = 4 come well inside the 60 s budget.
+    cmd = [sys.executable, "-m", "fermatlat.cli", "lattice", "--d", "4", "--n", "4", "--primitive"]
+    run = subprocess.run(cmd, capture_output=True, check=True, timeout=60)
+    inv = json.loads(run.stdout)["invariants"]
+    assert inv["rank"] == 183 and inv["discriminant_divisors"] == [4]
+
+
 @pytest.mark.parametrize("args", [["verify", "--suite", "cubic", "--fast"], ["git", "check"]],
                          ids=["verify", "git"])
 def test_verify_and_git_byte_deterministic_across_processes(args, tmp_path):

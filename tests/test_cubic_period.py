@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from fermatlat import _intlinalg as la
@@ -139,35 +140,48 @@ def test_rational_inverse_in_lowest_terms():
         _rational_inverse([[1, 2], [2, 4]])
 
 
+def primitive_arrays(prim):
+    return ([prim.lattice.gram, prim.projection, prim.milnor.gram]
+            + [prim.actions[name] for name in sorted(prim.actions)]
+            + [prim.monomial_images[K] for K in sorted(prim.monomial_images)])
+
+
 def test_cached_builders_hand_out_copies():
+    # The primitive build is shared read-only arrays: every write raises.
     prim = build_primitive(3, 4)
-    reference = (prim.lattice.gram, prim.projection, prim.actions, prim.monomial_images,
-                 prim.milnor.gram)
+    reference = [a.copy() for a in primitive_arrays(prim)]
     built = build_cubic_lattices()
-    cubic_reference = (built.actions_o, built.actions_full, built.lambda_full.gram,
+    cubic_reference = (built.actions_o, built.actions_full, built.lambda_full.gram.tolist(),
                        built.reduction_transform, built.eta_in_lambda)
     eigen_reference = eigenlattice(1)[0].gram
     # The reproduction: this used to change the cached build, after which
     # the cubic construction raised "transported action is not integral".
-    build_primitive(3, 4).actions["u_1"][0][0] += 7
+    with pytest.raises(ValueError):
+        build_primitive(3, 4).actions["u_1"][0][0] += 7
     prim = build_primitive(3, 4)
-    prim.lattice.gram[0][0] += 1
-    prim.projection[0][0] += 1
-    prim.monomial_images[next(iter(prim.monomial_images))][0] += 1
-    prim.milnor.gram[0][0] += 1
+    for a in primitive_arrays(prim):
+        with pytest.raises(ValueError):
+            a[0] += 1
+    prim.actions.clear()
+    prim.monomial_images.clear()
+    prim.lattice.label = prim.milnor.lattice.label = "changed"
     built = build_cubic_lattices()
     built.actions_o["u_1"][0][0] += 7
-    built.lambda_full.gram[0][0] += 1
+    with pytest.raises(ValueError):
+        built.lambda_full.gram[0][0] += 1
     built.reduction_transform[0][0] += 1
     built.eta_in_lambda[0] += 1
     h, basis = eigenlattice(1)
     h.gram[0][0] = h.gram[0][0] * 2
     basis.pop()
     prim = build_primitive(3, 4)
-    assert (prim.lattice.gram, prim.projection, prim.actions, prim.monomial_images,
-            prim.milnor.gram) == reference
+    later = primitive_arrays(prim)
+    assert len(later) == len(reference)
+    assert all(np.array_equal(a, b) for a, b in zip(later, reference))
+    assert (prim.lattice.label, prim.milnor.lattice.label) == ("primitive(d=3,n=4)",
+                                                               "milnor(d=3,n=4)")
     built = build_cubic_lattices()
-    assert (built.actions_o, built.actions_full, built.lambda_full.gram,
+    assert (built.actions_o, built.actions_full, built.lambda_full.gram.tolist(),
             built.reduction_transform, built.eta_in_lambda) == cubic_reference
     h, basis = eigenlattice(1)
     assert h.gram == eigen_reference and len(basis) == h.rank

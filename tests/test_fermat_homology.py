@@ -1,6 +1,8 @@
 import pickle
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fermatlat import _intlinalg as la
@@ -19,6 +21,7 @@ from fermatlat.fermat_homology import (
     resolution_check,
 )
 from fermatlat.lattice_core import (
+    IntegerLattice,
     determinant,
     discriminant,
     is_even,
@@ -43,7 +46,7 @@ def test_milnor_shapes():
     assert la.rank_exact(m2.gram) == 6  # radical of rank 2
     m0 = build_milnor(3, 0)
     assert m0.lattice.rank == 2
-    assert m0.lattice.gram == [[2, -1], [-1, 2]]
+    assert m0.lattice.gram.tolist() == [[2, -1], [-1, 2]]
 
 
 def test_milnor_size_bound():
@@ -117,7 +120,7 @@ def test_fourfold_lattice():
 def test_actions_preserve_gram_and_orders():
     for d, n in [(3, 2), (3, 4), (4, 1)]:
         prim = build_primitive(d, n)
-        g = prim.lattice.gram
+        g = prim.lattice.gram.tolist()
         ident = la.mat_identity(prim.lattice.rank)
         for name, m in prim.actions.items():
             assert la.mat_mul(la.mat_mul(m, g), la.mat_transpose(m)) == g
@@ -186,13 +189,28 @@ def test_milnor_basis_order():
 
 
 def test_frozen_builds_keep_every_entry():
-    import numpy as np
-    from fermatlat.fermat_homology import _frozen
-
+    # Each matrix M, and the symmetric lattice [[0, M], [M^T, 0]] around
+    # it, keeps every entry in the narrowest read-only array.
     for mat in ([[1, -128], [127, 0]], [[300, -40000]], [[2**40, -(2**62)]], [[2**70, 1]], [[]]):
-        frozen = _frozen(mat)
+        frozen = la.frozen_int_array(mat)
         assert frozen.tolist() == mat and not frozen.flags.writeable
-    assert _frozen([[1, -127]]).dtype == np.int8 and _frozen([[128]]).dtype == np.int16
+        assert la.frozen_int_array(frozen) is frozen
+        r, c = len(mat), len(mat[0])
+        block = ([[0] * r + row for row in mat]
+                 + [[mat[i][j] for i in range(r)] + [0] * c for j in range(c)])
+        lattice = IntegerLattice(block)
+        assert lattice.gram.tolist() == block and lattice.gram.dtype == frozen.dtype
+        with pytest.raises(ValueError):
+            lattice.gram[0, 0] = 1
+    assert la.frozen_int_array([[1, -127]]).dtype == np.int8
+    assert la.frozen_int_array([[128]]).dtype == np.int16
+    assert la.frozen_int_array([[2**70]]).dtype == object
+    with pytest.raises(ValueError, match="square"):
+        IntegerLattice([[]])
+    with pytest.raises(ValueError, match="symmetry"):
+        IntegerLattice([[0, 1], [1, 0]], "antisymmetric")
+    with pytest.raises(TypeError):
+        IntegerLattice([[Fraction(1, 2)]])
 
 
 def test_cached_group_ring_elements_are_read_only():
@@ -205,5 +223,5 @@ def test_cached_group_ring_elements_are_read_only():
         with pytest.raises(TypeError):
             elt.coeffs[key] += 5
         assert pickle.loads(pickle.dumps(elt)) == elt
-    assert build_milnor(3, 2).gram == gram
+    assert np.array_equal(build_milnor(3, 2).gram, gram)
     assert connecting_map(3, 2) == conn

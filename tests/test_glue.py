@@ -59,7 +59,7 @@ def outcome(fn, spec):
         glued, basis = fn(spec)
     except InvalidGlueError as exc:
         return "error", str(exc)
-    return glued.gram, glued.symmetry, basis
+    return glued.gram.tolist(), glued.symmetry, basis
 
 
 @st.composite

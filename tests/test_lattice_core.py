@@ -17,12 +17,10 @@ from fermatlat.lattice_core import (
     discriminant_group_generators,
     discriminant_is_cyclic_of_order,
     glue,
-    glue_index,
     glue_with_basis,
     is_even,
     lattice_from_json,
     lattice_to_json,
-    pfaffian_square_check,
     radical_quotient,
     short_vectors,
     signature,
@@ -65,8 +63,8 @@ def test_snf_divisibility_chain():
 
 def test_radical_quotient_explicit():
     q, proj, reps = radical_quotient(IntegerLattice([[2, 0], [0, 0]]))
-    assert q.gram == [[2]]
-    assert proj == [[1], [0]]
+    assert q.gram.tolist() == [[2]]
+    assert proj.tolist() == [[1], [0]]
     assert la.mat_mul(reps, proj) == [[1]]
 
 
@@ -74,17 +72,18 @@ def test_radical_quotient_supplied_kernel_edge_cases():
     # Entries beyond int64, with the kernel supplied.
     big = IntegerLattice([[2**70, 0, 2**70], [0, 0, 0], [2**70, 0, 2**70]])
     q, proj, reps = radical_quotient(big, [[0, 1, 0], [1, 0, -1]])
-    assert q.gram == [[2**70]] and proj == [[1], [0], [1]] and reps == [[0, 0, 1]]
+    assert q.gram.tolist() == [[2**70]] and proj.tolist() == [[1], [0], [1]]
+    assert reps.tolist() == [[0, 0, 1]]
     # Everything is radical: the quotient has rank 0.
     q, proj, reps = radical_quotient(IntegerLattice([[0, 0], [0, 0]]), [[1, 0], [0, 1]])
-    assert q.rank == 0 and proj == [[], []] and reps == []
+    assert q.rank == 0 and proj.tolist() == [[], []] and reps.tolist() == []
     with pytest.raises(ValueError):
         radical_quotient(A2, [[1, 0]])
 
 
 def test_radical_quotient_nondegenerate_identity():
     q, proj, _ = radical_quotient(A2)
-    assert q.gram == A2.gram and proj == [[1, 0], [0, 1]]
+    assert q == A2 and proj.tolist() == [[1, 0], [0, 1]]
 
 
 def test_radical_quotient_preserves_pairings():
@@ -161,11 +160,6 @@ def test_is_even():
     assert is_even(IntegerLattice([[2, 0], [0, 4]]))
 
 
-def test_pfaffian_square():
-    symplectic = IntegerLattice([[0, 2], [-2, 0]], "antisymmetric")
-    assert pfaffian_square_check(symplectic)
-
-
 def test_glue_a2_pair():
     # The sign-flipped copy is forced: two positive copies admit no integral glue.
     a2n = IntegerLattice([[-2, -1], [-1, -2]])
@@ -173,7 +167,6 @@ def test_glue_a2_pair():
     spec = GlueSpec([A2, a2n], [gamma + gamma])
     glued, basis = glue_with_basis(spec)
     assert abs(determinant(glued)) == 1
-    assert glue_index(spec, glued) == 3
     assert signature(glued) == (2, 2)
     bad = GlueSpec([A2, A2], [gamma + gamma])
     with pytest.raises(InvalidGlueError):

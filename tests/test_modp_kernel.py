@@ -235,8 +235,8 @@ def test_int_matmul_matches_object_matmul(operands):
 
 
 def primitive_digests(prim):
-    parts = {"gram": prim.lattice.gram, "projection": prim.projection,
-             "actions": dict(sorted(prim.actions.items()))}
+    parts = {"gram": prim.lattice.gram.tolist(), "projection": prim.projection.tolist(),
+             "actions": {name: m.tolist() for name, m in sorted(prim.actions.items())}}
     return {k: hashlib.sha256(dumps_canonical(v).encode()).hexdigest() for k, v in parts.items()}
 
 
@@ -286,7 +286,7 @@ def tampered(k, pivots, how):
 @pytest.mark.parametrize("how", ["entry", "row doubled", "row added", "row dropped"])
 def test_tampered_radical_is_refused(how, monkeypatch):
     milnor = fh.build_milnor(3, 4)
-    gram = milnor.lattice.np_gram()
+    gram = milnor.gram
     size = len(milnor.basis) - fh.rank_formula(3, 4)
     k, pivots = fh._radical_candidate(gram, la.MODP_PRIMES[0])
     assert fh._is_radical_basis(k, pivots, gram, size)
@@ -304,7 +304,7 @@ def test_certified_radical_is_the_saturated_connecting_image(d, n):
     milnor = fh.build_milnor(d, n)
     size = len(milnor.basis) - fh.rank_formula(d, n)
     gens = fh.connecting_map(d, n)
-    assert fh._certified_radical(milnor.lattice.np_gram(), size) == la.saturate_row_span(gens)
+    assert fh._certified_radical(milnor.gram, size).tolist() == la.saturate_row_span(gens)
     if n % 2:
         # At odd n the connecting image has index d in the radical.
         h, pivots = la.hnf_row(gens)
