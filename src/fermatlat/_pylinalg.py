@@ -1,0 +1,430 @@
+"""Exact integer and rational linear algebra on lists of Python ints, with
+no numpy: the kernels that the GIT tests and the simplex need, kept apart
+from the numpy kernels of _intlinalg (which re-exports every name here) so
+that a process that runs only these never imports numpy.
+
+Every kernel turns lists of rows or integer arrays into lists of Python ints
+on entry (int_rows), so no narrow numpy dtype wraps inside it, and returns
+lists of lists of Python ints.  Exact dense elimination over Q has one
+kernel, _fraction_free: Bareiss's fraction-free elimination, in row echelon
+form for rank_exact and det_bareiss and in Gauss-Jordan form for
+solve_rational, rational_row_space_kernel and fraction_free_inverse, which
+return Fractions (or a common denominator) only at the end.  The Hermite and
+Smith forms are separate algorithms.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, isqrt, lcm
+from operator import index
+from typing import Sequence
+
+Mat = list[list[int]]
+Vec = list[int]
+
+
+def mat_identity(n: int) -> Mat:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def int_rows(a) -> Mat:
+    """The integer matrix a as fresh lists of Python ints: .tolist() for an
+    integer array (anything whose dtype kind is "i" or "u", so numpy need not
+    be imported), operator.index on each entry otherwise (TypeError for a
+    non-integer).  A vector v goes through as int_rows([v])[0]."""
+    if getattr(getattr(a, "dtype", None), "kind", None) in ("i", "u"):
+        return a.tolist()
+    return [list(map(index, r)) for r in a]
+
+
+def mat_transpose(a: Sequence[Sequence[int]]) -> Mat:
+    return [list(col) for col in zip(*int_rows(a))] if len(a) else []
+
+
+def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vec:
+    v = int_rows([v])[0]
+    return [sum(x * y for x, y in zip(row, v)) for row in int_rows(a)]
+
+
+def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> Vec:
+    out = [0] * len(a[0])
+    for c, row in zip(int_rows([v])[0], int_rows(a)):
+        if c:
+            for j, x in enumerate(row):
+                out[j] += c * x
+    return out
+
+
+def dot(v: Sequence[int], w: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(*int_rows([v, w])))
+
+
+# ---------------------------------------------------------------------------
+# Hermite normal form
+
+def hnf_row(a: Sequence[Sequence[int]], with_transform: bool = False):
+    """Row-style Hermite normal form.
+
+    Returns (H, pivots) or (H, pivots, U) with U unimodular, U*A = (H padded
+    with zero rows).  H contains only the nonzero rows, pivots the pivot
+    column of each row.  Pivot entries are positive and entries above each
+    pivot are reduced into [0, pivot).
+    """
+    rows = int_rows(a)
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    u = mat_identity(nrows) if with_transform else None
+    r = 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        piv = None
+        best = None
+        for i in range(r, nrows):
+            x = rows[i][c]
+            if x != 0 and (best is None or abs(x) < best):
+                best = abs(x)
+                piv = i
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        if u is not None:
+            u[r], u[piv] = u[piv], u[r]
+        # Euclidean elimination below the pivot.
+        while True:
+            done = True
+            for i in range(r + 1, nrows):
+                if rows[i][c] == 0:
+                    continue
+                q = rows[i][c] // rows[r][c]
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+                    if u is not None:
+                        u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                if rows[i][c] != 0:
+                    done = False
+                    if abs(rows[i][c]) < abs(rows[r][c]):
+                        rows[r], rows[i] = rows[i], rows[r]
+                        if u is not None:
+                            u[r], u[i] = u[i], u[r]
+            if done:
+                break
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+            if u is not None:
+                u[r] = [-x for x in u[r]]
+        for i in range(r):
+            q = rows[i][c] // rows[r][c]
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+                if u is not None:
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    h = rows[:r]
+    if with_transform:
+        return h, pivots, u
+    return h, pivots
+
+
+def left_kernel(a: Sequence[Sequence[int]]) -> Mat:
+    """Saturated basis of {x : x*A = 0}, in row HNF."""
+    if not len(a):
+        return []
+    h, pivots, u = hnf_row(a, with_transform=True)
+    ker = u[len(h):]
+    if not ker:
+        return []
+    kh, _ = hnf_row(ker)
+    return kh
+
+
+def right_kernel(a: Sequence[Sequence[int]]) -> Mat:
+    """Saturated basis of {x : A*x = 0}, as rows, in row HNF."""
+    return left_kernel(mat_transpose(a))
+
+
+def same_row_span(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
+    """Whether two integer row families generate the same subgroup of Z^n."""
+    ha, _ = hnf_row(a)
+    hb, _ = hnf_row(b)
+    return ha == hb
+
+
+def prime_factors(n: int) -> list[int]:
+    n = abs(n)
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form
+
+def smith_normal_form(a: Sequence[Sequence[int]], with_transform: bool = False):
+    """Smith normal form.  Returns divisors, or (divisors, U, V) with U*A*V = D.
+
+    Divisors are nonnegative, in divisibility order, padded with zeros up to
+    min(nrows, ncols).
+    """
+    m = int_rows(a)
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    u = mat_identity(nrows) if with_transform else None
+    v = mat_identity(ncols) if with_transform else None
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        if v is not None:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        m[dst] = [x - q * y for x, y in zip(m[dst], m[src])]
+        if u is not None:
+            u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, q):
+        for row in m:
+            row[dst] -= q * row[src]
+        if v is not None:
+            for row in v:
+                row[dst] -= q * row[src]
+
+    t = 0
+    size = min(nrows, ncols)
+    while t < size:
+        # Locate a smallest nonzero entry in the remaining block.
+        piv = None
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                x = m[i][j]
+                if x != 0 and (best is None or abs(x) < best):
+                    best = abs(x)
+                    piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        clean = False
+        while not clean:
+            clean = True
+            for i in range(t + 1, nrows):
+                if m[i][t]:
+                    q = m[i][t] // m[t][t]
+                    add_row(t, i, q)
+                    if m[i][t]:
+                        swap_rows(t, i)
+                        clean = False
+            for j in range(t + 1, ncols):
+                if m[t][j]:
+                    q = m[t][j] // m[t][t]
+                    add_col(t, j, q)
+                    if m[t][j]:
+                        swap_cols(t, j)
+                        clean = False
+        # Ensure divisibility of the remaining block by the pivot.
+        p = m[t][t]
+        bad = None
+        for i in range(t + 1, nrows):
+            for j in range(t + 1, ncols):
+                if m[i][j] % p:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            add_row(bad, t, -1)
+            continue
+        t += 1
+
+    divisors = [abs(m[i][i]) for i in range(size)]
+    # Normalize signs in the transforms so U*A*V has nonnegative diagonal.
+    if with_transform:
+        for i in range(size):
+            if m[i][i] < 0:
+                u[i] = [-x for x in u[i]]
+        return divisors, u, v
+    return divisors
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free elimination: rank, determinant, rational solve, kernel, inverse
+
+def _fraction_free(a, reduce: bool = False) -> tuple[Mat, list[int], int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix: (M, pivots,
+    sign), with sign the parity of the row swaps.
+
+    Each column pivots on its first nonzero entry at or below the current
+    row.  The step with pivot p after previous pivot q maps every cleared row
+    to (p * row - row[c] * pivot_row) / q, an exact division (Bareiss, Math.
+    Comp. 22, 1968): each entry stays a minor of A.  Without reduce only the
+    rows below the pivot are cleared, from the pivot column on, giving a row
+    echelon form whose k-th pivot is the k-th pivotal minor.  With reduce
+    every other row is cleared (Gauss-Jordan form, Nakos, Turner and
+    Williams, SIGSAM Bull. 31, 1997): each pivot row then carries the last
+    pivot D at its pivot column and zeros at the others, so M[:rank] / D is
+    the reduced row echelon form.  Entries must be ints or numpy integers
+    (anything else raises TypeError, from int_rows).
+    """
+    m = int_rows(a)
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        lo = 0 if reduce else c
+        pr = m[r][lo:]
+        p = m[r][c]
+        for i in (range(nrows) if reduce else range(r + 1, nrows)):
+            if i == r:
+                continue
+            row = m[i]
+            f = row[c]
+            if f:
+                row[lo:] = [(x * p - f * y) // prev for x, y in zip(row[lo:], pr)]
+            elif p != prev:
+                row[lo:] = [x * p // prev for x in row[lo:]]
+        prev = p
+        pivots.append(c)
+    return m, pivots, sign
+
+
+def rank_exact(a: Sequence[Sequence[int]]) -> int:
+    """Rank over Q."""
+    return len(_fraction_free(a)[1])
+
+
+def det_bareiss(a: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix: the last pivot of the
+    fraction-free row echelon form, with the sign of the row swaps."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m, pivots, sign = _fraction_free(a)
+    return sign * m[n - 1][n - 1] if len(pivots) == n else 0
+
+
+def solve_rational(a: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]):
+    """Solve A*X = B exactly over Q; A square integer, B an integer matrix
+    (list of rows).  Returns X as a list of rows of Fractions, or None if A
+    is singular.  Gauss-Jordan on [A | B] leaves [D*I | D*X]."""
+    n = len(a)
+    m, pivots, _ = _fraction_free([list(row) + list(brow) for row, brow in zip(a, rhs)],
+                                   reduce=True)
+    if pivots != list(range(n)):
+        return None
+    den = m[n - 1][n - 1] if n else 1
+    return [[Fraction(x, den) for x in row[n:]] for row in m]
+
+
+def rational_row_space_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Basis of the right kernel of a rational matrix (rows): one vector per
+    non-pivot column f of the reduced row echelon form, with 1 at f."""
+    m, pivots, _ = _fraction_free(clear_denominators(rows)[0], reduce=True)
+    if not m:
+        return []
+    den = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    basis = []
+    for fc in (c for c in range(len(m[0])) if c not in pivots):
+        v = [Fraction(0)] * len(m[0])
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = Fraction(-m[i][fc], den)
+        basis.append(v)
+    return basis
+
+
+def fraction_free_inverse(a):
+    """(X, q) with A^-1 = X / q exactly, q > 0 and gcd(q, entries of X) = 1,
+    or None when A is singular.  Gauss-Jordan on [A | I] leaves
+    [D*I | D*A^-1] with D = +-det(A)."""
+    n = len(a)
+    if n == 0:
+        return [], 1
+    m, pivots, _ = _fraction_free([list(row) + [int(i == j) for j in range(n)]
+                                   for i, row in enumerate(a)], reduce=True)
+    if pivots != list(range(n)):
+        return None
+    d = m[n - 1][n - 1]
+    g = gcd(d, *(x for row in m for x in row[n:]))
+    if d < 0:
+        g = -g
+    return [[x // g for x in row[n:]] for row in m], d // g
+
+
+# ---------------------------------------------------------------------------
+# Characteristic polynomial, denominators, square roots
+
+def charpoly(a: Sequence[Sequence[int]]) -> list[int]:
+    """Coefficients of det(xI - A), highest degree first, by Berkowitz.
+
+    Division-free and exact; A must be square.
+    """
+    n = len(a)
+    if n == 0:
+        return [1]
+    # Berkowitz: iteratively build the coefficient vector.
+    coeffs = [1, -a[0][0]]
+    for k in range(1, n):
+        # Principal submatrix of size k+1; R = row, C = column, M = interior.
+        mk = [row[:k] for row in a[:k]]
+        rrow = a[k][:k]
+        ccol = [a[i][k] for i in range(k)]
+        akk = a[k][k]
+        # Toeplitz column: [1, -akk, -R*C, -R*M*C, -R*M^2*C, ...]
+        toep = [1, -akk]
+        vec = ccol
+        for _ in range(k):
+            toep.append(-dot(rrow, vec))
+            vec = mat_vec(mk, vec)
+        new = [0] * (k + 2)
+        for i, c in enumerate(coeffs):
+            for j, t in enumerate(toep):
+                if i + j <= k + 1:
+                    new[i + j] += c * t
+        # Truncation: toeplitz product keeps degree k+2 terms.
+        coeffs = new
+    return coeffs
+
+
+def clear_denominators(rows) -> tuple[Mat, int]:
+    """(S, den) with rows = S / den for the least common denominator den of
+    the entries (ints or Fractions)."""
+    den = lcm(1, *(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def floor_sqrt_fraction(x: Fraction) -> int:
+    """floor(sqrt(x)) for a nonnegative rational x."""
+    if x < 0:
+        raise ValueError("negative radicand")
+    n, d = x.numerator, x.denominator
+    return isqrt(n * d) // d

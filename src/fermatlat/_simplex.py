@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from ._intlinalg import solve_rational
+from ._pylinalg import solve_rational
 from .errors import VerificationError
 
 OPTIMAL = "optimal"

@@ -15,7 +15,6 @@ import sys
 import time
 
 from .errors import FermatLatticeError, ResourceBoundError
-from .fermat_homology import build_milnor, build_primitive, rank_formula
 from .git_stability import (
     HomogeneousForm,
     cone_extend,
@@ -24,25 +23,16 @@ from .git_stability import (
     verify_semistable_certificate,
     verify_stable_certificate,
 )
-from .lattice_core import (
-    determinant,
-    discriminant,
-    dumps_canonical,
-    is_even,
-    lattice_to_json,
-    signature,
-)
-from .verify import SUITES, run_suite
 
+# The names of the verify suites (verify.SUITES, kept equal by a test), here
+# so that parsing the command line does not import the suites.
+SUITES = ("ranks", "resolution", "hermitian", "hodge", "cubic", "git")
 SIGNATURE_RANK_LIMIT = 64
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help(sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ResourceBoundError as exc:
@@ -61,6 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fermatlat",
         description="Exact lattices, hermitian reductions, Hodge characters, "
                     "and diagonal GIT tests for Fermat hypersurfaces.")
+    parser.set_defaults(func=lambda _args: _usage(parser))
     sub = parser.add_subparsers(dest="command")
 
     p_lat = sub.add_parser("lattice", help="build a Milnor or primitive lattice")
@@ -82,6 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=_cmd_verify)
 
     p_git = sub.add_parser("git", help="diagonal stability tests on a form file")
+    p_git.set_defaults(func=lambda _args: _usage(p_git))
     git_sub = p_git.add_subparsers(dest="git_command")
     p_check = git_sub.add_parser("check", help="semistable/stable flags with certificates")
     p_check.add_argument("file", help="form JSON file")
@@ -94,7 +86,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage(parser: argparse.ArgumentParser) -> int:
+    parser.print_help(sys.stderr)
+    return 2
+
+
 def _cmd_lattice(args) -> int:
+    from .fermat_homology import build_milnor, build_primitive, rank_formula
+    from .lattice_core import determinant, discriminant, is_even, lattice_to_json, signature
+
     if args.d < 3 or args.n < 0:
         _err("need --d >= 3 and --n >= 0")
         return 2
@@ -145,6 +145,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     started = time.perf_counter()
     report = run_suite(args.suite, bound=args.bound, fast=args.fast)
     elapsed_ms = int(1000 * (time.perf_counter() - started))
@@ -215,6 +217,11 @@ def _load_form(path: str) -> HomogeneousForm:
 
 def _emit(payload) -> None:
     sys.stdout.write(dumps_canonical(payload) + "\n")
+
+
+def dumps_canonical(obj) -> str:
+    """Canonical JSON: sorted keys, no whitespace variance, no floats."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _err(msg: str) -> None:

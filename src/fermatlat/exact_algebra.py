@@ -413,13 +413,3 @@ def _power_trace(d: int, i: int) -> Fraction:
     z = CyclotomicElement.zeta(d, i)
     m = _multiplication_matrix(d, [int(c) for c in z.coords])
     return Fraction(sum(m[t][t] for t in range(len(m))))
-
-
-def character_eval(a: GroupRingElement, d: int, powers: Iterable[int]) -> CyclotomicElement:
-    """Evaluate the character u_i -> zeta_d^{powers[i]} on a group-ring element."""
-    pw = list(powers)
-    out = CyclotomicElement.zero(d)
-    for exps, c in a.coeffs.items():
-        total = sum(p * e for p, e in zip(pw, exps)) % d
-        out = out + CyclotomicElement.zeta(d, total) * c
-    return out

@@ -105,17 +105,6 @@ def milnor_star_element(d: int, n: int) -> GroupRingElement:
     return w
 
 
-@lru_cache(maxsize=None)
-def primitive_star_element(d: int, n: int) -> GroupRingElement:
-    """e'_n * e'_n = prod_{v=0}^{n+1} (1 - u_v) in Z[mu_d^(n+2)/mu_d]."""
-    k = n + 2
-    one = GroupRingElement.one(d, k)
-    w = one
-    for i in range(k):
-        w = w * (one - GroupRingElement.generator(d, k, i))
-    return w.quotient_by_diagonal()
-
-
 # ---------------------------------------------------------------------------
 # Monomial pairing on the primitive lattice
 
@@ -148,13 +137,6 @@ def _four_case(diff: tuple[int, ...], d: int, n: int) -> int:
             if 0 < size < k:
                 return (-1) ** (size + n)
     return 0
-
-
-def monomial_pairing_oracle(d: int, n: int, K: Sequence[int], L: Sequence[int]) -> int:
-    """Same pairing read off from the expanded star element (test oracle)."""
-    w = primitive_star_element(d, n)
-    diff = class_rep(tuple((a - b) % d for a, b in zip(class_rep(K, d), class_rep(L, d))), d)
-    return parity_sign(n) * w.coefficient(diff)
 
 
 # ---------------------------------------------------------------------------

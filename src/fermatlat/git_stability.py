@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from . import _intlinalg as la
+from . import _pylinalg as la
 from ._simplex import OPTIMAL, solve_lp
 from .errors import EmptyFormError, VerificationError
 
@@ -56,8 +56,19 @@ class HomogeneousForm:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HomogeneousForm":
-        terms = {tuple(t["exponents"]): Fraction(t["coeff"]) for t in obj["terms"]}
-        return cls(int(obj["m"]), int(obj["degree"]), terms)
+        """The form of {"m", "degree", "terms": [{"exponents", "coeff"}, ...]};
+        ValueError naming the field that is missing or malformed."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a form is a JSON object, not {type(obj).__name__}")
+        for key in ("m", "degree", "terms"):
+            if key not in obj:
+                raise ValueError(f"form has no field {key!r}")
+        terms = obj["terms"]
+        if not isinstance(terms, list) or not all(
+                isinstance(t, dict) and "exponents" in t and "coeff" in t for t in terms):
+            raise ValueError("form field 'terms' is not a list of {exponents, coeff} objects")
+        return cls(int(obj["m"]), int(obj["degree"]),
+                   {tuple(t["exponents"]): Fraction(t["coeff"]) for t in terms})
 
     @classmethod
     def fermat(cls, m: int, degree: int) -> "HomogeneousForm":
@@ -254,31 +265,3 @@ def _affine_rank(points) -> int:
     p0 = points[0]
     rows = [[p[i] - p0[i] for i in range(len(p0))] for p in points[1:]]
     return la.rank_exact(rows)
-
-
-def directional_depth_oracle(form: HomogeneousForm) -> bool:
-    """Independent interiority oracle: positive directional depth of the
-    barycenter along all coordinate-difference directions, each via its own
-    exact LP.  Used to cross-check is_stable_diagonal."""
-    points = exponent_points(form)
-    b = barycenter(form)
-    m = form.m
-    if _affine_rank(points) < m - 1:
-        return False
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            # max s subject to b + s(e_i - e_j) in hull
-            npts = len(points)
-            rows = []
-            for t in range(m):
-                u = Fraction(1) if t == i else (Fraction(-1) if t == j else Fraction(0))
-                rows.append([Fraction(p[t]) for p in points] + [-u])
-            rows.append([Fraction(1)] * npts + [Fraction(0)])
-            rhs = list(b) + [Fraction(1)]
-            cost = [Fraction(0)] * npts + [Fraction(-1)]
-            res = solve_lp(rows, rhs, cost)
-            if res.status != OPTIMAL or res.objective is None or -res.objective <= 0:
-                return False
-    return True

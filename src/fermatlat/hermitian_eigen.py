@@ -288,22 +288,6 @@ def hermitian_gram(d: int, n: int, sign: int) -> HermitianLattice:
     return h
 
 
-def off_parity_consistency_report(d: int, n: int) -> dict:
-    """Diagnostics for the opposite-parity table variant, whose
-    well-definedness is not established: literal rank versus reduction rank."""
-    sign = -expected_sign(n)
-    h = hermitian_gram(d, n, sign)
-    expected = cor23_rank(d, n - 1)
-    return {
-        "d": d,
-        "n": n,
-        "sign": sign,
-        "literal_table_rank": h.rank,
-        "reduction_rank": expected,
-        "consistent": h.rank == expected,
-    }
-
-
 def _parity_normalize(d: int, n: int, coords: np.ndarray):
     """Make the raw reduction pairing hermitian with canonical positive diagonal.
 

@@ -94,26 +94,3 @@ def fermat_class_character(d: int, n: int) -> HodgeCharacter:
         raise NonUniqueError(
             f"extreme Hodge type (p={best}) has multiplicity {len(top)}")
     return top[0]
-
-
-def character_report(d: int, n: int) -> dict:
-    """JSON-ready report of all characters with both Hodge-type readings."""
-    chars = enumerate_characters(d, n)
-    rows = []
-    for ch in chars:
-        p, q = ch.hodge_type()
-        printed = ch.printed_formula_value()
-        rows.append({
-            "K": list(ch.exponents),
-            "weight": ch.weight,
-            "p": p,
-            "q": q,
-            "printed_formula_p": printed[0],
-        })
-    return {
-        "d": d,
-        "n": n,
-        "count": len(chars),
-        "characters": rows,
-        "hodge_numbers": {str(p): h for p, h in hodge_numbers(d, n).items()},
-    }

@@ -8,7 +8,6 @@ lossless integer work.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -411,8 +410,3 @@ def lattice_from_json(obj: dict) -> IntegerLattice:
         raise ValueError("gram array has wrong length")
     gram = [flat[i * rank:(i + 1) * rank] for i in range(rank)]
     return IntegerLattice(gram, obj.get("symmetry", SYMMETRIC), obj.get("label"))
-
-
-def dumps_canonical(obj) -> str:
-    """Canonical JSON: sorted keys, no whitespace variance, no floats."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)

@@ -22,7 +22,6 @@ from .cubic_period import (
     nodal_vectors_in_box,
     orbit_specials,
     planted_remark_self_test,
-    special_vectors_in_box,
     verify_remark_52,
 )
 from .fermat_homology import (

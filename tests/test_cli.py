@@ -241,3 +241,25 @@ def test_git_check_reports_a_failed_support_search(tmp_path, monkeypatch, capsys
     assert code == 1
     assert out == ""
     assert err.startswith("verification failure: no supporting functional")
+
+
+def test_git_without_subcommand_prints_help_and_exits_2(capsys):
+    code, out, err = run_cli(["git"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: fermatlat git")
+
+
+@pytest.mark.parametrize("form,field", [
+    ({"m": 3, "terms": []}, "'degree'"),
+    ({"m": 3, "degree": 3, "terms": 5}, "'terms'"),
+    ([{"m": 3, "degree": 3, "terms": []}], "JSON object"),
+], ids=["no-degree", "terms-not-a-list", "top-level-list"])
+@pytest.mark.parametrize("command", ["check", "cone"])
+def test_git_malformed_form_is_an_input_error(command, form, field, tmp_path, capsys):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(form))
+    code, out, err = run_cli(["git", command, str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and field in err

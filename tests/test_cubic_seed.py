@@ -13,9 +13,9 @@ import os
 
 import pytest
 
-from fermatlat.cli import main
+from fermatlat.cli import dumps_canonical, main
 from fermatlat.cubic_period import build_cubic_lattices
-from fermatlat.lattice_core import dumps_canonical, lattice_to_json
+from fermatlat.lattice_core import lattice_to_json
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "cubic_seed.json")
 

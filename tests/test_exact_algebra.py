@@ -9,10 +9,19 @@ from fermatlat.exact_algebra import (
     CyclotomicElement,
     GroupRingElement,
     bar,
-    character_eval,
     cyclotomic_polynomial,
     euler_phi,
 )
+
+
+def character_eval(a, d, powers):
+    """Evaluate the character u_i -> zeta_d^{powers[i]} on a group-ring element."""
+    pw = list(powers)
+    out = CyclotomicElement.zero(d)
+    for exps, c in a.coeffs.items():
+        total = sum(p * e for p, e in zip(pw, exps)) % d
+        out = out + CyclotomicElement.zeta(d, total) * c
+    return out
 
 
 def gre(d, k, items):

@@ -1,22 +1,25 @@
 import pickle
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from fermatlat import _intlinalg as la
 from fermatlat.errors import ResourceBoundError, VerificationError
+from fermatlat.exact_algebra import GroupRingElement
 from fermatlat.fermat_homology import (
     _image_kernel_index,
     build_milnor,
     build_primitive,
+    class_rep,
     connecting_element,
     connecting_map,
     milnor_basis,
     milnor_star_element,
     monomial_pairing,
-    monomial_pairing_oracle,
+    parity_sign,
     rank_formula,
     resolution_check,
 )
@@ -71,6 +74,24 @@ def test_monomial_pairing_examples():
     assert monomial_pairing(3, 4, (0,) * 6, (0,) * 6) == 2
     assert monomial_pairing(3, 3, (0,) * 5, (0,) * 5) == 0
     assert monomial_pairing(3, 4, (0,) * 6, (0, 2, 0, 0, 0, 0)) == -1
+
+
+@lru_cache(maxsize=None)
+def primitive_star_element(d, n):
+    """e'_n * e'_n = prod_{v=0}^{n+1} (1 - u_v) in Z[mu_d^(n+2)/mu_d]."""
+    k = n + 2
+    one = GroupRingElement.one(d, k)
+    w = one
+    for i in range(k):
+        w = w * (one - GroupRingElement.generator(d, k, i))
+    return w.quotient_by_diagonal()
+
+
+def monomial_pairing_oracle(d, n, K, L):
+    """The monomial pairing read off from the expanded star element."""
+    w = primitive_star_element(d, n)
+    diff = class_rep(tuple((a - b) % d for a, b in zip(class_rep(K, d), class_rep(L, d))), d)
+    return parity_sign(n) * w.coefficient(diff)
 
 
 def test_monomial_pairing_against_expansion_oracle():

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from fermatlat._simplex import OPTIMAL, solve_lp
 from fermatlat.errors import EmptyFormError
 from fermatlat.git_stability import (
     HomogeneousForm,
+    _affine_rank,
     _normalize_weights,
+    barycenter,
     cone_extend,
-    directional_depth_oracle,
     exponent_points,
     is_semistable_diagonal,
     is_stable_diagonal,
@@ -18,6 +20,34 @@ from fermatlat.git_stability import (
 )
 
 F3A2 = HomogeneousForm(4, 3, {(3, 0, 0, 0): 1, (0, 1, 1, 1): -1})
+
+
+def directional_depth_oracle(form):
+    """Independent interiority oracle: positive directional depth of the
+    barycenter along all coordinate-difference directions, each via its own
+    exact LP.  Used to cross-check is_stable_diagonal."""
+    points = exponent_points(form)
+    b = barycenter(form)
+    m = form.m
+    if _affine_rank(points) < m - 1:
+        return False
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            # max s subject to b + s(e_i - e_j) in hull
+            npts = len(points)
+            rows = []
+            for t in range(m):
+                u = Fraction(1) if t == i else (Fraction(-1) if t == j else Fraction(0))
+                rows.append([Fraction(p[t]) for p in points] + [-u])
+            rows.append([Fraction(1)] * npts + [Fraction(0)])
+            rhs = list(b) + [Fraction(1)]
+            cost = [Fraction(0)] * npts + [Fraction(-1)]
+            res = solve_lp(rows, rhs, cost)
+            if res.status != OPTIMAL or res.objective is None or -res.objective <= 0:
+                return False
+    return True
 
 
 def random_cubic(rng, m, maxterms=5):

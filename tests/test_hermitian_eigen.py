@@ -13,11 +13,26 @@ from fermatlat.hermitian_eigen import (
     expected_sign,
     hermitian_gram,
     hermitian_signature,
-    off_parity_consistency_report,
     signatures_agree_up_to_sign,
     _coords_array,
     _parity_normalize,
 )
+
+
+def off_parity_consistency_report(d, n):
+    """Diagnostics for the opposite-parity table variant, whose
+    well-definedness is not established: literal rank versus reduction rank."""
+    sign = -expected_sign(n)
+    h = hermitian_gram(d, n, sign)
+    expected = cor23_rank(d, n - 1)
+    return {
+        "d": d,
+        "n": n,
+        "sign": sign,
+        "literal_table_rank": h.rank,
+        "reduction_rank": expected,
+        "consistent": h.rank == expected,
+    }
 
 
 def test_cor23_rank_values():

@@ -6,12 +6,34 @@ from fermatlat.errors import NonUniqueError
 from fermatlat.fermat_homology import rank_formula
 from fermatlat.hodge_characters import (
     HodgeCharacter,
-    character_report,
     enumerate_characters,
     fermat_class_character,
     hodge_numbers,
     hodge_type,
 )
+
+
+def character_report(d, n):
+    """JSON-ready report of all characters with both Hodge-type readings."""
+    chars = enumerate_characters(d, n)
+    rows = []
+    for ch in chars:
+        p, q = ch.hodge_type()
+        printed = ch.printed_formula_value()
+        rows.append({
+            "K": list(ch.exponents),
+            "weight": ch.weight,
+            "p": p,
+            "q": q,
+            "printed_formula_p": printed[0],
+        })
+    return {
+        "d": d,
+        "n": n,
+        "count": len(chars),
+        "characters": rows,
+        "hodge_numbers": {str(p): h for p, h in hodge_numbers(d, n).items()},
+    }
 
 
 def test_enumeration_counts():

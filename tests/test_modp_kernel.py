@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from fermatlat import _intlinalg as la
 from fermatlat import fermat_homology as fh
+from fermatlat.cli import dumps_canonical
 from fermatlat.fermat_homology import build_primitive
-from fermatlat.lattice_core import dumps_canonical
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "primitive_seed.json")
 PRIMES = [2, 3, 5, la.MODP_PRIMES[0]]
