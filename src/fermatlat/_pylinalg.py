@@ -48,11 +48,18 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> Vec:
 
 
 def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> Vec:
+    """v . a, converting only the rows of a under nonzero entries of v."""
+    v = int_rows([v])[0]
+    nz = [i for i, c in zip(range(len(a)), v) if c]
+    if getattr(getattr(a, "dtype", None), "kind", None) in ("i", "u"):
+        rows = a[nz].tolist()
+    else:
+        rows = int_rows([a[i] for i in nz])
     out = [0] * len(a[0])
-    for c, row in zip(int_rows([v])[0], int_rows(a)):
-        if c:
-            for j, x in enumerate(row):
-                out[j] += c * x
+    for i, row in zip(nz, rows):
+        c = v[i]
+        for j, x in enumerate(row):
+            out[j] += c * x
     return out
 
 

@@ -6,10 +6,13 @@ and implements the special/nodal vector predicates, bounded box searches,
 Eisenstein eigenlattices, and the hyperplane-versus-eigenball tests used to
 check the arrangement claims at evidence level.
 
-The eigenlattices and eigenball tests work on integer coordinate arrays over
-Z[zeta_3] (see hermitian_eigen): the eigenspace is the left kernel of one
-integer matrix, its Gram and the restricted forms are _hermitian_product
-calls, and only the Euclidean echelon basis and the public results are
+Both cached builds, the glued lattices and the eigenlattices, are read-only
+integer arrays that every call shares: a call gets a new object, with new
+dicts and lattice labels, over the same arrays, so no caller can change what
+the next one sees.  The eigenlattices and eigenball tests work on integer
+coordinate arrays over Z[zeta_3] (see hermitian_eigen): the eigenspace is
+the left kernel of one integer matrix, its Gram and the restricted forms are
+_hermitian_product calls, and only the Euclidean echelon works on
 CyclotomicElement objects.
 """
 
@@ -25,11 +28,10 @@ import numpy as np
 
 from . import _intlinalg as la
 from .errors import InvalidGlueError, ResourceBoundError, VerificationError
-from .exact_algebra import CyclotomicElement, euler_phi
+from .exact_algebra import euler_phi
 from .fermat_homology import build_primitive
 from .hermitian_eigen import (
     HermitianLattice,
-    _coords_array,
     _embedding_signatures,
     _hermitian_product,
     _to_elements,
@@ -51,13 +53,15 @@ BOX_POINT_LIMIT = 40_000_000
 
 
 class CubicFourfoldLattice:
-    """The glued unimodular lattice with its fixed vector and symmetry action."""
+    """The glued unimodular lattice with its fixed vector and symmetry action.
+
+    Matrices are read-only integer arrays and vectors are tuples."""
 
     def __init__(self, lambda_o: IntegerLattice, lambda_full: IntegerLattice,
-                 eta_in_lambda: list[int], lambda_o_in_lambda: la.Mat,
-                 actions_o: dict[str, la.Mat], actions_full: dict[str, la.Mat],
-                 disc_generator: list[Fraction], glue_class: tuple[int, int],
-                 reduced_basis: la.Mat, reduction_transform: la.Mat):
+                 eta_in_lambda: tuple[int, ...], lambda_o_in_lambda: np.ndarray,
+                 actions_o: dict[str, np.ndarray], actions_full: dict[str, np.ndarray],
+                 disc_generator: tuple[Fraction, ...], glue_class: tuple[int, int],
+                 reduced_basis: np.ndarray, reduction_transform: np.ndarray):
         self.lambda_o = lambda_o
         self.lambda_full = lambda_full
         self.eta_in_lambda = eta_in_lambda
@@ -119,22 +123,6 @@ class CubicFourfoldLattice:
     def pair_full(self, a: Sequence[int], b: Sequence[int]) -> int:
         return self.lambda_full.pairing(a, b)
 
-    def copy(self) -> "CubicFourfoldLattice":
-        """A copy whose lists can be changed without touching this one (the
-        lattices share their read-only Grams)."""
-        return CubicFourfoldLattice(
-            self.lambda_o.relabel(self.lambda_o.label),
-            self.lambda_full.relabel(self.lambda_full.label), self.eta_in_lambda[:],
-            _copy_rows(self.lambda_o_in_lambda),
-            {name: _copy_rows(m) for name, m in self.actions_o.items()},
-            {name: _copy_rows(m) for name, m in self.actions_full.items()},
-            self.disc_generator[:], self.glue_class,
-            _copy_rows(self.reduced_basis), _copy_rows(self.reduction_transform))
-
-
-def _copy_rows(m: la.Mat) -> la.Mat:
-    return [row[:] for row in m]
-
 
 def build_cubic_lattices() -> CubicFourfoldLattice:
     """Construct the pair (even rank-22 lattice, glued unimodular rank-23).
@@ -142,14 +130,19 @@ def build_cubic_lattices() -> CubicFourfoldLattice:
     The glue class is found by exhaustive search over the nine candidate
     discriminant classes of lambda_o + Z eta; exactly one works up to sign.
     Every structural claim is checked: parities, signatures, discriminants,
-    the fixed vector, and the orthogonal-complement relation.  The result is
-    cached; each call returns a copy.
+    the fixed vector, and the orthogonal-complement relation.  The
+    construction is cached; every call returns new lattice and dict objects
+    over the cached read-only arrays.
     """
-    return _build_cubic_lattices().copy()
+    c = _glued_cubic_lattices()
+    return CubicFourfoldLattice(
+        c.lambda_o.relabel(c.lambda_o.label), c.lambda_full.relabel(c.lambda_full.label),
+        c.eta_in_lambda, c.lambda_o_in_lambda, dict(c.actions_o), dict(c.actions_full),
+        c.disc_generator, c.glue_class, c.reduced_basis, c.reduction_transform)
 
 
 @lru_cache(maxsize=None)
-def _build_cubic_lattices() -> CubicFourfoldLattice:
+def _glued_cubic_lattices() -> CubicFourfoldLattice:
     prim = build_primitive(3, 4)
     lambda_o = prim.lattice.relabel("lambda_o")
     if signature(lambda_o) != (20, 2) or not is_even(lambda_o):
@@ -192,30 +185,28 @@ def _build_cubic_lattices() -> CubicFourfoldLattice:
     # Row i of basis^-1 holds the glued coordinates of the i-th orthogonal-sum
     # basis vector (e_0..e_21 span lambda_o, e_22 is eta): it must be integral.
     coords = _divide_exact(*inverse, "vector does not lie in the glued lattice")
-    eta_in_lambda = coords[22]
+    eta_in_lambda = tuple(coords[22])
     lambda_o_in_lambda = coords[:22]
 
-    actions_o = {name: m.tolist() for name, m in prim.actions.items()}
     actions_full = {}
-    for name, m in actions_o.items():
-        block = [row + [0] for row in m] + [[0] * 22 + [1]]
+    for name, m in prim.actions.items():
+        block = [row + [0] for row in m.tolist()] + [[0] * 22 + [1]]
         mat = _conjugate_rational(block, basis, inverse)
-        actions_full[name] = mat
+        actions_full[name] = la.frozen_int_array(mat)
         moved = la.mat_mul(la.mat_mul(mat, lambda_full.gram), la.mat_transpose(mat))
         if moved != lambda_full.gram.tolist():
             raise VerificationError(f"action {name} does not preserve the glued pairing")
-        if la.vec_mat(eta_in_lambda, mat) != eta_in_lambda:
+        if tuple(la.vec_mat(eta_in_lambda, mat)) != eta_in_lambda:
             raise VerificationError(f"action {name} does not fix eta")
 
     _assert_orthogonal_complement(lambda_full, eta_in_lambda, lambda_o_in_lambda)
 
     built = CubicFourfoldLattice(
-        lambda_o, lambda_full, eta_in_lambda, lambda_o_in_lambda,
-        actions_o, actions_full, gamma, glue_class,
-        lambda_o.gram.tolist(), la.mat_identity(22))
+        lambda_o, lambda_full, eta_in_lambda, la.frozen_int_array(lambda_o_in_lambda),
+        prim.actions, actions_full, tuple(gamma), glue_class, None, None)
     reduced_gram, u = _special_adapted_basis(built)
-    built.reduced_basis = reduced_gram
-    built.reduction_transform = u
+    built.reduced_basis = la.frozen_int_array(reduced_gram)
+    built.reduction_transform = la.frozen_int_array(u)
     return built
 
 
@@ -230,7 +221,7 @@ def construct_special_vector(built: CubicFourfoldLattice) -> list[int]:
         raise VerificationError("eta is not primitive in the glued lattice")
     e0 = u[0]
     target = 1 - full.pairing(e0, e0)
-    emb = built.lambda_o_in_lambda
+    emb = built.lambda_o_in_lambda.tolist()
     # e = e0 + a emb_i + b emb_j has e.e = 1 iff
     # a^2 G_ii + 2ab G_ij + b^2 G_jj + 2 (a f_i + b f_j) = 1 - e0.e0.
     pair = la.mat_mul(emb, full.gram)
@@ -245,7 +236,7 @@ def construct_special_vector(built: CubicFourfoldLattice) -> list[int]:
     i, j, a, b = hit
     e = [x + a * y + b * z for x, y, z in zip(e0, emb[i], emb[j])]
     v_full = [b - 3 * a for a, b in zip(e, eta)]
-    rows = emb + [eta]
+    rows = emb + [list(eta)]
     sol = la.solve_rational(la.mat_transpose(rows), [[x] for x in v_full])
     coords = [r[0] for r in sol]
     if any(c.denominator != 1 for c in coords) or coords[22] != 0:
@@ -366,9 +357,7 @@ def _conjugate_rational(block: la.Mat, basis, inverse: tuple[la.Mat, int]) -> la
 
 
 def _assert_orthogonal_complement(lambda_full, eta_in_lambda, lambda_o_in_lambda):
-    pair_rows = la.mat_mul([eta_in_lambda], lambda_full.gram)
-    functional = pair_rows[0]
-    comp = la.right_kernel([functional])
+    comp = la.right_kernel([la.vec_mat(eta_in_lambda, lambda_full.gram)])
     if not la.same_row_span(comp, lambda_o_in_lambda):
         raise VerificationError("lambda_o is not the orthogonal complement of eta")
 
@@ -496,16 +485,10 @@ def nodal_vectors_in_box(built: CubicFourfoldLattice, bound: int,
     """Nodal (norm 2) vectors with bounded coefficients; optionally restricted
     to the span of the first few size-reduced basis vectors so the grid stays
     within the enumeration cap."""
-    u = built.reduction_transform
     g = built.reduced_basis
-    if sublattice_rank is not None and sublattice_rank < len(g):
-        rows = list(range(sublattice_rank))
-        sub = IntegerLattice([[g[i][j] for j in rows] for i in rows], "symmetric")
-        hits = bounded_box_vectors(sub, 2, bound)
-        full = [tuple(list(h) + [0] * (len(g) - sublattice_rank)) for h in hits]
-        return sorted(tuple(la.vec_mat(list(h), u)) for h in full)
-    reduced = IntegerLattice(g, "symmetric")
-    return bounded_box_vectors(reduced, 2, bound, transform=u)
+    r = len(g) if sublattice_rank is None else min(sublattice_rank, len(g))
+    return bounded_box_vectors(IntegerLattice(g[:r, :r], "symmetric"), 2, bound,
+                               transform=built.reduction_transform[:r])
 
 
 # ---------------------------------------------------------------------------
@@ -516,18 +499,18 @@ def eigenlattice(k: int, conjugate: bool = False):
     rank-22 lattice, as a saturated Z[zeta_3]-lattice with the hermitian form
     h(x, y) = x . conj(y).
 
-    Returns (HermitianLattice, z_basis) where z_basis holds the Z[zeta_3]
-    basis vectors as length-22 rows of cyclotomic integers.  The eigenvalue
-    convention on homology is u -> zeta_3; `conjugate` switches to the other
-    member of the conjugate pair.  The result is cached; each call returns a
-    copy.
+    Returns (HermitianLattice, z_basis) where z_basis is the read-only
+    (rank, 22, 2) coordinate array of the Z[zeta_3] basis vectors.  The
+    eigenvalue convention on homology is u -> zeta_3; `conjugate` switches
+    to the other member of the conjugate pair.  The arrays are cached and
+    shared by every call; each call returns a new HermitianLattice over them.
     """
-    h, basis = _eigenlattice(k, conjugate)
-    return h.copy(), _copy_rows(basis)
+    gram, basis = _eigenlattice_arrays(k, conjugate)
+    return HermitianLattice(3, gram, "raw"), basis
 
 
 @lru_cache(maxsize=None)
-def _eigenlattice(k: int, conjugate: bool):
+def _eigenlattice_arrays(k: int, conjugate: bool):
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2, or 3")
     built = build_cubic_lattices()
@@ -544,11 +527,10 @@ def _eigenlattice(k: int, conjugate: bool):
         if not ((moved == zrows).all(axis=1) | (moved == -zrows).all(axis=1)).all():
             raise VerificationError("permutation part is not scalar on the eigenspace")
     coords = zrows.reshape(len(zrows), phi, 22).transpose(0, 2, 1)
-    basis = cyclotomic_row_echelon(3, _to_elements(3, coords))
-    b = _coords_array(3, basis)[0]
+    echelon = cyclotomic_row_echelon(3, _to_elements(3, coords))
+    b = la.frozen_int_array([[e.integral_coords() for e in row] for row in echelon])
     gram = _hermitian_product(3, b, la.int_array(built.lambda_o.gram)[..., None], b)
-    h = HermitianLattice(3, _to_elements(3, gram), "raw", basis_labels=None)
-    return h, basis
+    return la.frozen_int_array(gram), b
 
 
 def _common_eigenspace_z_basis(d: int, n: int, mats: list[la.Mat], conjugate: bool):
@@ -581,34 +563,32 @@ def hyperplane_meets_eigenball(v: Sequence[int], k: int) -> tuple[bool, bool]:
         raise VerificationError("hyperplane test requires a special vector")
     h, basis = eigenlattice(k)
     gv = la.int_array(la.vec_mat(list(v), built.lambda_o.gram))
-    ell = la.int_matmul(_coords_array(3, basis)[0].transpose(0, 2, 1), gv)
-    return ball_meets_restriction(h.gram, _to_elements(3, ell[None])[0])
+    return ball_meets_restriction(h, la.int_matmul(basis.transpose(0, 2, 1), gv))
 
 
-def ball_meets_restriction(gram: list[list[CyclotomicElement]],
-                           ell: list[CyclotomicElement]) -> tuple[bool, bool]:
+def ball_meets_restriction(h: HermitianLattice, ell: np.ndarray) -> tuple[bool, bool]:
     """Signature test of a hermitian form restricted to the kernel of a
     functional: (has negative direction, functional vanished identically).
 
-    With p the first index where ell is nonzero, the rows
-    ell[p] e_i - ell[i] e_p (i != p) are an integral basis of ell[p] times the
-    kernel over Q(zeta_d).  The form on them is |ell[p]|^2 times the
-    restriction, and |ell[p]|^2 is positive at every embedding, as is the
-    common denominator that _coords_array clears; neither changes the
-    negative index, which must agree at every embedding.
+    ell is the (rank, phi) integer coordinate array of the functional's
+    values on the basis.  With p the first index where ell is nonzero, the
+    rows ell[p] e_i - ell[i] e_p (i != p) are an integral basis of ell[p]
+    times the kernel over Q(zeta_d).  The form on them is |ell[p]|^2 times
+    the restriction, and |ell[p]|^2 is positive at every embedding, as is
+    the denominator of h.coords; neither changes the negative index, which
+    must agree at every embedding.
     """
-    if all(not x for x in ell):
+    e = la.int_array(ell)
+    if not e.any():
         return True, True
-    d = ell[0].d
-    g = _coords_array(d, gram)[0]
-    e = _coords_array(d, [ell])[0][0]
+    d = h.d
     r = len(e)
     p = next(i for i in range(r) if e[i].any())
     others = [i for i in range(r) if i != p]
     rows = np.zeros((r - 1,) + e.shape, dtype=e.dtype)
     rows[np.arange(r - 1), others] = e[p]
     rows[:, p] = -e[others]
-    sigs, _nullity = _embedding_signatures(d, _hermitian_product(d, rows, g, rows))
+    sigs, _nullity = _embedding_signatures(d, _hermitian_product(d, rows, h.coords, rows))
     if len({q for _p, q in sigs}) > 1:
         raise VerificationError("negative index differs across complex embeddings")
     return sigs[0][1] > 0, False
@@ -733,7 +713,7 @@ def planted_remark_self_test() -> bool:
 
 def _conjugate_int(u: la.Mat, m: la.Mat) -> la.Mat:
     """u * m * u^{-1} for unimodular u, exactly."""
-    return la.mat_mul(la.mat_mul(u, m), _int_inverse(u))
+    return la.mat_mul(la.mat_mul(u, m), _int_inverse(la.int_rows(u)))
 
 
 def nodal_complement_signature(built: CubicFourfoldLattice, v: Sequence[int]) -> tuple[int, int]:

@@ -275,16 +275,15 @@ class PrimitiveFermatLattice:
         return la.vec_mat(vec, self.projection)
 
 
-def build_primitive(d: int, n: int, with_actions: Optional[bool] = None) -> PrimitiveFermatLattice:
-    """Radical quotient of the Milnor lattice, with the symmetry action.
+def build_primitive(d: int, n: int) -> PrimitiveFermatLattice:
+    """Radical quotient of the Milnor lattice, with the symmetry action when
+    the Milnor rank (d-1)^(n+1) is at most 256 (no actions above).
 
-    The deterministic construction is cached per (d, n, actions).  Every
-    call returns new lattice, module and dict objects over the cached
-    read-only arrays, which all calls share and no caller can write to.
+    The deterministic construction is cached per (d, n).  Every call
+    returns new lattice, module and dict objects over the cached read-only
+    arrays, which all calls share and no caller can write to.
     """
-    if with_actions is None:
-        with_actions = (d - 1) ** (n + 1) <= 256
-    prim = _build_primitive_cached(d, n, bool(with_actions))
+    prim = _build_primitive_cached(d, n)
     lattice, milnor = prim.lattice, prim.milnor
     module = MilnorModule(d, n, list(milnor.basis), milnor.lattice.relabel(milnor.lattice.label),
                           milnor.star_value)
@@ -293,8 +292,8 @@ def build_primitive(d: int, n: int, with_actions: Optional[bool] = None) -> Prim
 
 
 @lru_cache(maxsize=None)
-def _build_primitive_cached(d: int, n: int, with_actions: bool) -> PrimitiveFermatLattice:
-    return _build_primitive(d, n, with_actions)
+def _build_primitive_cached(d: int, n: int) -> PrimitiveFermatLattice:
+    return _build_primitive(d, n)
 
 
 # Builds whose radical no prime certified, so that the HNF of the
@@ -302,7 +301,7 @@ def _build_primitive_cached(d: int, n: int, with_actions: bool) -> PrimitiveFerm
 radical_fallbacks = 0
 
 
-def _build_primitive(d: int, n: int, with_actions: bool) -> PrimitiveFermatLattice:
+def _build_primitive(d: int, n: int) -> PrimitiveFermatLattice:
     global radical_fallbacks
     milnor = build_milnor(d, n)
     rank = len(milnor.basis)
@@ -325,7 +324,7 @@ def _build_primitive(d: int, n: int, with_actions: bool) -> PrimitiveFermatLatti
     monomial_images = dict(zip(milnor.basis, projection))
 
     actions: dict[str, np.ndarray] = {}
-    if with_actions:
+    if rank <= 256:
         actions = _build_actions(d, n, milnor, quotient, projection, reps)
     return PrimitiveFermatLattice(d, n, quotient, monomial_images, actions,
                                   projection, milnor)
@@ -481,7 +480,7 @@ def resolution_check(d: int, n: int) -> dict:
     can be a proper power of d at odd stages.  Raises VerificationError naming
     the first failing stage.
     """
-    prim = build_primitive(d, n, with_actions=False)
+    prim = build_primitive(d, n)
     maps = [connecting_map(d, k) for k in range(1, n + 1)]
     module_ranks = [(d - 1) ** k for k in range(1, n + 2)] + [prim.lattice.rank]
     stages = []

@@ -15,15 +15,18 @@ Every product (the chi-reduction sums over the action group, hermitian
 Grams a . g . conj(b)^T, restrictions to kernels) is an exact integer array
 product; _zeta_sum turns a stack into coordinates.  The restriction of
 scalars replaces each entry by its phi x phi multiplication matrix.
+
+A HermitianLattice holds one read-only (r, r, phi) coordinate array and a
+positive common denominator, and every consumer (the hermitian check, the
+determinant norm, the signature, the eigenball tests) reads that array.
 CyclotomicElement objects appear only for scalars (table entries, the
-imaginary unit, the Euclidean division of cyclotomic_row_echelon), in the
-field elimination of HermitianLattice.determinant, and in the public
-results: HermitianLattice.gram and chi_form_on_vectors.
+imaginary unit), in the Euclidean echelon of cyclotomic_row_echelon, in the
+field elimination of HermitianLattice.determinant, and in
+HermitianLattice.gram, which rebuilds element rows from the array.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -48,47 +51,60 @@ H_MINUS = "h_minus"
 
 
 class HermitianLattice:
-    """Hermitian Gram matrix over Z[zeta_d] on a chosen generator basis."""
+    """Hermitian form over Z[zeta_d] on a chosen generator basis.
 
-    def __init__(self, d: int, gram: list[list[CyclotomicElement]], form_kind: str,
-                 scaling: int = 1, basis_labels: Optional[list] = None,
-                 excluded: bool = False, parity_consistent: bool = True):
+    `coords` is a read-only (r, r, phi(d)) integer array: the power-basis
+    coordinates of den * h, for the positive integer `den`.  `gram` is given
+    either as an integer coordinate array (den = 1) or as rows of
+    CyclotomicElement entries, whose least common denominator becomes `den`.
+    """
+
+    def __init__(self, d: int, gram, form_kind: str, scaling: int = 1,
+                 basis_labels: Optional[list] = None, excluded: bool = False,
+                 parity_consistent: bool = True):
+        phi = euler_phi(d)
+        den = 1
+        if not isinstance(gram, np.ndarray):
+            if any(len(row) != len(gram) for row in gram):
+                raise ValueError("gram matrix must be square")
+            rows, den = la.clear_denominators([e.coords for row in gram for e in row])
+            gram = la.int_array(rows).reshape(len(gram), len(gram), phi)
+        coords = la.frozen_int_array(gram)
+        if coords.ndim != 3 or coords.shape[0] != coords.shape[1] or coords.shape[2] != phi:
+            raise ValueError(f"need an (r, r, {phi}) coordinate array, got {coords.shape}")
+        conj = la.int_matmul(coords, _zeta_table(d)[-np.arange(phi) % d])
+        if not np.array_equal(conj.transpose(1, 0, 2), coords):
+            raise VerificationError("gram matrix is not hermitian")
         self.d = d
-        self.rank = len(gram)
-        self.gram = gram
+        self.rank = coords.shape[0]
+        self.coords = coords
+        self.den = den
         self.form_kind = form_kind
         self.scaling = scaling
         self.basis_labels = basis_labels
         self.excluded = excluded
         self.parity_consistent = parity_consistent
-        coords = _coords_array(d, gram)[0]
-        conj = la.int_matmul(coords, _zeta_table(d)[-np.arange(euler_phi(d)) % d])
-        if not np.array_equal(conj.transpose(1, 0, 2), coords):
-            raise VerificationError("gram matrix is not hermitian")
 
-    def copy(self) -> "HermitianLattice":
-        """A copy whose lists can be changed without touching this one."""
-        out = copy.copy(self)
-        out.gram = [row[:] for row in self.gram]
-        if self.basis_labels is not None:
-            out.basis_labels = list(self.basis_labels)
-        return out
+    @property
+    def gram(self) -> list[list[CyclotomicElement]]:
+        """The form as new rows of CyclotomicElement entries."""
+        return _to_elements(self.d, self.coords, self.den)
 
     def determinant(self) -> CyclotomicElement:
         return _field_det(self.d, self.gram)
 
     def det_norm(self) -> Fraction:
         """N(det) as the rational determinant of the restriction of scalars."""
-        coords, den = _coords_array(self.d, self.gram)
-        det = la.det_bareiss(_realify(self.d, coords).tolist())
-        return Fraction(det, den ** (self.rank * euler_phi(self.d)))
+        det = la.det_bareiss(_realify(self.d, self.coords))
+        return Fraction(det, self.den ** (self.rank * euler_phi(self.d)))
 
     def to_json(self) -> dict:
+        if self.den != 1:
+            raise ValueError("the hermitian form is not integral")
         return {
             "d": self.d,
             "rank": self.rank,
-            "gram": [[[int(c) for c in entry.integral_coords()] for entry in row]
-                     for row in self.gram],
+            "gram": self.coords.tolist(),
             "form_kind": self.form_kind,
             "scaling": self.scaling,
             "excluded": self.excluded,
@@ -111,16 +127,12 @@ def expected_sign(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Coordinate arrays over Z[zeta_d]
 
-def _coords_array(d: int, gram: Sequence[Sequence[CyclotomicElement]]):
-    """(coords, den): integer coordinates of shape (rows, cols, phi) of
-    den * gram, den the least common denominator of the entries."""
-    rows, den = la.clear_denominators([e.coords for row in gram for e in row])
-    shape = (len(gram), len(gram[0]) if gram else 0, euler_phi(d))
-    return la.int_array(rows).reshape(shape), den
-
-
-def _to_elements(d: int, coords: np.ndarray) -> list[list[CyclotomicElement]]:
-    return [[CyclotomicElement(d, e) for e in row] for row in coords.tolist()]
+def _to_elements(d: int, coords: np.ndarray, den: int = 1) -> list[list[CyclotomicElement]]:
+    """Rows of CyclotomicElement entries of an (r, c, phi) array over den."""
+    if den == 1:
+        return [[CyclotomicElement(d, e) for e in row] for row in coords.tolist()]
+    return [[CyclotomicElement(d, [Fraction(x, den) for x in e]) for e in row]
+            for row in coords.tolist()]
 
 
 @lru_cache(maxsize=None)
@@ -266,7 +278,7 @@ def hermitian_gram(d: int, n: int, sign: int) -> HermitianLattice:
         values = [reduction_entry(d, n, delta, origin) for delta in gens]
     else:
         values = [hermitian_table_entry(d, delta, origin, sign) for delta in gens]
-    coords = _coords_array(d, [values])[0][0]
+    coords = la.int_array([v.integral_coords() for v in values])
     scale = 1
     if parity:
         # Every diagonal entry is the value at K - L = 0, the first value:
@@ -275,14 +287,10 @@ def hermitian_gram(d: int, n: int, sign: int) -> HermitianLattice:
         coords = coords[0]
     index = _difference_index(d, gens)
     selected = _pivot_columns(d, coords, index)
-    gram = _to_elements(d, coords[index[np.ix_(selected, selected)]])
-    labels = [gens[i] for i in selected]
-    if not parity:
-        return HermitianLattice(d, gram, H_PLUS if sign > 0 else H_MINUS,
-                                basis_labels=labels, parity_consistent=False)
-    h = HermitianLattice(d, gram, H_PLUS if sign > 0 else H_MINUS,
-                         scaling=scale, basis_labels=labels)
-    if h.rank != cor23_rank(d, n - 1):
+    h = HermitianLattice(d, coords[index[np.ix_(selected, selected)]],
+                         H_PLUS if sign > 0 else H_MINUS, scaling=scale,
+                         basis_labels=[gens[i] for i in selected], parity_consistent=parity)
+    if parity and h.rank != cor23_rank(d, n - 1):
         raise VerificationError(
             f"hermitian rank {h.rank} disagrees with the formula {cor23_rank(d, n - 1)}")
     return h
@@ -354,8 +362,10 @@ def _field_det(d: int, gram: list[list[CyclotomicElement]]) -> CyclotomicElement
 # ---------------------------------------------------------------------------
 # Character reduction of the primitive lattice
 
-def _chi_coefficients(prim: PrimitiveFermatLattice, k: int, vectors: la.Mat) -> np.ndarray:
-    """Coordinate array of chi_form_on_vectors.
+def chi_form_on_vectors(prim: PrimitiveFermatLattice, k: int, vectors: la.Mat) -> np.ndarray:
+    """The Z[zeta_d]-valued pairing sum_{i in (Z/d)^k} (a . T^i b) zeta^{|i|}
+    on the given lattice vectors, where T runs over the last k mu-actions,
+    as an (r, r, phi) coordinate array.
 
     sum_{i in (Z/d)^k} T^i zeta^{|i|} = prod_j sum_e T_j^e zeta^e, so the
     moved vectors b T^i, binned by |i| mod d, take one stack product per
@@ -378,17 +388,10 @@ def _chi_coefficients(prim: PrimitiveFermatLattice, k: int, vectors: la.Mat) -> 
     return _zeta_sum(d, la.int_matmul(paired, moved.transpose(0, 2, 1)))
 
 
-def chi_form_on_vectors(prim: PrimitiveFermatLattice, k: int,
-                        vectors: la.Mat) -> list[list[CyclotomicElement]]:
-    """The Z[zeta_d]-valued pairing sum_{i in (Z/d)^k} (a . T^i b) zeta^{|i|}
-    on the given lattice vectors, where T runs over the last k mu-actions."""
-    return _to_elements(prim.d, _chi_coefficients(prim, k, vectors))
-
-
 def chi_form_on_classes(prim: PrimitiveFermatLattice, k: int,
-                        classes: Sequence[Sequence[int]]) -> list[list[CyclotomicElement]]:
+                        classes: Sequence[Sequence[int]]) -> np.ndarray:
     """The reduction pairing on monomial classes (exponent tuples of length
-    n+2, taken modulo the diagonal)."""
+    n+2, taken modulo the diagonal), as a coordinate array."""
     vectors = [prim.class_image(c) for c in classes]
     return chi_form_on_vectors(prim, k, vectors)
 
@@ -403,9 +406,9 @@ def chi_reduce(prim: PrimitiveFermatLattice, k: int) -> HermitianLattice:
     """
     d, n = prim.d, prim.n
     identity = np.eye(prim.lattice.rank, dtype=np.int64)
-    raw, scaling = _parity_normalize(d, n, _chi_coefficients(prim, k, identity))
+    raw, scaling = _parity_normalize(d, n, chi_form_on_vectors(prim, k, identity))
     selected = _pivot_columns(d, raw)
-    h = HermitianLattice(d, _to_elements(d, raw[np.ix_(selected, selected)]),
+    h = HermitianLattice(d, raw[np.ix_(selected, selected)],
                          H_PLUS if n % 2 == 0 else H_MINUS,
                          scaling=scaling,
                          basis_labels=selected,
@@ -506,8 +509,7 @@ def hermitian_signature(h: HermitianLattice) -> tuple[int, int]:
     DegenerateLatticeError on a degenerate form and VerificationError when
     the embeddings give different signatures.
     """
-    coords, _den = _coords_array(h.d, h.gram)
-    sigs, nullity = _embedding_signatures(h.d, coords)
+    sigs, nullity = _embedding_signatures(h.d, h.coords)
     if nullity:
         raise DegenerateLatticeError("hermitian form is degenerate")
     if len(set(sigs)) > 1:

@@ -46,7 +46,6 @@ from .hermitian_eigen import (
     hermitian_gram,
     hermitian_signature,
     signatures_agree_up_to_sign,
-    _coords_array,
     _parity_normalize,
 )
 from .hodge_characters import (
@@ -96,7 +95,7 @@ def _suite_ranks(bound=2, fast=False):
     checks = []
     grid = [(d, n) for (d, n) in RANK_GRID if not (fast and (d - 1) ** (n + 1) > 300)]
     for d, n in grid:
-        prim = build_primitive(d, n, with_actions=False)
+        prim = build_primitive(d, n)
         want = rank_formula(d, n)
         checks.append(_check(f"rank(d={d},n={n})=={want}", prim.lattice.rank == want,
                              detail={"rank": prim.lattice.rank}))
@@ -107,7 +106,7 @@ def _suite_ranks(bound=2, fast=False):
     for d, n in grid:
         if n % 2:
             continue
-        prim = build_primitive(d, n, with_actions=False)
+        prim = build_primitive(d, n)
         even = is_even(prim.lattice)
         if prim.lattice.rank <= 60:
             disc_ok = (discriminant(prim.lattice).elementary_divisors == (d,))
@@ -116,7 +115,7 @@ def _suite_ranks(bound=2, fast=False):
         checks.append(_check(f"even lattice with cyclic discriminant {d} (d={d},n={n})",
                              even and disc_ok))
     for n in (1, 3):
-        prim = build_primitive(3, n, with_actions=False)
+        prim = build_primitive(3, n)
         checks.append(_check(
             f"antisymmetric unimodular pairing (d=3,n={n})",
             prim.lattice.symmetry == "antisymmetric"
@@ -194,9 +193,8 @@ def _suite_hermitian(bound=2, fast=False):
         h = hermitian_gram(d, n, sign)
         prim = build_primitive(d, n)
         classes = [K + (0,) for K in h.basis_labels]
-        chi = _coords_array(d, chi_form_on_classes(prim, 1, classes))[0]
-        chi, _ = _parity_normalize(d, n, chi)
-        agree = np.array_equal(chi, _coords_array(d, h.gram)[0])
+        chi, _ = _parity_normalize(d, n, chi_form_on_classes(prim, 1, classes))
+        agree = np.array_equal(chi, h.coords)
         want = cor23_rank(d, n - 1)
         checks.append(_check(
             f"hermitian_gram matches chi_reduce on matched basis (d={d}, n={n})",
@@ -255,7 +253,7 @@ def _suite_cubic(bound=2, fast=False):
                          and discriminant(lam_o).elementary_divisors == (3,)))
     checks.append(_check("eta has self-pairing 3",
                          built.pair_full(built.eta_in_lambda, built.eta_in_lambda) == 3))
-    eta_fixed = all(la.vec_mat(built.eta_in_lambda, m) == built.eta_in_lambda
+    eta_fixed = all(tuple(la.vec_mat(built.eta_in_lambda, m)) == built.eta_in_lambda
                     for m in built.actions_full.values())
     checks.append(_check("eta fixed by every symmetry generator", eta_fixed))
 

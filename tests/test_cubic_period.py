@@ -19,9 +19,8 @@ from fermatlat.cubic_period import (
     verify_remark_52,
 )
 from fermatlat.errors import ResourceBoundError, VerificationError
-from fermatlat.exact_algebra import CyclotomicElement
 from fermatlat.fermat_homology import build_primitive
-from fermatlat.hermitian_eigen import hermitian_signature
+from fermatlat.hermitian_eigen import HermitianLattice, hermitian_signature
 from fermatlat.lattice_core import (
     IntegerLattice,
     determinant,
@@ -48,7 +47,7 @@ def test_glued_lattice_invariants(built):
 
 def test_eta_fixed_and_disc_action_trivial(built):
     for name, m in built.actions_full.items():
-        assert la.vec_mat(built.eta_in_lambda, m) == built.eta_in_lambda, name
+        assert tuple(la.vec_mat(built.eta_in_lambda, m)) == built.eta_in_lambda, name
     # induced action on the order-3 discriminant group of lambda_o is trivial
     gamma3 = [int(3 * x) for x in built.disc_generator]
     for name, m in built.actions_o.items():
@@ -146,14 +145,17 @@ def primitive_arrays(prim):
             + [prim.monomial_images[K] for K in sorted(prim.monomial_images)])
 
 
-def test_cached_builders_hand_out_copies():
+def cubic_arrays(built):
+    return ([built.lambda_o.gram, built.lambda_full.gram, built.lambda_o_in_lambda,
+             built.reduced_basis, built.reduction_transform]
+            + [built.actions_o[name] for name in sorted(built.actions_o)]
+            + [built.actions_full[name] for name in sorted(built.actions_full)])
+
+
+def test_cached_builders_share_read_only_arrays():
     # The primitive build is shared read-only arrays: every write raises.
     prim = build_primitive(3, 4)
     reference = [a.copy() for a in primitive_arrays(prim)]
-    built = build_cubic_lattices()
-    cubic_reference = (built.actions_o, built.actions_full, built.lambda_full.gram.tolist(),
-                       built.reduction_transform, built.eta_in_lambda)
-    eigen_reference = eigenlattice(1)[0].gram
     # The reproduction: this used to change the cached build, after which
     # the cubic construction raised "transported action is not integral".
     with pytest.raises(ValueError):
@@ -165,26 +167,51 @@ def test_cached_builders_hand_out_copies():
     prim.actions.clear()
     prim.monomial_images.clear()
     prim.lattice.label = prim.milnor.lattice.label = "changed"
-    built = build_cubic_lattices()
-    built.actions_o["u_1"][0][0] += 7
-    with pytest.raises(ValueError):
-        built.lambda_full.gram[0][0] += 1
-    built.reduction_transform[0][0] += 1
-    built.eta_in_lambda[0] += 1
-    h, basis = eigenlattice(1)
-    h.gram[0][0] = h.gram[0][0] * 2
-    basis.pop()
     prim = build_primitive(3, 4)
     later = primitive_arrays(prim)
     assert len(later) == len(reference)
     assert all(np.array_equal(a, b) for a, b in zip(later, reference))
     assert (prim.lattice.label, prim.milnor.lattice.label) == ("primitive(d=3,n=4)",
                                                                "milnor(d=3,n=4)")
+
+    # So are the glued lattices and the eigenlattices, and two calls share
+    # the very same arrays.
     built = build_cubic_lattices()
-    assert (built.actions_o, built.actions_full, built.lambda_full.gram.tolist(),
-            built.reduction_transform, built.eta_in_lambda) == cubic_reference
-    h, basis = eigenlattice(1)
-    assert h.gram == eigen_reference and len(basis) == h.rank
+    arrays, eta = cubic_arrays(built), built.eta_in_lambda
+    assert isinstance(eta, tuple) and isinstance(built.disc_generator, tuple)
+    assert len(arrays) == 5 + 2 * len(prim.actions)
+    assert built.actions_o["u_1"] is prim.actions["u_1"]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0, 0] += 1
+    eigen = {k: eigenlattice(k) for k in (1, 2, 3)}
+    for h, basis in eigen.values():
+        for a in (h.coords, basis):
+            with pytest.raises(ValueError):
+                a[0, 0, 0] += 1
+    eigen_grams = {k: h.gram for k, (h, _basis) in eigen.items()}
+
+    # Rebinding fields, clearing dicts or changing element rows on one
+    # call's objects does not reach the next call.
+    built.actions_o.clear()
+    built.actions_full.clear()
+    built.lambda_o.label = built.lambda_full.label = "changed"
+    built.reduction_transform = built.eta_in_lambda = None
+    h, basis = eigen[1]
+    h.gram[0][0] = h.gram[0][0] * 2
+    h.coords = h.basis_labels = None
+
+    again = build_cubic_lattices()
+    assert again is not built
+    assert (again.lambda_o.label, again.lambda_full.label) == ("lambda_o", "lambda")
+    assert again.eta_in_lambda == eta
+    assert len(cubic_arrays(again)) == len(arrays)
+    assert all(a is b for a, b in zip(cubic_arrays(again), arrays))
+    for k, (h, basis) in eigen.items():
+        h2, basis2 = eigenlattice(k)
+        assert h2 is not h and h2.gram == eigen_grams[k]
+        assert h2.coords is eigenlattice(k)[0].coords and basis2 is basis
+        assert len(basis2) == h2.rank
 
 
 def test_nodal_box_on_sublattice(built):
@@ -241,14 +268,11 @@ def test_hyperplane_requires_special(built):
 
 
 def test_ball_restriction_containment_branch():
-    three = CyclotomicElement.from_int(3, 3)
-    zero = CyclotomicElement.zero(3)
-    gram = [[three, zero], [zero, -three]]
-    meets, contained = ball_meets_restriction(gram, [zero, zero])
+    h = HermitianLattice(3, np.array([[[3, 0], [0, 0]], [[0, 0], [-3, 0]]]), "raw")
+    meets, contained = ball_meets_restriction(h, np.zeros((2, 2), dtype=np.int64))
     assert meets and contained
     # restricting the (1,1) form to the kernel of x_2 leaves only +3
-    one = CyclotomicElement.one(3)
-    meets, contained = ball_meets_restriction(gram, [zero, one])
+    meets, contained = ball_meets_restriction(h, np.array([[0, 0], [1, 0]]))
     assert not meets and not contained
 
 

@@ -4,7 +4,9 @@ digests.
 tests/data/cubic_seed.json holds sha256 digests of the canonical JSON of
 every CubicFourfoldLattice field and of the stdout of
 `fermatlat verify --suite cubic --bound 2` and `--fast`, as produced by the
-Fraction-based gluing and transport that the integer code replaced.
+Fraction-based gluing and transport that the integer code replaced.  The
+fields are read-only arrays and tuples now; arrays are serialised with
+.tolist(), which gives the JSON of the former lists of rows.
 """
 
 import hashlib
@@ -34,14 +36,14 @@ def cubic_field_digests() -> dict:
     fields = {
         "lambda_o": lattice_to_json(built.lambda_o),
         "lambda_full": lattice_to_json(built.lambda_full),
-        "eta_in_lambda": built.eta_in_lambda,
-        "lambda_o_in_lambda": built.lambda_o_in_lambda,
-        "actions_o": dict(sorted(built.actions_o.items())),
-        "actions_full": dict(sorted(built.actions_full.items())),
+        "eta_in_lambda": list(built.eta_in_lambda),
+        "lambda_o_in_lambda": built.lambda_o_in_lambda.tolist(),
+        "actions_o": {k: m.tolist() for k, m in sorted(built.actions_o.items())},
+        "actions_full": {k: m.tolist() for k, m in sorted(built.actions_full.items())},
         "disc_generator": [str(x) for x in built.disc_generator],
         "glue_class": list(built.glue_class),
-        "reduced_basis": built.reduced_basis,
-        "reduction_transform": built.reduction_transform,
+        "reduced_basis": built.reduced_basis.tolist(),
+        "reduction_transform": built.reduction_transform.tolist(),
     }
     return {k: _sha(dumps_canonical(v)) for k, v in fields.items()}
 

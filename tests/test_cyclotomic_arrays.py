@@ -2,10 +2,11 @@
 CyclotomicElement arithmetic.
 
 _hermitian_product is checked against sums of CyclotomicElement products;
-_chi_coefficients and ball_meets_restriction against the implementations
+chi_form_on_vectors and ball_meets_restriction against the implementations
 they replaced, copied here as oracles: the d^k chain of list products over
 the action group, and the restriction to the kernel through the Q(zeta_d)
 inverse of a pivot of the functional, both on CyclotomicElement objects.
+The HermitianLattice constructor is checked on both of its inputs.
 """
 
 import itertools
@@ -24,8 +25,6 @@ from fermatlat.exact_algebra import CyclotomicElement, euler_phi
 from fermatlat.fermat_homology import build_primitive
 from fermatlat.hermitian_eigen import (
     HermitianLattice,
-    _chi_coefficients,
-    _coords_array,
     _embedding_signatures,
     _hermitian_product,
     chi_form_on_vectors,
@@ -71,7 +70,8 @@ def oracle_negative_index(gram):
     if not gram:
         return 0
     d = gram[0][0].d
-    sigs, _nullity = _embedding_signatures(d, _coords_array(d, gram)[0])
+    coords = la.int_array([[e.integral_coords() for e in row] for row in gram])
+    sigs, _nullity = _embedding_signatures(d, coords)
     if len({q for _p, q in sigs}) > 1:
         raise VerificationError("negative index differs across complex embeddings")
     return sigs[0][1]
@@ -180,6 +180,17 @@ def restriction_inputs(draw):
     return gram, ell
 
 
+def functional_coords(ell):
+    """Integer coordinates of a positive multiple of the functional ell."""
+    rows, _den = la.clear_denominators([e.coords for e in ell])
+    return la.int_array(rows)
+
+
+def restriction_outcome(gram, ell):
+    h = HermitianLattice(gram[0][0].d, gram, "raw")
+    return _outcome(ball_meets_restriction, h, functional_coords(ell))
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -219,8 +230,7 @@ def test_chi_coefficients_match_action_group_sum(case, data):
     nrows = data.draw(st.integers(1, 4))
     vectors = [[data.draw(st.integers(-3, 3)) for _ in range(rank)] for _ in range(nrows)]
     want = oracle_chi_coefficients(prim, k, vectors)
-    assert np.array_equal(_chi_coefficients(prim, k, vectors), want)
-    assert _coords_array(d, chi_form_on_vectors(prim, k, vectors))[0].tolist() == want.tolist()
+    assert np.array_equal(chi_form_on_vectors(prim, k, vectors), want)
 
 
 @pytest.mark.parametrize("case", CHI_CASES)
@@ -229,7 +239,7 @@ def test_chi_coefficients_on_the_full_lattice(case):
     prim = build_primitive(d, n)
     identity = la.mat_identity(prim.lattice.rank)
     for k in range(1, n + 2):
-        assert np.array_equal(_chi_coefficients(prim, k, identity),
+        assert np.array_equal(chi_form_on_vectors(prim, k, identity),
                               oracle_chi_coefficients(prim, k, identity))
 
 
@@ -237,8 +247,7 @@ def test_chi_coefficients_on_the_full_lattice(case):
 @given(restriction_inputs())
 def test_ball_meets_restriction_matches_inverse_construction(inputs):
     gram, ell = inputs
-    assert (_outcome(ball_meets_restriction, gram, ell)
-            == _outcome(oracle_ball_meets_restriction, gram, ell))
+    assert restriction_outcome(gram, ell) == _outcome(oracle_ball_meets_restriction, gram, ell)
 
 
 def test_ball_meets_restriction_edge_cases():
@@ -255,7 +264,7 @@ def test_ball_meets_restriction_edge_cases():
         ([[three, zero, zero], [zero, -three, zero], [zero, zero, three]], [zero, z, one]),
     ]
     for gram, ell in cases:
-        assert ball_meets_restriction(gram, ell) == oracle_ball_meets_restriction(gram, ell)
+        assert restriction_outcome(gram, ell) == oracle_ball_meets_restriction(gram, ell)
 
 
 @settings(max_examples=150, deadline=None)
@@ -269,7 +278,46 @@ def test_hermitian_check_matches_conjugation(d, r, symmetrize, data):
                 gram[j][i] = gram[i][j].conj()
     hermitian = all(gram[i][j].conj() == gram[j][i] for i in range(r) for j in range(r))
     if hermitian:
-        assert HermitianLattice(d, gram, "raw").rank == r
+        h = HermitianLattice(d, gram, "raw")
+        assert h.rank == r and h.gram == gram
+        if h.den == 1:
+            assert HermitianLattice(d, h.coords, "raw").gram == gram
     else:
         with pytest.raises(VerificationError):
             HermitianLattice(d, gram, "raw")
+
+
+def test_hermitian_lattice_holds_one_read_only_array():
+    z = CyclotomicElement.zeta(3)
+    gram = [[CyclotomicElement.from_int(3, 2), Fraction(1, 2) * z],
+            [Fraction(1, 2) * z.conj(), CyclotomicElement.from_int(3, -1)]]
+    h = HermitianLattice(3, gram, "raw")
+    assert h.den == 2 and h.coords.tolist() == [[[4, 0], [0, 1]], [[-1, -1], [-2, 0]]]
+    with pytest.raises(ValueError):
+        h.coords[0, 0, 0] = 1
+    rows = h.gram
+    rows[0][0] = rows[0][0] * 2
+    rows.pop()
+    assert h.gram == gram and h.coords[0, 0, 0] == 4
+    source = np.array([[[3, 0]]])
+    h = HermitianLattice(3, source, "raw")
+    source[0, 0, 0] = 5
+    assert h.coords.tolist() == [[[3, 0]]] and not h.coords.flags.writeable
+    assert HermitianLattice(3, h.coords, "raw").coords is h.coords
+
+
+@pytest.mark.parametrize("coords", [
+    np.zeros((2, 3, 2), dtype=np.int64),     # not square
+    np.zeros((2, 2, 3), dtype=np.int64),     # phi(3) = 2 coordinates
+    np.zeros((2, 2), dtype=np.int64),        # no phi axis
+], ids=["not-square", "wrong-phi", "no-phi-axis"])
+def test_hermitian_lattice_refuses_a_wrong_shape(coords):
+    with pytest.raises(ValueError):
+        HermitianLattice(3, coords, "raw")
+
+
+def test_hermitian_lattice_refuses_a_non_integer_array():
+    with pytest.raises(TypeError):
+        HermitianLattice(3, np.full((1, 1, 2), 1.5), "raw")
+    with pytest.raises(TypeError):
+        HermitianLattice(3, np.array([[[Fraction(1, 2), 0]]], dtype=object), "raw")

@@ -14,7 +14,6 @@ from fermatlat.hermitian_eigen import (
     hermitian_gram,
     hermitian_signature,
     signatures_agree_up_to_sign,
-    _coords_array,
     _parity_normalize,
 )
 
@@ -79,9 +78,8 @@ def test_hermitian_gram_matches_reduction_on_basis():
         h = hermitian_gram(d, n, sign)
         prim = build_primitive(d, n)
         classes = [K + (0,) for K in h.basis_labels]
-        chi = _coords_array(d, chi_form_on_classes(prim, 1, classes))[0]
-        chi, _ = _parity_normalize(d, n, chi)
-        assert np.array_equal(chi, _coords_array(d, h.gram)[0])
+        chi, _ = _parity_normalize(d, n, chi_form_on_classes(prim, 1, classes))
+        assert np.array_equal(chi, h.coords)
 
 
 def test_off_parity_table_is_inconsistent():

@@ -262,7 +262,7 @@ def test_fallback_when_no_prime_certifies(key, monkeypatch):
     monkeypatch.setattr(fh, "_is_radical_basis", lambda *args: False)
     monkeypatch.setattr(fh, "radical_fallbacks", 0)
     d, n = map(int, key.split(","))
-    assert primitive_digests(fh._build_primitive(d, n, True)) == stored_digests(key)
+    assert primitive_digests(fh._build_primitive(d, n)) == stored_digests(key)
     assert fh.radical_fallbacks == 1
 
 
@@ -295,7 +295,7 @@ def test_tampered_radical_is_refused(how, monkeypatch):
     candidate = fh._radical_candidate
     monkeypatch.setattr(fh, "_radical_candidate", lambda g, p: tampered(*candidate(g, p), how))
     monkeypatch.setattr(fh, "radical_fallbacks", 0)
-    assert primitive_digests(fh._build_primitive(3, 4, True)) == stored_digests("3,4")
+    assert primitive_digests(fh._build_primitive(3, 4)) == stored_digests("3,4")
     assert fh.radical_fallbacks == 1
 
 

@@ -111,3 +111,15 @@ def test_pure_python_kernels_widen_numpy_input():
     assert la.mat_vec(a, np.array([100, 0], dtype=np.int8)) == [10000, 100]
     assert la.dot(a[0], a[0]) == 10001
     assert la.mat_transpose(a) == [[100, 1], [1, 100]]
+
+
+def test_vec_mat_with_a_sparse_vector_matches_the_object_product():
+    # vec_mat converts only the rows under nonzero coefficients.
+    rng = np.random.default_rng(5)
+    a = rng.integers(-128, 128, size=(30, 7)).astype(np.int8)
+    v = [0] * 30
+    v[3], v[17], v[29] = 2**40, -5, 127
+    want = (np.array(v, dtype=object) @ a.astype(object)).tolist()
+    assert la.vec_mat(v, a) == want
+    assert la.vec_mat(v, a.tolist()) == want
+    assert la.vec_mat([0] * 30, a) == [0] * 7

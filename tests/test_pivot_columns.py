@@ -14,7 +14,6 @@ from fermatlat.errors import VerificationError
 from fermatlat.exact_algebra import CyclotomicElement, euler_phi
 from fermatlat.fermat_homology import build_primitive
 from fermatlat.hermitian_eigen import (
-    _coords_array,
     _pivot_columns,
     chi_reduce,
     hermitian_gram,
@@ -51,7 +50,7 @@ def cyclo_matmul(a, b, d):
 
 
 def pivots_of(d, matrix):
-    return _pivot_columns(d, _coords_array(d, matrix)[0])
+    return _pivot_columns(d, la.int_array([[e.integral_coords() for e in row] for row in matrix]))
 
 
 @st.composite
