@@ -94,10 +94,10 @@ class CubicFourfoldLattice:
         by 3 in the glued lattice, for one of the two signs) is recomputed and
         must agree; disagreement raises.
         """
-        flag1 = self.norm_o(v) == 6 and all(
-            x % 3 == 0 for x in la.vec_mat(list(v), self.lambda_o.gram))
-        sign = self.special_eta_sign(v)
-        flag2 = self.norm_o(v) == 6 and sign is not None
+        vg = la.vec_mat(list(v), self.lambda_o.gram)
+        norm_six = la.dot(vg, v) == 6
+        flag1 = norm_six and all(x % 3 == 0 for x in vg)
+        flag2 = norm_six and self.special_eta_sign(v) is not None
         if flag1 != flag2:
             raise VerificationError(
                 "special-vector characterizations disagree on " + repr(list(v)))

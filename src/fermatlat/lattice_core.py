@@ -235,10 +235,27 @@ def discriminant_group_generators(lattice: IntegerLattice) -> list[tuple[list[Fr
 def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:
     """Exact certificate that L*/L is cyclic of order d, feasible at large rank.
 
-    Verifies (a) d * G^{-1} is integral (so the exponent divides d), via CRT
-    reconstruction checked exactly, and (b) for each prime p | d the p-part is
-    cyclic of the right order, via mod-p kernel dimension and an exact
-    non-divisibility check.  Avoids a full Smith normal form.
+    (a) X = d * G^{-1} is integral, so every invariant factor e_i of G
+    divides d: X comes from CRT reconstruction and is checked exactly by
+    G.X == d.I.  (b) For each p^v || d, X mod p^v is a rank-one matrix
+    with a unit entry: for the first entry X[i, j] that is a unit mod p,
+    X == X[:, j] . X[i, :] . X[i, j]^{-1} (mod p^v).  That is O(N^2)
+    integer work and no elimination.
+
+    Why (b) pins the p-part: write G = U.diag(e).V with U, V unimodular.
+    Then X = V^{-1}.diag(d/e_i).U^{-1}, and d/e_i has p-valuation
+    v - v_p(e_i), so it is 0 mod p^v when p does not divide e_i and a unit
+    when v_p(e_i) = v.  Multiplying by invertible matrices over Z/p^v keeps
+    the ideal of the entries and the ideal of the 2 x 2 minors.  If exactly
+    one e_k is divisible by p and v_p(e_k) = v, X is (d/e_k) times the
+    outer product of column k of V^{-1} and row k of U^{-1}, both primitive
+    mod p, so X has a unit entry and the rank-one identity holds.
+    Conversely, the identity makes every 2 x 2 minor of X vanish mod p^v,
+    so c_i.c_k == 0 for the diagonal entries c = d/e of i != k, and a unit
+    entry of X makes one c_k a unit, so every other c_i is 0 mod p^v:
+    v_p(e_k) = v and p divides no other e_i.  As e_1 | ... | e_N, the e_i
+    divisible by p is e_N for every p | d, so e_N = d and every other e_i
+    is 1: L*/L is cyclic of order d.  Avoids a full Smith normal form.
     """
     n = lattice.rank
     gnp = lattice.gram
@@ -258,13 +275,17 @@ def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:
         return False
     # Exponent divides d; now pin each p-part.
     for p in la.prime_factors(dd):
-        if n - la.modp_rank(gnp, p) != 1:
+        q = p
+        while dd % (q * p) == 0:
+            q *= p
+        r = np.asarray(x % q, dtype=np.int64)
+        units = np.flatnonzero(r % p)
+        if not units.size:
             return False
-        if dd % (p * p) == 0:
-            # The unique p-divisor must be exactly p^v: (d/p) * G^{-1} must be
-            # non-integral, i.e. X is not divisible by p.
-            if not np.any(x % p):
-                return False
+        i, j = divmod(int(units[0]), n)
+        row = r[i] * pow(int(r[i, j]), -1, q) % q
+        if not np.array_equal(np.outer(r[:, j], row) % q, r):
+            return False
     return True
 
 

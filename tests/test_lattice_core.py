@@ -154,6 +154,61 @@ def test_discriminant_cyclic_certificate():
     assert not discriminant_is_cyclic_of_order(klein, 4)  # (Z/2)^2 is not cyclic
 
 
+def congruent_form(rng, e):
+    """U.diag(e).U^T for a random unimodular U (a product of elementary
+    row operations): a Gram matrix with the invariant factors of diag(e)."""
+    n = len(e)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return la.mat_mul(la.mat_mul(u, [[e[i] if i == j else 0 for j in range(n)] for i in range(n)]),
+                      la.mat_transpose(u))
+
+
+CYCLIC_ORDERS = [2, 3, 4, 6, 8, 9, 12, 18, 27, 36]
+
+
+def invariant_factors(e):
+    """The Smith form of diag(e): for each prime, the p-parts of the
+    nonzero entries sorted into a divisibility chain; zeros last."""
+    nonzero = [abs(x) for x in e if x]
+    factors = [1] * len(nonzero)
+    for p in {q for x in nonzero for q in la.prime_factors(x)}:
+        valuations = sorted(next(v for v in range(x) if x % p ** (v + 1)) for x in nonzero)
+        factors = [f * p**v for f, v in zip(factors, valuations)]
+    return factors + [0] * (len(e) - len(nonzero))
+
+
+def is_cyclic_of_order(e, d):
+    """Smith-form truth: the invariant factors other than 1 are exactly [d]."""
+    return [x for x in invariant_factors(e) if x != 1] == [d]
+
+
+@pytest.mark.parametrize("e", [[2, 2], [2, 4], [3, 9], [1, 36], [4, 9], [2, 9, 1], [6, 6],
+                               [-3, 1, 9], [12, 0], [8], [-27]])
+def test_cyclic_certificate_on_fixed_groups(e):
+    rng = random.Random(sum(e))
+    gram = congruent_form(rng, e)
+    for d in CYCLIC_ORDERS:
+        assert discriminant_is_cyclic_of_order(IntegerLattice(gram), d) == is_cyclic_of_order(e, d)
+
+
+def test_cyclic_certificate_matches_smith_form():
+    rng = random.Random(12)
+    factors = [1, 1, 1, 1, 1, -1, 2, 3, 4, 6, 8, 9, 12, 18, 27, 36, 5, 24, 0]
+    seen = 0
+    for _ in range(80):
+        e = [rng.choice(factors) for _ in range(rng.randrange(1, 6))]
+        lattice = IntegerLattice(congruent_form(rng, e))
+        for d in CYCLIC_ORDERS:
+            truth = is_cyclic_of_order(e, d)
+            assert discriminant_is_cyclic_of_order(lattice, d) == truth
+            seen += truth
+    assert seen >= 10
+
+
 def test_is_even():
     assert is_even(IntegerLattice([[2, 1], [1, 4]]))
     assert not is_even(IntegerLattice([[1]]))

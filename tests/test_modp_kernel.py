@@ -309,3 +309,66 @@ def test_certified_radical_is_the_saturated_connecting_image(d, n):
         # At odd n the connecting image has index d in the radical.
         h, pivots = la.hnf_row(gens)
         assert math.prod(row[c] for row, c in zip(h, pivots)) == d
+
+
+def two_elimination_candidate(gram, p):
+    """The construction _radical_candidate replaced: the kernel of G mod p
+    from one RREF of G, then a second RREF of that kernel."""
+    k, pivots = la.modp_eliminate(la.modp_kernel(gram, p), p)
+    return la.symmetric_residues(k[:len(pivots)], p), pivots
+
+
+def low_rank_form(seed, n, antisymmetric):
+    """A random integer n x n form A^T.C.A of rank at most r <= n, with C
+    symmetric or antisymmetric."""
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(0, n + 1))
+    a = rng.integers(-4, 5, size=(r, n))
+    c = rng.integers(-3, 4, size=(r, r))
+    return a.T @ (c - c.T if antisymmetric else c + c.T) @ a
+
+
+def assert_same_candidate(gram, p):
+    k, pivots = fh._radical_candidate(gram, p)
+    expected, expected_pivots = two_elimination_candidate(gram, p)
+    assert pivots == expected_pivots
+    assert k.dtype == expected.dtype and np.array_equal(k, expected)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("d,n", [(3, 4), (5, 3), (4, 4), (6, 3)])
+def test_radical_candidate_matches_two_eliminations(d, n, p):
+    assert_same_candidate(fh.build_milnor(d, n).gram, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(1, 140), st.booleans(), st.integers(0, 2**32 - 1))
+def test_radical_candidate_matches_two_eliminations_on_low_rank_forms(p, n, antisymmetric, seed):
+    assert_same_candidate(low_rank_form(seed, n, antisymmetric), p)
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap the named _intlinalg functions with call counters; calls from
+    inside _intlinalg (modp_rank and modp_kernel call modp_eliminate) count
+    too."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(la, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(la, name, counted)
+    return calls
+
+
+def test_primitive_build_eliminates_once(monkeypatch):
+    calls = count_calls(monkeypatch, "modp_eliminate", "modp_kernel")
+    fh._build_primitive(3, 7)
+    assert calls == {"modp_eliminate": 1, "modp_kernel": 0}
+
+
+def test_cyclic_discriminant_certificate_eliminates_no_rank(monkeypatch):
+    from fermatlat.lattice_core import discriminant_is_cyclic_of_order
+    lattice = build_primitive(4, 4).lattice
+    calls = count_calls(monkeypatch, "modp_rank", "modp_eliminate")
+    assert discriminant_is_cyclic_of_order(lattice, 4)
+    assert calls == {"modp_rank": 0, "modp_eliminate": 0}
