@@ -59,6 +59,8 @@ MODP_PRIMES: tuple[int, ...] = (
     8388439, 8388427, 8388421, 8388409, 8388377,
     8388371, 8388319, 8388301, 8388287, 8388283,
 )
+# CRT reconstruction gives up after this many primes (a modulus of about 2**414).
+_CRT_MAX_PRIMES = 18
 
 _FLOAT_EXACT_LIMIT = 2**53
 
@@ -424,16 +426,17 @@ def _crt_combine(acc: np.ndarray, mod: int, res: np.ndarray, p: int) -> np.ndarr
     return acc + (res - acc) % p * inv % p * mod
 
 
-def crt_reconstruct_int_matrix(residue_fn, verify_fn, max_primes: int = 18):
+def crt_reconstruct_int_matrix(residue_fn, verify_fn):
     """Reconstruct an integer matrix from mod-p images, verifying exactly.
 
     residue_fn(p) returns the matrix mod p as a numpy array (or None to skip
     the prime).  After each new prime the symmetric-range CRT candidate, an
     integer array, is tested with verify_fn(candidate); the first verified
-    candidate is returned.  Returns None if no candidate verifies.
+    candidate is returned.  Returns None if no candidate verifies within
+    the first _CRT_MAX_PRIMES primes.
     """
     acc, mod, last = None, 1, None
-    for p in MODP_PRIMES[:max_primes]:
+    for p in MODP_PRIMES[:_CRT_MAX_PRIMES]:
         res = residue_fn(p)
         if res is None:
             continue

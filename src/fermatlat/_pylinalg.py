@@ -9,8 +9,9 @@ lists of lists of Python ints.  Exact dense elimination over Q has one
 kernel, _fraction_free: Bareiss's fraction-free elimination, in row echelon
 form for rank_exact and det_bareiss and in Gauss-Jordan form for
 solve_rational, rational_row_space_kernel and fraction_free_inverse, which
-return Fractions (or a common denominator) only at the end.  The Hermite and
-Smith forms are separate algorithms.
+return Fractions (or a common denominator) only at the end.  Integer row
+reduction has one kernel too, hnf_row: the Smith form alternates it on A and
+on A^T.
 """
 
 from __future__ import annotations
@@ -178,97 +179,49 @@ def prime_factors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
+def _hnf_split(m: Mat, t: Mat) -> tuple[Mat, Mat]:
+    """Row HNF of [M | T], padded with zero rows and split back into (M', T')."""
+    n = len(m[0])
+    h = hnf_row([r + s for r, s in zip(m, t)])[0]
+    h += [[0] * (n + len(t[0]))] * (len(m) - len(h))
+    return [r[:n] for r in h], [r[n:] for r in h]
+
+
 def smith_normal_form(a: Sequence[Sequence[int]], with_transform: bool = False):
     """Smith normal form.  Returns divisors, or (divisors, U, V) with U*A*V = D.
 
     Divisors are nonnegative, in divisibility order, padded with zeros up to
-    min(nrows, ncols).
+    min(nrows, ncols).  Alternates the row Hermite form of [A | U] and of
+    [A^T | V^T] until A is diagonal (Kannan and Bachem, SIAM J. Comput. 8,
+    1979).  A diagonal pair a_ii, a_jj with a_ii not dividing a_jj is mended
+    by adding column j to column i, which the next row Hermite form reduces
+    to gcd(a_ii, a_jj) at (i, i); adding row j to row i instead would be
+    reduced straight back.  The last Hermite form leaves nonnegative
+    pivots, so no sign fix is needed.
     """
     m = int_rows(a)
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    u = mat_identity(nrows) if with_transform else None
-    v = mat_identity(ncols) if with_transform else None
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        m[dst] = [x - q * y for x, y in zip(m[dst], m[src])]
-        if u is not None:
-            u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in m:
-            row[dst] -= q * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] -= q * row[src]
-
-    t = 0
     size = min(nrows, ncols)
-    while t < size:
-        # Locate a smallest nonzero entry in the remaining block.
-        piv = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = m[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        clean = False
-        while not clean:
-            clean = True
-            for i in range(t + 1, nrows):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    add_row(t, i, q)
-                    if m[i][t]:
-                        swap_rows(t, i)
-                        clean = False
-            for j in range(t + 1, ncols):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    add_col(t, j, q)
-                    if m[t][j]:
-                        swap_cols(t, j)
-                        clean = False
-        # Ensure divisibility of the remaining block by the pivot.
-        p = m[t][t]
-        bad = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if m[i][j] % p:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(bad, t, -1)
+    u = mat_identity(nrows) if with_transform else [[]] * nrows
+    vt = mat_identity(ncols) if with_transform else [[]] * ncols
+    while size:
+        m, u = _hnf_split(m, u)
+        mt, vt = _hnf_split(mat_transpose(m), vt)
+        m = mat_transpose(mt)
+        if any(x for i, row in enumerate(m) for j, x in enumerate(row) if i != j):
             continue
-        t += 1
-
-    divisors = [abs(m[i][i]) for i in range(size)]
-    # Normalize signs in the transforms so U*A*V has nonnegative diagonal.
+        bad = next(((i, j) for i in range(size) for j in range(i + 1, size)
+                    if m[i][i] and m[j][j] % m[i][i]), None)
+        if bad is None:
+            break
+        # Column j added to column i: on a diagonal A only a_ji changes.
+        i, j = bad
+        m[j][i] = m[j][j]
+        vt[i] = [x + y for x, y in zip(vt[i], vt[j])]
+    divisors = [m[i][i] for i in range(size)]
     if with_transform:
-        for i in range(size):
-            if m[i][i] < 0:
-                u[i] = [-x for x in u[i]]
-        return divisors, u, v
+        return divisors, u, mat_transpose(vt)
     return divisors
 
 

@@ -659,19 +659,17 @@ def special_search_report(bound: int) -> dict:
     }
 
 
-def verify_remark_52(bound: int, generator_indices: tuple[int, int] = (4, 5)) -> dict:
+def verify_remark_52(bound: int) -> dict:
     """Search for a special v with u4(v) = u5(v) and positive definite rank-2
     span of v and u5(v); expected empty (evidence, not proof).
 
-    generator_indices selects which two mu-generators play the role of the
-    final coordinate pair (the inference `acting on the last k coordinates'
-    made configurable).
+    The mu-generators u_4 and u_5 act on the final coordinate pair (the
+    reading of `acting on the last k coordinates').
     """
     built = build_cubic_lattices()
     prim = build_primitive(3, 4)
-    i4, i5 = generator_indices
-    u4 = prim.actions[f"u_{i4}"]
-    u5 = prim.actions[f"u_{i5}"]
+    u4 = prim.actions["u_4"]
+    u5 = prim.actions["u_5"]
     # search in the size-reduced basis with the mod-3 divisibility filter
     u = built.reduction_transform
     u4r = _conjugate_int(u, u4)
@@ -686,7 +684,7 @@ def verify_remark_52(bound: int, generator_indices: tuple[int, int] = (4, 5)) ->
     hits = sorted(tuple(la.vec_mat(list(h), u)) for h in hits_reduced)
     return {
         "bound": bound,
-        "generator_indices": list(generator_indices),
+        "generator_indices": [4, 5],
         "basis_label": "special-adapted size-reduced",
         "hits": [list(h) for h in hits],
         "evidence": True,

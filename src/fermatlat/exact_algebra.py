@@ -116,9 +116,6 @@ class GroupRingElement:
         key = tuple(e % self.d for e in exps)
         return self.coeffs.get(key, 0)
 
-    def identity_coefficient(self) -> int:
-        return self.coeffs.get((0,) * self.k, 0)
-
     def quotient_by_diagonal(self) -> "GroupRingElement":
         """Push forward to Z[(Z/d)^k / diagonal], canonical reps with first entry 0."""
         d = self.d

@@ -260,12 +260,6 @@ class PrimitiveFermatLattice:
     def action(self, name: str) -> np.ndarray:
         return self.actions[name]
 
-    def mu_generator_names(self) -> list[str]:
-        return [f"u_{i}" for i in range(self.n + 2)]
-
-    def transposition_names(self) -> list[str]:
-        return [f"s_{i}" for i in range(1, self.n + 1)]
-
     def class_image(self, K: Sequence[int]) -> list[int]:
         """Image in the primitive lattice of the monomial class u^K,
         K in (Z/d)^(n+2) taken modulo the diagonal."""

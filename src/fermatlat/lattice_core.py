@@ -85,9 +85,6 @@ class DiscriminantData:
     def is_trivial(self) -> bool:
         return self.group_order == 1
 
-    def is_cyclic(self) -> bool:
-        return len(self.elementary_divisors) <= 1
-
 
 @dataclass
 class GlueSpec:

@@ -46,19 +46,48 @@ def test_snf_examples():
     assert smith_normal_form([[0, 0], [0, 0]])[0] == [0, 0]
 
 
+# U.diag(36, 24, 8, -1, 4).U^T: a pivot loop that fixed divisibility by
+# adding a whole row ran past 20 s on it with entries of hundreds of digits.
+GRAM_5 = [[379, 1093, 16, -727, 1169], [1093, 3327, 80, -2037, 3447],
+          [16, 80, 8, -16, 64], [-727, -2037, -16, 1427, -2217],
+          [1169, 3447, 64, -2217, 3639]]
+# A divisibility fix that adds a row loops on this one: the next row
+# Hermite form reduces the added row straight back.
+RECT_5x3 = [[3, -1, 1], [-2, 4, 2], [3, 5, -6], [0, 6, 5], [2, 6, -4]]
+
+
+def assert_smith_form(m, divisors, u, v):
+    rows, cols = len(m), len(m[0])
+    prod = la.mat_mul(la.mat_mul(u, m), v)
+    assert prod == [[divisors[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+    assert len(divisors) == min(rows, cols)
+    assert all(x >= 0 for x in divisors)
+    for a, b in zip(divisors, divisors[1:]):
+        assert b % a == 0 if a else b == 0
+    assert abs(la.det_bareiss(u)) == 1 and abs(la.det_bareiss(v)) == 1
+
+
+def test_snf_of_a_gram_with_growing_entries():
+    divisors, (u, v) = smith_normal_form(GRAM_5)
+    assert divisors == [1, 4, 4, 24, 72]
+    assert_smith_form(GRAM_5, divisors, u, v)
+
+
 def test_snf_divisibility_chain():
     rng = random.Random(5)
-    for _ in range(25):
-        n = rng.randrange(1, 5)
-        m = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
+    cases = [RECT_5x3, [[0, 3], [0, 0]], [[0, 0, 0]]]
+    for _ in range(60):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        m = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.4:
+            # A multiple of another row makes the matrix rank-deficient.
+            i, j = rng.sample(range(rows), 2)
+            m[i] = [rng.randrange(-3, 4) * x for x in m[j]]
+        cases.append(m)
+    for m in cases:
         divisors, (u, v) = smith_normal_form(m)
-        prod = la.mat_mul(la.mat_mul(u, m), v)
-        assert all(prod[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-        assert [prod[i][i] for i in range(n)] == divisors
-        for a, b in zip(divisors, divisors[1:]):
-            if b:
-                assert a == 0 or b % a == 0
-        assert abs(la.det_bareiss(u)) == 1 and abs(la.det_bareiss(v)) == 1
+        assert_smith_form(m, divisors, u, v)
+        assert la.smith_normal_form(m) == divisors
 
 
 def test_radical_quotient_explicit():

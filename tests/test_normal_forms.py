@@ -94,6 +94,9 @@ def square_matrices(draw, max_size=4, bound=6):
 @example([[1, 0, 0], [0, 1, 0], [0, 0, 5]])   # the divisor 5 = |det| reduces to 0
 @example([[6, 0], [0, 4]])                    # Z/6 + Z/4 is Z/2 + Z/12
 @example([[2**40, 1], [0, 3]])                # modulus beyond int64 products
+@example([[379, 1093, 16, -727, 1169], [1093, 3327, 80, -2037, 3447],
+          [16, 80, 8, -16, 64], [-727, -2037, -16, 1427, -2217],
+          [1169, 3447, 64, -2217, 3639]])    # U.diag(36, 24, 8, -1, 4).U^T
 def test_smith_divisors_mod_det_match_the_full_form(a):
     det = abs(la.det_bareiss(a))
     assume(det != 0)
