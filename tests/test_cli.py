@@ -10,7 +10,8 @@ import pytest
 from fermatlat import git_stability
 from fermatlat.cli import main
 
-SEED = os.path.join(os.path.dirname(__file__), "data", "cli_seed.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = os.path.join(ROOT, "tests", "data", "cli_seed.json")
 
 
 def run_cli(args, capsys):
@@ -216,10 +217,12 @@ def test_stdout_matches_stored_digest_across_processes(key):
     """tests/data/cli_seed.json holds the sha256 of the stdout of commands
     whose output goes through rank, determinant, rational solve, rational
     kernel and inverse, as printed by the separate eliminations that the
-    one fraction-free kernel replaced."""
+    one fraction-free kernel replaced, and of `git check`/`git cone` on one
+    committed form per certificate kind (tests/data/git_forms). The form
+    paths are printed, so the commands run from the repository root."""
     seed = _seed()
     cmd = [sys.executable, "-m", "fermatlat.cli", *seed["args"][key]]
-    out = subprocess.run(cmd, capture_output=True, check=True).stdout
+    out = subprocess.run(cmd, capture_output=True, check=True, cwd=ROOT).stdout
     assert hashlib.sha256(out).hexdigest() == seed["stdout"][key]
 
 
