@@ -4,10 +4,10 @@ the numpy kernels, and the pure-Python ones re-exported from _pylinalg.
 The package splits its linear algebra along the numpy line.  _pylinalg
 holds the kernels on lists of Python ints (mat_vec, vec_mat, dot,
 mat_transpose, int_rows, the Hermite and Smith forms, the fraction-free
-elimination _fraction_free behind rank_exact, det_bareiss, solve_rational,
-rational_row_space_kernel and fraction_free_inverse, charpoly) and imports
-no numpy, so the GIT tests and the simplex run without it.  This module
-re-exports each of them as the same object, so la.X works for both halves.
+elimination _fraction_free behind rank_exact, det_bareiss, solve_rational
+and fraction_free_inverse, charpoly) and imports no numpy, so the GIT
+tests run without it.  This module re-exports each of them as the same
+object, so la.X works for both halves.
 
 numpy is used here only where the result is provably exact: float64 matrix
 products whose every intermediate value stays below 2**53, and mod-p
@@ -43,7 +43,6 @@ from ._pylinalg import (  # noqa: F401  (re-exported: la.X reaches both halves)
     mat_vec,
     prime_factors,
     rank_exact,
-    rational_row_space_kernel,
     right_kernel,
     same_row_span,
     smith_normal_form,

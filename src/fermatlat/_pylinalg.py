@@ -1,17 +1,16 @@
 """Exact integer and rational linear algebra on lists of Python ints, with
-no numpy: the kernels that the GIT tests and the simplex need, kept apart
-from the numpy kernels of _intlinalg (which re-exports every name here) so
-that a process that runs only these never imports numpy.
+no numpy: the kernels that the GIT tests need, kept apart from the numpy
+kernels of _intlinalg (which re-exports every name here) so that a process
+that runs only these never imports numpy.
 
 Every kernel turns lists of rows or integer arrays into lists of Python ints
 on entry (int_rows), so no narrow numpy dtype wraps inside it, and returns
 lists of lists of Python ints.  Exact dense elimination over Q has one
 kernel, _fraction_free: Bareiss's fraction-free elimination, in row echelon
 form for rank_exact and det_bareiss and in Gauss-Jordan form for
-solve_rational, rational_row_space_kernel and fraction_free_inverse, which
-return Fractions (or a common denominator) only at the end.  Integer row
-reduction has one kernel too, hnf_row: the Smith form alternates it on A and
-on A^T.
+solve_rational and fraction_free_inverse, which return Fractions (or a
+common denominator) only at the end.  Integer row reduction has one kernel
+too, hnf_row: the Smith form alternates it on A and on A^T.
 """
 
 from __future__ import annotations
@@ -226,7 +225,7 @@ def smith_normal_form(a: Sequence[Sequence[int]], with_transform: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free elimination: rank, determinant, rational solve, kernel, inverse
+# Fraction-free elimination: rank, determinant, rational solve, inverse
 
 def _fraction_free(a, reduce: bool = False) -> tuple[Mat, list[int], int]:
     """Fraction-free (Bareiss) elimination of an integer matrix: (M, pivots,
@@ -303,23 +302,6 @@ def solve_rational(a: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]):
         return None
     den = m[n - 1][n - 1] if n else 1
     return [[Fraction(x, den) for x in row[n:]] for row in m]
-
-
-def rational_row_space_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel of a rational matrix (rows): one vector per
-    non-pivot column f of the reduced row echelon form, with 1 at f."""
-    m, pivots, _ = _fraction_free(clear_denominators(rows)[0], reduce=True)
-    if not m:
-        return []
-    den = m[len(pivots) - 1][pivots[-1]] if pivots else 1
-    basis = []
-    for fc in (c for c in range(len(m[0])) if c not in pivots):
-        v = [Fraction(0)] * len(m[0])
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = Fraction(-m[i][fc], den)
-        basis.append(v)
-    return basis
 
 
 def fraction_free_inverse(a):

@@ -3,15 +3,19 @@
 Solves min c.x subject to A x = b, x >= 0 over Fractions.  Sized for the
 convex-geometry tests in this package (a handful of rows, tens of columns);
 clarity and exactness over speed.
+
+The tableau is [A | I | b]: the artificial identity stays through both
+phases (it never re-enters in phase two), so its columns always hold B^-1
+for the current basis B, and the duals y = c_B.B^-1 are read off them
+(Chvatal, Linear Programming, 1983, ch. 10) instead of solving y.B = c_B
+again.  The callers re-check every certificate built from them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
-from ._pylinalg import solve_rational
 from .errors import VerificationError
 
 OPTIMAL = "optimal"
@@ -38,21 +42,11 @@ def solve_lp(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
     """
     m = len(a_rows)
     n = len(c)
-    flips = []
-    a = []
-    rhs = []
-    for row, bi in zip(a_rows, b):
-        if Fraction(bi) < 0:
-            a.append([-Fraction(x) for x in row])
-            rhs.append(-Fraction(bi))
-            flips.append(-1)
-        else:
-            a.append([Fraction(x) for x in row])
-            rhs.append(Fraction(bi))
-            flips.append(1)
-
-    tab = [a[i][:] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs[i]]
-           for i in range(m)]
+    # Rows with b_i < 0 are negated so that the artificial basis is feasible.
+    flips = [-1 if Fraction(bi) < 0 else 1 for bi in b]
+    tab = [[f * Fraction(x) for x in row]
+           + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [f * Fraction(bi)]
+           for i, (row, bi, f) in enumerate(zip(a_rows, b, flips))]
     basis = [n + i for i in range(m)]
     cost1 = [Fraction(0)] * n + [Fraction(1)] * m
     status = _run_simplex(tab, basis, cost1, n + m)
@@ -61,8 +55,7 @@ def solve_lp(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
         raise VerificationError(f"phase-one LP ended {status}, not optimal")
     obj1 = sum(cost1[basis[i]] * tab[i][-1] for i in range(m))
     if obj1 > 0:
-        y = _duals(a, basis, cost1, n, m)
-        return LPResult(INFEASIBLE, duals=_unflip(y, flips))
+        return LPResult(INFEASIBLE, duals=_tableau_duals(tab, basis, cost1, flips))
 
     for i in range(m):
         if basis[i] >= n:
@@ -70,7 +63,6 @@ def solve_lp(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
             if piv is not None:
                 _pivot(tab, basis, i, piv)
     redundant = [i for i in range(m) if basis[i] >= n]
-    tab = [tab[i][:n] + [tab[i][-1]] for i in range(m)]
     # Zero-cost padding for artificials parked on redundant rows.
     cost2 = [Fraction(x) for x in c] + [Fraction(0)] * m
     status = _run_simplex(tab, basis, cost2, n, skip_rows=redundant)
@@ -81,8 +73,7 @@ def solve_lp(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
         if basis[i] < n:
             x[basis[i]] = tab[i][-1]
     obj = sum(cost2[j] * x[j] for j in range(n))
-    y = _duals(a, basis, cost2, n, m)
-    return LPResult(OPTIMAL, x=x, objective=obj, duals=None if y is None else _unflip(y, flips))
+    return LPResult(OPTIMAL, x=x, objective=obj, duals=_tableau_duals(tab, basis, cost2, flips))
 
 
 def _run_simplex(tab, basis, cost, ncols, skip_rows=()) -> str:
@@ -94,7 +85,7 @@ def _run_simplex(tab, basis, cost, ncols, skip_rows=()) -> str:
         for j in range(ncols):
             if j in basis:
                 continue
-            red = cost[j] - sum(cb[i] * tab[i][j] for i in range(m))
+            red = cost[j] - sum(cb[i] * tab[i][j] for i in range(m) if cb[i])
             if red < 0:
                 entering = j  # Bland: first improving index
                 break
@@ -117,41 +108,21 @@ def _run_simplex(tab, basis, cost, ncols, skip_rows=()) -> str:
 
 
 def _pivot(tab, basis, i, j):
+    # Zero entries of the pivot row are skipped: most of the artificial
+    # block is zero, and Fraction arithmetic dominates the cost.
     piv = tab[i][j]
-    tab[i] = [x / piv for x in tab[i]]
+    tab[i] = [x / piv if x else x for x in tab[i]]
     for r in range(len(tab)):
         if r != i and tab[r][j] != 0:
             f = tab[r][j]
-            tab[r] = [x - f * y for x, y in zip(tab[r], tab[i])]
+            tab[r] = [x - f * y if y else x for x, y in zip(tab[r], tab[i])]
     basis[i] = j
 
 
-def _duals(a, basis, cost, n, m):
-    """y with y.B = c_B for the final basis B (columns of [A | I])."""
-    cols = []
-    cb = []
-    for i in range(m):
-        j = basis[i]
-        if j < n:
-            cols.append([a[r][j] for r in range(m)])
-        else:
-            cols.append([Fraction(1) if r == j - n else Fraction(0) for r in range(m)])
-        cb.append(cost[j] if j < len(cost) else Fraction(1))
-    den = 1
-    for col in cols + [cb]:
-        for x in col:
-            fx = Fraction(x)
-            den = lcm(den, fx.denominator)
-    bt = [[int(Fraction(cols[c][r]) * den) for c in range(m)] for r in range(m)]
-    rhs = [[int(Fraction(cb[c]) * den)] for c in range(m)]
-    # Solve y.B = c_B  <=>  (B^T) y^T = c_B^T; bt is already B arranged by rows.
-    sol = solve_rational([[bt[c][r] for c in range(m)] for r in range(m)], rhs)
-    if sol is None:
-        return None
-    return [row[0] for row in sol]
-
-
-def _unflip(y, flips):
-    if y is None:
-        return None
-    return [v * f for v, f in zip(y, flips)]
+def _tableau_duals(tab, basis, cost, flips):
+    """y = c_B.B^-1 from the artificial columns of the tableau, as duals of
+    the given (unflipped) rows."""
+    m = len(tab)
+    art = len(tab[0]) - 1 - m
+    cb = [cost[j] for j in basis]
+    return [f * sum(cb[i] * tab[i][art + r] for i in range(m)) for r, f in enumerate(flips)]

@@ -46,7 +46,6 @@ from .lattice_core import (
     glue_with_basis,
     is_even,
     signature,
-    smith_normal_form,
 )
 
 BOX_POINT_LIMIT = 40_000_000
@@ -257,20 +256,14 @@ def _special_adapted_basis(built: CubicFourfoldLattice):
     coordinates."""
     v = construct_special_vector(built)
     pivot = next((j for j, x in enumerate(v) if abs(x) == 1), None)
-    if pivot is not None:
-        # Replacing basis vector `pivot` by v is unimodular when v has a
-        # +-1 coefficient there; this keeps the rest of the basis the nodal
-        # monomial vectors.
-        rows = la.mat_identity(22)
-        rows[pivot] = list(v)
-        rows[0], rows[pivot] = rows[pivot], rows[0]
-    else:
-        _divs, (_u1, v1) = smith_normal_form([v])
-        rows = _int_inverse(v1)
-        if rows[0] == [-x for x in v]:
-            rows[0] = list(v)
-        if rows[0] != list(v):
-            raise VerificationError("basis completion did not reproduce the special vector")
+    if pivot is None:
+        raise VerificationError("the constructed special vector has no +-1 coefficient")
+    # Replacing basis vector `pivot` by v is unimodular when v has a +-1
+    # coefficient there; this keeps the rest of the basis the nodal
+    # monomial vectors.
+    rows = la.mat_identity(22)
+    rows[pivot] = list(v)
+    rows[0], rows[pivot] = rows[pivot], rows[0]
     g = la.mat_mul(la.mat_mul(rows, built.lambda_o.gram), la.mat_transpose(rows))
     # Guarded size-reduction sweeps on rows 1..; a step is applied only when
     # it strictly shrinks |g_ii|, which keeps indefinite reduction monotone.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .lattice_core import (
     ANTISYMMETRIC,
     SYMMETRIC,
     IntegerLattice,
+    certified_radical,
     radical_quotient,
 )
 
@@ -304,8 +305,10 @@ def _build_primitive(d: int, n: int) -> PrimitiveFermatLattice:
 
     kernel = None
     if expected_radical:
-        kernel = _certified_radical(milnor.gram, expected_radical)
-        if kernel is None:
+        # A certified radical of another size means the mod-p candidate or
+        # the rank formula is wrong: the connecting image decides.
+        kernel = certified_radical(milnor.gram)
+        if kernel is None or len(kernel) != expected_radical:
             radical_fallbacks += 1
             kernel = _saturated_radical(d, n, milnor, expected)
 
@@ -322,64 +325,6 @@ def _build_primitive(d: int, n: int) -> PrimitiveFermatLattice:
         actions = _build_actions(d, n, milnor, quotient, projection, reps)
     return PrimitiveFermatLattice(d, n, quotient, monomial_images, actions,
                                   projection, milnor)
-
-
-def _certified_radical(gram: np.ndarray, size: int) -> Optional[np.ndarray]:
-    """Row HNF of the radical {x : x.G = 0}, from the mod-p kernel of G and
-    certified exactly; None when none of the first four primes certifies.
-
-    For each prime, one reduced row echelon form of G with its rows and
-    columns reversed gives the kernel of G mod p already in reduced row
-    echelon form, lifted to symmetric residues K (_radical_candidate), which is
-    accepted by _is_radical_basis.  Those checks prove that K is a Z-basis
-    of the radical: K.G = 0 with an identity pivot minor puts `size`
-    independent rows in the radical, so rank(G) <= N - size, while the
-    mod-p kernel has dimension `size` and the rank mod p is at most the
-    rank over Q, so rank(G) = N - size (the rank formula) and K spans the
-    radical over Q.  An integer vector c.K of that span has the integer
-    coefficients c on the pivot columns, so K is saturated.  A lifted RREF
-    keeps its zeros, so K is also the radical's unique row HNF.
-    """
-    for p in la.MODP_PRIMES[:4]:
-        k, pivots = _radical_candidate(gram, p)
-        if _is_radical_basis(k, pivots, gram, size):
-            return k
-    return None
-
-
-def _radical_candidate(gram: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """The kernel of G mod p in reduced row echelon form, lifted to
-    symmetric residues, and its pivot columns, from one elimination.
-
-    Let R be the RREF of G' = G with its N columns reversed, with pivot
-    columns P and free columns F.  G is eliminated with its rows reversed
-    too, which leaves the row space, so R, unchanged (and at Milnor rank
-    2048-4096 it is the faster order).  The kernel of G' has the basis v_f
-    (f in F): 1 at f, -R[i, f] at the pivot P[i], zero elsewhere; R[i, f]
-    is zero unless P[i] < f, so v_f lives on columns <= f and is zero on
-    the other free columns.  Reversing the coordinates maps v_f to a kernel
-    vector of G that starts with 1 at column N-1-f, lives on columns >=
-    N-1-f and is zero at N-1-g for the other g in F.  With the rows in
-    descending f, that is the kernel's RREF (unique, so the same as an
-    RREF of any other kernel basis), with pivots N-1-f in ascending order.
-    """
-    n = gram.shape[1]
-    r, pivots = la.modp_eliminate(gram[::-1, ::-1], p)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    k = np.zeros((len(free), n), dtype=np.int64)
-    k[np.arange(len(free)), free] = 1
-    k[:, pivots] = -r[:len(pivots), free].T % p
-    return la.symmetric_residues(k[::-1, ::-1], p), [n - 1 - f for f in reversed(free)]
-
-
-def _is_radical_basis(k: np.ndarray, pivots: list[int], gram: np.ndarray, size: int) -> bool:
-    """Exact checks on a lifted kernel basis K of G mod p: its pivot
-    columns form the size x size identity (so K has exactly `size` rows,
-    unit pivots and zeros elsewhere in the pivot columns), and K.G == 0
-    (int_matmul, a float64 product under the 2**53 guard)."""
-    return (np.array_equal(k[:, pivots], np.eye(size, dtype=k.dtype))
-            and not np.any(la.int_matmul(k, gram)))
 
 
 def _saturated_radical(d: int, n: int, milnor: MilnorModule, expected: int) -> la.Mat:

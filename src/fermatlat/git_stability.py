@@ -11,7 +11,6 @@ weight vector.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -128,7 +127,7 @@ def is_stable_diagonal(form: HomogeneousForm) -> tuple[bool, dict]:
         return False, {"affine_rank": rank, "required": m - 1,
                        "points": [list(p) for p in points]}
     res = _interior_lp(points, b, m)
-    if res.status == OPTIMAL and res.objective is not None and -res.objective > 0:
+    if res.status == OPTIMAL and res.objective < 0:
         lam = [res.x[j] + (-res.objective) for j in range(len(points))]
         cert = {"lambda": [str(v) for v in lam], "margin": str(-res.objective),
                 "points": [list(p) for p in points]}
@@ -151,15 +150,7 @@ def verify_semistable_certificate(form: HomogeneousForm, flag: bool, cert: dict)
     points = exponent_points(form)
     b = barycenter(form)
     if flag:
-        lam = [Fraction(s) for s in cert["lambda"]]
-        if len(lam) != len(points) or any(v < 0 for v in lam):
-            return False
-        if sum(lam) != 1:
-            return False
-        for i in range(form.m):
-            if sum(l * p[i] for l, p in zip(lam, points)) != b[i]:
-                return False
-        return True
+        return _is_convex_combination(cert["lambda"], points, b, strict=False)
     w = cert["separating_weights"]
     if sum(w) != 0 or all(x == 0 for x in w):
         return False
@@ -171,20 +162,26 @@ def verify_stable_certificate(form: HomogeneousForm, flag: bool, cert: dict) -> 
     points = exponent_points(form)
     b = barycenter(form)
     if flag:
-        lam = [Fraction(s) for s in cert["lambda"]]
-        if len(lam) != len(points) or any(v <= 0 for v in lam):
-            return False
-        if sum(lam) != 1:
-            return False
-        for i in range(form.m):
-            if sum(l * p[i] for l, p in zip(lam, points)) != b[i]:
-                return False
-        return _affine_rank(points) == form.m - 1
+        return (_is_convex_combination(cert["lambda"], points, b, strict=True)
+                and _affine_rank(points) == form.m - 1)
     if "affine_rank" in cert:
         return _affine_rank(points) == cert["affine_rank"] < form.m - 1
     w = cert["supporting_weights"]
-    if all(x == 0 for x in w):
+    return any(x != 0 for x in w) and _supports(w, points, b)
+
+
+def _is_convex_combination(lam, points, b, strict: bool) -> bool:
+    """Whether the coefficients lam (strings or Fractions) are >= 0 (> 0 if
+    strict), sum to 1 and combine the points to b."""
+    lam = [Fraction(s) for s in lam]
+    if len(lam) != len(points) or any(v < 0 or (strict and v == 0) for v in lam):
         return False
+    return sum(lam) == 1 and all(sum(l * p[i] for l, p in zip(lam, points)) == bi
+                                 for i, bi in enumerate(b))
+
+
+def _supports(w, points, b) -> bool:
+    """Whether w.(p - b) <= 0 on every point and < 0 on some."""
     vals = [sum(Fraction(wi) * (pi - bi) for wi, pi, bi in zip(w, p, b)) for p in points]
     return all(v <= 0 for v in vals) and any(v < 0 for v in vals)
 
@@ -215,39 +212,20 @@ def _interior_lp(points, b, m):
 
 
 def _supporting_weights(points, b, res, m):
-    """Integer weights w with w.(p - b) <= 0 on all points, < 0 on some."""
-    if res.duals is not None:
-        y = res.duals[:m]
-        w = [Fraction(v) for v in y]
-        vals = [sum(wi * (Fraction(pi) - bi) for wi, pi, bi in zip(w, p, b)) for p in points]
-        if any(v for v in vals) and all(v <= 0 for v in vals):
-            return _normalize_weights(w, m)
-        if any(v for v in vals) and all(v >= 0 for v in vals):
-            return _normalize_weights([-v for v in w], m)
-    # Fallback: search supporting functionals through subsets of points.
-    for size in range(1, m):
-        for subset in itertools.combinations(range(len(points)), size):
-            w = _functional_through(points, subset, b, m)
-            if w is None:
-                continue
-            vals = [sum(wi * (Fraction(pi) - bi) for wi, pi, bi in zip(w, p, b))
-                    for p in points]
-            if any(v for v in vals):
-                if all(v <= 0 for v in vals):
-                    return _normalize_weights(w, m)
-                if all(v >= 0 for v in vals):
-                    return _normalize_weights([-v for v in w], m)
-    raise VerificationError("no supporting functional found for a boundary barycenter")
+    """Integer weights w with w.(p - b) <= 0 on every point and < 0 on some,
+    read off the optimal duals of the interior LP.
 
-
-def _functional_through(points, subset, b, m):
-    """A functional vanishing on {p - b : p in subset} and on (1,...,1)."""
-    rows = [[Fraction(points[i][j]) - b[j] for j in range(m)] for i in subset]
-    rows.append([Fraction(1)] * m)
-    ker = la.rational_row_space_kernel(rows)
-    if not ker:
-        return None
-    return ker[0]
+    is_stable_diagonal runs _interior_lp only at affine rank m - 1, so the
+    LP is feasible (b lies in the affine hull, the whole degree hyperplane)
+    and bounded (mu >= 0 in the last row gives t.npts <= 1).  It ends
+    OPTIMAL, with t* <= 0 on this branch.  Its optimal duals (w, y0) satisfy
+    w.p_j + y0 <= 0 for every j (the mu_j columns), sum_j (w.p_j + y0) = -1
+    (the t+ and t- columns) and w.b + y0 = -t* (strong duality).  So every
+    w.(p_j - b) = (w.p_j + y0) + t* is <= 0, and at least one is < 0.
+    """
+    if res.status != OPTIMAL or not _supports(res.duals[:m], points, b):
+        raise VerificationError("no supporting functional found for a boundary barycenter")
+    return _normalize_weights(res.duals[:m], m)
 
 
 def _normalize_weights(w, m):

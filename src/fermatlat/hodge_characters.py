@@ -6,7 +6,7 @@ type is p = |K|/d - 1, q = n - p: the eigenline of K is spanned by the
 residue form with index tuple d - K (entrywise), whose total degree fixes its
 Hodge level.  The alternative closed form p = -1 + (n+2+|K|)/d sometimes
 found for this quantity overshoots (it gives p > n for the extreme character
-of the cubic fourfold); reports carry both values for comparison.
+of the cubic fourfold); the tests compare the two values.
 """
 
 from __future__ import annotations
@@ -39,14 +39,6 @@ class HodgeCharacter:
 
     def hodge_type(self) -> tuple[int, int]:
         p = self.weight // self.d - 1
-        return p, self.n - p
-
-    def printed_formula_value(self) -> tuple[int, int]:
-        """The alternative closed-form value of p, kept for comparison."""
-        num = self.n + 2 + self.weight
-        p = -1 + num // self.d if num % self.d == 0 else None
-        if p is None:
-            return (-1, -1)
         return p, self.n - p
 
     def conjugate(self) -> "HodgeCharacter":

@@ -135,12 +135,16 @@ def radical_quotient(lattice: IntegerLattice, kernel_rows=None):
     read-only arrays in the format of IntegerLattice.gram.  The quotient
     basis is saturated and deterministic (HNF of the kernel, then either a
     coordinate subsection certified by a unimodular minor or an SNF basis
-    completion).
+    completion).  Without kernel_rows the kernel is the certified mod-p
+    radical, or the integer right kernel of the Gram when no prime
+    certifies it.
     """
     g = lattice.gram
     n = lattice.rank
     if kernel_rows is None:
-        kernel_rows = la.right_kernel(g)
+        kernel_rows = certified_radical(g)
+        if kernel_rows is None:
+            kernel_rows = la.right_kernel(g)
         pivots = [next(c for c, x in enumerate(row) if x) for row in kernel_rows]
     else:
         if len(kernel_rows) and np.any(la.int_matmul(la.int_array(kernel_rows), g)):
@@ -176,6 +180,65 @@ def radical_quotient(lattice: IntegerLattice, kernel_rows=None):
         proj = [row[r:] for row in v]
         quotient = IntegerLattice(qgram, lattice.symmetry, lattice.label)
     return quotient, la.frozen_int_array(proj), la.frozen_int_array(reps)
+
+
+def certified_radical(gram: np.ndarray) -> Optional[np.ndarray]:
+    """Row HNF of the radical {x : x.G = 0}, from the mod-p kernel of G and
+    certified exactly; None when none of the first four primes certifies.
+
+    For each prime, one reduced row echelon form of G with its rows and
+    columns reversed gives the kernel of G mod p already in reduced row
+    echelon form, lifted to symmetric residues K (_radical_candidate), which
+    is accepted by _is_radical_basis.  Those checks prove that K is a
+    Z-basis of the radical.  K has one row per dimension of the mod-p
+    kernel, and the mod-p nullity is at least the nullity over Q, since the
+    rank mod p is at most the rank over Q.  K.G = 0 with an identity pivot
+    minor puts that many independent rows in the radical, so the two
+    nullities are equal and K spans the radical over Q.  An integer vector
+    c.K of that span has the integer coefficients c on the pivot columns, so
+    K is saturated.  A lifted RREF keeps its zeros, so K is also the
+    radical's unique row HNF.
+    """
+    for p in la.MODP_PRIMES[:4]:
+        k, pivots = _radical_candidate(gram, p)
+        if _is_radical_basis(k, pivots, gram):
+            return k
+    return None
+
+
+def _radical_candidate(gram: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """The kernel of G mod p in reduced row echelon form, lifted to
+    symmetric residues, and its pivot columns, from one elimination.
+
+    Let R be the RREF of G' = G with its N columns reversed, with pivot
+    columns P and free columns F.  G is eliminated with its rows reversed
+    too, which leaves the row space, so R, unchanged (and at Milnor rank
+    2048-4096 it is the faster order).  The kernel of G' has the basis v_f
+    (f in F): 1 at f, -R[i, f] at the pivot P[i], zero elsewhere; R[i, f]
+    is zero unless P[i] < f, so v_f lives on columns <= f and is zero on
+    the other free columns.  Reversing the coordinates maps v_f to a kernel
+    vector of G that starts with 1 at column N-1-f, lives on columns >=
+    N-1-f and is zero at N-1-g for the other g in F.  With the rows in
+    descending f, that is the kernel's RREF (unique, so the same as an
+    RREF of any other kernel basis), with pivots N-1-f in ascending order.
+    """
+    n = gram.shape[1]
+    r, pivots = la.modp_eliminate(gram[::-1, ::-1], p)
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
+    k = np.zeros((len(free), n), dtype=np.int64)
+    k[np.arange(len(free)), free] = 1
+    k[:, pivots] = -r[:len(pivots), free].T % p
+    return la.symmetric_residues(k[::-1, ::-1], p), [n - 1 - f for f in reversed(free)]
+
+
+def _is_radical_basis(k: np.ndarray, pivots: list[int], gram: np.ndarray) -> bool:
+    """Exact checks on a lifted kernel basis K of G mod p: its pivot
+    columns form the identity (so K has one row per pivot, unit pivots and
+    zeros elsewhere in the pivot columns), and K.G == 0 (int_matmul, a
+    float64 product under the 2**53 guard)."""
+    return (np.array_equal(k[:, pivots], np.eye(len(k), dtype=k.dtype))
+            and not np.any(la.int_matmul(k, gram)))
 
 
 # ---------------------------------------------------------------------------

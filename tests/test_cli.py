@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import pytest
 
@@ -227,12 +226,17 @@ def test_stdout_matches_stored_digest_across_processes(key):
 
 
 def test_git_check_reports_a_failed_support_search(tmp_path, monkeypatch, capsys):
-    """No supporting functional is a verification failure: exit 1 and a
+    """Duals of the interior LP that support no face (here negated, so that
+    w.(p - b) >= 0 everywhere) are a verification failure: exit 1 and a
     message on stderr, not a traceback."""
-    search = git_stability._supporting_weights
-    monkeypatch.setattr(git_stability, "_supporting_weights",
-                        lambda points, b, _res, m: search(points, b, SimpleNamespace(duals=None), m))
-    monkeypatch.setattr(git_stability, "_functional_through", lambda *args: None)
+    interior = git_stability._interior_lp
+
+    def tampered(*args):
+        res = interior(*args)
+        res.duals = [-y for y in res.duals]
+        return res
+
+    monkeypatch.setattr(git_stability, "_interior_lp", tampered)
     # x^3 + y^3 + xyz: full affine rank, barycenter (1, 1, 1) a vertex.
     form = {"m": 3, "degree": 3,
             "terms": [{"exponents": [3, 0, 0], "coeff": "1"},

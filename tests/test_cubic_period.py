@@ -94,6 +94,14 @@ def test_constructed_special_deterministic(built):
     v2 = construct_special_vector(built)
     assert v1 == v2
     assert built.is_special(v1)
+    assert any(abs(x) == 1 for x in v1)
+
+
+def test_special_vector_without_a_unit_coefficient_is_refused(built, monkeypatch):
+    from fermatlat import cubic_period
+    monkeypatch.setattr(cubic_period, "construct_special_vector", lambda _built: [2] * 22)
+    with pytest.raises(VerificationError, match="no \\+-1 coefficient"):
+        cubic_period._special_adapted_basis(built)
 
 
 def test_bounded_box_small_lattice():

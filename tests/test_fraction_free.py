@@ -1,9 +1,8 @@
-"""The five wrappers of the fraction-free elimination kernel (rank_exact,
-det_bareiss, solve_rational, rational_row_space_kernel,
-fraction_free_inverse) against the separately written eliminations they
-replaced, copied here as oracles: list Bareiss for rank and determinant,
-Fraction Gauss-Jordan for the rational solve and kernel, and numpy-object
-Gauss-Jordan for the inverse."""
+"""The four wrappers of the fraction-free elimination kernel (rank_exact,
+det_bareiss, solve_rational, fraction_free_inverse) against the separately
+written eliminations they replaced, copied here as oracles: list Bareiss
+for rank and determinant, Fraction Gauss-Jordan for the rational solve,
+and numpy-object Gauss-Jordan for the inverse."""
 
 from fractions import Fraction
 from math import gcd
@@ -101,43 +100,6 @@ def oracle_solve(a, rhs):
     return [row[n:n + w] for row in m]
 
 
-def oracle_kernel(rows):
-    if not rows:
-        return []
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis
-
-
 def oracle_inverse(a):
     n = len(a)
     if n == 0:
@@ -197,13 +159,6 @@ def int_matrices(draw, max_rows=7, max_cols=7, square=False):
     return a
 
 
-@st.composite
-def fraction_matrices(draw, max_rows=6, max_cols=7):
-    a = draw(int_matrices(max_rows=max_rows, max_cols=max_cols))
-    return [[Fraction(x, draw(st.sampled_from([1, 1, 2, 3, 7, 2**40]))) for x in row]
-            for row in a]
-
-
 # ---------------------------------------------------------------------------
 # The wrappers against the oracles
 
@@ -228,16 +183,6 @@ def test_solve_matches_fraction_gauss_jordan(a, w, data):
     assert got == oracle_solve(a, b)
     if got is not None:
         assert all(type(x) is Fraction for row in got for x in row)
-
-
-@settings(max_examples=300, deadline=None)
-@given(fraction_matrices())
-def test_kernel_matches_fraction_gauss_jordan(rows):
-    got = la.rational_row_space_kernel(rows)
-    assert got == oracle_kernel(rows)
-    assert all(type(x) is Fraction for v in got for x in v)
-    for v in got:
-        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -305,8 +250,6 @@ def test_empty_inputs():
     assert la.rank_exact([[]]) == 0
     assert la.det_bareiss([]) == 1
     assert la.solve_rational([], []) == []
-    assert la.rational_row_space_kernel([]) == []
-    assert la.rational_row_space_kernel([[]]) == []
     assert la.fraction_free_inverse([]) == ([], 1)
     assert la._fraction_free([]) == ([], [], 1)
 

@@ -1,10 +1,16 @@
 import itertools
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fermatlat._simplex import OPTIMAL, solve_lp
+from fermatlat import _simplex, git_stability
+from fermatlat._pylinalg import solve_rational
+from fermatlat._simplex import INFEASIBLE, OPTIMAL, solve_lp
 from fermatlat.errors import EmptyFormError
 from fermatlat.git_stability import (
     HomogeneousForm,
@@ -166,3 +172,100 @@ def test_normalize_weights_sums_to_zero_with_content_one():
     assert _normalize_weights([Fraction(1, 2), Fraction(3, 2), 1], 3) == [-1, 1, 0]
     assert _normalize_weights([Fraction(-1, 3), 0, 0, 0], 4) == [-3, 1, 1, 1]
     assert _normalize_weights([5, 5, 5], 3) == [0, 0, 0]
+
+
+def oracle_duals(a_rows, b, basis, cost):
+    """The dual solve the tableau read-off replaced: y.B = c_B for the final
+    basis B (columns of [A | I], rows with b_i < 0 negated) by an
+    lcm-scaled solve_rational, then the row flips undone."""
+    m = len(a_rows)
+    n = len(cost) - m
+    flips = [-1 if Fraction(bi) < 0 else 1 for bi in b]
+    cols = [[f * Fraction(row[j]) for row, f in zip(a_rows, flips)] if j < n
+            else [Fraction(int(r == j - n)) for r in range(m)] for j in basis]
+    cb = [cost[j] for j in basis]
+    den = lcm(*(x.denominator for col in cols + [cb] for x in col))
+    # y.B = c_B  <=>  B^T y^T = c_B^T, and B^T has the basis columns as rows.
+    sol = solve_rational([[int(x * den) for x in col] for col in cols],
+                         [[int(v * den)] for v in cb])
+    return [row[0] * f for row, f in zip(sol, flips)]
+
+
+@contextmanager
+def duals_against_oracle():
+    """Records (tableau duals, oracle duals) for every LP solved inside the
+    block through _simplex.solve_lp or git_stability."""
+    seen, current = [], {}
+    solve, read_off = _simplex.solve_lp, _simplex._tableau_duals
+
+    def solve_recording(rows, b, c):
+        current.update(rows=rows, b=b)
+        return solve(rows, b, c)
+
+    def read_off_recording(tab, basis, cost, flips):
+        y = read_off(tab, basis, cost, flips)
+        seen.append((y, oracle_duals(current["rows"], current["b"], basis, cost)))
+        return y
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_simplex, "solve_lp", solve_recording)
+        mp.setattr(git_stability, "solve_lp", solve_recording)
+        mp.setattr(_simplex, "_tableau_duals", read_off_recording)
+        yield seen
+
+
+@st.composite
+def monomial_forms(draw):
+    m = draw(st.integers(2, 6))
+    degree = draw(st.integers(2, 4))
+    monos = [e for e in itertools.product(range(degree + 1), repeat=m) if sum(e) == degree]
+    exps = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=8))
+    return HomogeneousForm(m, degree, dict.fromkeys(exps, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_forms(), st.booleans())
+# The Farkas branch of the membership LP (separating weights) ...
+@example(HomogeneousForm(4, 3, {(3, 0, 0, 0): 1, (2, 1, 0, 0): 1}), False)
+# ... and the interior LP with the barycenter on a facet (supporting weights).
+@example(HomogeneousForm(3, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (1, 1, 1): 1, (2, 0, 1): 1}), False)
+def test_tableau_duals_match_the_solve_rational_oracle(form, cone):
+    if cone:
+        form = cone_extend(form)
+    with duals_against_oracle() as seen:
+        ss, c1 = is_semistable_diagonal(form)
+        st_, c2 = is_stable_diagonal(form)
+    assert seen and all(got == want for got, want in seen)
+    assert ("separating_weights" in c1) == (not ss)
+    assert verify_semistable_certificate(form, ss, c1), (form.terms, c1)
+    assert verify_stable_certificate(form, st_, c2), (form.terms, c2)
+
+
+
+@st.composite
+def small_lps(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(entries, min_size=m, max_size=m))
+    c = draw(st.lists(entries, min_size=n, max_size=n))
+    return rows, b, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_lps())
+def test_tableau_duals_are_farkas_or_optimal_duals(lp):
+    """Rows with b_i < 0 are negated inside the solver: the duals it
+    returns refer to the given rows."""
+    rows, b, c = lp
+    with duals_against_oracle() as seen:
+        res = _simplex.solve_lp(rows, b, c)
+    assert all(got == want for got, want in seen)
+    if res.status == INFEASIBLE:
+        y = res.duals
+        assert all(sum(yi * row[j] for yi, row in zip(y, rows)) <= 0 for j in range(len(c)))
+        assert sum(yi * bi for yi, bi in zip(y, b)) > 0
+    elif res.status == OPTIMAL:
+        y = res.duals
+        assert all(sum(yi * row[j] for yi, row in zip(y, rows)) <= cj for j, cj in enumerate(c))
+        assert sum(yi * bi for yi, bi in zip(y, b)) == res.objective

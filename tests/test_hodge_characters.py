@@ -13,13 +13,23 @@ from fermatlat.hodge_characters import (
 )
 
 
+def printed_formula_value(ch):
+    """The alternative closed-form value (p, q) of the Hodge type, or
+    (-1, -1) where it is not an integer."""
+    num = ch.n + 2 + ch.weight
+    if num % ch.d:
+        return (-1, -1)
+    p = -1 + num // ch.d
+    return p, ch.n - p
+
+
 def character_report(d, n):
     """JSON-ready report of all characters with both Hodge-type readings."""
     chars = enumerate_characters(d, n)
     rows = []
     for ch in chars:
         p, q = ch.hodge_type()
-        printed = ch.printed_formula_value()
+        printed = printed_formula_value(ch)
         rows.append({
             "K": list(ch.exponents),
             "weight": ch.weight,

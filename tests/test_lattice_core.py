@@ -1,8 +1,11 @@
 import random
+import time
 
+import numpy as np
 import pytest
 
 from fermatlat import _intlinalg as la
+from fermatlat import lattice_core as lc
 from fermatlat.errors import (
     DegenerateLatticeError,
     IndefiniteLatticeError,
@@ -114,6 +117,38 @@ def test_radical_quotient_nondegenerate_identity():
     q, proj, _ = radical_quotient(A2)
     assert q == A2 and proj.tolist() == [[1, 0], [0, 1]]
 
+
+
+def test_radical_quotient_of_a_milnor_lattice_takes_the_certified_radical():
+    # The integer right kernel of this rank-243 Gram did not finish in 150 s.
+    from fermatlat.fermat_homology import build_milnor, build_primitive
+    milnor = build_milnor(4, 4).lattice
+    started = time.perf_counter()
+    q, proj, _ = radical_quotient(milnor)
+    assert time.perf_counter() - started < 1
+    prim = build_primitive(4, 4)
+    assert np.array_equal(q.gram, prim.lattice.gram)
+    assert np.array_equal(proj, prim.projection)
+
+
+def test_radical_with_a_non_unit_hnf_pivot_falls_back(monkeypatch):
+    # The radical is spanned by (2, 3): no mod-p kernel lifts to it, so the
+    # integer kernel and the Smith completion take over.
+    gram = [[9, -6], [-6, 4]]
+    assert lc.certified_radical(la.int_array(gram)) is None
+    kernels = []
+    right_kernel = la.right_kernel
+
+    def recorded(g):
+        kernels.append(right_kernel(g))
+        return kernels[-1]
+
+    monkeypatch.setattr(la, "right_kernel", recorded)
+    q, proj, reps = radical_quotient(IntegerLattice(gram))
+    assert kernels == [[[2, 3]]]
+    assert q.gram.tolist() == [[1]]
+    assert la.mat_mul(reps, proj) == [[1]]
+    assert la.mat_mul(la.mat_mul(proj, q.gram), la.mat_transpose(proj)) == gram
 
 def test_radical_quotient_preserves_pairings():
     rng = random.Random(7)

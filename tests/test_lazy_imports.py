@@ -24,7 +24,7 @@ MOVED_KERNELS = (
     "mat_identity", "int_rows", "mat_transpose", "mat_vec", "vec_mat", "dot",
     "hnf_row", "left_kernel", "right_kernel", "same_row_span", "prime_factors",
     "smith_normal_form", "_fraction_free", "rank_exact", "det_bareiss",
-    "solve_rational", "rational_row_space_kernel", "fraction_free_inverse",
+    "solve_rational", "fraction_free_inverse",
     "charpoly", "clear_denominators", "floor_sqrt_fraction", "Mat", "Vec",
 )
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from fermatlat import _intlinalg as la
 from fermatlat import fermat_homology as fh
+from fermatlat import lattice_core as lc
 from fermatlat.cli import dumps_canonical
 from fermatlat.fermat_homology import build_primitive
 
@@ -259,7 +260,7 @@ def test_primitive_lattices_match_stored_digests(key, monkeypatch):
 
 @pytest.mark.parametrize("key", ["3,4", "4,3"])
 def test_fallback_when_no_prime_certifies(key, monkeypatch):
-    monkeypatch.setattr(fh, "_is_radical_basis", lambda *args: False)
+    monkeypatch.setattr(lc, "_is_radical_basis", lambda *args: False)
     monkeypatch.setattr(fh, "radical_fallbacks", 0)
     d, n = map(int, key.split(","))
     assert primitive_digests(fh._build_primitive(d, n)) == stored_digests(key)
@@ -267,10 +268,11 @@ def test_fallback_when_no_prime_certifies(key, monkeypatch):
 
 
 def tampered(k, pivots, how):
-    """K with one change that _is_radical_basis must refuse: an entry off
-    the radical (seen by K.G), or, keeping K.G == 0 so that only the pivot
-    minor sees it, a row doubled (an index-2 sublattice), a row added to
-    another (a nonzero in another pivot column) or a row dropped."""
+    """K with one change that the build must refuse: an entry off the
+    radical (seen by K.G), or, keeping K.G == 0 so that only the pivot minor
+    sees it, a row doubled (an index-2 sublattice) or a row added to another
+    (a nonzero in another pivot column), or a row dropped (a saturated part
+    of the radical that only the rank formula sees)."""
     k = k.copy()
     if how == "row dropped":
         return k[1:], pivots[1:]
@@ -287,13 +289,13 @@ def tampered(k, pivots, how):
 def test_tampered_radical_is_refused(how, monkeypatch):
     milnor = fh.build_milnor(3, 4)
     gram = milnor.gram
-    size = len(milnor.basis) - fh.rank_formula(3, 4)
-    k, pivots = fh._radical_candidate(gram, la.MODP_PRIMES[0])
-    assert fh._is_radical_basis(k, pivots, gram, size)
-    assert not fh._is_radical_basis(*tampered(k, pivots, how), gram, size)
+    k, pivots = lc._radical_candidate(gram, la.MODP_PRIMES[0])
+    assert len(k) == len(milnor.basis) - fh.rank_formula(3, 4)
+    assert lc._is_radical_basis(k, pivots, gram)
+    assert lc._is_radical_basis(*tampered(k, pivots, how), gram) == (how == "row dropped")
 
-    candidate = fh._radical_candidate
-    monkeypatch.setattr(fh, "_radical_candidate", lambda g, p: tampered(*candidate(g, p), how))
+    candidate = lc._radical_candidate
+    monkeypatch.setattr(lc, "_radical_candidate", lambda g, p: tampered(*candidate(g, p), how))
     monkeypatch.setattr(fh, "radical_fallbacks", 0)
     assert primitive_digests(fh._build_primitive(3, 4)) == stored_digests("3,4")
     assert fh.radical_fallbacks == 1
@@ -302,9 +304,10 @@ def test_tampered_radical_is_refused(how, monkeypatch):
 @pytest.mark.parametrize("d,n", [(3, 5), (4, 3), (5, 2), (3, 7), (5, 3)])
 def test_certified_radical_is_the_saturated_connecting_image(d, n):
     milnor = fh.build_milnor(d, n)
-    size = len(milnor.basis) - fh.rank_formula(d, n)
     gens = fh.connecting_map(d, n)
-    assert fh._certified_radical(milnor.gram, size).tolist() == la.saturate_row_span(gens)
+    radical = lc.certified_radical(milnor.gram)
+    assert len(radical) == len(milnor.basis) - fh.rank_formula(d, n)
+    assert radical.tolist() == la.saturate_row_span(gens)
     if n % 2:
         # At odd n the connecting image has index d in the radical.
         h, pivots = la.hnf_row(gens)
@@ -312,7 +315,7 @@ def test_certified_radical_is_the_saturated_connecting_image(d, n):
 
 
 def two_elimination_candidate(gram, p):
-    """The construction _radical_candidate replaced: the kernel of G mod p
+    """The construction lattice_core._radical_candidate replaced: the kernel of G mod p
     from one RREF of G, then a second RREF of that kernel."""
     k, pivots = la.modp_eliminate(la.modp_kernel(gram, p), p)
     return la.symmetric_residues(k[:len(pivots)], p), pivots
@@ -329,7 +332,7 @@ def low_rank_form(seed, n, antisymmetric):
 
 
 def assert_same_candidate(gram, p):
-    k, pivots = fh._radical_candidate(gram, p)
+    k, pivots = lc._radical_candidate(gram, p)
     expected, expected_pivots = two_elimination_candidate(gram, p)
     assert pivots == expected_pivots
     assert k.dtype == expected.dtype and np.array_equal(k, expected)
