@@ -343,14 +343,6 @@ class CyclotomicElement:
             raise ValueError(f"{self!r} is not integral")
         return tuple(int(c) for c in self.coords)
 
-    def trace(self) -> Fraction:
-        """Field trace to Q (sum over all Galois conjugates)."""
-        t = Fraction(0)
-        for i, a in enumerate(self.coords):
-            if a:
-                t += Fraction(a) * _power_trace(self.d, i)
-        return t
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = CyclotomicElement.from_int(self.d, other)

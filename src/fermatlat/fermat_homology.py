@@ -4,14 +4,22 @@ Constructs the rank (d-1)^(n+1) module carried by the affine Fermat variety
 with its group-ring-valued pairing, the nondegenerate primitive quotient with
 its symmetry action, and the free resolution connecting consecutive
 dimensions.
+
+The Milnor module Z[mu_d^(n+1)]/(sum_j u_i^j) is the (n+1)-fold tensor
+power of Z[u]/(1 + u + ... + u^(d-1)) (Pham, Bull. SMF 1965; Sebastiani and
+Thom, Invent. Math. 1971).  A vector on its monomial basis {0..d-2}^(n+1)
+is an array with one axis per coordinate, and multiplication by u_i^e acts
+on axis i alone (_times_u, the (d-1) x (d-1) matrix U^e).  The symmetry
+actions, the connecting maps and the monomial coordinates are read off
+that one rule.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from functools import lru_cache
-from typing import Sequence
+from functools import lru_cache, reduce
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -65,28 +73,19 @@ def class_rep(exps: Sequence[int], d: int) -> tuple[int, ...]:
     return tuple((e - s) % d for e in exps)
 
 
-def reduce_to_basis(elt: GroupRingElement, coeff_index: dict[tuple[int, ...], int],
-                    size: int) -> list[int]:
-    """Coordinates of a group-ring element in the quotient by (sum_k u_i^k).
+def _times_u(x: np.ndarray, axis: int, e: int, d: int) -> np.ndarray:
+    """x times u^e along one axis of coefficient arrays on 1, u, ..., u^(d-2):
+    pad a zero u^(d-1) slot, roll by e, and fold the slot back into the
+    others (u^(d-1) = -(1 + u + ... + u^(d-2))).  Each fold at most
+    doubles an entry."""
+    padded = np.concatenate([x, np.zeros_like(x.take([0], axis=axis))], axis=axis)
+    rolled = np.roll(padded, e, axis=axis)
+    return rolled.take(range(d - 1), axis=axis) - rolled.take([d - 1], axis=axis)
 
-    Exponent d-1 is rewritten as minus the sum of lower powers until every
-    term lies in the monomial basis {0..d-2}^arity.
-    """
-    d = elt.d
-    vec = [0] * size
-    work = dict(elt.coeffs)
-    while work:
-        exps, c = work.popitem()
-        if c == 0:
-            continue
-        bad = next((i for i, e in enumerate(exps) if e == d - 1), None)
-        if bad is None:
-            vec[coeff_index[exps]] += c
-            continue
-        for e in range(d - 1):
-            key = exps[:bad] + (e,) + exps[bad + 1:]
-            work[key] = work.get(key, 0) - c
-    return vec
+
+def _u_powers(d: int) -> list[np.ndarray]:
+    """U^0, ..., U^(d-1): row j of U^e holds the coordinates of u^(j+e)."""
+    return [_times_u(np.eye(d - 1, dtype=np.int64), 1, e, d) for e in range(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +150,6 @@ class MilnorModule:
         self.d = d
         self.n = n
         self.basis = basis
-        self.index = {b: i for i, b in enumerate(basis)}
         self.lattice = lattice
         self.star_value = star_value
 
@@ -227,16 +225,21 @@ def connecting_element(d: int, k: int) -> GroupRingElement:
 
 
 def connecting_map(d: int, k: int) -> la.Mat:
-    """Matrix of R_k -> R_{k+1} on monomial bases; rows are images of basis vectors."""
-    src = milnor_basis(d, k - 1)
-    dst = milnor_basis(d, k)
-    dst_index = {b: i for i, b in enumerate(dst)}
-    c = connecting_element(d, k)
-    rows = []
-    for K in src:
-        mono = GroupRingElement.monomial(d, k + 1, K + (0,))
-        rows.append(reduce_to_basis(c * mono, dst_index, len(dst)))
-    return rows
+    """Matrix of R_k -> R_{k+1} on monomial bases; rows are images of basis vectors.
+
+    u^K maps to c.u^(K,0), c the connecting element, so the matrix is the
+    sum over the terms c_t u^e of c of c_t U^(e_1) x ... x U^(e_k) x (row 0
+    of U^(e_(k+1))), Kronecker products in the lexicographic basis order.
+    """
+    size = (d - 1) ** (k + 1)
+    if size > size_bound():
+        raise ResourceBoundError(
+            f"(d-1)^(k+1) = {size} exceeds the size bound {size_bound()}")
+    powers = _u_powers(d)
+    out = np.zeros(((d - 1) ** k, size), dtype=np.int64)
+    for exps, c in connecting_element(d, k).coeffs.items():
+        out += c * reduce(np.kron, [powers[e] for e in exps[:-1]] + [powers[exps[-1]][:1]])
+    return out.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -259,20 +262,24 @@ class PrimitiveFermatLattice:
         self.milnor = milnor
 
     def action(self, name: str) -> np.ndarray:
+        if not self.actions:
+            raise ResourceBoundError(
+                f"no symmetry actions at Milnor rank {(self.d - 1) ** (self.n + 1)}: "
+                f"they are built up to Milnor rank {_ACTION_RANK_BOUND}")
         return self.actions[name]
 
     def class_image(self, K: Sequence[int]) -> list[int]:
         """Image in the primitive lattice of the monomial class u^K,
         K in (Z/d)^(n+2) taken modulo the diagonal."""
-        rep = class_rep(K, self.d)[1:]
-        mono = GroupRingElement.monomial(self.d, self.n + 1, rep)
-        vec = reduce_to_basis(mono, self.milnor.index, len(self.milnor.basis))
-        return la.vec_mat(vec, self.projection)
+        powers = _u_powers(self.d)
+        vec = reduce(np.kron, [powers[e][0] for e in class_rep(K, self.d)[1:]])
+        return la.vec_mat(vec.tolist(), self.projection)
 
 
 def build_primitive(d: int, n: int) -> PrimitiveFermatLattice:
     """Radical quotient of the Milnor lattice, with the symmetry action when
-    the Milnor rank (d-1)^(n+1) is at most 256 (no actions above).
+    the Milnor rank (d-1)^(n+1) is at most 256 (above it, `action` raises
+    ResourceBoundError).
 
     The deterministic construction is cached per (d, n).  Every call
     returns new lattice, module and dict objects over the cached read-only
@@ -290,6 +297,9 @@ def build_primitive(d: int, n: int) -> PrimitiveFermatLattice:
 def _build_primitive_cached(d: int, n: int) -> PrimitiveFermatLattice:
     return _build_primitive(d, n)
 
+
+# The symmetry actions are built when the Milnor rank is at most this.
+_ACTION_RANK_BOUND = 256
 
 # Builds whose radical no prime certified, so that the HNF of the
 # connecting image was taken instead (_build_primitive counts them).
@@ -321,8 +331,8 @@ def _build_primitive(d: int, n: int) -> PrimitiveFermatLattice:
     monomial_images = dict(zip(milnor.basis, projection))
 
     actions: dict[str, np.ndarray] = {}
-    if rank <= 256:
-        actions = _build_actions(d, n, milnor, quotient, projection, reps)
+    if rank <= _ACTION_RANK_BOUND:
+        actions = _build_actions(d, n, quotient, projection, reps)
     return PrimitiveFermatLattice(d, n, quotient, monomial_images, actions,
                                   projection, milnor)
 
@@ -347,56 +357,34 @@ def _saturated_radical(d: int, n: int, milnor: MilnorModule, expected: int) -> l
     raise VerificationError("could not certify the Milnor rank")
 
 
-def _milnor_mu_action(d: int, n: int, milnor: MilnorModule, i: int) -> np.ndarray:
-    """Row-convention matrix of multiplication by u_i (1-indexed) on the Milnor basis."""
-    size = len(milnor.basis)
-    rows = np.zeros((size, size), dtype=np.int64)
-    pos = i - 1
-    for r, K in enumerate(milnor.basis):
-        e = K[pos]
-        if e < d - 2:
-            rows[r, milnor.index[K[:pos] + (e + 1,) + K[pos + 1:]]] = 1
-        else:
-            for j in range(d - 1):
-                rows[r, milnor.index[K[:pos] + (j,) + K[pos + 1:]]] = -1
-    return rows
+def _milnor_actions(d: int, n: int, section: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
+    """(name, section.M) for each generator M of the symmetry action on the
+    Milnor module, one at a time and with no N x N matrix: the rows of the
+    section, as arrays with one axis per coordinate, are folded along axis
+    i for u_i and along every axis by d-1 for u_0 = (u_1...u_{n+1})^(-1);
+    s_i, the swap of z_i and z_{i+1} twisted by the sign character, negates
+    and swaps axes i and i+1."""
+    sec = la.int_array(section)
+    if sec.dtype != object and int(np.abs(sec).max(initial=0)) << (n + 1) >= 2 ** 62:
+        sec = sec.astype(object)  # u_0 folds n + 1 times
+    x = sec.reshape((len(sec),) + (d - 1,) * (n + 1))
+    shape = sec.shape
+    for i in range(1, n + 2):
+        yield f"u_{i}", _times_u(x, i, 1, d).reshape(shape)
+    for i in range(1, n + 1):
+        yield f"s_{i}", -x.swapaxes(i, i + 1).reshape(shape)
+    yield "u_0", reduce(lambda y, i: _times_u(y, i, d - 1, d), range(1, n + 2), x).reshape(shape)
 
 
-def _milnor_transposition_action(d: int, n: int, milnor: MilnorModule, i: int) -> np.ndarray:
-    """Swap of z_i and z_{i+1} (1-indexed), twisted by the sign character."""
-    size = len(milnor.basis)
-    rows = np.zeros((size, size), dtype=np.int64)
-    for r, K in enumerate(milnor.basis):
-        swapped = list(K)
-        swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-        rows[r, milnor.index[tuple(swapped)]] = -1
-    return rows
-
-
-def _build_actions(d: int, n: int, milnor: MilnorModule,
-                   quotient: IntegerLattice, projection: np.ndarray,
+def _build_actions(d: int, n: int, quotient: IntegerLattice, projection: np.ndarray,
                    section: np.ndarray) -> dict[str, np.ndarray]:
     # The radical is preserved by every action, so pushing through any
-    # representative section is well defined.
-    sec, proj = la.int_array(section), la.int_array(projection)
-    actions: dict[str, np.ndarray] = {}
-
-    def push(mat: np.ndarray) -> np.ndarray:
-        return la.int_matmul(la.int_matmul(sec, mat), proj)
-
-    for i in range(1, n + 2):
-        actions[f"u_{i}"] = push(_milnor_mu_action(d, n, milnor, i))
-    for i in range(1, n + 1):
-        actions[f"s_{i}"] = push(_milnor_transposition_action(d, n, milnor, i))
-
-    prod = np.eye(quotient.rank, dtype=np.int64)
-    for i in range(1, n + 2):
-        prod = la.int_matmul(prod, actions[f"u_{i}"])
-    u0 = np.eye(quotient.rank, dtype=np.int64)
-    for _ in range(d - 1):
-        u0 = la.int_matmul(u0, prod)
-    actions["u_0"] = u0
-
+    # representative section is well defined: M acts on the quotient as
+    # section.M.projection.  u_0 is built on its own, so _verify_actions
+    # compares it with the product of the u_i.
+    proj = la.int_array(projection)
+    actions = {name: la.int_matmul(m, proj) for name, m in _milnor_actions(d, n, section)}
+    prod = reduce(la.int_matmul, [actions[f"u_{i}"] for i in range(1, n + 2)])
     _verify_actions(d, quotient, actions, prod)
     return {name: la.frozen_int_array(m) for name, m in actions.items()}
 

@@ -213,23 +213,21 @@ def _radical_candidate(gram: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]
     Let R be the RREF of G' = G with its N columns reversed, with pivot
     columns P and free columns F.  G is eliminated with its rows reversed
     too, which leaves the row space, so R, unchanged (and at Milnor rank
-    2048-4096 it is the faster order).  The kernel of G' has the basis v_f
-    (f in F): 1 at f, -R[i, f] at the pivot P[i], zero elsewhere; R[i, f]
-    is zero unless P[i] < f, so v_f lives on columns <= f and is zero on
-    the other free columns.  Reversing the coordinates maps v_f to a kernel
+    2048-4096 it is the faster order).  la.modp_kernel gives the kernel of
+    G' in the basis v_f (f in F): 1 at f, -R[i, f] at the pivot P[i], zero
+    elsewhere; R[i, f] is zero unless P[i] < f, so v_f lives on columns
+    <= f and is zero on the other free columns.  Reversing the coordinates maps v_f to a kernel
     vector of G that starts with 1 at column N-1-f, lives on columns >=
     N-1-f and is zero at N-1-g for the other g in F.  With the rows in
     descending f, that is the kernel's RREF (unique, so the same as an
-    RREF of any other kernel basis), with pivots N-1-f in ascending order.
+    RREF of any other kernel basis), with pivots N-1-f in ascending order:
+    the first nonzero of each row.
     """
-    n = gram.shape[1]
-    r, pivots = la.modp_eliminate(gram[::-1, ::-1], p)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    k = np.zeros((len(free), n), dtype=np.int64)
-    k[np.arange(len(free)), free] = 1
-    k[:, pivots] = -r[:len(pivots), free].T % p
-    return la.symmetric_residues(k[::-1, ::-1], p), [n - 1 - f for f in reversed(free)]
+    k = la.modp_kernel(gram[::-1, ::-1], p)[::-1, ::-1]
+    # Pivots before the lift: lifting first raised the peak RSS of a build
+    # ladder up to (5,4) by about 4 MB, through heap layout alone.
+    pivots = np.argmax(k != 0, axis=1).tolist()
+    return la.symmetric_residues(k, p), pivots
 
 
 def _is_radical_basis(k: np.ndarray, pivots: list[int], gram: np.ndarray) -> bool:
