@@ -11,14 +11,18 @@ Thom, Invent. Math. 1971).  A vector on its monomial basis {0..d-2}^(n+1)
 is an array with one axis per coordinate, and multiplication by u_i^e acts
 on axis i alone (_times_u, the (d-1) x (d-1) matrix U^e).  The symmetry
 actions, the connecting maps and the monomial coordinates are read off
-that one rule.
+that one rule.  The Gram is the Seifert form V_1 x ... x V_1 plus (-1)^n
+its transpose, and its radical is the set of vectors fixed by the
+monodromy u_0, found from the characters of u_0 mod p (_certified_radical).
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from functools import lru_cache, reduce
+from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -26,13 +30,7 @@ import numpy as np
 from . import _intlinalg as la
 from .exact_algebra import GroupRingElement
 from .errors import ResourceBoundError, VerificationError
-from .lattice_core import (
-    ANTISYMMETRIC,
-    SYMMETRIC,
-    IntegerLattice,
-    certified_radical,
-    radical_quotient,
-)
+from .lattice_core import ANTISYMMETRIC, SYMMETRIC, IntegerLattice, radical_quotient
 
 SIZE_BOUND_ENV = "FERMATLAT_SIZE_BOUND"
 DEFAULT_SIZE_BOUND = 4096
@@ -61,10 +59,7 @@ def parity_sign(n: int) -> int:
 
 def milnor_basis(d: int, n: int) -> list[tuple[int, ...]]:
     """Monomial exponents in {0..d-2}^(n+1), lexicographic."""
-    out: list[tuple[int, ...]] = [()]
-    for _ in range(n + 1):
-        out = [t + (e,) for t in out for e in range(d - 1)]
-    return sorted(out)
+    return list(product(range(d - 1), repeat=n + 1))
 
 
 def class_rep(exps: Sequence[int], d: int) -> tuple[int, ...]:
@@ -96,47 +91,18 @@ def milnor_star_element(d: int, n: int) -> GroupRingElement:
     """e_n * e_n = (1 - bar(u_1...u_{n+1})) prod (1 - u_i) in Z[mu_d^(n+1)]."""
     k = n + 1
     one = GroupRingElement.one(d, k)
-    v = one
-    for i in range(k):
-        v = v * GroupRingElement.generator(d, k, i)
-    w = one - v.bar()
+    w = one - GroupRingElement.monomial(d, k, [-1] * k)
     for i in range(k):
         w = w * (one - GroupRingElement.generator(d, k, i))
     return w
 
 
-# ---------------------------------------------------------------------------
-# Monomial pairing on the primitive lattice
-
 def monomial_pairing(d: int, n: int, K: Sequence[int], L: Sequence[int]) -> int:
     """Intersection pairing of the monomial classes u^K, u^L in the primitive
-    lattice, via the four-case formula taken modulo the diagonal subgroup."""
-    k = n + 2
-    K = class_rep(K, d)
-    L = class_rep(L, d)
-    diff = tuple((a - b) % d for a, b in zip(K, L))
-    return parity_sign(n) * _four_case(diff, d, n)
-
-
-def _four_case(diff: tuple[int, ...], d: int, n: int) -> int:
-    k = len(diff)
-    if all(e == 0 for e in diff):
-        return 1 + (-1) ** n
-    # u^K = u^L u_I: diff == 1_I + c*diag for some shift c, I proper nonempty.
-    for c in range(d):
-        shifted = tuple((e - c) % d for e in diff)
-        if all(e in (0, 1) for e in shifted):
-            size = sum(shifted)
-            if 0 < size < k:
-                return (-1) ** size
-    # u_I u^K = u^L: -diff == 1_I + c*diag.
-    for c in range(d):
-        shifted = tuple((-e - c) % d for e in diff)
-        if all(e in (0, 1) for e in shifted):
-            size = sum(shifted)
-            if 0 < size < k:
-                return (-1) ** (size + n)
-    return 0
+    lattice: the Milnor star element at K - L, taken modulo the diagonal
+    (u_0 = (u_1...u_{n+1})^(-1) there)."""
+    diff = class_rep([a - b for a, b in zip(K, L)], d)
+    return parity_sign(n) * milnor_star_element(d, n).coeffs.get(diff[1:], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,39 +131,29 @@ class MilnorModule:
 
 
 def build_milnor(d: int, n: int) -> MilnorModule:
-    """Milnor lattice of rank (d-1)^(n+1) with the star-derived Gram matrix."""
+    """Milnor lattice of rank (d-1)^(n+1).  Its Gram takes the star element
+    (1 - bar(u_1...u_{n+1})) prod (1 - u_i) = prod (1 - u_i) + (-1)^n prod
+    (1 - u_i^(-1)) at K - L: G = sign * (V + (-1)^n V^T) for the Seifert
+    form V, the Kronecker power of V_1 (Sebastiani and Thom, Invent. Math.
+    1971)."""
     if d < 3 or n < 0:
         raise ValueError("need d >= 3 and n >= 0")
     rank = (d - 1) ** (n + 1)
     if rank > size_bound():
         raise ResourceBoundError(
             f"(d-1)^(n+1) = {rank} exceeds the size bound {size_bound()}")
-    basis = milnor_basis(d, n)
-    w = milnor_star_element(d, n)
-    sign = parity_sign(n)
-    k = n + 1
-    # Gram[i][j] = sign * w[(K_i - K_j) mod d], read off a table over the
-    # full group (Z/d)^(n+1) at the mixed-radix code of K_i - K_j.  The codes
-    # are accumulated one coordinate at a time, so no (N, N, n+1) array forms.
-    table = np.zeros(d ** k, dtype=np.int64)
-    for exps, c in w.coeffs.items():
-        table[sum(e * d ** i for i, e in enumerate(exps))] = sign * c
-    # int32 codes: d**(n+1) < 2**31 for every N = (d-1)**(n+1) whose N x N
-    # arrays fit in memory (every N up to 2**19 at d = 3, more at larger d).
-    b = np.array(basis, dtype=np.int32)
-    codes = np.zeros((rank, rank), dtype=np.int32)
-    for i in range(k):
-        diff = np.subtract.outer(b[:, i], b[:, i])
-        np.mod(diff, d, out=diff)
-        diff *= d ** i
-        codes += diff
-    del diff
-    gram = la.frozen_int_array(table)[codes]
-    del codes
+    v = reduce(np.kron, [_seifert_axis(d)] * (n + 1))
+    # Off the diagonal at most one of V and V^T is nonzero: int8 holds G.
+    gram = parity_sign(n) * (v + (-1) ** n * v.T)
     gram.flags.writeable = False
     lattice = IntegerLattice(gram, SYMMETRIC if n % 2 == 0 else ANTISYMMETRIC,
                              label=f"milnor(d={d},n={n})")
-    return MilnorModule(d, n, basis, lattice, w)
+    return MilnorModule(d, n, milnor_basis(d, n), lattice, milnor_star_element(d, n))
+
+
+def _seifert_axis(d: int) -> np.ndarray:
+    """V_1 = I minus the subdiagonal of ones: 1 - u at the exponent differences."""
+    return np.eye(d - 1, dtype=np.int8) - np.eye(d - 1, k=-1, dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -205,23 +161,11 @@ def build_milnor(d: int, n: int) -> MilnorModule:
 
 @lru_cache(maxsize=None)
 def connecting_element(d: int, k: int) -> GroupRingElement:
-    """(1 - v_k) * sum_{0 <= j <= l <= d-2} u_{k+1}^j v_k^l in Z[mu_d^(k+1)]."""
-    arity = k + 1
-    one = GroupRingElement.one(d, arity)
-    v = one
-    for i in range(k):
-        v = v * GroupRingElement.generator(d, arity, i)
-    u_last = GroupRingElement.generator(d, arity, k)
-    acc = GroupRingElement.zero(d, arity)
-    v_pow = [one]
-    u_pow = [one]
-    for _ in range(d - 2):
-        v_pow.append(v_pow[-1] * v)
-        u_pow.append(u_pow[-1] * u_last)
-    for j in range(d - 1):
-        for l in range(j, d - 1):
-            acc = acc + u_pow[j] * v_pow[l]
-    return (one - v) * acc
+    """(1 - v_k) * sum_{0 <= j <= l <= d-2} u_{k+1}^j v_k^l in Z[mu_d^(k+1)],
+    v_k = u_1...u_k."""
+    terms = Counter((l,) * k + (j,) for l in range(d - 1) for j in range(l + 1))
+    v = GroupRingElement.monomial(d, k + 1, [1] * k + [0])
+    return (GroupRingElement.one(d, k + 1) - v) * GroupRingElement(d, k + 1, terms)
 
 
 def connecting_map(d: int, k: int) -> la.Mat:
@@ -301,60 +245,121 @@ def _build_primitive_cached(d: int, n: int) -> PrimitiveFermatLattice:
 # The symmetry actions are built when the Milnor rank is at most this.
 _ACTION_RANK_BOUND = 256
 
-# Builds whose radical no prime certified, so that the HNF of the
-# connecting image was taken instead (_build_primitive counts them).
-radical_fallbacks = 0
-
 
 def _build_primitive(d: int, n: int) -> PrimitiveFermatLattice:
-    global radical_fallbacks
     milnor = build_milnor(d, n)
     rank = len(milnor.basis)
     expected = rank_formula(d, n)
-    expected_radical = rank - expected
-
-    kernel = None
-    if expected_radical:
-        # A certified radical of another size means the mod-p candidate or
-        # the rank formula is wrong: the connecting image decides.
-        kernel = certified_radical(milnor.gram)
-        if kernel is None or len(kernel) != expected_radical:
-            radical_fallbacks += 1
-            kernel = _saturated_radical(d, n, milnor, expected)
-
-    quotient, projection, reps = radical_quotient(milnor.lattice, kernel_rows=kernel)
+    # No reference to the radical is kept here, so radical_quotient frees it
+    # once it has its HNF rows (45 MB at Milnor rank 4096).
+    quotient, projection, reps = radical_quotient(
+        milnor.lattice,
+        kernel_rows=_certified_radical(d, n, rank - expected) if rank > expected else None)
     quotient = quotient.relabel(f"primitive(d={d},n={n})")
     if quotient.rank != expected:
         raise VerificationError(
             f"primitive rank {quotient.rank} disagrees with the rank formula {expected}")
-
-    monomial_images = dict(zip(milnor.basis, projection))
-
-    actions: dict[str, np.ndarray] = {}
-    if rank <= _ACTION_RANK_BOUND:
-        actions = _build_actions(d, n, quotient, projection, reps)
-    return PrimitiveFermatLattice(d, n, quotient, monomial_images, actions,
+    actions = (_build_actions(d, n, quotient, projection, reps)
+               if rank <= _ACTION_RANK_BOUND else {})
+    return PrimitiveFermatLattice(d, n, quotient, dict(zip(milnor.basis, projection)), actions,
                                   projection, milnor)
 
 
-def _saturated_radical(d: int, n: int, milnor: MilnorModule, expected: int) -> la.Mat:
-    """The radical as the saturation of the connecting image R_n -> R_{n+1}
-    (integer HNF), with the Milnor rank certified mod p."""
-    gens = connecting_map(d, n)
-    gnp = milnor.gram
-    if np.any(la.int_matmul(la.int_array(gens), gnp)):
-        raise VerificationError("resolution image is not in the radical")
-    # The connecting image can sit with finite index inside the radical
-    # (index d at odd stages); saturate to get the radical itself.
-    kernel = la.saturate_row_span(gens)
-    if len(kernel) != len(milnor.basis) - expected:
+def _certified_radical(d: int, n: int, r: int) -> np.ndarray:
+    """The radical {x : x.G = 0} of the Milnor Gram as its row HNF K, r x N
+    with the identity on its first r columns; VerificationError when a step
+    of this proof fails.
+
+    Over F_p the rows e_a of E diagonalize A = U^(d-1), the matrix of
+    u^(-1) on one axis, with eigenvalues w^(-a) (_axis_eigenvectors), so
+    their Kronecker products diagonalize M_0 = A x ... x A, the matrix of
+    u_0.  C holds those with eigenvalue 1 (a_0 + ... + a_n = 0 mod d), and
+    K is the RREF of C mod p in symmetric residues: one elimination.
+    (a) Nullity_Q G <= len(C): V_1.A^T = -V_1^T gives G = sign * V.(I -
+        M_0^T) with V unitriangular, so rank_Q G = rank_Q (I - M_0) >=
+        rank_p (I - M_0) = N - len(C), as the Kronecker power of E,
+        invertible with E, conjugates M_0 to its eigenvalues.
+    (b) K.G = 0: G^T = +-G, so x.G = 0 iff x.(I - M_0).V^T = 0 iff
+        x.M_0 = x, checked by folding K along every axis.
+    (c) K has r independent rows with the identity on r columns, so c.K is
+        integral only for integral c: a saturated sublattice of rank r.
+    With r = len(C), K is a Z-basis of the radical and, with its identity
+    pivot minor, its unique row HNF.  r = N - rank_formula(d, n) is checked.
+    """
+    p, e = _axis_eigenvectors(d)
+    c = _character_rows(d, n, p, e)
+    k = _character_candidate(c, p)
+    if not len(c) == len(k) == r:
         raise VerificationError(
-            f"radical generators span rank {len(kernel)}, expected {len(milnor.basis) - expected}")
-    # Certify rank(G) = rank - radical: mod-p lower bound meets the kernel bound.
-    for p in la.MODP_PRIMES[:4]:
-        if la.modp_rank(gnp, p) == expected:
-            return kernel
-    raise VerificationError("could not certify the Milnor rank")
+            f"{len(k)} radical rows from {len(c)} characters, expected {r} (count)")
+    if not np.array_equal(k[:, :r], np.eye(r, dtype=k.dtype)):
+        raise VerificationError("the radical rows do not start with the identity (pivot minor)")
+    x = _module_rows(k, d, n)
+    if not np.array_equal(_times_u0(x, d), x):
+        raise VerificationError("a radical row is not fixed by u_0 (invariance)")
+    return k
+
+
+@lru_cache(maxsize=None)
+def _axis_eigenvectors(d: int) -> tuple[int, np.ndarray]:
+    """(p, E): p the largest prime = 1 (mod d) up to MODP_PRIMES[0], the
+    exact range of the float64 elimination; w of order d mod p; row a-1 of E
+    the coefficients of e_a = prod_{b != a} (u - w^b) = (1 + ... + u^(d-1))
+    / (u - w^a), sum_{t <= d-2-j} w^(at) at u^j.  Raises VerificationError
+    unless the per-axis checks of _certified_radical hold exactly:
+    V_1.A^T = -V_1^T for A = U^(d-1); E.A = diag(w^(-a)).E (mod p); and E.W
+    (mod p), W[j, b-1] = w^(bj), is diagonal with a nonzero diagonal
+    (e_a(w^b) = 0 exactly when b != a), so E is invertible."""
+    p = la.MODP_PRIMES[0] - (la.MODP_PRIMES[0] - 1) % d
+    while any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+        p -= d
+    w = next(x for x in (pow(g, (p - 1) // d, p) for g in range(2, p))
+             if all(pow(x, k, p) != 1 for k in range(1, d)))
+    powers = np.array([pow(w, k, p) for k in range(d)], dtype=np.int64)
+    table = powers[np.outer(np.arange(1, d), np.arange(d - 1)) % d]  # [a-1, j] = w^(aj)
+    e = np.cumsum(table, axis=1)[:, ::-1] % p
+    a, v1 = _u_powers(d)[d - 1], _seifert_axis(d).astype(np.int64)
+    ew = la.int_matmul(e, table.T) % p
+    if not (np.array_equal(v1 @ a.T, -v1.T)
+            and not np.any((la.int_matmul(e, a) - powers[-np.arange(1, d) % d, None] * e) % p)
+            and np.count_nonzero(ew) == np.count_nonzero(np.diagonal(ew)) == d - 1):
+        raise VerificationError(f"a per-axis check of the radical fails at d = {d}")
+    e.flags.writeable = False
+    return p, e
+
+
+def _character_rows(d: int, n: int, p: int, e: np.ndarray) -> np.ndarray:
+    """The rows e_(a_0) x ... x e_(a_n) mod p with a_0 + ... + a_n = 0
+    (mod d), n >= 1: each half of the axes is a Kronecker power of E, and
+    a row of one pairs with the rows of the other of opposite index sum."""
+    halves = []
+    for k in ((n + 1) // 2, n + 1 - (n + 1) // 2):
+        rows = reduce(lambda x, y: np.kron(x, y) % p, [e] * k)
+        halves.append((rows, reduce(np.add.outer, [np.arange(1, d)] * k).ravel() % d))
+    (left, left_sums), (right, right_sums) = halves
+    pairs = [left[left_sums == s][:, None, :, None] * right[right_sums == -s % d][None, :, None, :]
+             for s in range(d)]
+    return np.concatenate([x.reshape(-1, len(e) ** (n + 1)) % p for x in pairs])
+
+
+def _character_candidate(c: np.ndarray, p: int) -> np.ndarray:
+    """The RREF of C mod p without its zero rows, in symmetric residues."""
+    k, pivots = la.modp_eliminate(c, p)
+    return la.symmetric_residues(k[:len(pivots)], p)
+
+
+def _module_rows(rows, d: int, n: int) -> np.ndarray:
+    """Rows on the monomial basis as one array with one axis per coordinate
+    after the row axis, in the narrowest signed dtype (object past int64)
+    that holds every entry times 2^(n+1): each fold at most doubles one."""
+    x = la.int_array(rows)
+    top = (max(int(x.max()), -int(x.min())) if x.size else 0) << (n + 1)
+    return x.astype(np.min_scalar_type(-top - 1)).reshape((len(x),) + (d - 1,) * (n + 1))
+
+
+def _times_u0(x: np.ndarray, d: int) -> np.ndarray:
+    """x times u_0 = (u_1...u_{n+1})^(-1): every coordinate axis folded by d-1."""
+    return reduce(lambda y, i: _times_u(y, i, d - 1, d), range(1, x.ndim), x)
 
 
 def _milnor_actions(d: int, n: int, section: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
@@ -364,16 +369,13 @@ def _milnor_actions(d: int, n: int, section: np.ndarray) -> Iterator[tuple[str, 
     i for u_i and along every axis by d-1 for u_0 = (u_1...u_{n+1})^(-1);
     s_i, the swap of z_i and z_{i+1} twisted by the sign character, negates
     and swaps axes i and i+1."""
-    sec = la.int_array(section)
-    if sec.dtype != object and int(np.abs(sec).max(initial=0)) << (n + 1) >= 2 ** 62:
-        sec = sec.astype(object)  # u_0 folds n + 1 times
-    x = sec.reshape((len(sec),) + (d - 1,) * (n + 1))
-    shape = sec.shape
+    x = _module_rows(section, d, n)
+    shape = (len(x), (d - 1) ** (n + 1))
     for i in range(1, n + 2):
         yield f"u_{i}", _times_u(x, i, 1, d).reshape(shape)
     for i in range(1, n + 1):
         yield f"s_{i}", -x.swapaxes(i, i + 1).reshape(shape)
-    yield "u_0", reduce(lambda y, i: _times_u(y, i, d - 1, d), range(1, n + 2), x).reshape(shape)
+    yield "u_0", _times_u0(x, d).reshape(shape)
 
 
 def _build_actions(d: int, n: int, quotient: IntegerLattice, projection: np.ndarray,
@@ -397,10 +399,7 @@ def _verify_actions(d: int, quotient: IntegerLattice,
         if not np.array_equal(la.int_matmul(la.int_matmul(m, g), m.T), g):
             raise VerificationError(f"action {name} does not preserve the pairing")
         order = d if name.startswith("u_") else 2
-        p = ident
-        for _ in range(order):
-            p = la.int_matmul(p, m)
-        if not np.array_equal(p, ident):
+        if not np.array_equal(reduce(la.int_matmul, [m] * order), ident):
             raise VerificationError(f"action {name} does not have order dividing {order}")
     if not np.array_equal(la.int_matmul(actions["u_0"], mu_product), ident):
         raise VerificationError("u_0 is not inverse to u_1...u_{n+1}")
@@ -431,8 +430,7 @@ def resolution_check(d: int, n: int) -> dict:
     maps = [connecting_map(d, k) for k in range(1, n + 1)]
     module_ranks = [(d - 1) ** k for k in range(1, n + 2)] + [prim.lattice.rank]
     stages = []
-    for idx in range(len(maps)):
-        m = maps[idx]
+    for idx, m in enumerate(maps):
         nxt = maps[idx + 1] if idx + 1 < len(maps) else prim.projection
         comp = la.mat_mul(m, nxt)
         if any(x for row in comp for x in row):

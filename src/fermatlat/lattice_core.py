@@ -159,15 +159,17 @@ def radical_quotient(lattice: IntegerLattice, kernel_rows=None):
     # Fast path: k is in row HNF, so its pivot minor is upper triangular with
     # positive pivots and the entries above each pivot reduced modulo it.  It
     # is unimodular iff every pivot is 1, and then it is the identity, so the
-    # kernel rows already solve for the pivot coordinates T.
+    # kernel rows already solve for the pivot coordinates T.  The projection
+    # and representatives are built in the narrow dtype they are frozen in,
+    # with no int64 N x N temporaries.
     if all(k[i][c] == 1 for i, c in enumerate(pivots)):
         pivot_set = set(pivots)
         s_cols = [c for c in range(n) if c not in pivot_set]
-        kernel = la.int_array(k)
+        kernel = la.frozen_int_array(k)
         proj = np.zeros((n, len(s_cols)), dtype=kernel.dtype)
         proj[s_cols, range(len(s_cols))] = 1
         proj[pivots] = -kernel[:, s_cols]
-        reps = np.eye(n, dtype=np.int64)[s_cols]
+        reps = np.eye(n, dtype=np.int8)[s_cols]
         quotient = IntegerLattice(g[np.ix_(s_cols, s_cols)], lattice.symmetry, lattice.label)
     else:
         # General path: complete the saturated kernel to a basis via SNF.
@@ -186,9 +188,9 @@ def certified_radical(gram: np.ndarray) -> Optional[np.ndarray]:
     """Row HNF of the radical {x : x.G = 0}, from the mod-p kernel of G and
     certified exactly; None when none of the first four primes certifies.
 
-    For each prime, one reduced row echelon form of G with its rows and
-    columns reversed gives the kernel of G mod p already in reduced row
-    echelon form, lifted to symmetric residues K (_radical_candidate), which
+    For each prime, one reduced row echelon form of G with its columns
+    reversed gives the kernel of G mod p already in reduced row echelon
+    form, lifted to symmetric residues K (_radical_candidate), which
     is accepted by _is_radical_basis.  Those checks prove that K is a
     Z-basis of the radical.  K has one row per dimension of the mod-p
     kernel, and the mod-p nullity is at least the nullity over Q, since the
@@ -211,21 +213,17 @@ def _radical_candidate(gram: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]
     symmetric residues, and its pivot columns, from one elimination.
 
     Let R be the RREF of G' = G with its N columns reversed, with pivot
-    columns P and free columns F.  G is eliminated with its rows reversed
-    too, which leaves the row space, so R, unchanged (and at Milnor rank
-    2048-4096 it is the faster order).  la.modp_kernel gives the kernel of
-    G' in the basis v_f (f in F): 1 at f, -R[i, f] at the pivot P[i], zero
+    columns P and free columns F.  la.modp_kernel gives the kernel of G' in
+    the basis v_f (f in F): 1 at f, -R[i, f] at the pivot P[i], zero
     elsewhere; R[i, f] is zero unless P[i] < f, so v_f lives on columns
-    <= f and is zero on the other free columns.  Reversing the coordinates maps v_f to a kernel
-    vector of G that starts with 1 at column N-1-f, lives on columns >=
-    N-1-f and is zero at N-1-g for the other g in F.  With the rows in
-    descending f, that is the kernel's RREF (unique, so the same as an
-    RREF of any other kernel basis), with pivots N-1-f in ascending order:
-    the first nonzero of each row.
+    <= f and is zero on the other free columns.  Reversing the coordinates
+    maps v_f to a kernel vector of G that starts with 1 at column N-1-f,
+    lives on columns >= N-1-f and is zero at N-1-g for the other g in F.
+    With the rows in descending f, that is the kernel's RREF (unique, so
+    the same as an RREF of any other kernel basis), with pivots N-1-f in
+    ascending order: the first nonzero of each row.
     """
-    k = la.modp_kernel(gram[::-1, ::-1], p)[::-1, ::-1]
-    # Pivots before the lift: lifting first raised the peak RSS of a build
-    # ladder up to (5,4) by about 4 MB, through heap layout alone.
+    k = la.modp_kernel(gram[:, ::-1], p)[::-1, ::-1]
     pivots = np.argmax(k != 0, axis=1).tolist()
     return la.symmetric_residues(k, p), pivots
 
@@ -275,19 +273,6 @@ def discriminant(lattice: IntegerLattice) -> DiscriminantData:
         raise DegenerateLatticeError("discriminant requires a nondegenerate pairing")
     divisors = la.smith_divisors_mod(lattice.gram, order)
     return DiscriminantData(tuple(dv for dv in divisors if dv > 1), order)
-
-
-def discriminant_group_generators(lattice: IntegerLattice) -> list[tuple[list[Fraction], int]]:
-    """Generators of L*/L as rational vectors in basis coordinates, with orders."""
-    divisors, (u, v) = smith_normal_form(lattice.gram)
-    if any(dv == 0 for dv in divisors):
-        raise DegenerateLatticeError("degenerate pairing has no discriminant group")
-    gens = []
-    for i, dv in enumerate(divisors):
-        if dv > 1:
-            vec = [Fraction(v[row][i], dv) for row in range(lattice.rank)]
-            gens.append((vec, dv))
-    return gens
 
 
 def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:

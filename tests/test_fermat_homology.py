@@ -2,6 +2,7 @@ import pickle
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -94,6 +95,36 @@ def monomial_pairing_oracle(d, n, K, L):
     return parity_sign(n) * w.coefficient(diff)
 
 
+def four_case_pairing(d, n, K, L):
+    """The paper's four-case formula for the monomial pairing, on the
+    difference of K and L modulo the diagonal (the formula monomial_pairing
+    replaced by a look-up in the star element)."""
+    k = n + 2
+    diff = tuple((a - b) % d for a, b in zip(class_rep(K, d), class_rep(L, d)))
+    if all(e == 0 for e in diff):
+        return parity_sign(n) * (1 + (-1) ** n)
+    for c in range(d):
+        # u^K = u^L u_I: diff == 1_I + c*diag for I proper and nonempty.
+        shifted = tuple((e - c) % d for e in diff)
+        if all(e in (0, 1) for e in shifted) and 0 < sum(shifted) < k:
+            return parity_sign(n) * (-1) ** sum(shifted)
+    for c in range(d):
+        # u_I u^K = u^L: -diff == 1_I + c*diag.
+        shifted = tuple((-e - c) % d for e in diff)
+        if all(e in (0, 1) for e in shifted) and 0 < sum(shifted) < k:
+            return parity_sign(n) * (-1) ** (sum(shifted) + n)
+    return 0
+
+
+@pytest.mark.parametrize("d,n", [(3, 0), (3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3),
+                                 (5, 1), (5, 2), (6, 2), (7, 1)])
+def test_monomial_pairing_is_the_four_case_formula(d, n):
+    rng = random.Random(d * 10 + n)
+    for K in product(range(d), repeat=n + 2):
+        L = tuple(rng.randrange(d) for _ in range(n + 2))
+        assert monomial_pairing(d, n, K, L) == four_case_pairing(d, n, K, L)
+
+
 def test_monomial_pairing_against_expansion_oracle():
     rng = random.Random(3)
     for _ in range(200):
@@ -157,7 +188,7 @@ def test_actions_preserve_gram_and_orders():
 
 
 def test_class_image_consistency():
-    # pairing of class images equals the four-case monomial pairing
+    # pairing of class images equals the monomial pairing
     rng = random.Random(4)
     prim = build_primitive(3, 2)
     for _ in range(30):

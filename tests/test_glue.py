@@ -9,12 +9,8 @@ from hypothesis import strategies as st
 
 from fermatlat import _intlinalg as la
 from fermatlat.errors import DegenerateLatticeError, InvalidGlueError
-from fermatlat.lattice_core import (
-    GlueSpec,
-    IntegerLattice,
-    discriminant_group_generators,
-    glue_with_basis,
-)
+from fermatlat.lattice_core import GlueSpec, IntegerLattice, glue_with_basis
+from test_lattice_core import discriminant_group_generators
 
 
 def fraction_glue_with_basis(spec):

@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from fermatlat.lattice_core import (
     IntegerLattice,
     determinant,
     discriminant,
-    discriminant_group_generators,
     discriminant_is_cyclic_of_order,
     glue,
     glue_with_basis,
@@ -31,6 +31,16 @@ from fermatlat.lattice_core import (
 )
 
 A2 = IntegerLattice([[2, 1], [1, 2]])
+
+
+def discriminant_group_generators(lattice):
+    """Generators of L*/L as rational vectors in basis coordinates, with
+    orders, from the Smith form with transforms."""
+    divisors, (u, v) = smith_normal_form(lattice.gram)
+    if any(dv == 0 for dv in divisors):
+        raise DegenerateLatticeError("degenerate pairing has no discriminant group")
+    return [([Fraction(v[row][i], dv) for row in range(lattice.rank)], dv)
+            for i, dv in enumerate(divisors) if dv > 1]
 
 
 def random_symmetric(rng, n, lo=-4, hi=4):

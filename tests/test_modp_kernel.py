@@ -1,7 +1,8 @@
 """The blocked float64 mod-p elimination against a per-pivot Gauss-Jordan
-oracle, the exact-product helpers around it, the certified mod-p radical
-of build_primitive (and its HNF fallback), and the primitive lattices
-against stored digests of the outputs of the per-pivot implementation."""
+oracle, the exact-product helpers around it, the certified mod-p radicals
+of lattice_core and of build_primitive (which refuses a tampered one), and
+the primitive lattices against stored digests of the outputs of the
+per-pivot implementation."""
 
 import hashlib
 import json
@@ -17,6 +18,7 @@ from fermatlat import _intlinalg as la
 from fermatlat import fermat_homology as fh
 from fermatlat import lattice_core as lc
 from fermatlat.cli import dumps_canonical
+from fermatlat.errors import VerificationError
 from fermatlat.fermat_homology import build_primitive
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "primitive_seed.json")
@@ -247,32 +249,19 @@ def stored_digests(key):
 
 
 @pytest.mark.parametrize("key", ["3,7", "5,3", "4,4", "3,8"])
-def test_primitive_lattices_match_stored_digests(key, monkeypatch):
-    # Built afresh, each rung must take the certified mod-p radical: a
-    # regression onto the HNF fallback fails here, not only in the timings.
+def test_primitive_lattices_match_stored_digests(key):
     fh._build_primitive_cached.cache_clear()
-    monkeypatch.setattr(fh, "radical_fallbacks", 0)
     d, n = map(int, key.split(","))
-    digests = primitive_digests(build_primitive(d, n))
-    assert fh.radical_fallbacks == 0
-    assert digests == stored_digests(key)
-
-
-@pytest.mark.parametrize("key", ["3,4", "4,3"])
-def test_fallback_when_no_prime_certifies(key, monkeypatch):
-    monkeypatch.setattr(lc, "_is_radical_basis", lambda *args: False)
-    monkeypatch.setattr(fh, "radical_fallbacks", 0)
-    d, n = map(int, key.split(","))
-    assert primitive_digests(fh._build_primitive(d, n)) == stored_digests(key)
-    assert fh.radical_fallbacks == 1
+    assert primitive_digests(build_primitive(d, n)) == stored_digests(key)
 
 
 def tampered(k, pivots, how):
     """K with one change that the build must refuse: an entry off the
-    radical (seen by K.G), or, keeping K.G == 0 so that only the pivot minor
-    sees it, a row doubled (an index-2 sublattice) or a row added to another
-    (a nonzero in another pivot column), or a row dropped (a saturated part
-    of the radical that only the rank formula sees)."""
+    radical (seen by K.G, and by K.M_0 != K), or, keeping K in the radical
+    so that only the pivot minor sees it, a row doubled (an index-2
+    sublattice) or a row added to another (a nonzero in another pivot
+    column), or a row dropped (a saturated part of the radical that only the
+    count of rows sees)."""
     k = k.copy()
     if how == "row dropped":
         return k[1:], pivots[1:]
@@ -285,6 +274,11 @@ def tampered(k, pivots, how):
     return k, pivots
 
 
+# The check of build_primitive's radical that refuses each tampering.
+REFUSED_BY = {"entry": "invariance", "row doubled": "pivot minor", "row added": "pivot minor",
+              "row dropped": "count"}
+
+
 @pytest.mark.parametrize("how", ["entry", "row doubled", "row added", "row dropped"])
 def test_tampered_radical_is_refused(how, monkeypatch):
     milnor = fh.build_milnor(3, 4)
@@ -294,11 +288,11 @@ def test_tampered_radical_is_refused(how, monkeypatch):
     assert lc._is_radical_basis(k, pivots, gram)
     assert lc._is_radical_basis(*tampered(k, pivots, how), gram) == (how == "row dropped")
 
-    candidate = lc._radical_candidate
-    monkeypatch.setattr(lc, "_radical_candidate", lambda g, p: tampered(*candidate(g, p), how))
-    monkeypatch.setattr(fh, "radical_fallbacks", 0)
-    assert primitive_digests(fh._build_primitive(3, 4)) == stored_digests("3,4")
-    assert fh.radical_fallbacks == 1
+    candidate = fh._character_candidate
+    monkeypatch.setattr(fh, "_character_candidate",
+                        lambda c, p: tampered(candidate(c, p), list(range(len(c))), how)[0])
+    with pytest.raises(VerificationError, match=REFUSED_BY[how]):
+        fh._build_primitive(3, 4)
 
 
 @pytest.mark.parametrize("d,n", [(3, 5), (4, 3), (5, 2), (3, 7), (5, 3)])
@@ -364,9 +358,12 @@ def count_calls(monkeypatch, *names):
 
 
 def test_primitive_build_eliminates_once(monkeypatch):
+    # The per-axis eigenvectors are built afresh: E is shown invertible by
+    # E.W being diagonal, with no elimination of its own.
+    fh._axis_eigenvectors.cache_clear()
     calls = count_calls(monkeypatch, "modp_eliminate", "modp_kernel")
     fh._build_primitive(3, 7)
-    assert calls == {"modp_eliminate": 1, "modp_kernel": 1}
+    assert calls == {"modp_eliminate": 1, "modp_kernel": 0}
 
 
 def test_cyclic_discriminant_certificate_eliminates_no_rank(monkeypatch):
