@@ -13,8 +13,10 @@ numpy is used here only where the result is provably exact: float64 matrix
 products whose every intermediate value stays below 2**53, and mod-p
 elimination on float64 residues, whose moduli satisfy (p - 1)**2 * 128 <
 2**53 so that every 128-term product-sum is exact (checked: other moduli
-raise ValueError).  The modular Smith divisors, the symmetric inertia
-elimination, the mod-p _rref, CRT reconstruction and certified pivot
+raise ValueError).  One float64 LAPACK inverse proposes integer candidates
+for scaled_integer_inverse, which accepts one only by the exact product.
+The modular Smith divisors, the symmetric inertia elimination, the mod-p
+_rref, CRT reconstruction, scaled integer inverses and certified pivot
 columns live here.
 """
 
@@ -449,6 +451,44 @@ def crt_reconstruct_int_matrix(residue_fn, verify_fn):
         if verify_fn(cand):
             return cand
     return None
+
+
+def scaled_integer_inverse(a: np.ndarray, d: int):
+    """The integer matrix X = d.A^{-1} of a square integer array A, proven
+    by the exact product int_matmul(A, X) == d.I; None when A is singular
+    or no candidate passes (d.A^{-1} is not integral).
+
+    The first candidate is a float64 LAPACK inverse times d, rounded to
+    integers (Wan, J. Symbolic Comput. 41, 2006).  It is used only if the
+    inverse raised no LinAlgError and every entry is finite and below 2**53
+    in absolute value, checked before the int64 cast, so nothing wraps; A
+    past int64 (dtype object) or |d| >= 2**53 skips it.  Otherwise, or when
+    the product disagrees, X comes from CRT reconstruction over
+    modp_solve_matrix.  No result comes from the approximation: either way
+    the exact product decides.  The float path holds no N x N copy of d.I.
+    """
+    n = len(a)
+
+    def solves(x):
+        prod = int_matmul(a, x)
+        diag = prod.diagonal()
+        return bool(np.all(diag == d)) and np.count_nonzero(prod) == np.count_nonzero(diag)
+
+    if a.dtype != object and abs(d) < _FLOAT_EXACT_LIMIT:
+        try:
+            x = np.linalg.inv(a.astype(np.float64))
+        except np.linalg.LinAlgError:
+            x = None
+        if x is not None:
+            x *= d
+            np.rint(x, out=x)
+            # False for NaN and infinity too: only finite entries below 2**53 pass.
+            if np.all(np.abs(x) < _FLOAT_EXACT_LIMIT):
+                x = _as_int64(x)
+                if solves(x):
+                    return x
+    eye = np.eye(n, dtype=np.int64 if abs(d) < _INT64_SAFE else object) * d
+    return crt_reconstruct_int_matrix(lambda p: modp_solve_matrix(a, eye, p), solves)
 
 
 # ---------------------------------------------------------------------------

@@ -111,17 +111,20 @@ def monomial_pairing(d: int, n: int, K: Sequence[int], L: Sequence[int]) -> int:
 class MilnorModule:
     """Middle homology of the affine Fermat variety, on the monomial basis."""
 
-    def __init__(self, d: int, n: int, basis: list[tuple[int, ...]],
-                 lattice: IntegerLattice, star_value: GroupRingElement):
+    def __init__(self, d: int, n: int, basis: list[tuple[int, ...]], lattice: IntegerLattice):
         self.d = d
         self.n = n
         self.basis = basis
         self.lattice = lattice
-        self.star_value = star_value
 
     @property
     def gram(self):
         return self.lattice.gram
+
+    @property
+    def star_value(self) -> GroupRingElement:
+        """The star element e_n * e_n, multiplied out on first use (cached)."""
+        return milnor_star_element(self.d, self.n)
 
     def star(self, K: Sequence[int], L: Sequence[int]) -> GroupRingElement:
         """Group-ring-valued pairing u^K e * u^L e = u^(K-L) (e * e)."""
@@ -148,7 +151,7 @@ def build_milnor(d: int, n: int) -> MilnorModule:
     gram.flags.writeable = False
     lattice = IntegerLattice(gram, SYMMETRIC if n % 2 == 0 else ANTISYMMETRIC,
                              label=f"milnor(d={d},n={n})")
-    return MilnorModule(d, n, milnor_basis(d, n), lattice, milnor_star_element(d, n))
+    return MilnorModule(d, n, milnor_basis(d, n), lattice)
 
 
 def _seifert_axis(d: int) -> np.ndarray:
@@ -231,8 +234,7 @@ def build_primitive(d: int, n: int) -> PrimitiveFermatLattice:
     """
     prim = _build_primitive_cached(d, n)
     lattice, milnor = prim.lattice, prim.milnor
-    module = MilnorModule(d, n, list(milnor.basis), milnor.lattice.relabel(milnor.lattice.label),
-                          milnor.star_value)
+    module = MilnorModule(d, n, list(milnor.basis), milnor.lattice.relabel(milnor.lattice.label))
     return PrimitiveFermatLattice(d, n, lattice.relabel(lattice.label), dict(prim.monomial_images),
                                   dict(prim.actions), prim.projection, module)
 
@@ -250,11 +252,14 @@ def _build_primitive(d: int, n: int) -> PrimitiveFermatLattice:
     milnor = build_milnor(d, n)
     rank = len(milnor.basis)
     expected = rank_formula(d, n)
-    # No reference to the radical is kept here, so radical_quotient frees it
-    # once it has its HNF rows (45 MB at Milnor rank 4096).
-    quotient, projection, reps = radical_quotient(
-        milnor.lattice,
-        kernel_rows=_certified_radical(d, n, rank - expected) if rank > expected else None)
+    # _certified_radical proves its K is the radical's row HNF with pivots
+    # 0 ... r-1, so radical_quotient takes it unchecked.  No reference to K
+    # is kept here, so radical_quotient frees it once it has narrowed it.
+    # With r = 0 the certified mod-p radical proves the Gram nondegenerate.
+    r = rank - expected
+    quotient, projection, reps = (
+        radical_quotient(milnor.lattice, _certified_radical(d, n, r), range(r)) if r > 0
+        else radical_quotient(milnor.lattice))
     quotient = quotient.relabel(f"primitive(d={d},n={n})")
     if quotient.rank != expected:
         raise VerificationError(

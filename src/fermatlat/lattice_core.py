@@ -3,7 +3,8 @@
 Normal forms, radical quotients, signatures, discriminant groups, unimodular
 gluing, and definite short-vector enumeration.  All computations are exact;
 floating point is never used for a result, only (elsewhere) for provably
-lossless integer work.
+lossless integer work and for integer candidates that an exact product
+accepts or rejects.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
 # ---------------------------------------------------------------------------
 # Radical quotient
 
-def radical_quotient(lattice: IntegerLattice, kernel_rows=None):
+def radical_quotient(lattice: IntegerLattice, kernel_rows=None, proven_pivots=None):
     """Quotient by the kernel of the pairing.
 
     Returns (quotient, projection, representatives): projection is a
@@ -137,7 +138,10 @@ def radical_quotient(lattice: IntegerLattice, kernel_rows=None):
     coordinate subsection certified by a unimodular minor or an SNF basis
     completion).  Without kernel_rows the kernel is the certified mod-p
     radical, or the integer right kernel of the Gram when no prime
-    certifies it.
+    certifies it.  Supplied kernel_rows are checked to lie in the radical
+    and put in row HNF, unless proven_pivots is given too: then they are
+    taken as already proven to be the radical's row HNF with those pivot
+    columns, and nothing about them is checked here.
     """
     g = lattice.gram
     n = lattice.rank
@@ -146,16 +150,21 @@ def radical_quotient(lattice: IntegerLattice, kernel_rows=None):
         if kernel_rows is None:
             kernel_rows = la.right_kernel(g)
         pivots = [next(c for c, x in enumerate(row) if x) for row in kernel_rows]
-    else:
+    elif proven_pivots is None:
         if len(kernel_rows) and np.any(la.int_matmul(la.int_array(kernel_rows), g)):
             raise ValueError("supplied kernel rows are not in the radical")
         kernel_rows, pivots = la.hnf_row(kernel_rows)
-    r = len(kernel_rows)
+    else:
+        pivots = list(proven_pivots)
+    # From here on only k holds the kernel rows (a caller passing a
+    # temporary keeps none), so narrowing k below frees the wide rows.
+    k = kernel_rows
+    del kernel_rows
+    r = len(k)
     if r == 0:
         ident = la.frozen_int_array(np.eye(n, dtype=np.int64))
         return IntegerLattice(g, lattice.symmetry, lattice.label), ident, ident
 
-    k = kernel_rows
     # Fast path: k is in row HNF, so its pivot minor is upper triangular with
     # positive pivots and the entries above each pivot reduced modulo it.  It
     # is unimodular iff every pivot is 1, and then it is the identity, so the
@@ -165,10 +174,10 @@ def radical_quotient(lattice: IntegerLattice, kernel_rows=None):
     if all(k[i][c] == 1 for i, c in enumerate(pivots)):
         pivot_set = set(pivots)
         s_cols = [c for c in range(n) if c not in pivot_set]
-        kernel = la.frozen_int_array(k)
-        proj = np.zeros((n, len(s_cols)), dtype=kernel.dtype)
+        k = la.frozen_int_array(k)
+        proj = np.zeros((n, len(s_cols)), dtype=k.dtype)
         proj[s_cols, range(len(s_cols))] = 1
-        proj[pivots] = -kernel[:, s_cols]
+        proj[pivots] = -k[:, s_cols]
         reps = np.eye(n, dtype=np.int8)[s_cols]
         quotient = IntegerLattice(g[np.ix_(s_cols, s_cols)], lattice.symmetry, lattice.label)
     else:
@@ -279,11 +288,13 @@ def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:
     """Exact certificate that L*/L is cyclic of order d, feasible at large rank.
 
     (a) X = d * G^{-1} is integral, so every invariant factor e_i of G
-    divides d: X comes from CRT reconstruction and is checked exactly by
-    G.X == d.I.  (b) For each p^v || d, X mod p^v is a rank-one matrix
-    with a unit entry: for the first entry X[i, j] that is a unit mod p,
-    X == X[:, j] . X[i, :] . X[i, j]^{-1} (mod p^v).  That is O(N^2)
-    integer work and no elimination.
+    divides d: X is la.scaled_integer_inverse(G, d), a float64 LAPACK
+    inverse rounded under the 2**53 guard or, when that fails, CRT
+    reconstruction, and either way it is accepted only by the exact product
+    G.X == d.I; nothing rests on the approximation.  (b) For each p^v || d,
+    X mod p^v is a rank-one matrix with a unit entry: for the first entry
+    X[i, j] that is a unit mod p, X == X[:, j] . X[i, :] . X[i, j]^{-1}
+    (mod p^v).  That is O(N^2) integer work and no elimination.
 
     Why (b) pins the p-part: write G = U.diag(e).V with U, V unimodular.
     Then X = V^{-1}.diag(d/e_i).U^{-1}, and d/e_i has p-valuation
@@ -301,19 +312,8 @@ def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:
     is 1: L*/L is cyclic of order d.  Avoids a full Smith normal form.
     """
     n = lattice.rank
-    gnp = lattice.gram
     dd = int(d)
-
-    def residue(p):
-        if dd % p == 0:
-            return None
-        inv = la.modp_solve_matrix(gnp, dd * np.eye(n, dtype=np.int64), p)
-        return inv
-
-    def verify(candidate):
-        return np.array_equal(la.int_matmul(gnp, candidate), dd * np.eye(n, dtype=np.int64))
-
-    x = la.crt_reconstruct_int_matrix(residue, verify)
+    x = la.scaled_integer_inverse(lattice.gram, dd)
     if x is None:
         return False
     # Exponent divides d; now pin each p-part.

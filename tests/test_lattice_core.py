@@ -29,6 +29,7 @@ from fermatlat.lattice_core import (
     signature,
     smith_normal_form,
 )
+from test_modp_kernel import count_calls
 
 A2 = IntegerLattice([[2, 1], [1, 2]])
 
@@ -228,14 +229,15 @@ def test_discriminant_cyclic_certificate():
     assert not discriminant_is_cyclic_of_order(klein, 4)  # (Z/2)^2 is not cyclic
 
 
-def congruent_form(rng, e):
-    """U.diag(e).U^T for a random unimodular U (a product of elementary
-    row operations): a Gram matrix with the invariant factors of diag(e)."""
+def congruent_form(rng, e, ops=None, bound=2):
+    """U.diag(e).U^T for a random unimodular U (a product of `ops`
+    elementary row operations, 3n by default, with multipliers in
+    [-bound, bound]): a Gram matrix with the invariant factors of diag(e)."""
     n = len(e)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(3 * n if n > 1 else 0):
+    for _ in range((3 * n if n > 1 else 0) if ops is None else ops):
         i, j = rng.sample(range(n), 2)
-        c = rng.randint(-2, 2)
+        c = rng.randint(-bound, bound)
         u[i] = [x + c * y for x, y in zip(u[i], u[j])]
     return la.mat_mul(la.mat_mul(u, [[e[i] if i == j else 0 for j in range(n)] for i in range(n)]),
                       la.mat_transpose(u))
@@ -281,6 +283,49 @@ def test_cyclic_certificate_matches_smith_form():
             assert discriminant_is_cyclic_of_order(lattice, d) == truth
             seen += truth
     assert seen >= 10
+
+
+def test_cyclic_certificate_falls_back_to_crt_on_an_ill_conditioned_form(monkeypatch):
+    # G has entries below 2**53, so the float64 inverse runs, but d * G^{-1},
+    # the only solution, has 77-bit entries: no float candidate can pass
+    # the 2**53 guard and the product, whatever the LAPACK build.
+    e = [1, 1, 1, 1, 1, 9]
+    gram = congruent_form(random.Random(9), e, ops=60, bound=9)
+    assert 2**40 < la._abs_max(la.int_array(gram)) < 2**53
+    calls = count_calls(monkeypatch, "modp_solve_matrix")
+    assert discriminant_is_cyclic_of_order(IntegerLattice(gram), 9) is is_cyclic_of_order(e, 9)
+    assert is_cyclic_of_order(e, 9) and calls["modp_solve_matrix"]
+
+
+def test_cyclic_certificate_skips_float_candidates_past_2_53(monkeypatch):
+    # X = [[2**55]]: d itself is past 2**53, so CRT finds X, and L*/L is
+    # trivial, not cyclic of order 2**55.
+    calls = count_calls(monkeypatch, "modp_solve_matrix")
+    assert discriminant_is_cyclic_of_order(IntegerLattice([[1]]), 2**55) is False
+    assert calls["modp_solve_matrix"]
+    # A unimodular G whose inverse, the only candidate that can pass the
+    # product, has the entry 1 - 2**54: the float guess is refused by the
+    # 2**53 guard whatever LAPACK returns, and CRT certifies L*/L = 0.
+    calls["modp_solve_matrix"] = 0
+    k = 2**27
+    assert discriminant_is_cyclic_of_order(IntegerLattice([[1, k], [k, k * k - 1]]), 1) is True
+    assert calls["modp_solve_matrix"]
+
+
+def test_cyclic_certificate_on_singular_and_empty_lattices():
+    for gram in ([[1, 1], [1, 1]], [[0]], [[2, 4], [4, 8]]):
+        assert discriminant_is_cyclic_of_order(IntegerLattice(gram), 2) is False
+    empty = IntegerLattice(np.zeros((0, 0), dtype=np.int64))
+    assert discriminant_is_cyclic_of_order(empty, 1) is True
+    assert discriminant_is_cyclic_of_order(empty, 2) is False
+
+
+def test_radical_quotient_refuses_supplied_rows_outside_the_radical():
+    degenerate = IntegerLattice([[2, 0, 0], [0, 0, 0], [0, 0, 0]])
+    with pytest.raises(ValueError, match="supplied kernel rows are not in the radical"):
+        radical_quotient(degenerate, [[0, 1, 0], [1, 0, 0]])
+    q, _, _ = radical_quotient(degenerate, [[0, 1, 0], [0, 0, 1]])
+    assert q.gram.tolist() == [[2]]
 
 
 def test_is_even():

@@ -366,9 +366,74 @@ def test_primitive_build_eliminates_once(monkeypatch):
     assert calls == {"modp_eliminate": 1, "modp_kernel": 0}
 
 
+def test_build_takes_the_proven_radical_unchecked(monkeypatch):
+    # _certified_radical's K is already proven to be the radical's row HNF:
+    # radical_quotient neither checks K.G again nor runs hnf_row, and gives
+    # the quotient that the checked path gives.
+    calls = count_calls(monkeypatch, "hnf_row")
+    prim = fh._build_primitive(3, 2)
+    assert calls == {"hnf_row": 0}
+    milnor = prim.milnor.lattice
+    r = milnor.rank - prim.lattice.rank
+    k = fh._certified_radical(3, 2, r)
+    checked = lc.radical_quotient(milnor, k)
+    assert calls == {"hnf_row": 1}
+    assert np.array_equal(checked[0].gram, prim.lattice.gram)
+    assert np.array_equal(checked[1], prim.projection)
+
+
+def test_nondegenerate_build_still_certifies_its_radical(monkeypatch):
+    # With no radical to quotient by (r = 0, every n = 0 rung), the build
+    # still proves the Milnor Gram nondegenerate by the certified mod-p
+    # radical, so a wrong rank formula cannot pass.
+    grams = []
+    real = lc.certified_radical
+    monkeypatch.setattr(lc, "certified_radical", lambda g: grams.append(len(g)) or real(g))
+    assert fh._build_primitive(5, 0).lattice.rank == 4
+    assert grams == [4]
+    monkeypatch.setattr(fh, "rank_formula", lambda d, n: (d - 1) ** (n + 1))
+    with pytest.raises(VerificationError, match="disagrees with the rank formula"):
+        fh._build_primitive(3, 1)
+
+
 def test_cyclic_discriminant_certificate_eliminates_no_rank(monkeypatch):
+    # The float64 candidate for 4 * G^{-1} passes the exact product: no
+    # mod-p solve at all.
     from fermatlat.lattice_core import discriminant_is_cyclic_of_order
     lattice = build_primitive(4, 4).lattice
-    calls = count_calls(monkeypatch, "modp_rank", "modp_eliminate")
+    calls = count_calls(monkeypatch, "modp_rank", "modp_eliminate", "modp_solve_matrix")
     assert discriminant_is_cyclic_of_order(lattice, 4)
-    assert calls == {"modp_rank": 0, "modp_eliminate": 0}
+    assert calls == {"modp_rank": 0, "modp_eliminate": 0, "modp_solve_matrix": 0}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_scaled_integer_inverse_is_exact(n, d, seed):
+    # A = L.U with L, U unit triangular is unimodular: d.A^{-1} is integral.
+    rng = np.random.default_rng(seed)
+    low = np.tril(rng.integers(-3, 4, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+    up = np.triu(rng.integers(-3, 4, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
+    a = low @ up
+    x = la.scaled_integer_inverse(a, d)
+    assert np.array_equal(a.astype(object) @ x.astype(object), d * np.eye(n, dtype=object))
+
+
+def test_scaled_integer_inverse_paths(monkeypatch):
+    calls = count_calls(monkeypatch, "modp_solve_matrix")
+    # Not integral: the float candidate fails the product, then every CRT
+    # candidate does.
+    assert la.scaled_integer_inverse(np.array([[2]]), 1) is None
+    # Singular: LinAlgError is caught, and A is singular mod every prime.
+    assert la.scaled_integer_inverse(np.array([[1, 2], [2, 4]]), 2) is None
+    assert calls["modp_solve_matrix"] > 0
+    calls["modp_solve_matrix"] = 0
+    # Entries past int64 skip the float64 inverse.
+    big = 2**70
+    x = la.scaled_integer_inverse(la.int_array([[big, 0], [0, 1]]), big)
+    assert x.tolist() == [[1, 0], [0, big]]
+    assert calls["modp_solve_matrix"] > 0
+    calls["modp_solve_matrix"] = 0
+    assert la.scaled_integer_inverse(np.zeros((0, 0), dtype=np.int8), 3).shape == (0, 0)
+    assert la.scaled_integer_inverse(np.array([[2, 1], [1, 2]], dtype=np.int8), 3).tolist() == [
+        [2, -1], [-1, 2]]
+    assert calls["modp_solve_matrix"] == 0
