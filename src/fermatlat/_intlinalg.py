@@ -4,10 +4,10 @@ the numpy kernels, and the pure-Python ones re-exported from _pylinalg.
 The package splits its linear algebra along the numpy line.  _pylinalg
 holds the kernels on lists of Python ints (mat_vec, vec_mat, dot,
 mat_transpose, int_rows, the Hermite and Smith forms, the fraction-free
-elimination _fraction_free behind rank_exact, det_bareiss, solve_rational
-and fraction_free_inverse, charpoly) and imports no numpy, so the GIT
-tests run without it.  This module re-exports each of them as the same
-object, so la.X works for both halves.
+elimination _fraction_free behind rank_exact, det_bareiss and
+solve_rational, charpoly) and imports no numpy, so the GIT tests run
+without it.  This module re-exports each of them as the same object, so
+la.X works for both halves.
 
 numpy is used here only where the result is provably exact: float64 matrix
 products whose every intermediate value stays below 2**53, and mod-p
@@ -36,7 +36,6 @@ from ._pylinalg import (  # noqa: F401  (re-exported: la.X reaches both halves)
     det_bareiss,
     dot,
     floor_sqrt_fraction,
-    fraction_free_inverse,
     hnf_row,
     int_rows,
     left_kernel,

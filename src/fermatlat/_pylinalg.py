@@ -8,15 +8,14 @@ on entry (int_rows), so no narrow numpy dtype wraps inside it, and returns
 lists of lists of Python ints.  Exact dense elimination over Q has one
 kernel, _fraction_free: Bareiss's fraction-free elimination, in row echelon
 form for rank_exact and det_bareiss and in Gauss-Jordan form for
-solve_rational and fraction_free_inverse, which return Fractions (or a
-common denominator) only at the end.  Integer row reduction has one kernel
+solve_rational, which returns Fractions only at the end.  Integer row reduction has one kernel
 too, hnf_row: the Smith form alternates it on A and on A^T.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import index
 from typing import Sequence
 
@@ -302,24 +301,6 @@ def solve_rational(a: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]):
         return None
     den = m[n - 1][n - 1] if n else 1
     return [[Fraction(x, den) for x in row[n:]] for row in m]
-
-
-def fraction_free_inverse(a):
-    """(X, q) with A^-1 = X / q exactly, q > 0 and gcd(q, entries of X) = 1,
-    or None when A is singular.  Gauss-Jordan on [A | I] leaves
-    [D*I | D*A^-1] with D = +-det(A)."""
-    n = len(a)
-    if n == 0:
-        return [], 1
-    m, pivots, _ = _fraction_free([list(row) + [int(i == j) for j in range(n)]
-                                   for i, row in enumerate(a)], reduce=True)
-    if pivots != list(range(n)):
-        return None
-    d = m[n - 1][n - 1]
-    g = gcd(d, *(x for row in m for x in row[n:]))
-    if d < 0:
-        g = -g
-    return [[x // g for x in row[n:]] for row in m], d // g
 
 
 # ---------------------------------------------------------------------------

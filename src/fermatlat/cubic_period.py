@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Optional, Sequence
 
 import numpy as np
@@ -180,17 +179,24 @@ def _glued_cubic_lattices() -> CubicFourfoldLattice:
     if is_even(lambda_full):
         raise VerificationError("glued lattice must be odd")
 
-    inverse = _rational_inverse(basis)
-    # Row i of basis^-1 holds the glued coordinates of the i-th orthogonal-sum
-    # basis vector (e_0..e_21 span lambda_o, e_22 is eta): it must be integral.
-    coords = _divide_exact(*inverse, "vector does not lie in the glued lattice")
-    eta_in_lambda = tuple(coords[22])
+    # basis = S / den, so basis^-1 = den * S^-1.  Row i of basis^-1 holds the
+    # glued coordinates of the i-th orthogonal-sum basis vector (e_0..e_21
+    # span lambda_o, e_22 is eta): it must be integral.
+    scaled, den = la.clear_denominators(basis)
+    scaled = la.int_array(scaled)
+    coords = la.scaled_integer_inverse(scaled, den)
+    if coords is None:
+        raise VerificationError("vector does not lie in the glued lattice")
+    eta_in_lambda = tuple(coords[22].tolist())
     lambda_o_in_lambda = coords[:22]
 
     actions_full = {}
     for name, m in prim.actions.items():
-        block = [row + [0] for row in m.tolist()] + [[0] * 22 + [1]]
-        mat = _conjugate_rational(block, basis, inverse)
+        block = la.int_array([row + [0] for row in m.tolist()] + [[0] * 22 + [1]])
+        # basis . block . basis^-1 = S . block . coords / den, checked integral.
+        mat, rem = np.divmod(la.int_matmul(la.int_matmul(scaled, block), coords), den)
+        if rem.any():
+            raise VerificationError("transported action is not integral")
         actions_full[name] = la.frozen_int_array(mat)
         moved = la.mat_mul(la.mat_mul(mat, lambda_full.gram), la.mat_transpose(mat))
         if moved != lambda_full.gram.tolist():
@@ -292,15 +298,6 @@ def _special_adapted_basis(built: CubicFourfoldLattice):
     return g, rows
 
 
-def _int_inverse(m):
-    """Inverse of a unimodular integer matrix; raises VerificationError if
-    the inverse is not integral."""
-    inv, q = _rational_inverse(m)
-    if q != 1:
-        raise VerificationError("matrix is not unimodular")
-    return inv
-
-
 def _round_nearest(a: int, b: int) -> int:
     q, r = divmod(a, b)
     if 2 * abs(r) > abs(b):
@@ -320,33 +317,6 @@ def _disc_generator(lattice: IntegerLattice) -> list[Fraction]:
     if any(v % 3 for v in gx):
         raise VerificationError("mod-3 kernel vector does not lift to the dual")
     return [Fraction(v, 3) for v in x]
-
-
-def _rational_inverse(basis) -> tuple[la.Mat, int]:
-    """(X, q) with basis^-1 = X / q in lowest terms, for a nonsingular
-    square matrix of integers or Fractions."""
-    scaled, den = la.clear_denominators(basis)
-    inv = la.fraction_free_inverse(scaled)
-    if inv is None:
-        raise VerificationError("basis matrix is singular")
-    x, q = inv
-    # (S / den)^-1 = den * X / q, with gcd(X, q) = 1.
-    g = gcd(den, q)
-    return [[v * (den // g) for v in row] for row in x], q // g
-
-
-def _divide_exact(m: la.Mat, q: int, message: str) -> la.Mat:
-    if any(x % q for row in m for x in row):
-        raise VerificationError(message)
-    return [[x // q for x in row] for row in m]
-
-
-def _conjugate_rational(block: la.Mat, basis, inverse: tuple[la.Mat, int]) -> la.Mat:
-    """basis * block * basis^{-1}, checked integral."""
-    scaled, den = la.clear_denominators(basis)
-    x, q = inverse
-    return _divide_exact(la.mat_mul(la.mat_mul(scaled, block), x), den * q,
-                         "transported action is not integral")
 
 
 def _assert_orthogonal_complement(lambda_full, eta_in_lambda, lambda_o_in_lambda):
@@ -704,7 +674,10 @@ def planted_remark_self_test() -> bool:
 
 def _conjugate_int(u: la.Mat, m: la.Mat) -> la.Mat:
     """u * m * u^{-1} for unimodular u, exactly."""
-    return la.mat_mul(la.mat_mul(u, m), _int_inverse(la.int_rows(u)))
+    inverse = la.scaled_integer_inverse(la.int_array(u), 1)
+    if inverse is None:
+        raise VerificationError("matrix is not unimodular")
+    return la.mat_mul(la.mat_mul(u, m), inverse.tolist())
 
 
 def nodal_complement_signature(built: CubicFourfoldLattice, v: Sequence[int]) -> tuple[int, int]:

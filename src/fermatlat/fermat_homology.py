@@ -87,22 +87,31 @@ def _u_powers(d: int) -> list[np.ndarray]:
 # Star elements
 
 @lru_cache(maxsize=None)
+def star_halves(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B), the coefficients of prod (1 - u_i) and prod (1 - u_i^(-1)) in
+    Z[mu_d^(n+1)] as read-only arrays with one axis per u_i: the (n+1)-fold
+    outer powers of the axis [1, -1, 0, ..., 0] and of its reversal."""
+    axis = np.array([1, -1] + [0] * (d - 2))
+    return tuple(la.frozen_int_array(reduce(np.multiply.outer, [v] * (n + 1)))
+                 for v in (axis, axis[-np.arange(d) % d]))
+
+
+@lru_cache(maxsize=None)
 def milnor_star_element(d: int, n: int) -> GroupRingElement:
-    """e_n * e_n = (1 - bar(u_1...u_{n+1})) prod (1 - u_i) in Z[mu_d^(n+1)]."""
-    k = n + 1
-    one = GroupRingElement.one(d, k)
-    w = one - GroupRingElement.monomial(d, k, [-1] * k)
-    for i in range(k):
-        w = w * (one - GroupRingElement.generator(d, k, i))
-    return w
+    """e_n * e_n = (1 - bar(u_1...u_{n+1})) prod (1 - u_i) = A + (-1)^n B for
+    (A, B) = star_halves(d, n), with no group-ring product."""
+    a, b = star_halves(d, n)
+    w = a + (-1) ** n * b
+    return GroupRingElement(d, n + 1, {e: int(c) for e, c in np.ndenumerate(w) if c})
 
 
 def monomial_pairing(d: int, n: int, K: Sequence[int], L: Sequence[int]) -> int:
     """Intersection pairing of the monomial classes u^K, u^L in the primitive
     lattice: the Milnor star element at K - L, taken modulo the diagonal
     (u_0 = (u_1...u_{n+1})^(-1) there)."""
-    diff = class_rep([a - b for a, b in zip(K, L)], d)
-    return parity_sign(n) * milnor_star_element(d, n).coeffs.get(diff[1:], 0)
+    a, b = star_halves(d, n)
+    e = class_rep([k - l for k, l in zip(K, L)], d)[1:]
+    return parity_sign(n) * int(a[e] + (-1) ** n * b[e])
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +132,7 @@ class MilnorModule:
 
     @property
     def star_value(self) -> GroupRingElement:
-        """The star element e_n * e_n, multiplied out on first use (cached)."""
+        """The star element e_n * e_n, read off star_halves on first use (cached)."""
         return milnor_star_element(self.d, self.n)
 
     def star(self, K: Sequence[int], L: Sequence[int]) -> GroupRingElement:
@@ -155,8 +164,8 @@ def build_milnor(d: int, n: int) -> MilnorModule:
 
 
 def _seifert_axis(d: int) -> np.ndarray:
-    """V_1 = I minus the subdiagonal of ones: 1 - u at the exponent differences."""
-    return np.eye(d - 1, dtype=np.int8) - np.eye(d - 1, k=-1, dtype=np.int8)
+    """V_1 = I minus the subdiagonal of ones: the axis of star_halves at j - k."""
+    return star_halves(d, 0)[0][(np.arange(d - 1)[:, None] - np.arange(d - 1)) % d]
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 The reduction tensors the integer lattice with Z[zeta_d] along the last k
 coordinate actions; its Z[zeta_d]-valued pairing collects the integer
 pairings against the action orbit with zeta-power weights.  For k = 1 the
-pairing on monomial generators follows the four-case table, corrected by the
-zeta-power twists that monomial representatives pick up across the diagonal
-coset (the bare table, taken literally with `0 otherwise', presents a form of
-the wrong rank; consistency of both readings is reported, not assumed).
+pairing on monomial generators is one gather from the star table
+fermat_homology.star_halves (_monomial_values), and so is the literal
+four-case table of the opposite-parity sign, which presents a form of the
+wrong rank (consistency of both readings is reported, not assumed).
 
 Matrices over Z[zeta_d] are integer coordinate arrays of shape
 (rows, cols, phi(d)) in the power basis, or, while products are formed,
@@ -19,9 +19,9 @@ scalars replaces each entry by its phi x phi multiplication matrix.
 A HermitianLattice holds one read-only (r, r, phi) coordinate array and a
 positive common denominator, and every consumer (the hermitian check, the
 determinant norm, the signature, the eigenball tests) reads that array.
-CyclotomicElement objects appear only for scalars (table entries, the
-imaginary unit), in the Euclidean echelon of cyclotomic_row_echelon, in the
-field elimination of HermitianLattice.determinant, and in
+CyclotomicElement objects appear only for scalars (zeta powers, the imaginary
+unit, reduction_entry), in the Euclidean echelon of cyclotomic_row_echelon,
+in the field elimination of HermitianLattice.determinant, and in
 HermitianLattice.gram, which rebuilds element rows from the array.
 """
 
@@ -43,8 +43,8 @@ from .exact_algebra import (
     _reduction_rows,
     euler_phi,
 )
-from .errors import DegenerateLatticeError, VerificationError
-from .fermat_homology import PrimitiveFermatLattice, monomial_pairing
+from .errors import DegenerateLatticeError, ResourceBoundError, VerificationError
+from .fermat_homology import PrimitiveFermatLattice, parity_sign, size_bound, star_halves
 
 H_PLUS = "h_plus"
 H_MINUS = "h_minus"
@@ -213,35 +213,28 @@ def _trace_row(d: int, shift: int = 0) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Monomial-generator pairings
 
-def hermitian_table_entry(d: int, K: Sequence[int], L: Sequence[int],
-                          sign: int) -> CyclotomicElement:
-    """The displayed four-case h_sign value, taken literally (no coset twists)."""
-    zeta = CyclotomicElement.zeta(d)
-    zbar = zeta.conj()
-    one = CyclotomicElement.one(d)
-    s = -sign
-    diff = tuple((a - b) % d for a, b in zip(K, L))
-    if all(e == 0 for e in diff):
-        return (one + s * zeta) * (one + s * zbar)
-    if all(e in (0, 1) for e in diff):
-        return (-1) ** sum(diff) * (one + s * zbar)
-    neg = tuple((-e) % d for e in diff)
-    if all(e in (0, 1) for e in neg):
-        return (-1) ** sum(neg) * (one + s * zeta)
-    return CyclotomicElement.zero(d)
+def _monomial_values(d: int, n: int, sign: int) -> np.ndarray:
+    """Coordinates of the h_sign value at every K - L = D in (Z/d)^(n+1),
+    lexicographic, as a (d^(n+1), phi) array read off (A, B) = star_halves.
+
+    With the parity-matching sign it is the reduction pairing, whose zeta^i
+    coefficient is the monomial pairing at (D, -i): sign_n (A + (-1)^n B)
+    at (D_1 - D_0, ..., D_n - D_0, -i - D_0).  With the other sign it is the
+    literal four-case table A[D] (1 - sign zbar) + B[D] (1 - sign zeta)."""
+    a, b = star_halves(d, n)
+    if sign != expected_sign(n):
+        t = _zeta_table(d)
+        return np.outer(a, t[0] - sign * t[-1]) + np.outer(b, t[0] - sign * t[1])
+    i, d0, *rest = np.indices((d,) * (n + 2))
+    coeff = parity_sign(n) * (a + (-1) ** n * b)[tuple((x - d0) % d for x in (*rest, -i))]
+    return _zeta_sum(d, coeff.reshape(d, -1))
 
 
 def reduction_entry(d: int, n: int, K: Sequence[int], L: Sequence[int]) -> CyclotomicElement:
     """(u^K . u^L)_1 = sum_i (u^K . u_{n+1}^i u^L) zeta^i on generators
-    K, L in (Z/d)^(n+1), from the intersection pairing of monomial classes."""
-    out = CyclotomicElement.zero(d)
-    K2 = tuple(K) + (0,)
-    for i in range(d):
-        L2 = tuple(L) + (i,)
-        c = monomial_pairing(d, n, K2, L2)
-        if c:
-            out = out + CyclotomicElement.zeta(d, i) * c
-    return out
+    K, L in (Z/d)^(n+1): the row of _monomial_values at K - L."""
+    row = np.ravel_multi_index(tuple((k - l) % d for k, l in zip(K, L)), (d,) * (n + 1))
+    return CyclotomicElement(d, _monomial_values(d, n, expected_sign(n))[row].tolist())
 
 
 def _difference_index(d: int, gens: Sequence[Sequence[int]]) -> np.ndarray:
@@ -264,21 +257,22 @@ def hermitian_gram(d: int, n: int, sign: int) -> HermitianLattice:
     opposite-parity variant is not known to be well defined; it is returned as
     the literal table on its own pivot basis and tagged parity_consistent=False.
 
-    Both pairings depend on K - L alone, so each of the d^(n+1) values is
-    computed once and spread over the generator grid.
+    Both pairings depend on K - L alone: the d^(n+1) values are one gather
+    from the star table (_monomial_values), spread over the generator grid.
+    ResourceBoundError when the restriction of scalars, of side
+    d^(n+1) * phi(d), exceeds size_bound().
     """
-    if d < 3:
-        raise ValueError("need d >= 3")
+    if d < 3 or n < 0:
+        raise ValueError("need d >= 3 and n >= 0")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    side = d ** (n + 1) * euler_phi(d)
+    if side > size_bound():
+        raise ResourceBoundError(
+            f"d^(n+1) * phi(d) = {side} exceeds the size bound {size_bound()}")
     gens = sorted(itertools.product(range(d), repeat=n + 1))
-    origin = (0,) * (n + 1)
     parity = sign == expected_sign(n)
-    if parity:
-        values = [reduction_entry(d, n, delta, origin) for delta in gens]
-    else:
-        values = [hermitian_table_entry(d, delta, origin, sign) for delta in gens]
-    coords = la.int_array([v.integral_coords() for v in values])
+    coords = _monomial_values(d, n, sign)
     scale = 1
     if parity:
         # Every diagonal entry is the value at K - L = 0, the first value:

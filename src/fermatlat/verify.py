@@ -14,53 +14,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import _intlinalg as la
-from .cubic_period import (
-    build_cubic_lattices,
-    eigenlattice,
-    hyperplane_meets_eigenball,
-    nodal_complement_signature,
-    nodal_vectors_in_box,
-    orbit_specials,
-    planted_remark_self_test,
-    verify_remark_52,
-)
 from .fermat_homology import (
     build_primitive,
     rank_formula,
     resolution_check,
 )
-from .git_stability import (
-    HomogeneousForm,
-    cone_extend,
-    is_semistable_diagonal,
-    is_stable_diagonal,
-    verify_semistable_certificate,
-    verify_stable_certificate,
-)
-from .hermitian_eigen import (
-    chi_form_on_classes,
-    chi_reduce,
-    cor23_rank,
-    det_norms_agree_up_to_ramified,
-    expected_sign,
-    hermitian_gram,
-    hermitian_signature,
-    signatures_agree_up_to_sign,
-    _parity_normalize,
-)
-from .hodge_characters import (
-    enumerate_characters,
-    fermat_class_character,
-    hodge_numbers,
-)
-from .lattice_core import (
-    determinant,
-    discriminant,
-    discriminant_is_cyclic_of_order,
-    is_even,
-    short_vectors,
-    signature,
-)
+
+# Each suite imports the modules it checks, so one suite loads only those.
+# The fermat_homology names stay module attributes: the benchmark's recorder
+# wraps fermatlat.verify.build_primitive (bench/test_bench.py checks it).
 
 SUITES = ("ranks", "resolution", "hermitian", "hodge", "cubic", "git")
 
@@ -92,6 +54,14 @@ def _check(name, passed, detail=None, evidence=False):
 # ---------------------------------------------------------------------------
 
 def _suite_ranks(bound=2, fast=False):
+    from .lattice_core import (
+        determinant,
+        discriminant_is_cyclic_of_order,
+        is_even,
+        short_vectors,
+        signature,
+    )
+
     checks = []
     grid = [(d, n) for (d, n) in RANK_GRID if not (fast and (d - 1) ** (n + 1) > 300)]
     for d, n in grid:
@@ -141,6 +111,18 @@ def _suite_resolution(bound=2, fast=False):
 
 
 def _suite_hermitian(bound=2, fast=False):
+    from .hermitian_eigen import (
+        _parity_normalize,
+        chi_form_on_classes,
+        chi_reduce,
+        cor23_rank,
+        det_norms_agree_up_to_ramified,
+        expected_sign,
+        hermitian_gram,
+        hermitian_signature,
+        signatures_agree_up_to_sign,
+    )
+
     checks = []
     prim4 = build_primitive(3, 4)
     lemma = {1: (11, (10, 1)), 2: (5, (4, 1)), 3: (2, (1, 1))}
@@ -211,6 +193,8 @@ def _suite_hermitian(bound=2, fast=False):
 
 
 def _suite_hodge(bound=2, fast=False):
+    from .hodge_characters import enumerate_characters, fermat_class_character, hodge_numbers
+
     checks = []
     targets = {
         (3, 4): {1: 1, 2: 20, 3: 1},
@@ -238,6 +222,20 @@ def _suite_hodge(bound=2, fast=False):
 
 
 def _suite_cubic(bound=2, fast=False):
+    from .cubic_period import (
+        build_cubic_lattices,
+        eigenlattice,
+        hyperplane_meets_eigenball,
+        nodal_complement_signature,
+        nodal_vectors_in_box,
+        orbit_specials,
+        planted_remark_self_test,
+        special_search_report,
+        verify_remark_52,
+    )
+    from .hermitian_eigen import hermitian_signature
+    from .lattice_core import determinant, discriminant, is_even, signature
+
     checks = []
     built = build_cubic_lattices()
     lam, lam_o = built.lambda_full, built.lambda_o
@@ -256,8 +254,6 @@ def _suite_cubic(bound=2, fast=False):
     prim = build_primitive(3, 4)
     nodal_ok = all(built.is_nodal(v) for v in prim.monomial_images.values())
     checks.append(_check("every monomial image is nodal (norm 2)", nodal_ok))
-
-    from .cubic_period import special_search_report
 
     search = special_search_report(bound)
     specials = [tuple(h) for h in search["hits"]]
@@ -310,6 +306,15 @@ def _suite_cubic(bound=2, fast=False):
 
 
 def _suite_git(bound=2, fast=False):
+    from .git_stability import (
+        HomogeneousForm,
+        cone_extend,
+        is_semistable_diagonal,
+        is_stable_diagonal,
+        verify_semistable_certificate,
+        verify_stable_certificate,
+    )
+
     checks = []
     for m in (3, 4, 5, 6):
         f = HomogeneousForm.fermat(m, 3)
@@ -366,6 +371,8 @@ def _suite_git(bound=2, fast=False):
 
 def _random_cubic(rng: random.Random, m: int) -> HomogeneousForm:
     import itertools
+
+    from .git_stability import HomogeneousForm
 
     monos = [e for e in itertools.product(range(4), repeat=m) if sum(e) == 3]
     k = rng.randrange(1, 6)

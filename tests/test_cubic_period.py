@@ -134,17 +134,12 @@ def test_bounded_box_float_guard():
             bounded_box_vectors(IntegerLattice([[big, 0], [0, 1]]), big + 1, 1)
 
 
-def test_rational_inverse_in_lowest_terms():
-    from fractions import Fraction
-    from fermatlat.cubic_period import _int_inverse, _rational_inverse
+def test_conjugate_int_refuses_a_non_unimodular_matrix():
+    from fermatlat.cubic_period import _conjugate_int
 
-    assert _rational_inverse([[Fraction(1, 3), 0], [0, 1]]) == ([[3, 0], [0, 1]], 1)
-    assert _rational_inverse([[Fraction(3, 2), 0], [0, 1]]) == ([[2, 0], [0, 3]], 3)
-    assert _int_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
-    with pytest.raises(VerificationError):
-        _int_inverse([[2, 0], [0, 1]])
-    with pytest.raises(VerificationError):
-        _rational_inverse([[1, 2], [2, 4]])
+    assert _conjugate_int([[2, 1], [1, 1]], [[0, 1], [1, 0]]) == [[-1, 3], [0, 1]]
+    with pytest.raises(VerificationError, match="not unimodular"):
+        _conjugate_int([[2, 0], [0, 1]], [[1, 0], [0, 1]])
 
 
 def primitive_arrays(prim):

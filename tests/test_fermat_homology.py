@@ -9,7 +9,7 @@ import pytest
 
 from fermatlat import _intlinalg as la
 from fermatlat.errors import ResourceBoundError, VerificationError
-from fermatlat.exact_algebra import GroupRingElement
+from fermatlat.exact_algebra import CyclotomicElement, GroupRingElement
 from fermatlat.fermat_homology import (
     _image_kernel_index,
     build_milnor,
@@ -23,6 +23,7 @@ from fermatlat.fermat_homology import (
     parity_sign,
     rank_formula,
     resolution_check,
+    star_halves,
 )
 from fermatlat.lattice_core import (
     IntegerLattice,
@@ -114,6 +115,38 @@ def four_case_pairing(d, n, K, L):
         if all(e in (0, 1) for e in shifted) and 0 < sum(shifted) < k:
             return parity_sign(n) * (-1) ** (sum(shifted) + n)
     return 0
+
+
+def reduction_entry_oracle(d, n, K, L):
+    """(u^K . u^L)_1 = sum_i (u^(K,0) . u^(L,i)) zeta^i from the four-case
+    formula: the loop that reduction_entry ran before it read the star
+    table."""
+    out = CyclotomicElement.zero(d)
+    for i in range(d):
+        c = four_case_pairing(d, n, tuple(K) + (0,), tuple(L) + (i,))
+        if c:
+            out = out + CyclotomicElement.zeta(d, i) * c
+    return out
+
+
+def product_star_element(d, n):
+    """e_n * e_n = (1 - bar(u_1...u_{n+1})) prod (1 - u_i), multiplied out in
+    the group ring: the construction milnor_star_element replaced."""
+    k = n + 1
+    one = GroupRingElement.one(d, k)
+    w = one - GroupRingElement.monomial(d, k, [-1] * k)
+    for i in range(k):
+        w = w * (one - GroupRingElement.generator(d, k, i))
+    return w
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in range(3, 8) for n in range(5)
+                                 if d ** (n + 1) <= 5000])
+def test_milnor_star_element_is_the_group_ring_product(d, n):
+    w = milnor_star_element(d, n)
+    assert w == product_star_element(d, n)
+    assert all(type(c) is int and all(type(e) is int for e in exps)
+               for exps, c in w.coeffs.items())
 
 
 @pytest.mark.parametrize("d,n", [(3, 0), (3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3),
@@ -277,3 +310,4 @@ def test_cached_group_ring_elements_are_read_only():
         assert pickle.loads(pickle.dumps(elt)) == elt
     assert np.array_equal(build_milnor(3, 2).gram, gram)
     assert connecting_map(3, 2) == conn
+    assert not any(h.flags.writeable for h in star_halves(3, 2))

@@ -1,11 +1,9 @@
-"""The four wrappers of the fraction-free elimination kernel (rank_exact,
-det_bareiss, solve_rational, fraction_free_inverse) against the separately
-written eliminations they replaced, copied here as oracles: list Bareiss
-for rank and determinant, Fraction Gauss-Jordan for the rational solve,
-and numpy-object Gauss-Jordan for the inverse."""
+"""The three wrappers of the fraction-free elimination kernel (rank_exact,
+det_bareiss, solve_rational) against the separately written eliminations
+they replaced, copied here as oracles: list Bareiss for rank and
+determinant and Fraction Gauss-Jordan for the rational solve."""
 
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 import pytest
@@ -100,30 +98,6 @@ def oracle_solve(a, rhs):
     return [row[n:n + w] for row in m]
 
 
-def oracle_inverse(a):
-    n = len(a)
-    if n == 0:
-        return [], 1
-    m = np.hstack([la.int_array(a), np.eye(n, dtype=np.int64)]).astype(object)
-    prev = 1
-    for k in range(n):
-        nz = np.flatnonzero(m[k:, k])
-        if not nz.size:
-            return None
-        i = k + int(nz[0])
-        if i != k:
-            m[[k, i]] = m[[i, k]]
-        pivot = m[k, k]
-        rest = np.r_[0:k, k + 1:n]
-        m[rest] = (m[rest] * pivot - np.outer(m[rest, k], m[k])) // prev
-        prev = pivot
-    x = m[:, n:]
-    g = gcd(prev, *x.flat)
-    if prev < 0:
-        g = -g
-    return (x // g).tolist(), prev // g
-
-
 # ---------------------------------------------------------------------------
 # Strategies
 
@@ -185,12 +159,6 @@ def test_solve_matches_fraction_gauss_jordan(a, w, data):
         assert all(type(x) is Fraction for row in got for x in row)
 
 
-@settings(max_examples=300, deadline=None)
-@given(int_matrices(square=True))
-def test_inverse_matches_object_gauss_jordan(a):
-    assert la.fraction_free_inverse(a) == oracle_inverse(a)
-
-
 @settings(max_examples=200, deadline=None)
 @given(int_matrices(), st.booleans())
 def test_kernel_forms(a, reduce):
@@ -250,7 +218,6 @@ def test_empty_inputs():
     assert la.rank_exact([[]]) == 0
     assert la.det_bareiss([]) == 1
     assert la.solve_rational([], []) == []
-    assert la.fraction_free_inverse([]) == ([], 1)
     assert la._fraction_free([]) == ([], [], 1)
 
 
@@ -258,8 +225,6 @@ def test_numpy_integer_entries_do_not_overflow():
     a = np.array([[2**40, 1], [1, 2**40]], dtype=np.int64)
     assert la.det_bareiss(a) == 2**80 - 1
     assert la.rank_exact(a) == 2
-    x, q = la.fraction_free_inverse(a)
-    assert q == 2**80 - 1 and x == [[2**40, -1], [-1, 2**40]]
 
 
 def test_non_integer_entries_are_rejected():
@@ -273,5 +238,4 @@ def test_singular_and_swapped():
     assert la.det_bareiss([[0, 1], [1, 0]]) == -1
     assert la.det_bareiss([[1, 2], [2, 4]]) == 0
     assert la.solve_rational([[1, 2], [2, 4]], [[1], [2]]) is None
-    assert la.fraction_free_inverse([[0, 0], [0, 1]]) is None
     assert la.solve_rational([[0, 2], [3, 0]], [[1], [1]]) == [[Fraction(1, 3)], [Fraction(1, 2)]]

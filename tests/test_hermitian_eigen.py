@@ -1,8 +1,12 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from fermatlat.errors import VerificationError
-from fermatlat.exact_algebra import CyclotomicElement
+from fermatlat import fermat_homology as fh
+from fermatlat import hermitian_eigen as he
+from fermatlat.errors import ResourceBoundError, VerificationError
+from fermatlat.exact_algebra import CyclotomicElement, GroupRingElement
 from fermatlat.fermat_homology import build_primitive
 from fermatlat.hermitian_eigen import (
     HermitianLattice,
@@ -14,8 +18,11 @@ from fermatlat.hermitian_eigen import (
     hermitian_gram,
     hermitian_signature,
     signatures_agree_up_to_sign,
+    _monomial_values,
     _parity_normalize,
+    reduction_entry,
 )
+from test_fermat_homology import reduction_entry_oracle
 
 
 def off_parity_consistency_report(d, n):
@@ -32,6 +39,72 @@ def off_parity_consistency_report(d, n):
         "reduction_rank": expected,
         "consistent": h.rank == expected,
     }
+
+
+def four_case_table_entry(d, K, L, sign):
+    """The displayed four-case h_sign value, taken literally (no coset
+    twists): the hermitian_table_entry that _monomial_values replaced."""
+    zeta = CyclotomicElement.zeta(d)
+    zbar = zeta.conj()
+    one = CyclotomicElement.one(d)
+    s = -sign
+    diff = tuple((a - b) % d for a, b in zip(K, L))
+    if all(e == 0 for e in diff):
+        return (one + s * zeta) * (one + s * zbar)
+    if all(e in (0, 1) for e in diff):
+        return (-1) ** sum(diff) * (one + s * zbar)
+    neg = tuple((-e) % d for e in diff)
+    if all(e in (0, 1) for e in neg):
+        return (-1) ** sum(neg) * (one + s * zeta)
+    return CyclotomicElement.zero(d)
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in range(3, 8) for n in range(4)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_monomial_values_are_the_oracle_tables(d, n, sign):
+    # The parity-matching sign gives the reduction pairing, the other the
+    # literal four-case table, at every K - L = D.
+    origin = (0,) * (n + 1)
+    gens = list(product(range(d), repeat=n + 1))
+    if sign == expected_sign(n):
+        want = [reduction_entry_oracle(d, n, D, origin) for D in gens]
+    else:
+        want = [four_case_table_entry(d, D, origin, sign) for D in gens]
+    assert _monomial_values(d, n, sign).tolist() == [list(v.coords) for v in want]
+
+
+def test_reduction_entry_reads_the_table():
+    for d, n in [(3, 2), (4, 1), (5, 2), (7, 1)]:
+        gens = list(product(range(d), repeat=n + 1))
+        for K, L in zip(gens, reversed(gens)):
+            assert reduction_entry(d, n, K, L) == reduction_entry_oracle(d, n, K, L)
+
+
+def test_hermitian_gram_does_no_per_value_element_arithmetic(monkeypatch):
+    calls = []
+    for owner, name in [(he, "reduction_entry"), (fh, "monomial_pairing"),
+                        (GroupRingElement, "__mul__")]:
+        def counted(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    assert hermitian_gram(3, 4, 1).rank == 11
+    assert not hermitian_gram(3, 3, 1).parity_consistent
+    assert calls == []
+
+
+def test_hermitian_gram_input_guards(monkeypatch):
+    for sign in (1, -1):
+        with pytest.raises(ValueError):
+            hermitian_gram(3, -1, sign)
+    # The realified table of (3, 3) has side 3^4 * 2 = 162: refused before
+    # anything of that size is built.
+    monkeypatch.setenv("FERMATLAT_SIZE_BOUND", "100")
+    with monkeypatch.context() as m:
+        m.setattr(he, "_difference_index", None)
+        with pytest.raises(ResourceBoundError):
+            hermitian_gram(3, 3, -1)
+    assert hermitian_gram(3, 2, 1).rank == 3
 
 
 def test_cor23_rank_values():

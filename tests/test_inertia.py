@@ -1,10 +1,6 @@
-"""The fraction-free inertia and inverse kernels against independent oracles:
+"""The fraction-free inertia kernel against independent oracles:
 Descartes' rule on the Berkowitz characteristic polynomial (the signature
-path they replaced), numpy eigenvalues, and the former Fraction
-Gauss-Jordan solver (kept in test_fraction_free as an oracle)."""
-
-from fractions import Fraction
-from math import gcd
+path it replaced) and numpy eigenvalues."""
 
 import numpy as np
 import pytest
@@ -14,7 +10,6 @@ from hypothesis import strategies as st
 from fermatlat import _intlinalg as la
 from fermatlat.errors import WrongSymmetryError
 from fermatlat.lattice_core import IntegerLattice, signature
-from test_fraction_free import oracle_solve
 
 
 def descartes_sign_counts(coeffs):
@@ -115,22 +110,6 @@ def test_signature_uses_no_charpoly(monkeypatch):
 
     monkeypatch.setattr(la, "charpoly", refuse)
     assert signature(IntegerLattice([[2, 1, 0], [1, 2, 1], [0, 1, -3]])) == (2, 1)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 6), st.sampled_from([1, 3, 2**40, 2**70]), st.data())
-def test_fraction_free_inverse_matches_fractions(n, bound, data):
-    a = [[data.draw(st.integers(-bound, bound)) for _ in range(n)] for _ in range(n)]
-    if data.draw(st.booleans()) and n > 2:
-        a[-1] = [x + y for x, y in zip(a[0], a[1])]     # singular
-    expected = oracle_solve(a, la.mat_identity(n)) if n else []
-    got = la.fraction_free_inverse(a)
-    if expected is None:
-        assert got is None
-        return
-    x, q = got
-    assert q > 0 and gcd(q, *(v for row in x for v in row)) == 1
-    assert [[Fraction(v, q) for v in row] for row in x] == expected
 
 
 @settings(max_examples=100, deadline=None)

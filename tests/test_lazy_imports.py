@@ -24,7 +24,7 @@ MOVED_KERNELS = (
     "mat_identity", "int_rows", "mat_transpose", "mat_vec", "vec_mat", "dot",
     "hnf_row", "left_kernel", "right_kernel", "same_row_span", "prime_factors",
     "smith_normal_form", "_fraction_free", "rank_exact", "det_bareiss",
-    "solve_rational", "fraction_free_inverse",
+    "solve_rational",
     "charpoly", "clear_denominators", "floor_sqrt_fraction", "Mat", "Vec",
 )
 
@@ -65,6 +65,14 @@ def test_git_commands_run_without_numpy(command, tmp_path):
         f"    assert cli.main({args!r}) == 0\n")
     assert "numpy" not in loaded
     assert "fermatlat.git_stability" in loaded
+
+
+def test_verify_suite_loads_only_its_modules():
+    loaded = loaded_after("from fermatlat.verify import run_suite\n"
+                          "assert run_suite('hodge')['ok']\n")
+    assert "fermatlat.hodge_characters" in loaded
+    assert not {"fermatlat.cubic_period", "fermatlat.hermitian_eigen",
+                "fermatlat.git_stability"} & set(loaded)
 
 
 def test_lazy_names_are_their_home_objects():

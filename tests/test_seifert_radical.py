@@ -14,15 +14,16 @@ from fermatlat import _intlinalg as la
 from fermatlat import fermat_homology as fh
 from fermatlat import lattice_core as lc
 from fermatlat.errors import VerificationError
+from test_fermat_homology import product_star_element
 
 
 def star_table_gram(d, n):
-    """Gram[i][j] = sign * w[(K_i - K_j) mod d] for the star element w, read
-    off a table over (Z/d)^(n+1) at mixed-radix codes: the construction
-    build_milnor replaced."""
+    """Gram[i][j] = sign * w[(K_i - K_j) mod d] for the star element w,
+    multiplied out in the group ring, read off a table over (Z/d)^(n+1) at
+    mixed-radix codes: the construction build_milnor replaced."""
     k = n + 1
     table = np.zeros(d ** k, dtype=np.int64)
-    for exps, c in fh.milnor_star_element(d, n).coeffs.items():
+    for exps, c in product_star_element(d, n).coeffs.items():
         table[sum(e * d ** i for i, e in enumerate(exps))] = fh.parity_sign(n) * c
     b = np.array(fh.milnor_basis(d, n), dtype=np.int64)
     codes = sum(np.mod(np.subtract.outer(b[:, i], b[:, i]), d) * d ** i for i in range(k))
@@ -35,6 +36,14 @@ def test_seifert_gram_is_the_star_table_gram(d, n):
     gram = fh.build_milnor(d, n).gram
     assert gram.dtype == np.int8 and not gram.flags.writeable
     assert np.array_equal(gram, star_table_gram(d, n))
+
+
+def test_seifert_axis_is_the_star_axis():
+    # V_1 = I minus the subdiagonal of ones, read off the axis of star_halves.
+    for d in range(3, 66):
+        v = fh._seifert_axis(d)
+        assert v.dtype == np.int8
+        assert np.array_equal(v, np.eye(d - 1, dtype=np.int8) - np.eye(d - 1, k=-1, dtype=np.int8))
 
 
 def kron_power(m, n):
