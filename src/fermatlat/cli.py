@@ -132,7 +132,7 @@ def _cmd_lattice(args) -> int:
         "invariants": invariants,
         "checks": checks,
     }
-    if kind == "primitive" and prim.actions:
+    if kind == "primitive" and lattice.rank <= 256:
         payload["actions"] = {name: mat.tolist() for name, mat in sorted(prim.actions.items())}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

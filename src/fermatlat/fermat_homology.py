@@ -23,7 +23,8 @@ import os
 from collections import Counter
 from functools import lru_cache, reduce
 from itertools import product
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -206,23 +207,20 @@ class PrimitiveFermatLattice:
     action: read-only integer arrays, like lattice.gram."""
 
     def __init__(self, d: int, n: int, lattice: IntegerLattice,
-                 monomial_images: dict[tuple[int, ...], np.ndarray],
-                 actions: dict[str, np.ndarray], projection: np.ndarray,
+                 monomial_images: dict[tuple[int, ...], np.ndarray], projection: np.ndarray,
                  milnor: MilnorModule):
         self.d = d
         self.n = n
         self.lattice = lattice
         self.monomial_images = monomial_images
-        self.actions = actions
         self.projection = projection
         self.milnor = milnor
 
-    def action(self, name: str) -> np.ndarray:
-        if not self.actions:
-            raise ResourceBoundError(
-                f"no symmetry actions at Milnor rank {(self.d - 1) ** (self.n + 1)}: "
-                f"they are built up to Milnor rank {_ACTION_RANK_BOUND}")
-        return self.actions[name]
+    @property
+    def actions(self) -> Mapping[str, np.ndarray]:
+        """The read-only mapping of _primitive_actions(d, n), built on first
+        read and shared by every build_primitive(d, n)."""
+        return _primitive_actions(self.d, self.n)
 
     def class_image(self, K: Sequence[int]) -> list[int]:
         """Image in the primitive lattice of the monomial class u^K,
@@ -233,9 +231,7 @@ class PrimitiveFermatLattice:
 
 
 def build_primitive(d: int, n: int) -> PrimitiveFermatLattice:
-    """Radical quotient of the Milnor lattice, with the symmetry action when
-    the Milnor rank (d-1)^(n+1) is at most 256 (above it, `action` raises
-    ResourceBoundError).
+    """Radical quotient of the Milnor lattice with its symmetry action.
 
     The deterministic construction is cached per (d, n).  Every call
     returns new lattice, module and dict objects over the cached read-only
@@ -245,16 +241,12 @@ def build_primitive(d: int, n: int) -> PrimitiveFermatLattice:
     lattice, milnor = prim.lattice, prim.milnor
     module = MilnorModule(d, n, list(milnor.basis), milnor.lattice.relabel(milnor.lattice.label))
     return PrimitiveFermatLattice(d, n, lattice.relabel(lattice.label), dict(prim.monomial_images),
-                                  dict(prim.actions), prim.projection, module)
+                                  prim.projection, module)
 
 
 @lru_cache(maxsize=None)
 def _build_primitive_cached(d: int, n: int) -> PrimitiveFermatLattice:
     return _build_primitive(d, n)
-
-
-# The symmetry actions are built when the Milnor rank is at most this.
-_ACTION_RANK_BOUND = 256
 
 
 def _build_primitive(d: int, n: int) -> PrimitiveFermatLattice:
@@ -266,16 +258,14 @@ def _build_primitive(d: int, n: int) -> PrimitiveFermatLattice:
     # is kept here, so radical_quotient frees it once it has narrowed it.
     # With r = 0 the certified mod-p radical proves the Gram nondegenerate.
     r = rank - expected
-    quotient, projection, reps = (
+    quotient, projection, _ = (
         radical_quotient(milnor.lattice, _certified_radical(d, n, r), range(r)) if r > 0
         else radical_quotient(milnor.lattice))
     quotient = quotient.relabel(f"primitive(d={d},n={n})")
     if quotient.rank != expected:
         raise VerificationError(
             f"primitive rank {quotient.rank} disagrees with the rank formula {expected}")
-    actions = (_build_actions(d, n, quotient, projection, reps)
-               if rank <= _ACTION_RANK_BOUND else {})
-    return PrimitiveFermatLattice(d, n, quotient, dict(zip(milnor.basis, projection)), actions,
+    return PrimitiveFermatLattice(d, n, quotient, dict(zip(milnor.basis, projection)),
                                   projection, milnor)
 
 
@@ -308,7 +298,8 @@ def _certified_radical(d: int, n: int, r: int) -> np.ndarray:
             f"{len(k)} radical rows from {len(c)} characters, expected {r} (count)")
     if not np.array_equal(k[:, :r], np.eye(r, dtype=k.dtype)):
         raise VerificationError("the radical rows do not start with the identity (pivot minor)")
-    x = _module_rows(k, d, n)
+    # Each fold of _times_u at most doubles an entry.
+    x = _widened(k, 2 ** (n + 1)).reshape((r,) + (d - 1,) * (n + 1))
     if not np.array_equal(_times_u0(x, d), x):
         raise VerificationError("a radical row is not fixed by u_0 (invariance)")
     return k
@@ -323,7 +314,8 @@ def _axis_eigenvectors(d: int) -> tuple[int, np.ndarray]:
     unless the per-axis checks of _certified_radical hold exactly:
     V_1.A^T = -V_1^T for A = U^(d-1); E.A = diag(w^(-a)).E (mod p); and E.W
     (mod p), W[j, b-1] = w^(bj), is diagonal with a nonzero diagonal
-    (e_a(w^b) = 0 exactly when b != a), so E is invertible."""
+    (e_a(w^b) = 0 exactly when b != a), so E is invertible.  Then those of
+    _primitive_actions: U^d = I and U.V_1.U^T = V_1."""
     p = la.MODP_PRIMES[0] - (la.MODP_PRIMES[0] - 1) % d
     while any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
         p -= d
@@ -332,12 +324,16 @@ def _axis_eigenvectors(d: int) -> tuple[int, np.ndarray]:
     powers = np.array([pow(w, k, p) for k in range(d)], dtype=np.int64)
     table = powers[np.outer(np.arange(1, d), np.arange(d - 1)) % d]  # [a-1, j] = w^(aj)
     e = np.cumsum(table, axis=1)[:, ::-1] % p
-    a, v1 = _u_powers(d)[d - 1], _seifert_axis(d).astype(np.int64)
+    u_powers = _u_powers(d)
+    u, a, v1 = u_powers[1], u_powers[d - 1], _seifert_axis(d).astype(np.int64)
     ew = la.int_matmul(e, table.T) % p
     if not (np.array_equal(v1 @ a.T, -v1.T)
             and not np.any((la.int_matmul(e, a) - powers[-np.arange(1, d) % d, None] * e) % p)
             and np.count_nonzero(ew) == np.count_nonzero(np.diagonal(ew)) == d - 1):
         raise VerificationError(f"a per-axis check of the radical fails at d = {d}")
+    if not (np.array_equal(np.linalg.matrix_power(u, d), u_powers[0])
+            and np.array_equal(u @ v1 @ u.T, v1)):
+        raise VerificationError(f"a per-axis check of the actions fails at d = {d}")
     e.flags.writeable = False
     return p, e
 
@@ -362,13 +358,11 @@ def _character_candidate(c: np.ndarray, p: int) -> np.ndarray:
     return la.symmetric_residues(k[:len(pivots)], p)
 
 
-def _module_rows(rows, d: int, n: int) -> np.ndarray:
-    """Rows on the monomial basis as one array with one axis per coordinate
-    after the row axis, in the narrowest signed dtype (object past int64)
-    that holds every entry times 2^(n+1): each fold at most doubles one."""
-    x = la.int_array(rows)
-    top = (max(int(x.max()), -int(x.min())) if x.size else 0) << (n + 1)
-    return x.astype(np.min_scalar_type(-top - 1)).reshape((len(x),) + (d - 1,) * (n + 1))
+def _widened(x: np.ndarray, growth: int) -> np.ndarray:
+    """x in the narrowest signed dtype (object past int64) that holds every
+    entry times growth."""
+    top = (max(int(x.max()), -int(x.min())) if x.size else 0) * growth
+    return x.astype(np.min_scalar_type(-top - 1))
 
 
 def _times_u0(x: np.ndarray, d: int) -> np.ndarray:
@@ -376,55 +370,59 @@ def _times_u0(x: np.ndarray, d: int) -> np.ndarray:
     return reduce(lambda y, i: _times_u(y, i, d - 1, d), range(1, x.ndim), x)
 
 
-def _milnor_actions(d: int, n: int, section: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
-    """(name, section.M) for each generator M of the symmetry action on the
-    Milnor module, one at a time and with no N x N matrix: the rows of the
-    section, as arrays with one axis per coordinate, are folded along axis
-    i for u_i and along every axis by d-1 for u_0 = (u_1...u_{n+1})^(-1);
-    s_i, the swap of z_i and z_{i+1} twisted by the sign character, negates
-    and swaps axes i and i+1."""
-    x = _module_rows(section, d, n)
-    shape = (len(x), (d - 1) ** (n + 1))
-    for i in range(1, n + 2):
-        yield f"u_{i}", _times_u(x, i, 1, d).reshape(shape)
+def _left_times_u(x: np.ndarray, axis: int, e: int, d: int) -> np.ndarray:
+    """U^e.x along one axis: slot j is slot j + e (mod d) of x with a u^(d-1)
+    slot of minus the sum of the others appended; entries grow <= d-1 fold."""
+    padded = np.concatenate([x, -x.sum(axis=axis, keepdims=True, dtype=x.dtype)], axis=axis)
+    return np.roll(padded, -e, axis=axis).take(range(d - 1), axis=axis)
+
+
+def _milnor_products(d: int, n: int, p: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
+    """(name, M.P) for each generator M of the symmetry action, with no N x N
+    matrix: P, with one axis per coordinate, folded from the left by U on
+    axis i for u_i and by U^(d-1) on every axis for u_0 = (u_1...u_{n+1})^(-1);
+    s_i (z_i and z_{i+1} swapped, twisted by the sign) negates a swap of
+    axes.  The dtype holds max|P| (d-1)^(n+1), so no fold can wrap."""
+    x = _widened(p, (d - 1) ** (n + 1)).reshape((d - 1,) * (n + 1) + p.shape[1:])
+    for i in range(n + 1):
+        yield f"u_{i + 1}", _left_times_u(x, i, 1, d).reshape(p.shape)
     for i in range(1, n + 1):
-        yield f"s_{i}", -x.swapaxes(i, i + 1).reshape(shape)
-    yield "u_0", _times_u0(x, d).reshape(shape)
+        yield f"s_{i}", -x.swapaxes(i - 1, i).reshape(p.shape)
+    yield "u_0", reduce(lambda y, i: _left_times_u(y, i, d - 1, d), range(n + 1), x).reshape(p.shape)
 
 
-def _build_actions(d: int, n: int, quotient: IntegerLattice, projection: np.ndarray,
-                   section: np.ndarray) -> dict[str, np.ndarray]:
-    # The radical is preserved by every action, so pushing through any
-    # representative section is well defined: M acts on the quotient as
-    # section.M.projection.  u_0 is built on its own, so _verify_actions
-    # compares it with the product of the u_i.
-    proj = la.int_array(projection)
-    actions = {name: la.int_matmul(m, proj) for name, m in _milnor_actions(d, n, section)}
-    prod = reduce(la.int_matmul, [actions[f"u_{i}"] for i in range(1, n + 2)])
-    _verify_actions(d, quotient, actions, prod)
-    return {name: la.frozen_int_array(m) for name, m in actions.items()}
+@lru_cache(maxsize=None)
+def _primitive_actions(d: int, n: int) -> Mapping[str, np.ndarray]:
+    """u_1, ..., u_{n+1}, s_1, ..., s_n and u_0 on the primitive lattice, as
+    a read-only mapping of read-only arrays.
 
-
-def _verify_actions(d: int, quotient: IntegerLattice,
-                    actions: dict[str, np.ndarray], mu_product: np.ndarray) -> None:
-    g = quotient.gram
-    ident = np.eye(quotient.rank, dtype=np.int64)
-    for name, m in actions.items():
-        if not np.array_equal(la.int_matmul(la.int_matmul(m, g), m.T), g):
-            raise VerificationError(f"action {name} does not preserve the pairing")
-        order = d if name.startswith("u_") else 2
-        if not np.array_equal(reduce(la.int_matmul, [m] * order), ident):
-            raise VerificationError(f"action {name} does not have order dividing {order}")
-    if not np.array_equal(la.int_matmul(actions["u_0"], mu_product), ident):
-        raise VerificationError("u_0 is not inverse to u_1...u_{n+1}")
-    # The defining relation sum_k u_0^k = 0 must hold on the quotient.
-    acc = np.zeros_like(ident)
-    p = ident
-    for _ in range(d):
-        acc = acc + p
-        p = la.int_matmul(p, actions["u_0"])
-    if np.any(acc):
-        raise VerificationError("sum of powers of u_0 does not vanish")
+    The projection P is the identity on its last q rows, which the section
+    S = (0 | I) picks (the pivots 0, ..., r-1 of _certified_radical), so M
+    acts on the quotient as A_M = S.M.P, rows r, ..., N-1 of M.P.  With the
+    per-axis checks U^d = I and U.V_1.U^T = V_1 of _axis_eigenvectors and
+    the radical R = {x : x.M_0 = x} with basis K of _certified_radical,
+    every relation of the group holds on the quotient:
+    (a) Every M commutes with M_0 = A x ... x A, A = U^(d-1): the u_i
+        and u_0 are Kronecker products of powers of U, and a swap of two
+        axes fixes M_0.  So R.M = R.
+    (b) K.P = 0, and x - x.P.S = (x_1, ..., x_r).K lies in R for every x,
+        so by (a) A_M.A_M' = S.M.(P.S).M'.P = S.M.M'.P = A_(MM').
+    (c) So u_i^d = 1, s_i^2 = 1 and u_0.u_1...u_(n+1) = 1 follow from
+        U^d = I on every axis and S.P = I.
+    (d) The rows of sum_k M_0^k are fixed by M_0, since M_0^d = I: they lie
+        in R, which P kills, so sum_k u_0^k = 0.
+    (e) K.G = 0 gives P.G_22.P^T = G for G_22 = S.G.S^T, the quotient
+        Gram.  U.V_1.U^T = V_1, so every power of U preserves V_1, and M,
+        a Kronecker product of powers of U up to a signed swap of axes,
+        preserves V = V_1 x ... x V_1 and G = sign * (V + (-1)^n V^T).
+        So A_M.G_22.A_M^T = S.M.G.M^T.S^T = G_22.
+    At n = 0, r = 0 and P = S = I: A_M = M.
+    """
+    _axis_eigenvectors(d)  # its per-axis checks, at n = 0 too (no radical there)
+    p = _build_primitive_cached(d, n).projection
+    r = len(p) - p.shape[1]
+    return MappingProxyType({name: la.frozen_int_array(m[r:])
+                             for name, m in _milnor_products(d, n, p)})
 
 
 # ---------------------------------------------------------------------------

@@ -373,7 +373,7 @@ def chi_form_on_vectors(prim: PrimitiveFermatLattice, k: int, vectors: la.Mat) -
     moved = np.zeros((d,) + vecs.shape, dtype=vecs.dtype)
     moved[0] = vecs
     for i in range(n + 2 - k, n + 2):
-        t = la.int_array(prim.action(f"u_{i}"))
+        t = la.int_array(prim.actions[f"u_{i}"])
         powers = [np.eye(rank, dtype=np.int64)]
         for _ in range(d - 1):
             powers.append(la.int_matmul(powers[-1], t))

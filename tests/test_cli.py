@@ -31,6 +31,17 @@ def test_lattice_primitive_fourfold(capsys):
     assert "u_0" in payload["actions"] and "s_1" in payload["actions"]
 
 
+def test_lattice_primitive_prints_actions_up_to_rank_256(capsys):
+    # (3, 8) has actions, but at rank 342 they are not printed, as the
+    # determinant is not.
+    code, out, _ = run_cli(["lattice", "--d", "3", "--n", "8", "--primitive"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["invariants"]["rank"] == 342
+    assert payload["invariants"]["determinant"] is None
+    assert "actions" not in payload
+
+
 def test_lattice_primitive_threefold(capsys):
     code, out, _ = run_cli(["lattice", "--d", "3", "--n", "3"], capsys)
     assert code == 0

@@ -167,7 +167,11 @@ def test_cached_builders_share_read_only_arrays():
     for a in primitive_arrays(prim):
         with pytest.raises(ValueError):
             a[0] += 1
-    prim.actions.clear()
+    with pytest.raises(TypeError):
+        prim.actions["u_1"] = None
+    with pytest.raises(AttributeError):
+        prim.actions.clear()
+    assert build_primitive(3, 4).actions is prim.actions
     prim.monomial_images.clear()
     prim.lattice.label = prim.milnor.lattice.label = "changed"
     prim = build_primitive(3, 4)

@@ -43,7 +43,7 @@ def oracle_chi_coefficients(prim, k, vectors):
         raise ValueError("k out of range")
     g = prim.lattice.gram
     names = [f"u_{i}" for i in range(n + 2 - k, n + 2)]
-    mats = [prim.action(name) for name in names]
+    mats = [prim.actions[name] for name in names]
     powers = []
     for m in mats:
         pw = [la.mat_identity(prim.lattice.rank)]

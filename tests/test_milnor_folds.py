@@ -1,19 +1,22 @@
 """The Milnor module as a tensor power: the symmetry actions, the connecting
 maps and the monomial coordinates read off one fold per axis, against the
-constructions they replaced (dense N x N action matrices, group-ring
-products and the rewrite of u^(d-1) as minus the lower powers)."""
+constructions they replaced (dense N x N action matrices, section.M.P with
+the dense relation checks, group-ring products and the rewrite of u^(d-1)
+as minus the lower powers)."""
 
 import random
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from fermatlat import _intlinalg as la
 from fermatlat import fermat_homology as fh
-from fermatlat.errors import ResourceBoundError
+from fermatlat.errors import ResourceBoundError, VerificationError
 from fermatlat.exact_algebra import GroupRingElement
-from fermatlat.hermitian_eigen import chi_reduce
+from fermatlat.hermitian_eigen import chi_reduce, cor23_rank
+from fermatlat.lattice_core import radical_quotient
 
 # Every (d, n) with d in 3..6, n in 0..4 and Milnor rank at most 256.
 RUNGS = [(d, n) for d in (3, 4, 5, 6) for n in range(5) if (d - 1) ** (n + 1) <= 256]
@@ -90,32 +93,115 @@ def oracle_connecting_map(d, k):
             for K in fh.milnor_basis(d, k - 1)]
 
 
+def oracle_verify_actions(d, g, actions, mu_product):
+    """The dense relation checks on the quotient: isometry, order d (u_i)
+    or 2 (s_i), u_0 inverse to mu_product = u_1...u_{n+1}, and sum_k u_0^k
+    = 0."""
+    ident = np.eye(len(g), dtype=np.int64)
+    for name, m in actions.items():
+        if not np.array_equal(la.int_matmul(la.int_matmul(m, g), m.T), g):
+            raise VerificationError(f"action {name} does not preserve the pairing")
+        order = d if name.startswith("u_") else 2
+        if not np.array_equal(reduce(la.int_matmul, [m] * order), ident):
+            raise VerificationError(f"action {name} does not have order dividing {order}")
+    if not np.array_equal(la.int_matmul(actions["u_0"], mu_product), ident):
+        raise VerificationError("u_0 is not inverse to u_1...u_{n+1}")
+    acc = np.zeros_like(ident)
+    p = ident
+    for _ in range(d):
+        acc = acc + p
+        p = la.int_matmul(p, actions["u_0"])
+    if np.any(acc):
+        raise VerificationError("sum of powers of u_0 does not vanish")
+
+
+def oracle_primitive_actions(d, n):
+    """section.M.P with the dense Milnor matrices, on the radical quotient
+    of the Milnor lattice taken on its own."""
+    quotient, projection, section = radical_quotient(fh.build_milnor(d, n).lattice)
+    actions = {name: la.frozen_int_array(la.int_matmul(la.int_matmul(section, m), projection))
+               for name, m in oracle_milnor_actions(d, n).items()}
+    return quotient.gram, projection, actions
+
+
+@pytest.mark.parametrize("d,n", RUNGS + [(3, 8)])
+def test_actions_match_the_dense_construction(d, n):
+    prim = fh.build_primitive(d, n)
+    gram, projection, oracle = oracle_primitive_actions(d, n)
+    assert np.array_equal(prim.lattice.gram, gram)
+    assert np.array_equal(prim.projection, projection)
+    assert list(prim.actions) == list(oracle)
+    for name, mat in oracle.items():
+        assert prim.actions[name].dtype == mat.dtype, name
+        assert np.array_equal(prim.actions[name], mat), name
+    prod = reduce(la.int_matmul, [prim.actions[f"u_{i}"] for i in range(1, n + 2)])
+    oracle_verify_actions(d, la.int_array(gram), prim.actions, prod)
+
+
 @pytest.mark.parametrize("d,n", RUNGS)
 def test_folded_actions_match_dense_milnor_matrices(d, n):
+    # The left folds of a random integer P against the dense M.P.
     rng = np.random.default_rng(100 * d + n)
     size = (d - 1) ** (n + 1)
+    p = la.frozen_int_array(rng.integers(-9, 10, size=(size, int(rng.integers(1, size + 1)))))
     oracle = oracle_milnor_actions(d, n)
-    # Identity rows (the certified radical's section) and random integer
-    # sections (the Smith-form fallback's section is a general one).
-    sections = [np.eye(size, dtype=np.int64)[rng.permutation(size)[:max(1, size // 2)]],
-                rng.integers(-9, 10, size=(int(rng.integers(1, size + 1)), size))]
-    for sec in sections:
-        folded = dict(fh._milnor_actions(d, n, la.frozen_int_array(sec)))
-        assert list(folded) == list(oracle)
-        for name, mat in oracle.items():
-            assert np.array_equal(folded[name], sec @ mat), name
+    folded = dict(fh._milnor_products(d, n, p))
+    assert list(folded) == list(oracle)
+    for name, mat in oracle.items():
+        assert np.array_equal(folded[name], mat @ p), name
 
 
 def test_folded_actions_keep_large_sections_exact():
-    # Entries just under 2**61 with the signs of the columns of u_0: the
-    # n + 1 = 4 folds of u_0 reach 16 * (2**61 - 1), past int64.
+    # Entries near 2**63 / N with the signs of the rows of u_0: its n + 1 =
+    # 4 folds reach N * c, just below 2**63 (int64) or just past it (object).
     d, n = 3, 3
     oracle = oracle_milnor_actions(d, n)
-    sec = (2**61 - 1) * np.sign(oracle["u_0"].T).astype(object)
-    folded = dict(fh._milnor_actions(d, n, sec))
-    assert max(abs(x) for x in folded["u_0"].flat) == 16 * (2**61 - 1)
-    for name, mat in oracle.items():
-        assert (folded[name] == sec @ mat.astype(object)).all(), name
+    for c, dtype in ((2**63 // 16 - 1, np.int64), (2**63 // 16 + 1, object)):
+        p = c * np.sign(oracle["u_0"].T).astype(object)
+        folded = dict(fh._milnor_products(d, n, p))
+        assert folded["u_0"].dtype == dtype
+        assert max(abs(int(x)) for x in folded["u_0"].flat) == 16 * c
+        for name, mat in oracle.items():
+            assert (folded[name] == mat.astype(object) @ p).all(), name
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_per_axis_checks_refuse_a_wrong_u_or_v1(d, monkeypatch):
+    u_powers, seifert_axis = fh._u_powers, fh._seifert_axis
+    # -U keeps the isometry but has order 2d (d odd); U^T has order d but
+    # moves V_1.
+    for u in (lambda u: -u, lambda u: u.T):
+        monkeypatch.setattr(fh, "_u_powers", lambda d: [x if e != 1 else u(x)
+                                                        for e, x in enumerate(u_powers(d))])
+        with pytest.raises(VerificationError, match="per-axis check of the actions"):
+            fh._axis_eigenvectors.__wrapped__(d)
+    # V_1.A^T = -V_1^T with U.A = I implies U.V_1.U^T = V_1, so a wrong V_1
+    # fails the radical's check first.
+    monkeypatch.setattr(fh, "_u_powers", u_powers)
+    monkeypatch.setattr(fh, "_seifert_axis", lambda d: seifert_axis(d).T)
+    with pytest.raises(VerificationError, match="per-axis check"):
+        fh._axis_eigenvectors.__wrapped__(d)
+
+
+def test_relations_hold_on_random_vectors_at_milnor_rank_2048():
+    # The relations of oracle_verify_actions, at O(rank^2) per action:
+    # vector-matrix products of random integer vectors only.
+    d, n = 3, 10
+    prim = fh.build_primitive(d, n)
+    acts = {name: la.int_array(m) for name, m in prim.actions.items()}
+    g = la.int_array(prim.lattice.gram)
+    x = np.random.default_rng(7).integers(-5, 6, size=(3, prim.lattice.rank))
+    assert len(acts) == 2 * n + 2
+    for name, m in acts.items():
+        xm = la.int_matmul(x, m)
+        assert np.array_equal(la.int_matmul(la.int_matmul(xm, g), xm.T),
+                              la.int_matmul(la.int_matmul(x, g), x.T)), name
+        assert np.array_equal(reduce(la.int_matmul, [m] * (d if name[0] == "u" else 2), x), x), name
+    assert np.array_equal(reduce(la.int_matmul, [acts[f"u_{i}"] for i in range(n + 2)], x), x)
+    powers = [x]
+    for _ in range(d - 1):
+        powers.append(la.int_matmul(powers[-1], acts["u_0"]))
+    assert not np.any(sum(powers))
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
@@ -131,7 +217,7 @@ def test_class_image_matches_rewritten_monomials(d, n):
     # class_image reads only d, n and the projection: a random one will do.
     index = basis_index(d, n)
     projection = np.random.default_rng(d + 10 * n).integers(-9, 10, size=(len(index), 5))
-    prim = fh.PrimitiveFermatLattice(d, n, None, {}, {}, la.frozen_int_array(projection), None)
+    prim = fh.PrimitiveFermatLattice(d, n, None, {}, la.frozen_int_array(projection), None)
     rng = random.Random(10 * d + n)
     for _ in range(8):
         K = tuple(rng.randrange(d) for _ in range(n + 2))
@@ -151,10 +237,7 @@ def test_connecting_map_size_bound_refuses_before_allocating():
     assert peak < 2**20
 
 
-def test_no_actions_above_the_cutoff_is_a_typed_error():
-    prim = fh.build_primitive(3, 8)
-    assert not prim.actions
-    with pytest.raises(ResourceBoundError, match="Milnor rank 512.*Milnor rank 256"):
-        prim.action("u_1")
-    with pytest.raises(ResourceBoundError, match="Milnor rank 256"):
-        chi_reduce(prim, 1)
+@pytest.mark.parametrize("k", [1, 2])
+def test_chi_reduce_past_milnor_rank_256(k):
+    h = chi_reduce(fh.build_primitive(3, 8), k)
+    assert h.rank == cor23_rank(3, 8 - k) == {1: 171, 2: 85}[k]
