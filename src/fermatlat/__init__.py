@@ -19,14 +19,14 @@ __version__ = "0.1.0"
 _HOMES = {
     "exact_algebra": ("CyclotomicElement", "GroupRingElement"),
     "fermat_homology": ("MilnorModule", "PrimitiveFermatLattice", "build_milnor",
-                        "build_primitive", "monomial_pairing", "rank_formula",
-                        "resolution_check"),
+                        "build_primitive", "monomial_pairing", "resolution_check"),
     "git_stability": ("HomogeneousForm", "cone_extend", "exponent_points",
                       "is_semistable_diagonal", "is_stable_diagonal"),
     "hermitian_eigen": ("HermitianLattice", "chi_reduce", "hermitian_gram",
                         "hermitian_signature"),
     "hodge_characters": ("HodgeCharacter", "enumerate_characters",
-                         "fermat_class_character", "hodge_numbers", "hodge_type"),
+                         "fermat_class_character", "hodge_numbers", "hodge_type",
+                         "rank_formula"),
     "lattice_core": ("DiscriminantData", "GlueSpec", "IntegerLattice", "discriminant",
                      "glue", "is_even", "radical_quotient", "short_vectors", "signature",
                      "smith_normal_form"),

@@ -111,15 +111,18 @@ def saturate_row_span(rows: Sequence[Sequence[int]]) -> Mat:
 
 
 def smith_divisors_mod(a, modulus: int) -> list[int]:
-    """Smith divisors of a square integer matrix A with |det A| = modulus > 0,
-    by elimination over Z/(modulus) (Domich, Kannan and Trotter, Math. Oper.
-    Res. 12, 1987): the row lattice L of A contains modulus * Z^n, so every
-    entry may be reduced mod the modulus (in int64 while products of two
-    residues stay below 2**62) and none grows.  Euclidean row and column
-    steps on a smallest nonzero residue leave a diagonal, and then L is the
-    sum of (p_i Z + modulus Z) e_i: cyclic factors of order gcd(p_i,
-    modulus), put in divisibility order by gcd/lcm exchanges.  Raises
-    VerificationError when their orders do not multiply to the modulus.
+    """Smith divisors of a square integer matrix A whose row lattice L
+    contains modulus * Z^n (modulus > 0), i.e. modulus * A^-1 is integral,
+    as when |det A| = modulus; by elimination over Z/(modulus) (Domich,
+    Kannan and Trotter, Math. Oper. Res. 12, 1987).  As L contains
+    modulus * Z^n, every entry may be reduced mod the modulus (in int64
+    while products of two residues stay below 2**62) and none grows.
+    Euclidean row and column steps on a smallest nonzero residue leave a
+    diagonal, and then L is the sum of (p_i Z + modulus Z) e_i: cyclic
+    factors of order gcd(p_i, modulus), put in divisibility order by
+    gcd/lcm exchanges.  Their product is the index of L, which is |det A|.
+    Raises VerificationError unless it equals the modulus, so a return
+    proves |det A| = modulus.
     """
     n = len(a)
     m = int_array(a).reshape(n, n).astype(object) % modulus
@@ -141,6 +144,8 @@ def smith_divisors_mod(a, modulus: int) -> list[int]:
         if not (m[t + 1:, t].any() or m[t, t + 1:].any()):
             orders.append(gcd(int(p), modulus))
     for i in range(n):
+        if orders[i] == 1:
+            continue  # gcd(1, x) = 1: the exchanges leave every order as it is
         for j in range(i + 1, n):
             g = gcd(orders[i], orders[j])
             orders[i], orders[j] = g, orders[i] * orders[j] // g
@@ -382,6 +387,31 @@ def modp_kernel(a, p: int) -> np.ndarray:
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = -m[:len(pivots), free].T % p
     return basis
+
+
+def modp_det(a, p: int) -> int:
+    """det A mod p, in [0, p), of a square integer matrix A, for a modulus
+    in the exact range of the elimination: Gaussian elimination on int64
+    residues (a product of two stays below 2**46), multiplying the pivots
+    and negating on each row swap."""
+    m = _as_int64(_residues([a], p))
+    n = len(m)
+    if m.shape != (n, n):
+        raise ValueError("square matrix expected")
+    det = 1
+    for t in range(n):
+        nz = np.flatnonzero(m[t:, t])
+        if not nz.size:
+            return 0
+        i = t + int(nz[0])
+        if i != t:
+            m[[t, i]] = m[[i, t]]
+            det = -det
+        pivot = int(m[t, t])
+        det = det * pivot % p
+        factors = m[t + 1:, t] * pow(pivot, -1, p) % p
+        m[t + 1:, t + 1:] = (m[t + 1:, t + 1:] - np.outer(factors, m[t, t + 1:])) % p
+    return det
 
 
 def modp_solve_matrix(a, b, p: int):

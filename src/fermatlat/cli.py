@@ -15,14 +15,6 @@ import sys
 import time
 
 from .errors import FermatLatticeError, ResourceBoundError
-from .git_stability import (
-    HomogeneousForm,
-    cone_extend,
-    is_semistable_diagonal,
-    is_stable_diagonal,
-    verify_semistable_certificate,
-    verify_stable_certificate,
-)
 
 # The names of the verify suites (verify.SUITES, kept equal by a test), here
 # so that parsing the command line does not import the suites.
@@ -165,6 +157,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_git_check(args) -> int:
+    from .git_stability import (
+        is_semistable_diagonal,
+        is_stable_diagonal,
+        verify_semistable_certificate,
+        verify_stable_certificate,
+    )
+
     form = _load_form(args.file)
     semistable, cert_ss = is_semistable_diagonal(form)
     stable, cert_st = is_stable_diagonal(form)
@@ -193,6 +192,8 @@ def _cmd_git_check(args) -> int:
 
 
 def _cmd_git_cone(args) -> int:
+    from .git_stability import cone_extend
+
     form = _load_form(args.file)
     extended = cone_extend(form)
     payload = {
@@ -209,7 +210,9 @@ def _cmd_git_cone(args) -> int:
     return 0
 
 
-def _load_form(path: str) -> HomogeneousForm:
+def _load_form(path: str):
+    from .git_stability import HomogeneousForm
+
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     return HomogeneousForm.from_json(obj)

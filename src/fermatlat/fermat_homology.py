@@ -31,6 +31,7 @@ import numpy as np
 from . import _intlinalg as la
 from .exact_algebra import GroupRingElement
 from .errors import ResourceBoundError, VerificationError
+from .hodge_characters import rank_formula
 from .lattice_core import ANTISYMMETRIC, SYMMETRIC, IntegerLattice, radical_quotient
 
 SIZE_BOUND_ENV = "FERMATLAT_SIZE_BOUND"
@@ -39,16 +40,6 @@ DEFAULT_SIZE_BOUND = 4096
 
 def size_bound() -> int:
     return int(os.environ.get(SIZE_BOUND_ENV, DEFAULT_SIZE_BOUND))
-
-
-def rank_formula(d: int, n: int) -> int:
-    """Z-rank of the primitive lattice: (d-1)*((d-1)^(n+1) + (-1)^n)/d."""
-    if d < 2 or n < 0:
-        raise ValueError("need d >= 2 and n >= 0")
-    num = (d - 1) * ((d - 1) ** (n + 1) + (-1) ** n)
-    if num % d:
-        raise VerificationError("rank formula is not integral")
-    return num // d
 
 
 def parity_sign(n: int) -> int:

@@ -62,12 +62,25 @@ class HomogeneousForm:
         for key in ("m", "degree", "terms"):
             if key not in obj:
                 raise ValueError(f"form has no field {key!r}")
+            if key != "terms" and not _is_json_int(obj[key]):
+                raise ValueError(f"form field {key!r} is not an integer: {obj[key]!r}")
         terms = obj["terms"]
         if not isinstance(terms, list) or not all(
                 isinstance(t, dict) and "exponents" in t and "coeff" in t for t in terms):
             raise ValueError("form field 'terms' is not a list of {exponents, coeff} objects")
-        return cls(int(obj["m"]), int(obj["degree"]),
-                   {tuple(t["exponents"]): Fraction(t["coeff"]) for t in terms})
+        parsed = {}
+        for i, t in enumerate(terms):
+            exps = t["exponents"]
+            if not isinstance(exps, list) or not all(map(_is_json_int, exps)):
+                raise ValueError(f"form field 'exponents' of term {i} is not a list of "
+                                 f"integers: {exps!r}")
+            try:
+                coeff = Fraction(t["coeff"])
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise ValueError(f"form field 'coeff' of term {i} is not a rational "
+                                 f"number: {t['coeff']!r}") from None
+            parsed[tuple(exps)] = coeff
+        return cls(obj["m"], obj["degree"], parsed)
 
     @classmethod
     def fermat(cls, m: int, degree: int) -> "HomogeneousForm":
@@ -77,6 +90,11 @@ class HomogeneousForm:
             e[i] = degree
             terms[tuple(e)] = Fraction(1)
         return cls(m, degree, terms)
+
+
+def _is_json_int(x) -> bool:
+    """Whether a parsed JSON value is an integer (true and false are not)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def exponent_points(form: HomogeneousForm) -> list[tuple[int, ...]]:

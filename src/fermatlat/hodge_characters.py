@@ -13,8 +13,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
 from .errors import NonUniqueError, VerificationError
-from .fermat_homology import rank_formula
+
+
+def rank_formula(d: int, n: int) -> int:
+    """Z-rank of the primitive lattice: (d-1)*((d-1)^(n+1) + (-1)^n)/d, the
+    number of characters (hodge_numbers checks the count)."""
+    if d < 2 or n < 0:
+        raise ValueError("need d >= 2 and n >= 0")
+    num = (d - 1) * ((d - 1) ** (n + 1) + (-1) ** n)
+    if num % d:
+        raise VerificationError("rank formula is not integral")
+    return num // d
 
 
 @dataclass(frozen=True)

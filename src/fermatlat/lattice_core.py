@@ -21,6 +21,7 @@ from .errors import (
     DegenerateLatticeError,
     IndefiniteLatticeError,
     InvalidGlueError,
+    VerificationError,
     WrongSymmetryError,
 )
 
@@ -270,18 +271,55 @@ def is_even(lattice: IntegerLattice) -> bool:
 
 
 def determinant(lattice: IntegerLattice) -> int:
-    return la.det_bareiss(lattice.gram)
+    """det G, from the certificate of _certified_determinant when it holds,
+    else from det_bareiss."""
+    return (_certified_determinant(lattice.gram) or (la.det_bareiss(lattice.gram),))[0]
+
+
+def _certified_determinant(g: np.ndarray) -> Optional[tuple[int, list[int]]]:
+    """(det G, the Smith divisors of G), proven exactly from a float
+    candidate, or None when G is empty, dtype object or singular, or the
+    candidate is too large or fails a check.
+
+    Let p = MODP_PRIMES[0].  M = round(|det G|) from a float64 slogdet is
+    tried when 1 <= M <= p // 2.  (a) la.scaled_integer_inverse(G, M)
+    returns X only after the exact product G.X == M.I, so X = M.G^-1 is
+    integral and X.G = M.I puts M.Z^n in the row lattice of G.  (b) That is
+    the premise of la.smith_divisors_mod(G, M), whose divisors multiply to
+    the index of the row lattice, |det G|; it raises unless they multiply
+    to M, so a return proves |det G| = M.  (c) det G is congruent to
+    la.modp_det(G, p) mod p, and |det G| = M < p/2, so det G is that
+    residue taken in the symmetric range.  Nothing rests on the float
+    value: a wrong candidate fails (a) or (b).
+    """
+    p = la.MODP_PRIMES[0]
+    if not len(g) or g.dtype == object:
+        return None
+    sign, logdet = np.linalg.slogdet(g.astype(np.float64))
+    if not (sign and logdet < np.log(p)):
+        return None
+    m = round(float(np.exp(logdet)))
+    if not 1 <= m <= p // 2 or la.scaled_integer_inverse(g, m) is None:
+        return None
+    try:
+        divisors = la.smith_divisors_mod(g, m)
+    except VerificationError:
+        return None
+    r = la.modp_det(g, p)
+    return (r if 2 * r < p else r - p), divisors
 
 
 def discriminant(lattice: IntegerLattice) -> DiscriminantData:
     """Elementary divisors of coker(L -> L*), for nondegenerate L: the order
-    D = |det|, then the Smith divisors by elimination mod D, whose entries
-    stay below D where a Smith form over Z lets them grow without bound."""
-    order = abs(determinant(lattice))
-    if order == 0:
+    D = |det|, and the Smith divisors by elimination mod D, whose entries
+    stay below D where a Smith form over Z lets them grow without bound.
+    Both come from the determinant certificate when it holds."""
+    det, divisors = _certified_determinant(lattice.gram) or (la.det_bareiss(lattice.gram), None)
+    if det == 0:
         raise DegenerateLatticeError("discriminant requires a nondegenerate pairing")
-    divisors = la.smith_divisors_mod(lattice.gram, order)
-    return DiscriminantData(tuple(dv for dv in divisors if dv > 1), order)
+    if divisors is None:
+        divisors = la.smith_divisors_mod(lattice.gram, abs(det))
+    return DiscriminantData(tuple(dv for dv in divisors if dv > 1), abs(det))
 
 
 def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:

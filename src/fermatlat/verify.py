@@ -11,23 +11,24 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import numpy as np
-
-from . import _intlinalg as la
-from .fermat_homology import (
-    build_primitive,
-    rank_formula,
-    resolution_check,
-)
-
-# Each suite imports the modules it checks, so one suite loads only those.
-# The fermat_homology names stay module attributes: the benchmark's recorder
-# wraps fermatlat.verify.build_primitive (bench/test_bench.py checks it).
+# Each suite imports the modules it checks, numpy included, so one suite
+# loads only those: `git` and `hodge` run without numpy.  The fermat_homology
+# names stay reachable as module attributes (PEP 562, looked up on each
+# access), so fermatlat.verify.build_primitive is always the current
+# fermat_homology object, a wrapped one included.
+_HOMOLOGY_NAMES = ("build_primitive", "rank_formula", "resolution_check")
 
 SUITES = ("ranks", "resolution", "hermitian", "hodge", "cubic", "git")
 
 RANK_GRID = [(d, n) for d in (3, 4, 5) for n in range(5)
              if (d - 1) ** (n + 1) <= 4096]
+
+
+def __getattr__(name):
+    if name in _HOMOLOGY_NAMES:
+        from . import fermat_homology
+        return getattr(fermat_homology, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def run_suite(name: str, bound: int = 2, fast: bool = False) -> dict:
@@ -54,6 +55,7 @@ def _check(name, passed, detail=None, evidence=False):
 # ---------------------------------------------------------------------------
 
 def _suite_ranks(bound=2, fast=False):
+    from .fermat_homology import build_primitive, rank_formula
     from .lattice_core import (
         determinant,
         discriminant_is_cyclic_of_order,
@@ -98,6 +100,8 @@ def _suite_ranks(bound=2, fast=False):
 
 
 def _suite_resolution(bound=2, fast=False):
+    from .fermat_homology import resolution_check
+
     checks = []
     cases = [(3, n) for n in range(1, 5)] + [(4, 1), (4, 2)]
     for d, n in cases:
@@ -111,6 +115,9 @@ def _suite_resolution(bound=2, fast=False):
 
 
 def _suite_hermitian(bound=2, fast=False):
+    import numpy as np
+
+    from .fermat_homology import build_primitive
     from .hermitian_eigen import (
         _parity_normalize,
         chi_form_on_classes,
@@ -193,7 +200,12 @@ def _suite_hermitian(bound=2, fast=False):
 
 
 def _suite_hodge(bound=2, fast=False):
-    from .hodge_characters import enumerate_characters, fermat_class_character, hodge_numbers
+    from .hodge_characters import (
+        enumerate_characters,
+        fermat_class_character,
+        hodge_numbers,
+        rank_formula,
+    )
 
     checks = []
     targets = {
@@ -222,6 +234,7 @@ def _suite_hodge(bound=2, fast=False):
 
 
 def _suite_cubic(bound=2, fast=False):
+    from . import _intlinalg as la
     from .cubic_period import (
         build_cubic_lattices,
         eigenlattice,
@@ -233,6 +246,7 @@ def _suite_cubic(bound=2, fast=False):
         special_search_report,
         verify_remark_52,
     )
+    from .fermat_homology import build_primitive
     from .hermitian_eigen import hermitian_signature
     from .lattice_core import determinant, discriminant, is_even, signature
 

@@ -268,16 +268,32 @@ def test_git_without_subcommand_prints_help_and_exits_2(capsys):
     assert err.startswith("usage: fermatlat git")
 
 
+def _one_term(exponents=(3, 0, 0), coeff="1", m=3, degree=3):
+    return {"m": m, "degree": degree, "terms": [{"exponents": exponents, "coeff": coeff}]}
+
+
 @pytest.mark.parametrize("form,field", [
     ({"m": 3, "terms": []}, "'degree'"),
     ({"m": 3, "degree": 3, "terms": 5}, "'terms'"),
     ([{"m": 3, "degree": 3, "terms": []}], "JSON object"),
-], ids=["no-degree", "terms-not-a-list", "top-level-list"])
+    (_one_term(coeff=None), "'coeff'"),
+    (_one_term(coeff="1/0"), "'coeff'"),
+    (_one_term(coeff=float("inf")), "'coeff'"),
+    (_one_term(exponents=5), "'exponents'"),
+    (_one_term(exponents=[1.5, 1.5, 0]), "'exponents'"),
+    (_one_term(m=None), "'m'"),
+    (_one_term(m=3.5), "'m'"),
+    (_one_term(degree=2.5), "'degree'"),
+], ids=["no-degree", "terms-not-a-list", "top-level-list", "coeff-null", "coeff-zero-den",
+        "coeff-infinity", "exponents-not-a-list", "exponents-not-integers", "m-null",
+        "m-not-integral", "degree-not-integral"])
 @pytest.mark.parametrize("command", ["check", "cone"])
 def test_git_malformed_form_is_an_input_error(command, form, field, tmp_path, capsys):
     path = tmp_path / "form.json"
+    # json.dumps writes float("inf") as Infinity, which json.load accepts.
     path.write_text(json.dumps(form))
     code, out, err = run_cli(["git", command, str(path)], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("input error: ") and field in err
+    assert "Traceback" not in err

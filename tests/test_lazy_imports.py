@@ -1,5 +1,6 @@
 """What each entry point loads: `import fermatlat` loads no submodule, the
-`git` commands run without numpy, and the lazy names, the re-exported
+`git` commands and the `git` and `hodge` suites run without numpy, and the
+lazy names, the re-exported
 pure-Python kernels and the CLI's suite names stay the objects and values
 they stand for.
 
@@ -73,6 +74,28 @@ def test_verify_suite_loads_only_its_modules():
     assert "fermatlat.hodge_characters" in loaded
     assert not {"fermatlat.cubic_period", "fermatlat.hermitian_eigen",
                 "fermatlat.git_stability"} & set(loaded)
+
+
+@pytest.mark.parametrize("code", [
+    "from fermatlat.verify import run_suite\nassert run_suite('git')['ok']\n",
+    "from fermatlat.verify import run_suite\nassert run_suite('hodge')['ok']\n",
+    "import contextlib, io\nfrom fermatlat import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    assert cli.main(['verify', '--suite', 'git']) == 0\n",
+], ids=["git-suite", "hodge-suite", "cli-verify-git"])
+def test_git_and_hodge_suites_run_without_numpy(code):
+    loaded = loaded_after(code)
+    assert not {"numpy", "fermatlat.fermat_homology"} & set(loaded)
+
+
+def test_verify_homology_names_are_the_fermat_homology_objects():
+    from fermatlat import fermat_homology, hodge_characters
+
+    for name in ("build_primitive", "rank_formula", "resolution_check"):
+        assert getattr(verify, name) is getattr(fermat_homology, name)
+    assert fermat_homology.rank_formula is hodge_characters.rank_formula
+    with pytest.raises(AttributeError):
+        verify.nope
 
 
 def test_lazy_names_are_their_home_objects():
