@@ -13,11 +13,13 @@ numpy is used here only where the result is provably exact: float64 matrix
 products whose every intermediate value stays below 2**53, and mod-p
 elimination on float64 residues, whose moduli satisfy (p - 1)**2 * 128 <
 2**53 so that every 128-term product-sum is exact (checked: other moduli
-raise ValueError).  One float64 LAPACK inverse proposes integer candidates
-for scaled_integer_inverse, which accepts one only by the exact product.
-The modular Smith divisors, the symmetric inertia elimination, the mod-p
-_rref, CRT reconstruction, scaled integer inverses and certified pivot
-columns live here.
+raise ValueError).  Two float64 LAPACK results propose integer candidates
+that are accepted only by exact integer checks: an inverse, for
+scaled_integer_inverse (the exact product), and eigenvectors, for inertia
+(the exact congruence X^T.G.X must be strictly diagonally dominant).
+The modular Smith divisors, the inertia certificate and the symmetric
+elimination behind it, the mod-p _rref, CRT reconstruction, scaled integer
+inverses and certified pivot columns live here.
 """
 
 from __future__ import annotations
@@ -159,7 +161,11 @@ def smith_divisors_mod(a, modulus: int) -> list[int]:
 
 def inertia(a) -> tuple[int, int, int]:
     """(positive, negative, zero) eigenvalue counts of a symmetric integer
-    matrix, exactly: Sylvester's law of inertia on a fraction-free symmetric
+    matrix, exactly.  Raises ValueError for a matrix that is not symmetric.
+
+    An int64 matrix G with entries below 2**53 first tries a congruence
+    certificate (_congruence_inertia); anything else, and any G it
+    refuses, takes Sylvester's law of inertia on a fraction-free symmetric
     elimination (Bareiss, Math. Comp. 1968).
 
     Each step pivots on a nonzero diagonal entry of the remaining block,
@@ -170,14 +176,18 @@ def inertia(a) -> tuple[int, int, int]:
     complement, where D_k is the k-th leading minor of the transformed
     matrix and the last pivot, so each division by it is exact, and the
     k-th diagonal entry of the congruent diagonal form has the sign of
-    D_(k+1) * D_k.  Only Python ints are used.  Raises ValueError for a
-    matrix that is not symmetric.
+    D_(k+1) * D_k.  The elimination uses Python ints only.
     """
     if len(a) == 0:
         return 0, 0, 0
-    m = int_array(a).astype(object)
+    m = int_array(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or np.any(m != m.T):
         raise ValueError("inertia requires a symmetric matrix")
+    if m.dtype != object and _abs_max(m) < _FLOAT_EXACT_LIMIT:
+        counts = _congruence_inertia(m)
+        if counts is not None:
+            return counts
+    m = m.astype(object)
     pos = neg = 0
     prev = 1
     while len(m):
@@ -203,6 +213,53 @@ def inertia(a) -> tuple[int, int, int]:
         m = (m[1:, 1:] * pivot - np.outer(col, col)) // prev
         prev = pivot
     return pos, neg, len(m)
+
+
+# Largest scale 2**k of the rounded eigenvectors: past it the candidate is
+# not tried (a near-singular G needs one, and a singular G fails anyway).
+_CONGRUENCE_MAX_SCALE = 2**30
+
+
+def _congruence_inertia(g: np.ndarray):
+    """Inertia of the nonsingular symmetric int64 matrix G (entries below
+    2**53, so its float64 copy is exact) from a rounded congruence, or None.
+
+    With G = V.diag(w).V^T from float64 eigh, X = rint(2**k V) for the
+    first k with 2**k > 4 n (1 + max|w| / min|w|), and M = X^T.G.X is
+    computed exactly (int_matmul).  M is accepted only if it is strictly
+    diagonally dominant, 2|M_ii| > sum_j |M_ij|, tested on integers that
+    cannot wrap.  Then the counts are those of the signs of M_ii:
+    D + t(M - D), with D = diag M, stays strictly dominant, so nonsingular,
+    for every t in [0, 1], and no eigenvalue crosses 0 on the way from D to
+    M.  M nonsingular makes X nonsingular (det M = det(X)**2 det G), so
+    Sylvester's law of inertia gives inertia(G) = inertia(M), and G has no
+    zero eigenvalue.  Nothing rests on the float values: a wrong basis
+    fails the test, and so does every singular G.  None on a LinAlgError,
+    a non-finite value, a scale past _CONGRUENCE_MAX_SCALE or a failed test.
+    """
+    n = len(g)
+    try:
+        w, v = np.linalg.eigh(g.astype(np.float64))
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
+        return None
+    low = np.abs(w).min()
+    if not low > 0:
+        return None
+    scale = 4 * n * (1 + np.abs(w).max() / low)
+    if not scale < _CONGRUENCE_MAX_SCALE:
+        return None
+    x = np.rint(v * 2.0 ** int(scale).bit_length()).astype(np.int64)
+    m = int_matmul(int_matmul(x.T, g), x)
+    mag = np.abs(m)
+    if mag.dtype != object and _abs_max(m) * n >= _INT64_SAFE:
+        mag = mag.astype(object)
+    diag = mag.diagonal()
+    if not np.all(2 * diag > mag.sum(axis=1)):
+        return None
+    signs = m.diagonal() > 0
+    return int(np.count_nonzero(signs)), n - int(np.count_nonzero(signs)), 0
 
 
 # ---------------------------------------------------------------------------
@@ -650,16 +707,64 @@ def _certify_pivots(a: np.ndarray, pivots: list[int], den: int, n: np.ndarray,
     return True
 
 
+def _minus_pivot_combination(x: np.ndarray, rows: np.ndarray, cols: list[int],
+                             p: int) -> np.ndarray:
+    """x - x[:, cols].rows for float64 residue arrays, as a new array that is
+    not reduced mod p after the last product.  Each product has at most
+    _PANEL terms of a residue times p - residue, as in _back_reduce, so every
+    value stays an exact integer below 2**53."""
+    coef, neg = x[:, cols], p - rows
+    for t in range(0, len(cols), _PANEL):
+        if t:
+            x = np.mod(x, p)
+        x = x + coef[:, t:t + _PANEL] @ neg[t:t + _PANEL]
+    return x
+
+
+def _divisible(x: np.ndarray, p: int) -> bool:
+    """Whether p divides every entry of the integer-valued float64 array x
+    (entries below 2**53), without np.mod's cost.  Where p | x, x / p is an
+    integer q, computed exactly, and q * p = x exactly; elsewhere
+    rint(x / p) * p is a multiple of p, exact below 2**53 and at least 2**53
+    above, so it is not x."""
+    return bool(np.array_equal(np.rint(x / p) * p, x))
+
+
 def _echelon_rows(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """Pivot columns and nonzero reduced rows of A mod p.  A is fed to the
-    kernel 64 rows at a time below the rows kept, so at most rank + 64 rows
-    are held: the realified matrices here are often of low rank."""
-    ech, pivots = np.zeros((0, a.shape[1]), dtype=np.int64), []
+    """Pivot columns and nonzero reduced rows of A mod p.
+
+    A is read 64 rows at a time, so at most rank + 64 rows are held: the
+    realified matrices here are often of low rank.  Each chunk C is reduced
+    against the kept rows E with pivots P, C' = C - C[:, P].E mod p, which
+    vanishes on P.  A chunk with C' = 0 lies in the row span of E and is
+    skipped.  Otherwise C' alone is brought to its reduced form R, with
+    pivots Q disjoint from P, and E to E' = E - E[:, Q].R.  The rows of E'
+    and R, sorted by pivot, are in reduced row echelon form: each pivot
+    column is a unit vector (E'[:, P] = I, E'[:, Q] = 0, R[:, P] = 0), and a
+    row of E' still vanishes left of its pivot, as R's rows vanish left of
+    theirs.  Their span is that of [E; C], and the reduced row echelon form
+    of a span mod p is unique, so the pivots and rows are those of
+    eliminating A whole.
+    """
+    ech, pivots = np.zeros((0, a.shape[1])), []
     for s in range(0, len(a), 64):
-        reduced, pivots = modp_eliminate(np.vstack([ech, a[s:s + 64]]), p)
-        ech = reduced[:len(pivots)].copy()
-        del reduced
-    return pivots, ech
+        chunk = _residues([a[s:s + 64]], p)
+        if pivots:
+            chunk = _minus_pivot_combination(chunk, ech, pivots, p)
+            if _divisible(chunk, p):
+                continue
+            np.mod(chunk, p, out=chunk)
+        elif not chunk.any():
+            continue
+        reduced, new = modp_eliminate(_as_int64(chunk), p)
+        rows = reduced[:len(new)].astype(np.float64)
+        if pivots:
+            ech = _minus_pivot_combination(ech, rows, new, p)
+            np.mod(ech, p, out=ech)
+        order = np.argsort(pivots + new, kind="stable")
+        ech = np.vstack([ech, rows])[order]
+        pivots = sorted(pivots + new)
+    return pivots, _as_int64(ech)
 
 
 def certified_pivot_columns(a, block: int = 1) -> list[int]:

@@ -55,8 +55,9 @@ class HomogeneousForm:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HomogeneousForm":
-        """The form of {"m", "degree", "terms": [{"exponents", "coeff"}, ...]};
-        ValueError naming the field that is missing or malformed."""
+        """The form of {"m", "degree", "terms": [{"exponents", "coeff"}, ...]},
+        the sum of its terms (repeated exponent vectors are added); ValueError
+        naming the field that is missing or malformed."""
         if not isinstance(obj, dict):
             raise ValueError(f"a form is a JSON object, not {type(obj).__name__}")
         for key in ("m", "degree", "terms"):
@@ -79,7 +80,8 @@ class HomogeneousForm:
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):
                 raise ValueError(f"form field 'coeff' of term {i} is not a rational "
                                  f"number: {t['coeff']!r}") from None
-            parsed[tuple(exps)] = coeff
+            key = tuple(exps)
+            parsed[key] = parsed.get(key, 0) + coeff
         return cls(obj["m"], obj["degree"], parsed)
 
     @classmethod

@@ -310,7 +310,7 @@ def _parity_normalize(d: int, n: int, coords: np.ndarray):
             diag = _times(d, diag, mu)
     if diag is not None and sum(int(x) * t for x, t in zip(diag, _trace_row(d))) < 0:
         coords = -coords
-    common = gcd(den, *(int(x) for x in np.unique(coords)))
+    common = gcd(den, int(np.gcd.reduce(coords, axis=None)))
     if common != 1:
         coords = coords // common
     return coords, den // common

@@ -253,9 +253,10 @@ def _is_radical_basis(k: np.ndarray, pivots: list[int], gram: np.ndarray) -> boo
 def signature(lattice: IntegerLattice) -> tuple[int, int]:
     """Counts of positive and negative eigenvalues, exactly.
 
-    Sylvester's law of inertia on a fraction-free symmetric elimination of
-    the Gram matrix (_intlinalg.inertia): O(n^3) integer operations, no
-    floats.
+    _intlinalg.inertia: a congruence from rounded float64 eigenvectors,
+    accepted only when the exact product is strictly diagonally dominant,
+    else Sylvester's law on a fraction-free symmetric elimination.  No
+    count rests on a float value.
     """
     if not lattice.is_symmetric():
         raise WrongSymmetryError("signature requires a symmetric pairing")
@@ -289,8 +290,10 @@ def _certified_determinant(g: np.ndarray) -> Optional[tuple[int, list[int]]]:
     the index of the row lattice, |det G|; it raises unless they multiply
     to M, so a return proves |det G| = M.  (c) det G is congruent to
     la.modp_det(G, p) mod p, and |det G| = M < p/2, so det G is that
-    residue taken in the symmetric range.  Nothing rests on the float
-    value: a wrong candidate fails (a) or (b).
+    residue taken in the symmetric range; an antisymmetric G (G == -G^T,
+    checked exactly) skips (c), as det G = Pf(G)**2 > 0 once G is
+    nonsingular.  Nothing rests on the float value: a wrong candidate fails
+    (a) or (b).
     """
     p = la.MODP_PRIMES[0]
     if not len(g) or g.dtype == object:
@@ -305,6 +308,8 @@ def _certified_determinant(g: np.ndarray) -> Optional[tuple[int, list[int]]]:
         divisors = la.smith_divisors_mod(g, m)
     except VerificationError:
         return None
+    if np.array_equal(g, -g.T):
+        return m, divisors
     r = la.modp_det(g, p)
     return (r if 2 * r < p else r - p), divisors
 

@@ -297,3 +297,25 @@ def test_git_malformed_form_is_an_input_error(command, form, field, tmp_path, ca
     assert out == ""
     assert err.startswith("input error: ") and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "cone"])
+def test_git_repeated_terms_are_added(command, tmp_path, capsys):
+    # x^3 - x^3 + y^3 is the form y^3: the same file path, so the same output.
+    path = tmp_path / "form.json"
+    out_path = tmp_path / "out.json"
+    y3 = {"exponents": [0, 3, 0], "coeff": "1"}
+    outputs = []
+    for terms in ([{"exponents": [3, 0, 0], "coeff": "1"},
+                   {"exponents": [3, 0, 0], "coeff": "-1"}, y3],
+                  [{"exponents": [0, 3, 0], "coeff": "1/2"}, {"exponents": [0, 3, 0], "coeff": "1/2"}],
+                  [y3]):
+        path.write_text(json.dumps({"m": 3, "degree": 3, "terms": terms}))
+        args = ["git", command, str(path)] + (["--out", str(out_path)] if command == "cone" else [])
+        code, out, err = run_cli(args, capsys)
+        assert code == 0, err
+        outputs.append((out, out_path.read_text() if command == "cone" else None))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert git_stability.HomogeneousForm.from_json(
+        {"m": 3, "degree": 3, "terms": [{"exponents": [3, 0, 0], "coeff": "2"},
+                                        {"exponents": [3, 0, 0], "coeff": "-2"}]}).is_zero()

@@ -5,6 +5,7 @@ integer either way, and the same discriminant divisors as the modular Smith
 form at |det_bareiss|."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -145,3 +146,37 @@ def test_modp_det_matches_bareiss(size):
         if size > 1 and rng.random() < 0.3:
             a[-1] = a[0]
         assert la.modp_det(a, p) == la.det_bareiss(a.tolist()) % p
+
+
+@st.composite
+def antisymmetric_grams(draw):
+    """Antisymmetric integer matrices of even and odd size, some singular."""
+    n = draw(st.integers(1, 8))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g[i][j] = draw(st.integers(-30, 30))
+            g[j][i] = -g[i][j]
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(antisymmetric_grams())
+@example([[0, 1], [-1, 0]])
+@example([[0, 3, 0, 0], [-3, 0, 0, 0], [0, 0, 0, -5], [0, 0, 5, 0]])
+def test_antisymmetric_determinant_needs_no_sign_mod_p(g):
+    def refuse(*_args):
+        raise AssertionError("modp_det called on an antisymmetric Gram")
+
+    with mock.patch.object(la, "modp_det", refuse):
+        assert determinant(IntegerLattice(g, ANTISYMMETRIC)) == la.det_bareiss(g)
+
+
+def test_antisymmetric_certificate_runs_neither_bareiss_nor_modp_det(monkeypatch):
+    lattice = build_primitive(5, 3).lattice
+    assert lattice.symmetry == ANTISYMMETRIC
+    expected = la.det_bareiss(lattice.gram)
+    calls = count_calls(monkeypatch, "det_bareiss", "modp_det")
+    assert determinant(IntegerLattice([[0, 1], [-1, 0]], ANTISYMMETRIC)) == 1
+    assert determinant(lattice) == expected
+    assert calls == {"det_bareiss": 0, "modp_det": 0}

@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -226,3 +227,41 @@ def test_k_out_of_range():
     prim = build_primitive(3, 2)
     with pytest.raises(ValueError):
         chi_reduce(prim, 5)
+
+
+def unique_gcd_parity_normalize(d, n, coords):
+    """_parity_normalize with the common factor taken, as before, over the
+    sorted distinct coordinates (np.unique)."""
+    diag = next((coords[i, i] for i in range(min(coords.shape[:2])) if coords[i, i].any()),
+                None)
+    den = 1
+    if n % 2 == 1:
+        mu, den = he._imaginary_unit(d)
+        coords = he._times(d, coords, mu)
+        if diag is not None:
+            diag = he._times(d, diag, mu)
+    if diag is not None and sum(int(x) * t for x, t in zip(diag, he._trace_row(d))) < 0:
+        coords = -coords
+    common = math.gcd(den, *(int(x) for x in np.unique(coords)))
+    if common != 1:
+        coords = coords // common
+    return coords, den // common
+
+
+@pytest.mark.parametrize("d", [3, 5, 9])
+@pytest.mark.parametrize("n", [1, 2])
+def test_parity_normalize_common_factor(d, n):
+    phi = he.euler_phi(d)
+    rng = np.random.default_rng(d * 10 + n)
+    _mu, den = he._imaginary_unit(d)
+    cases = [np.zeros((0, 0, phi), dtype=np.int64), np.zeros((3, 3, phi), dtype=np.int64)]
+    for factor in (1, den, 2 * den, 7):
+        c = rng.integers(-5, 6, (4, 4, phi)) * factor
+        cases += [c, c.astype(object) * 2**70]
+    for coords in cases:
+        got, scale = _parity_normalize(d, n, coords)
+        want, want_scale = unique_gcd_parity_normalize(d, n, coords)
+        assert scale == want_scale and np.array_equal(got, want)
+        if not coords.any():
+            # gcd(den, 0) = den: a zero form is never scaled.
+            assert scale == 1 and got.shape == coords.shape and not got.any()

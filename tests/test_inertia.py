@@ -1,6 +1,9 @@
-"""The fraction-free inertia kernel against independent oracles:
-Descartes' rule on the Berkowitz characteristic polynomial (the signature
-path it replaced) and numpy eigenvalues."""
+"""The inertia kernel against independent oracles: Descartes' rule on the
+Berkowitz characteristic polynomial (the signature path it replaced) and
+numpy eigenvalues; and the congruence certificate against the fraction-free
+elimination it falls back to."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -120,3 +123,102 @@ def test_charpoly_is_det_of_x_minus_a(n, x, data):
     value = sum(c * x ** (n - i) for i, c in enumerate(coeffs))
     shifted = [[(x if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
     assert coeffs[0] == 1 and value == la.det_bareiss(shifted)
+
+
+def bareiss_inertia(a):
+    """la.inertia with the congruence certificate refused: the fraction-free
+    elimination alone."""
+    with mock.patch.object(la, "_congruence_inertia", lambda g: None):
+        return la.inertia(a)
+
+
+@st.composite
+def certificate_inputs(draw):
+    """Symmetric matrices of the kinds the certificate must refuse or get
+    right: rank-deficient forms, zero and diagonal matrices, entries near
+    2**31 (int64, below 2**53) and entries past 2**62 (dtype object)."""
+    kind = draw(st.sampled_from(["form", "zero", "diagonal", "near_2_31", "past_2_62"]))
+    if kind == "form":
+        return draw(symmetric_matrices(max_n=8))
+    if kind == "past_2_62":
+        a = draw(symmetric_matrices(max_n=8))
+        return [[x * 2**62 + (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+    n = draw(st.integers(1, 8))
+    if kind == "zero":
+        return [[0] * n for _ in range(n)]
+    if kind == "diagonal":
+        diag = [draw(st.integers(-3, 3)) for _ in range(n)]
+        return [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(st.sampled_from([1, -1])) * 2**31 + draw(st.integers(-4, 4))
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificate_inputs())
+def test_inertia_equals_the_elimination(a):
+    assert la.inertia(a) == bareiss_inertia(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_matrices(max_n=8))
+def test_a_certified_inertia_is_nonsingular_and_exact(a):
+    g = la.int_array(a)
+    counts = la._congruence_inertia(g)
+    assert counts is None or counts == bareiss_inertia(a)
+    if counts is not None:
+        assert counts[2] == 0 and la.det_bareiss(a) != 0
+
+
+def test_well_conditioned_grams_take_the_certificate():
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 22, 60):
+        b = rng.integers(-3, 4, (n, n))
+        g = b.T @ np.diag(rng.choice([-1, 1], n)) @ b
+        if la.det_bareiss(g.tolist()) == 0:
+            continue
+        assert la._congruence_inertia(g) == bareiss_inertia(g)
+    assert la._congruence_inertia(np.diag([5, -2, 7])) == (2, 1, 0)
+
+
+@pytest.mark.parametrize("wrong", ["identity", "repeated_column", "scaled_down", "nan",
+                                   "linalg_error"])
+def test_a_wrong_eigenbasis_still_gives_the_exact_inertia(monkeypatch, wrong):
+    real = np.linalg.eigh
+    refused = []
+
+    def eigh(a):
+        w, v = real(a)
+        if wrong == "linalg_error":
+            raise np.linalg.LinAlgError("forced")
+        if wrong == "identity":
+            v = np.eye(len(a))
+        elif wrong == "repeated_column":
+            v = v.copy()
+            v[:, -1] = v[:, 0]
+        elif wrong == "scaled_down":
+            v = v * 1e-12
+        else:
+            v = np.full_like(v, np.nan)
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    real_certificate = la._congruence_inertia
+
+    def certificate(g):
+        counts = real_certificate(g)
+        refused.append(counts is None)
+        return counts
+
+    monkeypatch.setattr(la, "_congruence_inertia", certificate)
+    rng = np.random.default_rng(11)
+    for n in (2, 5, 12):
+        b = rng.integers(-4, 5, (n, n))
+        g = b + b.T + np.diag(rng.integers(-9, 10, n))
+        assert la.inertia(g) == oracle_inertia(g.tolist())
+    if wrong != "identity":
+        # The identity basis leaves M = G, accepted only where G itself is
+        # strictly dominant; every other wrong basis is refused.
+        assert all(refused)

@@ -1,10 +1,12 @@
-"""Certified pivot columns against an exact elimination over Q(zeta_d), and
-the hermitian reductions against stored outputs of the elimination-based
-implementation."""
+"""Certified pivot columns against an exact elimination over Q(zeta_d), the
+hermitian reductions against stored outputs of the elimination-based
+implementation, and the streamed mod-p echelon against the loop that
+re-eliminated every chunk."""
 
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,3 +176,49 @@ def test_chi_reduce_matches_seed(case):
     assert h.to_json() == case["to_json"]
     assert h.basis_labels == case["basis_labels"]
     assert str(h.det_norm()) == case["det_norm"]
+
+
+def reeliminating_echelon_rows(a, p):
+    """_echelon_rows as it was: every 64-row chunk eliminated in full below
+    the rows kept."""
+    ech, pivots = np.zeros((0, a.shape[1]), dtype=np.int64), []
+    for s in range(0, len(a), 64):
+        reduced, pivots = la.modp_eliminate(np.vstack([ech, a[s:s + 64]]), p)
+        ech = reduced[:len(pivots)].copy()
+    return pivots, ech
+
+
+@pytest.mark.parametrize("rank", [0, 5, 63, 64, 65, 150])
+@pytest.mark.parametrize("p", [P1, la.MODP_PRIMES[7]])
+def test_echelon_rows_match_the_reeliminating_loop(rank, p):
+    rng = np.random.default_rng(rank)
+    rows, cols = 300, 200
+    a = rng.integers(-9, 10, (rows, rank)) @ rng.integers(-9, 10, (rank, cols))
+    # Rows past the first chunk that add nothing new, and columns that vanish.
+    a[200:] = a[:100]
+    a[:, 7] = 0
+    pivots, ech = la._echelon_rows(a, p)
+    want_pivots, want_ech = reeliminating_echelon_rows(a, p)
+    assert pivots == want_pivots and len(pivots) == rank
+    assert ech.dtype == want_ech.dtype and np.array_equal(ech, want_ech)
+
+
+def test_echelon_rows_of_large_entries_match():
+    # Entries past int64 (dtype object) are reduced mod p on the way in.
+    rng = np.random.default_rng(3)
+    a = la.int_array((rng.integers(-9, 10, (130, 4)) @ rng.integers(-9, 10, (4, 9))).astype(object)
+                     * 2**70 + 1)
+    assert a.dtype == object
+    for p in (P1, la.MODP_PRIMES[7]):
+        got, want = la._echelon_rows(a, p), reeliminating_echelon_rows(a, p)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
+def test_divisible_is_exact_up_to_2_53():
+    for p in (P1, 3):
+        q = (2**53 - 1) // p
+        for k in (0, 1, q - 1, q):
+            assert la._divisible(np.array([[k * p, 0.0]]), p)
+            for off in (1, p - 1):
+                if k * p + off < 2**53:
+                    assert not la._divisible(np.array([[k * p + off, 0.0]]), p)
