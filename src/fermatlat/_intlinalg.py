@@ -302,7 +302,7 @@ def _as_int64(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cols(idx: list[int]):
+def column_index(idx: list[int]):
     """Column index: a slice (so a view) when idx is a contiguous run."""
     if idx and idx[-1] - idx[0] == len(idx) - 1:
         return slice(idx[0], idx[-1] + 1)
@@ -386,10 +386,10 @@ def _back_reduce(m: np.ndarray, pivots: list[int], p: int) -> None:
     free = [c for c in range(m.shape[1]) if c not in pivot_set]
     for b0 in reversed(range(0, rank, _PANEL)):
         b1 = min(b0 + _PANEL, rank)
-        pcols = _cols(pivots[b0:b1])
+        pcols = column_index(pivots[b0:b1])
         rows = m[b0:b1]
         if free:
-            fcols = _cols(free)
+            fcols = column_index(free)
             # Reversing rows and columns makes the minor lower triangular.
             minor = rows[:, pcols][::-1, ::-1]
             x = np.mod(_lower_inverse(minor, p)[::-1, ::-1] @ rows[:, fcols], p)
@@ -397,7 +397,7 @@ def _back_reduce(m: np.ndarray, pivots: list[int], p: int) -> None:
             coef = m[:b0, pcols]
             neg = p - x
             for s in range(0, len(free), _PANEL):
-                chunk = _cols(free[s:s + _PANEL])
+                chunk = column_index(free[s:s + _PANEL])
                 prod = coef @ neg[:, s:s + _PANEL]
                 prod += m[:b0, chunk]
                 m[:b0, chunk] = np.mod(prod, p)

@@ -13,7 +13,10 @@ on axis i alone (_times_u, the (d-1) x (d-1) matrix U^e).  The symmetry
 actions, the connecting maps and the monomial coordinates are read off
 that one rule.  The Gram is the Seifert form V_1 x ... x V_1 plus (-1)^n
 its transpose, and its radical is the set of vectors fixed by the
-monodromy u_0, found from the characters of u_0 mod p (_certified_radical).
+monodromy u_0.  Its basis K comes from the u_0-orbit sums of the first r
+basis vectors, one r x r float64 solve, with the characters of u_0 mod p
+as the fallback; either is proven exactly, and the proof uses only the
+number of characters (_certified_radical).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from collections import Counter
 from functools import lru_cache, reduce
 from itertools import product
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -268,32 +271,94 @@ def _certified_radical(d: int, n: int, r: int) -> np.ndarray:
     Over F_p the rows e_a of E diagonalize A = U^(d-1), the matrix of
     u^(-1) on one axis, with eigenvalues w^(-a) (_axis_eigenvectors), so
     their Kronecker products diagonalize M_0 = A x ... x A, the matrix of
-    u_0.  C holds those with eigenvalue 1 (a_0 + ... + a_n = 0 mod d), and
-    K is the RREF of C mod p in symmetric residues: one elimination.
-    (a) Nullity_Q G <= len(C): V_1.A^T = -V_1^T gives G = sign * V.(I -
+    u_0.  Those with eigenvalue 1 are the characters, a_0 + ... + a_n = 0
+    (mod d); _character_count counts them without building them.
+    (a) Nullity_Q G <= the count: V_1.A^T = -V_1^T gives G = sign * V.(I -
         M_0^T) with V unitriangular, so rank_Q G = rank_Q (I - M_0) >=
-        rank_p (I - M_0) = N - len(C), as the Kronecker power of E,
+        rank_p (I - M_0) = N - count, as the Kronecker power of E,
         invertible with E, conjugates M_0 to its eigenvalues.
     (b) K.G = 0: G^T = +-G, so x.G = 0 iff x.(I - M_0).V^T = 0 iff
         x.M_0 = x, checked by folding K along every axis.
     (c) K has r independent rows with the identity on r columns, so c.K is
         integral only for integral c: a saturated sublattice of rank r.
-    With r = len(C), K is a Z-basis of the radical and, with its identity
+    With r = the count, K is a Z-basis of the radical and, with its identity
     pivot minor, its unique row HNF.  r = N - rank_formula(d, n) is checked.
+    The proof does not depend on where K comes from: first the u_0-orbit
+    sums (_orbit_candidate), and, when that candidate is missing or fails
+    (b) or (c), the RREF of the character rows mod p in symmetric residues
+    (_character_candidate), whose failure raises.
     """
     p, e = _axis_eigenvectors(d)
-    c = _character_rows(d, n, p, e)
-    k = _character_candidate(c, p)
-    if not len(c) == len(k) == r:
-        raise VerificationError(
-            f"{len(k)} radical rows from {len(c)} characters, expected {r} (count)")
+    count = _character_count(d, n)
+    if count != r:
+        raise VerificationError(f"{count} characters, expected {r} radical rows (count)")
+    k = _orbit_candidate(d, n, r)
+    if k is None or _radical_refusal(k, d, n, r):
+        k = _character_candidate(_character_rows(d, n, p, e), p)
+        refusal = _radical_refusal(k, d, n, r)
+        if refusal:
+            raise VerificationError(refusal)
+    return k
+
+
+def _radical_refusal(k: np.ndarray, d: int, n: int, r: int) -> Optional[str]:
+    """Which check of _certified_radical the candidate K fails (the count of
+    its rows, (c) or (b)), or None when it passes them all."""
+    if len(k) != r:
+        return f"{len(k)} radical rows, expected {r} (count)"
     if not np.array_equal(k[:, :r], np.eye(r, dtype=k.dtype)):
-        raise VerificationError("the radical rows do not start with the identity (pivot minor)")
+        return "the radical rows do not start with the identity (pivot minor)"
     # Each fold of _times_u at most doubles an entry.
     x = _widened(k, 2 ** (n + 1)).reshape((r,) + (d - 1,) * (n + 1))
     if not np.array_equal(_times_u0(x, d), x):
-        raise VerificationError("a radical row is not fixed by u_0 (invariance)")
-    return k
+        return "a radical row is not fixed by u_0 (invariance)"
+    return None
+
+
+def _character_count(d: int, n: int) -> int:
+    """#{a in {1..d-1}^(n+1) : a_0 + ... + a_n = 0 (mod d)}: the last entry
+    is fixed by the others and lies in 1..d-1 unless they sum to 0, so the
+    count c_k over k entries has c_1 = 0 and c_(k+1) = (d-1)^k - c_k."""
+    return ((d - 1) ** (n + 1) + (-1) ** (n + 1) * (d - 1)) // d
+
+
+def _orbit_candidate(d: int, n: int, r: int) -> Optional[np.ndarray]:
+    """[I_r | rint(S_1^(-1).S_2)] for S = (S_1 | S_2), rows 0, ..., r-1 of
+    sum_e (U^e) x ... x (U^e) = sum_e M_0^e ((d-1)e runs over Z/d): the
+    u_0-orbit sums of the first r basis vectors.  M_0^d = I, so S is fixed
+    by M_0 and lies in the radical, where each vector is its first r
+    coordinates times the HNF K: S = S_1.K, and K is this candidate when
+    S_1 is invertible.  None when the float64 solve fails or its solution
+    is not near an integer matrix; _certified_radical proves the rest."""
+    s = sum(_kron_prefix(u.astype(np.min_scalar_type(-d)), n + 1, r) for u in _u_powers(d))
+    try:
+        x = np.linalg.solve(s[:, :r].astype(np.float64), s[:, r:].astype(np.float64))
+    except np.linalg.LinAlgError:
+        return None
+    k = np.rint(x)
+    x -= k
+    # NaN fails both comparisons; below 2**53 the int64 cast is exact.
+    if not (np.abs(x).max(initial=0) < 1e-6 and np.abs(k).max(initial=0) < 2.0 ** 53):
+        return None
+    out = np.empty((r, s.shape[1]), dtype=np.int64)
+    out[:, :r] = np.eye(r, dtype=np.int64)
+    out[:, r:] = k
+    return out
+
+
+def _kron_prefix(m: np.ndarray, k: int, rows: int) -> np.ndarray:
+    """Rows 0, ..., rows-1 (rows >= 1) of the Kronecker power m x ... x m,
+    k factors.  Its rows come in blocks m[i] x m^(k-1), one per row i of m:
+    the whole blocks before the last one needed, then the first rows of
+    that one, recursively.  No power of m larger than the result is built."""
+    block = len(m) ** (k - 1)
+    q, rem = divmod(rows, block)
+    parts = []
+    if q:
+        parts.append(np.kron(m[:q], reduce(np.kron, [m] * (k - 1), np.ones((1, 1), m.dtype))))
+    if rem:
+        parts.append(np.kron(m[q:q + 1], _kron_prefix(m, k - 1, rem)))
+    return np.concatenate(parts)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,6 @@ weight vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -20,27 +19,52 @@ from ._simplex import OPTIMAL, solve_lp
 from .errors import EmptyFormError, VerificationError
 
 
-@dataclass(frozen=True)
 class HomogeneousForm:
-    """Degree-d form in m variables as a map exponent-vector -> coefficient."""
+    """Degree-d form in m variables as a map exponent-vector -> coefficient.
 
-    m: int
-    degree: int
-    terms: dict = field(default_factory=dict)
+    Read-only once built: the terms are normalised to integer exponent
+    tuples and nonzero Fraction coefficients, repeated exponent vectors
+    added.  A plain class rather than a dataclass, so that the `git`
+    commands do not import dataclasses and what it loads."""
 
-    def __post_init__(self):
+    __slots__ = ("m", "degree", "terms")
+
+    def __init__(self, m: int, degree: int, terms: dict | None = None):
         clean = {}
-        for exps, coeff in self.terms.items():
+        for exps, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
             exps = tuple(int(e) for e in exps)
-            if len(exps) != self.m or any(e < 0 for e in exps):
+            if len(exps) != m or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps}")
-            if sum(exps) != self.degree:
+            if sum(exps) != degree:
                 raise ValueError(f"exponents {exps} do not sum to the degree")
             clean[exps] = clean.get(exps, Fraction(0)) + coeff
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.degree, self.terms) == (other.m, other.degree, other.terms)
+
+    # Unhashable, like a frozen dataclass with a dict field.
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"HomogeneousForm(m={self.m!r}, degree={self.degree!r}, terms={self.terms!r})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not __setattr__.
+        return HomogeneousForm, (self.m, self.degree, self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -66,7 +66,13 @@ class IntegerLattice:
         return self.symmetry == SYMMETRIC
 
     def relabel(self, label: str) -> "IntegerLattice":
-        return IntegerLattice(self.gram, self.symmetry, label)
+        """The same lattice under another label.  Its gram was frozen and
+        checked against its symmetry when this lattice was built, so the
+        fields are copied with no second check."""
+        lattice = object.__new__(IntegerLattice)
+        lattice.rank, lattice.gram, lattice.symmetry, lattice.label = (
+            self.rank, self.gram, self.symmetry, label)
+        return lattice
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntegerLattice) and np.array_equal(self.gram, other.gram)
@@ -171,16 +177,22 @@ def radical_quotient(lattice: IntegerLattice, kernel_rows=None, proven_pivots=No
     # is unimodular iff every pivot is 1, and then it is the identity, so the
     # kernel rows already solve for the pivot coordinates T.  The projection
     # and representatives are built in the narrow dtype they are frozen in,
-    # with no int64 N x N temporaries.
+    # with no N x N temporaries.  A run of columns is sliced, not gathered,
+    # and copied, so the quotient Gram is C-contiguous like a gathered one
+    # (a view of a Fortran-ordered Gram would slow row operations on it).
     if all(k[i][c] == 1 for i, c in enumerate(pivots)):
         pivot_set = set(pivots)
         s_cols = [c for c in range(n) if c not in pivot_set]
+        q = len(s_cols)
+        cols = la.column_index(s_cols)
         k = la.frozen_int_array(k)
-        proj = np.zeros((n, len(s_cols)), dtype=k.dtype)
-        proj[s_cols, range(len(s_cols))] = 1
-        proj[pivots] = -k[:, s_cols]
-        reps = np.eye(n, dtype=np.int8)[s_cols]
-        quotient = IntegerLattice(g[np.ix_(s_cols, s_cols)], lattice.symmetry, lattice.label)
+        proj = np.zeros((n, q), dtype=k.dtype)
+        proj[s_cols, range(q)] = 1
+        proj[pivots] = -k[:, cols]
+        reps = np.zeros((q, n), dtype=np.int8)
+        reps[range(q), s_cols] = 1
+        sub = g[cols, cols].copy() if isinstance(cols, slice) else g[np.ix_(cols, cols)]
+        quotient = IntegerLattice(sub, lattice.symmetry, lattice.label)
     else:
         # General path: complete the saturated kernel to a basis via SNF.
         divisors, u, v = la.smith_normal_form(k, with_transform=True)

@@ -65,6 +65,31 @@ def random_cubic(rng, m, maxterms=5):
     return HomogeneousForm(m, 3, terms)
 
 
+def test_homogeneous_form_is_a_read_only_value():
+    # Normalised terms, equality by value, a repr of its fields, no
+    # assignment, no hash (its terms are a dict), and pickle and copy
+    # rebuild it equal.
+    import copy
+    import pickle
+
+    f = HomogeneousForm(3, 3, {(3, 0, 0): 1, (0, 3, 0): "1/2", (1, 1, 1): 0})
+    assert f.terms == {(3, 0, 0): Fraction(1), (0, 3, 0): Fraction(1, 2)}
+    assert f == HomogeneousForm(3, 3, {(0, 3, 0): Fraction(1, 2), (3, 0, 0): 1})
+    assert f != HomogeneousForm(3, 3, {(3, 0, 0): 1}) and f != "form"
+    assert HomogeneousForm(2, 3).terms == {}
+    assert repr(HomogeneousForm(2, 3, {(3, 0): 2})) == (
+        "HomogeneousForm(m=2, degree=3, terms={(3, 0): Fraction(2, 1)})")
+    with pytest.raises(AttributeError):
+        f.m = 4
+    with pytest.raises(AttributeError):
+        del f.terms
+    with pytest.raises(TypeError):
+        hash(f)
+    assert pickle.loads(pickle.dumps(f)) == f == copy.deepcopy(f)
+    with pytest.raises(ValueError, match="do not sum"):
+        HomogeneousForm(2, 3, {(1, 1): 1})
+
+
 def test_exponent_points():
     f = HomogeneousForm.fermat(4, 3)
     assert exponent_points(f) == [(0, 0, 0, 3), (0, 0, 3, 0), (0, 3, 0, 0), (3, 0, 0, 0)]

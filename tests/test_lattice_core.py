@@ -14,6 +14,8 @@ from fermatlat.errors import (
     WrongSymmetryError,
 )
 from fermatlat.lattice_core import (
+    ANTISYMMETRIC,
+    SYMMETRIC,
     GlueSpec,
     IntegerLattice,
     determinant,
@@ -122,6 +124,43 @@ def test_radical_quotient_supplied_kernel_edge_cases():
     assert q.rank == 0 and proj.tolist() == [[], []] and reps.tolist() == []
     with pytest.raises(ValueError):
         radical_quotient(A2, [[1, 0]])
+
+
+def test_radical_quotient_slices_a_run_and_gathers_otherwise():
+    # The kept columns 1, 2 are a run: the quotient Gram is a slice of the
+    # Gram, copied C-contiguous even from a Fortran-ordered Gram.  The kept
+    # columns 0, 2 are gathered.  The representatives are q x N unit rows
+    # either way.
+    run = IntegerLattice(np.asfortranarray([[0, 0, 0], [0, 2, -1], [0, -1, 2]]))
+    assert run.gram.flags.f_contiguous and not run.gram.flags.c_contiguous
+    q, proj, reps = radical_quotient(run)
+    assert q.gram.tolist() == [[2, -1], [-1, 2]] and q.gram.flags.c_contiguous
+    assert proj.tolist() == [[0, 0], [1, 0], [0, 1]]
+    assert reps.dtype == np.int8 and reps.tolist() == [[0, 1, 0], [0, 0, 1]]
+    gap = IntegerLattice([[2, 0, -1], [0, 0, 0], [-1, 0, 2]])
+    q, proj, reps = radical_quotient(gap)
+    assert q.gram.tolist() == [[2, -1], [-1, 2]] and not np.shares_memory(q.gram, gap.gram)
+    assert proj.tolist() == [[1, 0], [0, 0], [0, 1]]
+    assert reps.dtype == np.int8 and reps.tolist() == [[1, 0, 0], [0, 0, 1]]
+
+
+def test_relabel_copies_the_checked_fields(monkeypatch):
+    lattice = IntegerLattice([[0, 3], [-3, 0]], ANTISYMMETRIC, label="a")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("relabel checked the gram again")
+
+    monkeypatch.setattr(IntegerLattice, "__init__", refuse)
+    other = lattice.relabel("b")
+    assert other.gram is lattice.gram and other.label == "b" and lattice.label == "a"
+    assert other.rank == 2 and other.symmetry == ANTISYMMETRIC and other == lattice
+
+
+def test_a_new_gram_is_checked_against_its_symmetry():
+    for gram, symmetry in [([[0, 1], [2, 0]], SYMMETRIC), ([[0, 1], [1, 0]], ANTISYMMETRIC),
+                           ([[1, 0], [0, 0]], ANTISYMMETRIC)]:
+        with pytest.raises(ValueError, match="symmetry flag"):
+            IntegerLattice(gram, symmetry)
 
 
 def test_radical_quotient_nondegenerate_identity():

@@ -68,6 +68,19 @@ def test_git_commands_run_without_numpy(command, tmp_path):
     assert "fermatlat.git_stability" in loaded
 
 
+def test_git_stability_loads_no_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize: about a third of
+    # the import time of git_stability.
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    probe = ("import sys\n"
+             "before = 'dataclasses' in sys.modules\n"
+             "import fermatlat.git_stability\n"
+             "print(before or 'dataclasses' not in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.split() == ["True"]
+
+
 def test_verify_suite_loads_only_its_modules():
     loaded = loaded_after("from fermatlat.verify import run_suite\n"
                           "assert run_suite('hodge')['ok']\n")

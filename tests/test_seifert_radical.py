@@ -1,8 +1,9 @@
 """The Milnor lattice as a Seifert form: the Gram of build_milnor against
 the star-element table it replaced, the factorization G = sign * V.(I -
 M_0^T) behind the radical's proof, the per-axis checks, the count of
-characters against the rank formula, and the character radical against
-the certified mod-p kernel of the Gram."""
+characters against the rank formula, the character radical against the
+certified mod-p kernel of the Gram, and the u_0-orbit-sum radical against
+the character radical, with its fallback."""
 
 from functools import reduce
 from itertools import product
@@ -89,16 +90,88 @@ def character_count(d, n):
     return int(count[0])
 
 
+def grid(bound, n_min=0):
+    """Every (d, n) with n >= n_min and Milnor rank (d-1)^(n+1) <= bound."""
+    return [(d, n) for d in range(3, bound + 2) for n in range(n_min, bound.bit_length())
+            if (d - 1) ** (n + 1) <= bound]
+
+
+def radical_rank(d, n):
+    return (d - 1) ** (n + 1) - fh.rank_formula(d, n)
+
+
 def test_character_count_is_the_radical_rank_at_every_rung():
-    bound = fh.size_bound()
-    rungs = 0
-    for d in range(3, bound + 2):
-        n = 0
-        while (d - 1) ** (n + 1) <= bound:
-            assert character_count(d, n) == (d - 1) ** (n + 1) - fh.rank_formula(d, n), (d, n)
-            rungs += 1
-            n += 1
-    assert rungs >= 99
+    # The closed form that _certified_radical uses, the count one axis at a
+    # time and, for n >= 1, the number of character rows.
+    rungs = grid(fh.size_bound())
+    for d, n in rungs:
+        assert fh._character_count(d, n) == character_count(d, n) == radical_rank(d, n), (d, n)
+        if n:
+            p, e = fh._axis_eigenvectors(d)
+            assert len(fh._character_rows(d, n, p, e)) == radical_rank(d, n), (d, n)
+    assert sum(n >= 1 for d, n in rungs) == 99
+
+
+@pytest.mark.parametrize("d,n", grid(1024, n_min=1))
+def test_orbit_radical_is_the_character_radical(d, n):
+    r = radical_rank(d, n)
+    k = fh._orbit_candidate(d, n, r)
+    p, e = fh._axis_eigenvectors(d)
+    expected = fh._character_candidate(fh._character_rows(d, n, p, e), p)
+    assert k.dtype == expected.dtype and np.array_equal(k, expected)
+
+
+def refuse_character_candidate(monkeypatch):
+    def refuse(c, p):
+        raise AssertionError("the character path was taken")
+    monkeypatch.setattr(fh, "_character_candidate", refuse)
+
+
+def test_orbit_candidate_passes_the_checks_at_3_10(monkeypatch):
+    refuse_character_candidate(monkeypatch)
+    r = radical_rank(3, 10)
+    k = fh._certified_radical(3, 10, r)
+    assert k.shape == (r, 2048) and fh._radical_refusal(k, 3, 10, r) is None
+
+
+@pytest.mark.parametrize("d,n", [(3, 7), (5, 3), (4, 4), (3, 8), (4, 5), (5, 4)])
+def test_ladder_rungs_take_the_orbit_path(d, n, monkeypatch):
+    refuse_character_candidate(monkeypatch)
+    fh._build_primitive(d, n)
+
+
+def off_by_one(k, column):
+    k = k.copy()
+    k[-1, column] += 1
+    return k
+
+
+@pytest.mark.parametrize("d,n", [(3, 4), (5, 3)])
+@pytest.mark.parametrize("how", ["none", "pivot minor", "invariance"])
+def test_failed_orbit_candidate_falls_back_to_the_characters(d, n, how, monkeypatch):
+    # A missing candidate, or one entry off by one (in the identity minor,
+    # refused by (c), or past it, refused by (b)), gives the character path's
+    # K: the same lattice and projection, never the wrong K.
+    real = fh._build_primitive_cached(d, n)
+    orbit, character = fh._orbit_candidate, fh._character_candidate
+    wrong, returned = [], []
+    if how == "none":
+        monkeypatch.setattr(fh, "_orbit_candidate", lambda d, n, r: None)
+    else:
+        def tampered(d, n, r):
+            wrong.append(off_by_one(orbit(d, n, r), r - 1 if how == "pivot minor" else -1))
+            return wrong[-1]
+        monkeypatch.setattr(fh, "_orbit_candidate", tampered)
+    monkeypatch.setattr(fh, "_character_candidate",
+                        lambda c, p: returned.append(character(c, p)) or returned[-1])
+    r = radical_rank(d, n)
+    prim = fh._build_primitive(d, n)
+    assert len(wrong) == (how != "none") and len(returned) == 1
+    if wrong:
+        assert how in fh._radical_refusal(wrong[0], d, n, r)
+    assert np.array_equal(returned[0], orbit(d, n, r))
+    for a, b in [(prim.lattice.gram, real.lattice.gram), (prim.projection, real.projection)]:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def is_prime(q):
