@@ -9,14 +9,15 @@ solve_rational, charpoly) and imports no numpy, so the GIT tests run
 without it.  This module re-exports each of them as the same object, so
 la.X works for both halves.
 
-numpy is used here only where the result is provably exact: float64 matrix
-products whose every intermediate value stays below 2**53, and mod-p
-elimination on float64 residues, whose moduli satisfy (p - 1)**2 * 128 <
-2**53 so that every 128-term product-sum is exact (checked: other moduli
-raise ValueError).  Two float64 LAPACK results propose integer candidates
-that are accepted only by exact integer checks: an inverse, for
-scaled_integer_inverse (the exact product), and eigenvectors, for inertia
-(the exact congruence X^T.G.X must be strictly diagonally dominant).
+numpy is used here only where the result is provably exact: float32 and
+float64 matrix products whose every intermediate value stays below 2**24
+and 2**53, and mod-p elimination on float64 residues, whose moduli satisfy
+(p - 1)**2 * 128 < 2**53 so that every 128-term product-sum is exact
+(checked: other moduli raise ValueError).  Two float64 LAPACK results
+propose integer candidates that are accepted only by exact integer
+checks: an inverse, for scaled_integer_inverse (the exact product, which
+also judges a caller's own candidate), and eigenvectors, for inertia (the
+exact congruence X^T.G.X must be strictly diagonally dominant).
 The modular Smith divisors, the inertia certificate and the symmetric
 elimination behind it, the mod-p _rref, CRT reconstruction, scaled integer
 inverses and certified pivot columns live here.
@@ -65,6 +66,7 @@ MODP_PRIMES: tuple[int, ...] = (
 _CRT_MAX_PRIMES = 18
 
 _FLOAT_EXACT_LIMIT = 2**53
+_FLOAT32_EXACT_LIMIT = 2**24
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Mat:
@@ -539,27 +541,35 @@ def crt_reconstruct_int_matrix(residue_fn, verify_fn):
     return None
 
 
-def scaled_integer_inverse(a: np.ndarray, d: int):
+def scaled_integer_inverse(a: np.ndarray, d: int, candidate=None):
     """The integer matrix X = d.A^{-1} of a square integer array A, proven
     by the exact product int_matmul(A, X) == d.I; None when A is singular
     or no candidate passes (d.A^{-1} is not integral).
 
-    The first candidate is a float64 LAPACK inverse times d, rounded to
-    integers (Wan, J. Symbolic Comput. 41, 2006).  It is used only if the
-    inverse raised no LinAlgError and every entry is finite and below 2**53
-    in absolute value, checked before the int64 cast, so nothing wraps; A
-    past int64 (dtype object) or |d| >= 2**53 skips it.  Otherwise, or when
-    the product disagrees, X comes from CRT reconstruction over
-    modp_solve_matrix.  No result comes from the approximation: either way
-    the exact product decides.  The float path holds no N x N copy of d.I.
+    The first candidate is the caller's, when it gives one: an integer
+    array that the caller knows in closed form (lattice_core takes it from
+    the lattice that A is the Gram of).  The next is a float64 LAPACK
+    inverse times d, rounded to integers (Wan, J. Symbolic Comput. 41,
+    2006).  It is used only if the inverse raised no LinAlgError and every
+    entry is finite and below 2**53 in absolute value, checked before the
+    int64 cast, so nothing wraps; A past int64 (dtype object) or |d| >=
+    2**53 skips it.  The last is CRT reconstruction over
+    modp_solve_matrix.  Wherever a candidate comes from, only the exact
+    product accepts it.  The product runs _PANEL rows of A at a time, so
+    it holds no N x N product and no N x N copy of d.I.
     """
     n = len(a)
 
     def solves(x):
-        prod = int_matmul(a, x)
-        diag = prod.diagonal()
-        return bool(np.all(diag == d)) and np.count_nonzero(prod) == np.count_nonzero(diag)
+        for s in range(0, n, _PANEL):
+            prod = int_matmul(a[s:s + _PANEL], x)
+            diag = prod.diagonal(s)
+            if not (np.all(diag == d) and np.count_nonzero(prod) == np.count_nonzero(diag)):
+                return False
+        return True
 
+    if candidate is not None and candidate.shape == a.shape and solves(candidate):
+        return candidate
     if a.dtype != object and abs(d) < _FLOAT_EXACT_LIMIT:
         try:
             x = np.linalg.inv(a.astype(np.float64))
@@ -626,21 +636,48 @@ def _abs_max(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
+# float32 BLAS streams half the bytes of float64, which pays on long
+# products: the 128-row blocks of an 820 x 820 check take 8 ms against 23
+# ms.  But the first long float32 product of a process maps OpenBLAS's
+# sgemm kernels, about 0.2 MB of resident memory, so products of fewer
+# multiply-adds than this stay in float64.
+_FLOAT32_MIN_WORK = 2**24
+
+
+def _matmul_dtype(a: np.ndarray, b: np.ndarray) -> np.dtype:
+    """The dtype in which int_matmul multiplies the integer arrays a and b:
+    float32 when every entry and every partial sum of a @ b is below 2**24
+    and the product has at least _FLOAT32_MIN_WORK multiply-adds, else
+    float64 when all are below 2**53, int64 when all are below 2**62, and
+    object (Python ints) otherwise."""
+    ma, mb = _abs_max(a), _abs_max(b)
+    top, bound = max(ma, mb), ma * mb * max(a.shape[-1], 1)
+    if (top < _FLOAT32_EXACT_LIMIT and bound < _FLOAT32_EXACT_LIMIT
+            and a.size * (b.shape[-1] if b.ndim > 1 else 1) >= _FLOAT32_MIN_WORK):
+        return np.dtype(np.float32)
+    if top < _FLOAT_EXACT_LIMIT and bound < _FLOAT_EXACT_LIMIT:
+        return np.dtype(np.float64)
+    if top < _INT64_SAFE and bound < _INT64_SAFE:
+        return np.dtype(np.int64)
+    return np.dtype(object)
+
+
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of integer arrays (numpy matmul broadcasting).
 
-    float64 BLAS when every entry and every partial sum is below 2**53,
-    int64 when all are below 2**62, Python ints (dtype object) otherwise;
-    the result is int64 in the first two cases.
+    In the dtype of _matmul_dtype: float32 BLAS when every entry and every
+    partial sum is below 2**24 (for a long product), float64 BLAS below
+    2**53, int64 below 2**62, Python ints (dtype object) otherwise.  Every
+    integer below a float type's limit is exact in it, so the BLAS sums
+    are exact; the result is int64 in the first three cases.
     """
-    ma, mb = _abs_max(a), _abs_max(b)
-    top, bound = max(ma, mb), ma * mb * max(a.shape[-1], 1)
-    if top < _FLOAT_EXACT_LIMIT and bound < _FLOAT_EXACT_LIMIT:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        return _as_int64(prod) if np.ndim(prod) else np.int64(prod)
-    if top < _INT64_SAFE and bound < _INT64_SAFE:
-        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
-    return a.astype(object) @ b.astype(object)
+    dtype = _matmul_dtype(a, b)
+    if dtype == object:
+        return a.astype(object) @ b.astype(object)
+    prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    if not np.ndim(prod):
+        return np.int64(prod)
+    return _as_int64(prod) if dtype == np.float64 else prod.astype(np.int64, copy=False)
 
 
 def _ratrecon(x: int, m: int, bound: int):

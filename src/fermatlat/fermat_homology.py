@@ -16,7 +16,9 @@ its transpose, and its radical is the set of vectors fixed by the
 monodromy u_0.  Its basis K comes from the u_0-orbit sums of the first r
 basis vectors, one r x r float64 solve, with the characters of u_0 mod p
 as the fallback; either is proven exactly, and the proof uses only the
-number of characters (_certified_radical).
+number of characters (_certified_radical).  The same factorization gives
+d times the inverse of the primitive Gram in closed form, the candidate of
+the cyclic-discriminant certificate (_seifert_inverse).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import product
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
@@ -151,7 +153,11 @@ def build_milnor(d: int, n: int) -> MilnorModule:
             f"(d-1)^(n+1) = {rank} exceeds the size bound {size_bound()}")
     v = reduce(np.kron, [_seifert_axis(d)] * (n + 1))
     # Off the diagonal at most one of V and V^T is nonzero: int8 holds G.
-    gram = parity_sign(n) * (v + (-1) ** n * v.T)
+    # One pass, written in C order (rows are read whole) whatever the
+    # layout numpy would pick for V + V^T.
+    gram = (np.add if n % 2 == 0 else np.subtract)(v, v.T, order="C")
+    if parity_sign(n) < 0:
+        np.negative(gram, out=gram)
     gram.flags.writeable = False
     lattice = IntegerLattice(gram, SYMMETRIC if n % 2 == 0 else ANTISYMMETRIC,
                              label=f"milnor(d={d},n={n})")
@@ -259,8 +265,57 @@ def _build_primitive(d: int, n: int) -> PrimitiveFermatLattice:
     if quotient.rank != expected:
         raise VerificationError(
             f"primitive rank {quotient.rank} disagrees with the rank formula {expected}")
+    quotient._scaled_inverse = (d, partial(_seifert_inverse, d, n, projection))
     return PrimitiveFermatLattice(d, n, quotient, dict(zip(milnor.basis, projection)),
                                   projection, milnor)
+
+
+def _seifert_inverse(d: int, n: int, projection: np.ndarray) -> Optional[np.ndarray]:
+    """X = d.G_q^(-1) for the primitive Gram G_q, in closed form from the
+    Seifert form, as a candidate: None unless every entry is below 2**24.
+    It is computed in float32 and proven by nothing here;
+    la.scaled_integer_inverse accepts it only by the exact product
+    G_q.X == d.I, and otherwise runs its LAPACK and CRT candidates.
+
+    Let sigma = parity_sign(n), A = U^(d-1), V_1^(-T) the upper triangular
+    matrix of ones, C_e = V_1^(-T).A^e, M_0 = A x ... x A, K = (I_r | B)
+    the radical of _certified_radical and P = (-B; I_q) the projection.
+    Then X = -(-1)^n.sigma.P^T.Z.P for Z = sum_{e=1}^{d-1} e.C_e^(x(n+1)),
+    by facts the build proves:
+    (1) G = sigma.V.(I - M_0^T) (_certified_radical (a)) and G^T =
+        (-1)^n.G, so G = (-1)^n.sigma.(I - M_0).V^T.
+    (2) M_0^d = I, from U^d = I, so Y = sum_e e.M_0^e has (I - M_0).Y =
+        W - d.I for W = M_0^0 + ... + M_0^(d-1).
+    (3) V^(-T).M_0^e = C_e^(x(n+1)), so G.Z' = d.I - W for Z' =
+        -(-1)^n.sigma.V^(-T).Y = -(-1)^n.sigma.Z.
+    (4) W.M_0 = W puts the rows of W in the radical, and K.P = 0, so W.P = 0.
+    (5) P.G_q.P^T = G and S.P = I for the section S = (0 | I_q) give
+        G_q.(P^T.Z'.P) = S.G.Z'.P = d.S.P - S.W.P = d.I.
+    Z[(i, a), (j, b)] = sum_e T_e[i, j].C_e[a, b] with T_e = e.C_e^(x n),
+    so Z is one product of the stacked T_e by the stacked C_e and one
+    transpose.  Its entries are small (|C_e| <= 1), so float32 holds
+    them and the products exactly at the ladder's rungs.
+    """
+    m, k = d - 1, (d - 1) ** n
+    powers = _u_powers(d)
+    upper = np.triu(np.ones((m, m), dtype=np.int64))
+    c = np.stack([upper @ powers[-e % d] for e in range(1, d)]).astype(np.float32)
+    t = (-(-1) ** n * parity_sign(n) * np.arange(1, d, dtype=np.float32)).reshape(m, 1, 1)
+    for _ in range(n):
+        t = (t[:, :, None, :, None] * c[:, None, :, None, :]).reshape(m, len(t[0]) * m, -1)
+    z = (t.reshape(m, k * k).T @ c.reshape(m, m * m)).reshape(k, k, m, m)
+    z = z.transpose(0, 2, 1, 3).reshape(k * m, k * m)
+    r = len(projection) - projection.shape[1]
+    neg_b = projection[:r].astype(np.float32)
+    w = z[:, :r] @ neg_b
+    w += z[:, r:]
+    x = neg_b.T @ w[:r]
+    x += w[r:]
+    # Float products of integers are integers: no rounding.  NaN fails.
+    top = np.abs(x).max(initial=0)
+    if not top < 2 ** 24:
+        return None
+    return x.astype(np.min_scalar_type(-int(top) - 1))
 
 
 def _certified_radical(d: int, n: int, r: int) -> np.ndarray:
@@ -308,7 +363,7 @@ def _radical_refusal(k: np.ndarray, d: int, n: int, r: int) -> Optional[str]:
         return f"{len(k)} radical rows, expected {r} (count)"
     if not np.array_equal(k[:, :r], np.eye(r, dtype=k.dtype)):
         return "the radical rows do not start with the identity (pivot minor)"
-    # Each fold of _times_u at most doubles an entry.
+    # Each fold of _times_u_inverse at most doubles an entry.
     x = _widened(k, 2 ** (n + 1)).reshape((r,) + (d - 1,) * (n + 1))
     if not np.array_equal(_times_u0(x, d), x):
         return "a radical row is not fixed by u_0 (invariance)"
@@ -422,8 +477,24 @@ def _widened(x: np.ndarray, growth: int) -> np.ndarray:
 
 
 def _times_u0(x: np.ndarray, d: int) -> np.ndarray:
-    """x times u_0 = (u_1...u_{n+1})^(-1): every coordinate axis folded by d-1."""
-    return reduce(lambda y, i: _times_u(y, i, d - 1, d), range(1, x.ndim), x)
+    """x times u_0 = (u_1...u_{n+1})^(-1): every coordinate axis folded by
+    u^(-1), between two buffers of x's shape."""
+    bufs = [np.empty_like(x) for _ in range(min(2, x.ndim - 1))]
+    for i in range(1, x.ndim):
+        x = _times_u_inverse(x, i, d, out=bufs[i % len(bufs)])
+    return x
+
+
+def _times_u_inverse(x: np.ndarray, axis: int, d: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """_times_u(x, axis, d - 1, d) with no copy but out: u^(-1).u^j =
+    u^(j-1), and u^(-1) = u^(d-1) = -(1 + ... + u^(d-2)), so slot j of
+    the result is slot j+1 of x minus slot 0 for j < d-2, and the last is
+    minus slot 0."""
+    out = np.empty_like(x) if out is None else out
+    src, dst = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(src[1:], src[:1], out=dst[:-1])
+    np.negative(src[0], out=dst[-1])
+    return out
 
 
 def _left_times_u(x: np.ndarray, axis: int, e: int, d: int) -> np.ndarray:

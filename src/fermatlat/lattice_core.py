@@ -37,9 +37,14 @@ class IntegerLattice:
     lattices, quotients and cached builds share it instead of copying it.
     Products of it go through int_matmul; widen it with int_array before
     any other arithmetic, since numpy wraps narrow integers silently.
+
+    _scaled_inverse is None, or (s, build) when the code that built the
+    lattice knows s.G^-1 in closed form: build() returns that candidate,
+    which scaled_integer_inverse accepts only by its exact product
+    (_inverse_candidate).  fermat_homology sets it on primitive lattices.
     """
 
-    __slots__ = ("rank", "gram", "symmetry", "label")
+    __slots__ = ("rank", "gram", "symmetry", "label", "_scaled_inverse")
 
     def __init__(self, gram, symmetry: str = SYMMETRIC, label: Optional[str] = None):
         g = la.frozen_int_array(gram)
@@ -55,6 +60,7 @@ class IntegerLattice:
         self.gram = g
         self.symmetry = symmetry
         self.label = label
+        self._scaled_inverse = None
 
     def pairing(self, v: Sequence[int], w: Sequence[int]) -> int:
         return la.dot(la.vec_mat(v, self.gram), w)
@@ -68,10 +74,11 @@ class IntegerLattice:
     def relabel(self, label: str) -> "IntegerLattice":
         """The same lattice under another label.  Its gram was frozen and
         checked against its symmetry when this lattice was built, so the
-        fields are copied with no second check."""
+        fields are copied with no second check, and so is the inverse
+        candidate of that gram."""
         lattice = object.__new__(IntegerLattice)
-        lattice.rank, lattice.gram, lattice.symmetry, lattice.label = (
-            self.rank, self.gram, self.symmetry, label)
+        lattice.rank, lattice.gram, lattice.symmetry, lattice.label, lattice._scaled_inverse = (
+            self.rank, self.gram, self.symmetry, label, self._scaled_inverse)
         return lattice
 
     def __eq__(self, other) -> bool:
@@ -283,21 +290,30 @@ def is_even(lattice: IntegerLattice) -> bool:
     return not np.any(np.diagonal(lattice.gram) % 2)
 
 
+def _inverse_candidate(lattice: IntegerLattice, scale: int) -> Optional[np.ndarray]:
+    """The lattice's closed-form candidate for scale.G^-1, or None when the
+    code that built the lattice gave none for this scale."""
+    known = lattice._scaled_inverse
+    return known[1]() if known is not None and known[0] == scale else None
+
+
 def determinant(lattice: IntegerLattice) -> int:
     """det G, from the certificate of _certified_determinant when it holds,
     else from det_bareiss."""
-    return (_certified_determinant(lattice.gram) or (la.det_bareiss(lattice.gram),))[0]
+    return (_certified_determinant(lattice) or (la.det_bareiss(lattice.gram),))[0]
 
 
-def _certified_determinant(g: np.ndarray) -> Optional[tuple[int, list[int]]]:
+def _certified_determinant(lattice: IntegerLattice) -> Optional[tuple[int, list[int]]]:
     """(det G, the Smith divisors of G), proven exactly from a float
     candidate, or None when G is empty, dtype object or singular, or the
     candidate is too large or fails a check.
 
     Let p = MODP_PRIMES[0].  M = round(|det G|) from a float64 slogdet is
-    tried when 1 <= M <= p // 2.  (a) la.scaled_integer_inverse(G, M)
-    returns X only after the exact product G.X == M.I, so X = M.G^-1 is
-    integral and X.G = M.I puts M.Z^n in the row lattice of G.  (b) That is
+    tried when 1 <= M <= p // 2.  (a) la.scaled_integer_inverse(G, M),
+    given the lattice's closed-form candidate for M.G^-1 when it has one
+    (_inverse_candidate), returns X only after the exact product G.X ==
+    M.I, so X = M.G^-1 is integral and X.G = M.I puts M.Z^n in the row
+    lattice of G.  (b) That is
     the premise of la.smith_divisors_mod(G, M), whose divisors multiply to
     the index of the row lattice, |det G|; it raises unless they multiply
     to M, so a return proves |det G| = M.  (c) det G is congruent to
@@ -307,14 +323,15 @@ def _certified_determinant(g: np.ndarray) -> Optional[tuple[int, list[int]]]:
     nonsingular.  Nothing rests on the float value: a wrong candidate fails
     (a) or (b).
     """
-    p = la.MODP_PRIMES[0]
+    p, g = la.MODP_PRIMES[0], lattice.gram
     if not len(g) or g.dtype == object:
         return None
     sign, logdet = np.linalg.slogdet(g.astype(np.float64))
     if not (sign and logdet < np.log(p)):
         return None
     m = round(float(np.exp(logdet)))
-    if not 1 <= m <= p // 2 or la.scaled_integer_inverse(g, m) is None:
+    if not 1 <= m <= p // 2 or la.scaled_integer_inverse(
+            g, m, _inverse_candidate(lattice, m)) is None:
         return None
     try:
         divisors = la.smith_divisors_mod(g, m)
@@ -331,7 +348,7 @@ def discriminant(lattice: IntegerLattice) -> DiscriminantData:
     D = |det|, and the Smith divisors by elimination mod D, whose entries
     stay below D where a Smith form over Z lets them grow without bound.
     Both come from the determinant certificate when it holds."""
-    det, divisors = _certified_determinant(lattice.gram) or (la.det_bareiss(lattice.gram), None)
+    det, divisors = _certified_determinant(lattice) or (la.det_bareiss(lattice.gram), None)
     if det == 0:
         raise DegenerateLatticeError("discriminant requires a nondegenerate pairing")
     if divisors is None:
@@ -343,13 +360,16 @@ def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:
     """Exact certificate that L*/L is cyclic of order d, feasible at large rank.
 
     (a) X = d * G^{-1} is integral, so every invariant factor e_i of G
-    divides d: X is la.scaled_integer_inverse(G, d), a float64 LAPACK
-    inverse rounded under the 2**53 guard or, when that fails, CRT
-    reconstruction, and either way it is accepted only by the exact product
-    G.X == d.I; nothing rests on the approximation.  (b) For each p^v || d,
-    X mod p^v is a rank-one matrix with a unit entry: for the first entry
-    X[i, j] that is a unit mod p, X == X[:, j] . X[i, :] . X[i, j]^{-1}
-    (mod p^v).  That is O(N^2) integer work and no elimination.
+    divides d: X is la.scaled_integer_inverse(G, d), given the lattice's
+    closed-form candidate when it has one for d (a primitive Fermat
+    lattice has one from its Seifert form, fermat_homology._seifert_inverse),
+    else a float64 LAPACK inverse rounded under the 2**53 guard or, when
+    that fails, CRT reconstruction.  Each is accepted only by the exact
+    product G.X == d.I; nothing rests on where it came from.  (b) For each
+    p^v || d, X mod p^v is a rank-one matrix with a unit entry: for the
+    first entry X[i, j] that is a unit mod p, X == X[:, j] . X[i, :] .
+    X[i, j]^{-1} (mod p^v).  That is O(N^2) integer work and no
+    elimination.
 
     Why (b) pins the p-part: write G = U.diag(e).V with U, V unimodular.
     Then X = V^{-1}.diag(d/e_i).U^{-1}, and d/e_i has p-valuation
@@ -368,7 +388,7 @@ def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:
     """
     n = lattice.rank
     dd = int(d)
-    x = la.scaled_integer_inverse(lattice.gram, dd)
+    x = la.scaled_integer_inverse(lattice.gram, dd, _inverse_candidate(lattice, dd))
     if x is None:
         return False
     # Exponent divides d; now pin each p-part.
@@ -376,7 +396,8 @@ def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:
         q = p
         while dd % (q * p) == 0:
             q *= p
-        r = np.asarray(x % q, dtype=np.int64)
+        # In int64, where q fits even when a narrow candidate's dtype does not.
+        r = np.asarray(x % q, dtype=np.int64) if x.dtype == object else np.mod(x, q, dtype=np.int64)
         units = np.flatnonzero(r % p)
         if not units.size:
             return False

@@ -1,0 +1,138 @@
+"""The cyclic-discriminant certificate from the Seifert form: the closed-form
+candidate for d.G^-1 of a primitive Fermat lattice against the LAPACK
+inverse, the exact product as its only judge, the lattices that carry it,
+the float32 tier of int_matmul behind the product, and the copy-free u^(-1)
+fold of the radical's invariance check."""
+
+import numpy as np
+import pytest
+
+from fermatlat import _intlinalg as la
+from fermatlat import fermat_homology as fh
+from fermatlat import lattice_core as lc
+from fermatlat.lattice_core import IntegerLattice, discriminant_is_cyclic_of_order
+from test_modp_kernel import count_calls
+
+# Every (d, n) with Milnor rank (d-1)^(n+1) <= 1024 and n >= 1 has d <= 33.
+SMALL_RUNGS = [(d, n) for d in range(3, 34) for n in range(10) if (d - 1) ** (n + 1) <= 1024]
+
+
+def refuse_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv was called")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+
+
+@pytest.mark.parametrize("d,n", SMALL_RUNGS)
+def test_closed_form_is_the_lapack_inverse(d, n):
+    prim = fh._build_primitive(d, n)
+    candidate = lc._inverse_candidate(prim.lattice, d)
+    assert candidate is not None and candidate.dtype.kind == "i"
+    # No candidate passed: the LAPACK inverse (or CRT) is what is proven.
+    x = la.scaled_integer_inverse(prim.lattice.gram, d)
+    assert x is not None and np.array_equal(candidate, x)
+
+
+def test_closed_form_passes_the_exact_product_at_milnor_rank_2048():
+    prim = fh._build_primitive(3, 10)
+    candidate = lc._inverse_candidate(prim.lattice, 3)
+    assert la.scaled_integer_inverse(prim.lattice.gram, 3, candidate) is candidate
+
+
+@pytest.mark.parametrize("d,n", [(4, 4), (3, 8), (5, 4)])
+def test_certificate_needs_no_lapack_inverse(monkeypatch, d, n):
+    lattice = fh.build_primitive(d, n).lattice
+    refuse_lapack(monkeypatch)
+    calls = count_calls(monkeypatch, "modp_solve_matrix")
+    assert discriminant_is_cyclic_of_order(lattice, d) is True
+    assert calls["modp_solve_matrix"] == 0
+
+
+def test_determinant_takes_the_candidate_when_its_scale_is_d(monkeypatch):
+    lattice = fh.build_primitive(4, 4).lattice
+    refuse_lapack(monkeypatch)
+    calls = count_calls(monkeypatch, "det_bareiss", "modp_solve_matrix")
+    assert lc.determinant(lattice) == 4
+    assert lc.discriminant(lattice).elementary_divisors == (4,)
+    assert calls == {"det_bareiss": 0, "modp_solve_matrix": 0}
+
+
+def test_a_wrong_candidate_is_refused_and_lapack_decides():
+    lattice = fh.build_primitive(4, 4).lattice
+    good = lc._inverse_candidate(lattice, 4)
+    bad = good.astype(np.int64)
+    bad[3, 5] += 1
+    x = la.scaled_integer_inverse(lattice.gram, 4, bad)
+    assert x is not bad and np.array_equal(x, good)
+    # The same through the lattice: its candidate is off by one, and the
+    # LAPACK inverse gives the answer.
+    wrong = lattice.relabel("wrong")
+    wrong._scaled_inverse = (4, lambda: bad)
+    assert discriminant_is_cyclic_of_order(wrong, 4) is True
+    assert lc.determinant(wrong) == 4
+
+
+def test_a_candidate_of_another_scale_or_shape_is_not_taken():
+    lattice = fh.build_primitive(3, 4).lattice
+    assert lc._inverse_candidate(lattice, 6) is None
+    x = lc._inverse_candidate(lattice, 3)
+    assert np.array_equal(la.scaled_integer_inverse(lattice.gram, 3, x[:-1]), x)
+    # 2.G^-1 is not integral, and no candidate claims it is.
+    assert discriminant_is_cyclic_of_order(lattice, 2) is False
+
+
+def test_a_hand_built_lattice_has_no_candidate_and_the_same_answer():
+    prim = fh.build_primitive(5, 4)
+    hand = IntegerLattice(prim.lattice.gram, prim.lattice.symmetry)
+    assert hand._scaled_inverse is None and lc._inverse_candidate(hand, 5) is None
+    assert discriminant_is_cyclic_of_order(hand, 5) is discriminant_is_cyclic_of_order(
+        prim.lattice, 5) is True
+    assert not discriminant_is_cyclic_of_order(hand, 25)
+
+
+def test_relabel_keeps_the_candidate():
+    lattice = fh.build_primitive(3, 4).lattice
+    other = lattice.relabel("other")
+    assert other._scaled_inverse is lattice._scaled_inverse is not None
+    assert np.array_equal(lc._inverse_candidate(other, 3), lc._inverse_candidate(lattice, 3))
+    assert fh.build_milnor(3, 4).lattice._scaled_inverse is None
+
+
+def test_float32_tier_is_exact_at_the_edge_and_refused_past_it():
+    # 128 x 1024 times 1024 x 128: 2**24 multiply-adds, a long product.
+    rng = np.random.default_rng(0)
+    a = np.full((128, 1024), 127, dtype=np.int64)
+    b = rng.integers(128, 130, size=(1024, 128))
+    b[0, 0] = 129  # abs max 129: every partial sum <= 127 * 129 * 1024 < 2**24
+    assert 127 * 129 * 1024 == 2**24 - 1024
+    assert la._matmul_dtype(a, b) == np.float32
+    prod = la.int_matmul(a, b)
+    assert prod.dtype == np.int64 and np.array_equal(prod, a.astype(object) @ b.astype(object))
+    # One more in a: the bound reaches 2**24, and odd sums past it (which
+    # float32 cannot hold) come out exact from float64.
+    a[:, 0] = 128
+    assert la._matmul_dtype(a, b) == np.float64
+    prod = la.int_matmul(a, b * 2 - 1)
+    assert prod.max() > 2**24 and np.array_equal(prod, a.astype(object) @ (b * 2 - 1).astype(object))
+    # One row fewer is a short product: it stays in float64.
+    assert la._matmul_dtype(np.full((127, 1024), 127), b) == np.float64
+    assert la._matmul_dtype(np.ones((1, 1), dtype=np.int8), np.ones((1, 1), dtype=np.int8)) == np.float64
+    assert la._matmul_dtype(np.array([[2**53]]), np.array([[1]])) == np.int64
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+@pytest.mark.parametrize("d", [3, 4, 5, 7])
+def test_u_inverse_fold_is_the_rolled_fold(dtype, d):
+    rng = np.random.default_rng(d)
+    top = min(np.iinfo(dtype).max // 8, 1000)  # three folds, each at most doubling
+    x = rng.integers(-top, top + 1, size=(d - 1,) * 4).astype(dtype)
+    for axis in range(4):
+        folded = fh._times_u_inverse(x, axis, d)
+        assert folded.dtype == dtype
+        assert np.array_equal(folded, fh._times_u(x, axis, d - 1, d))
+    # Axis 0 holds the rows; _times_u0 folds every other axis.
+    expected = x
+    for axis in range(1, 4):
+        expected = fh._times_u(expected, axis, d - 1, d)
+    assert np.array_equal(fh._times_u0(x, d), expected)

@@ -35,7 +35,7 @@ def star_table_gram(d, n):
                                  if (d - 1) ** (n + 1) <= 1024])
 def test_seifert_gram_is_the_star_table_gram(d, n):
     gram = fh.build_milnor(d, n).gram
-    assert gram.dtype == np.int8 and not gram.flags.writeable
+    assert gram.dtype == np.int8 and not gram.flags.writeable and gram.flags.c_contiguous
     assert np.array_equal(gram, star_table_gram(d, n))
 
 
