@@ -555,14 +555,18 @@ def scaled_integer_inverse(a: np.ndarray, d: int, candidate=None):
     int64 cast, so nothing wraps; A past int64 (dtype object) or |d| >=
     2**53 skips it.  The last is CRT reconstruction over
     modp_solve_matrix.  Wherever a candidate comes from, only the exact
-    product accepts it.  The product runs _PANEL rows of A at a time, so
-    it holds no N x N product and no N x N copy of d.I.
+    product accepts it.  The product runs _PANEL rows of A at a time, in
+    the dtype that _matmul_dtype picks once for A and X, so it holds no
+    N x N product and no N x N copy of d.I, and one N x N copy of X (in
+    that dtype, unless X has it already).
     """
     n = len(a)
 
     def solves(x):
+        dtype = _matmul_dtype(a, x)
+        x = x.astype(dtype, copy=False)
         for s in range(0, n, _PANEL):
-            prod = int_matmul(a[s:s + _PANEL], x)
+            prod = a[s:s + _PANEL].astype(dtype) @ x
             diag = prod.diagonal(s)
             if not (np.all(diag == d) and np.count_nonzero(prod) == np.count_nonzero(diag)):
                 return False

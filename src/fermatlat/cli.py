@@ -85,7 +85,8 @@ def _usage(parser: argparse.ArgumentParser) -> int:
 
 def _cmd_lattice(args) -> int:
     from .fermat_homology import build_milnor, build_primitive, rank_formula
-    from .lattice_core import determinant, discriminant, is_even, lattice_to_json, signature
+    from .lattice_core import (determinant_with_divisors, discriminant, is_even,
+                               lattice_to_json, signature)
 
     if args.d < 3 or args.n < 0:
         _err("need --d >= 3 and --n >= 0")
@@ -105,10 +106,12 @@ def _cmd_lattice(args) -> int:
         want = rank_formula(args.d, args.n)
         checks.append({"name": f"rank == {want}", "status":
                        "pass" if lattice.rank == want else "fail"})
+        # One determinant certificate gives the determinant and the discriminant.
+        known = determinant_with_divisors(lattice) if lattice.rank <= 256 else None
         invariants = {
             "rank": lattice.rank,
             "symmetry": lattice.symmetry,
-            "determinant": determinant(lattice) if lattice.rank <= 256 else None,
+            "determinant": known[0] if known else None,
         }
         if lattice.is_symmetric():
             invariants["even"] = is_even(lattice)
@@ -116,7 +119,7 @@ def _cmd_lattice(args) -> int:
                 invariants["signature"] = list(signature(lattice))
             if lattice.rank <= 256 and invariants["determinant"] not in (0, None):
                 invariants["discriminant_divisors"] = [
-                    int(x) for x in discriminant(lattice).elementary_divisors]
+                    int(x) for x in discriminant(lattice, known).elementary_divisors]
     payload = {
         "command": "lattice",
         "parameters": {"d": args.d, "n": args.n, "kind": kind},

@@ -291,10 +291,15 @@ def _seifert_inverse(d: int, n: int, projection: np.ndarray) -> Optional[np.ndar
     (4) W.M_0 = W puts the rows of W in the radical, and K.P = 0, so W.P = 0.
     (5) P.G_q.P^T = G and S.P = I for the section S = (0 | I_q) give
         G_q.(P^T.Z'.P) = S.G.Z'.P = d.S.P - S.W.P = d.I.
-    Z[(i, a), (j, b)] = sum_e T_e[i, j].C_e[a, b] with T_e = e.C_e^(x n),
-    so Z is one product of the stacked T_e by the stacked C_e and one
-    transpose.  Its entries are small (|C_e| <= 1), so float32 holds
-    them and the products exactly at the ladder's rungs.
+    Z[(i, a), (j, b)] = sum_e T_e[i, j].C_e[a, b] with T_e = e.C_e^(x n).
+    Neither Z nor Z.P is held: the rows (i, a) of Z are formed for a
+    block of i at a time, about la._PANEL rows, by one product of the
+    block's rows of the stacked T_e by the stacked C_e.  The block's rows
+    of Z.P follow, and go straight into X = P^T.(Z.P): those of index
+    below r times -B^T, la._PANEL rows of X at a time, the others added
+    in place.  X, q x q, is the only large array.  Every product is of
+    integers, so a float32 partial sum is an integer; past 2**24 it can
+    round, and X then fails the exact product (or the bound below).
     """
     m, k = d - 1, (d - 1) ** n
     powers = _u_powers(d)
@@ -303,16 +308,25 @@ def _seifert_inverse(d: int, n: int, projection: np.ndarray) -> Optional[np.ndar
     t = (-(-1) ** n * parity_sign(n) * np.arange(1, d, dtype=np.float32)).reshape(m, 1, 1)
     for _ in range(n):
         t = (t[:, :, None, :, None] * c[:, None, :, None, :]).reshape(m, len(t[0]) * m, -1)
-    z = (t.reshape(m, k * k).T @ c.reshape(m, m * m)).reshape(k, k, m, m)
-    z = z.transpose(0, 2, 1, 3).reshape(k * m, k * m)
     r = len(projection) - projection.shape[1]
     neg_b = projection[:r].astype(np.float32)
-    w = z[:, :r] @ neg_b
-    w += z[:, r:]
-    x = neg_b.T @ w[:r]
-    x += w[r:]
-    # Float products of integers are integers: no rounding.  NaN fails.
-    top = np.abs(x).max(initial=0)
+    x = np.zeros((k * m - r,) * 2, dtype=np.float32)
+    panel, step = la._PANEL, max(1, la._PANEL // m)
+    for i in range(0, k, step):
+        rows = min(step, k - i)
+        z = (t[:, i:i + rows].reshape(m, rows * k).T @ c.reshape(m, m * m)).reshape(rows, k, m, m)
+        z = z.transpose(0, 2, 1, 3).reshape(rows * m, k * m)
+        zp = z[:, :r] @ neg_b
+        zp += z[:, r:]
+        lo, hi = i * m, (i + rows) * m
+        if lo < r:
+            b, head = neg_b[lo:hi], zp[:r - lo]
+            for s in range(0, len(x), panel):
+                x[s:s + panel] += b[:, s:s + panel].T @ head
+        if hi > r:
+            x[max(lo - r, 0):hi - r] += zp[max(r - lo, 0):]
+    # NaN fails; np.maximum keeps it.
+    top = np.maximum(x.max(initial=0), -x.min(initial=0))
     if not top < 2 ** 24:
         return None
     return x.astype(np.min_scalar_type(-int(top) - 1))

@@ -300,7 +300,15 @@ def _inverse_candidate(lattice: IntegerLattice, scale: int) -> Optional[np.ndarr
 def determinant(lattice: IntegerLattice) -> int:
     """det G, from the certificate of _certified_determinant when it holds,
     else from det_bareiss."""
-    return (_certified_determinant(lattice) or (la.det_bareiss(lattice.gram),))[0]
+    return determinant_with_divisors(lattice)[0]
+
+
+def determinant_with_divisors(lattice: IntegerLattice) -> tuple[int, Optional[list[int]]]:
+    """(det G, the Smith divisors of G) from the certificate of
+    _certified_determinant when it holds, else (det_bareiss(G), None).
+    discriminant takes it as known, so a caller that wants the
+    determinant and the discriminant runs the certificate once."""
+    return _certified_determinant(lattice) or (la.det_bareiss(lattice.gram), None)
 
 
 def _certified_determinant(lattice: IntegerLattice) -> Optional[tuple[int, list[int]]]:
@@ -343,12 +351,14 @@ def _certified_determinant(lattice: IntegerLattice) -> Optional[tuple[int, list[
     return (r if 2 * r < p else r - p), divisors
 
 
-def discriminant(lattice: IntegerLattice) -> DiscriminantData:
+def discriminant(lattice: IntegerLattice,
+                 known: Optional[tuple[int, Optional[list[int]]]] = None) -> DiscriminantData:
     """Elementary divisors of coker(L -> L*), for nondegenerate L: the order
     D = |det|, and the Smith divisors by elimination mod D, whose entries
     stay below D where a Smith form over Z lets them grow without bound.
-    Both come from the determinant certificate when it holds."""
-    det, divisors = _certified_determinant(lattice) or (la.det_bareiss(lattice.gram), None)
+    Both come from the determinant certificate when it holds; known is
+    determinant_with_divisors(lattice) when the caller has it already."""
+    det, divisors = known or determinant_with_divisors(lattice)
     if det == 0:
         raise DegenerateLatticeError("discriminant requires a nondegenerate pairing")
     if divisors is None:
@@ -368,8 +378,8 @@ def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:
     product G.X == d.I; nothing rests on where it came from.  (b) For each
     p^v || d, X mod p^v is a rank-one matrix with a unit entry: for the
     first entry X[i, j] that is a unit mod p, X == X[:, j] . X[i, :] .
-    X[i, j]^{-1} (mod p^v).  That is O(N^2) integer work and no
-    elimination.
+    X[i, j]^{-1} (mod p^v) (_is_rank_one_with_unit).  That is O(N^2)
+    integer work in row blocks and no elimination.
 
     Why (b) pins the p-part: write G = U.diag(e).V with U, V unimodular.
     Then X = V^{-1}.diag(d/e_i).U^{-1}, and d/e_i has p-valuation
@@ -386,7 +396,6 @@ def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:
     divisible by p is e_N for every p | d, so e_N = d and every other e_i
     is 1: L*/L is cyclic of order d.  Avoids a full Smith normal form.
     """
-    n = lattice.rank
     dd = int(d)
     x = la.scaled_integer_inverse(lattice.gram, dd, _inverse_candidate(lattice, dd))
     if x is None:
@@ -396,16 +405,42 @@ def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:
         q = p
         while dd % (q * p) == 0:
             q *= p
-        # In int64, where q fits even when a narrow candidate's dtype does not.
-        r = np.asarray(x % q, dtype=np.int64) if x.dtype == object else np.mod(x, q, dtype=np.int64)
-        units = np.flatnonzero(r % p)
-        if not units.size:
-            return False
-        i, j = divmod(int(units[0]), n)
-        row = r[i] * pow(int(r[i, j]), -1, q) % q
-        if not np.array_equal(np.outer(r[:, j], row) % q, r):
+        if not _is_rank_one_with_unit(x, p, q):
             return False
     return True
+
+
+def _is_rank_one_with_unit(x: np.ndarray, p: int, q: int) -> bool:
+    """Whether X mod q, q a power of the prime p, has an entry that is a
+    unit mod p and, for the first such entry X[i, j] in row-major order,
+    X == X[:, j] . X[i, :] . X[i, j]^{-1} (mod q): test (b) of
+    discriminant_is_cyclic_of_order.
+
+    X is reduced la._PANEL rows at a time, once to find the first unit
+    (stopping at the first block that has one) and once to compare each
+    block with its rows of the outer product, so no N x N residue array
+    is made.  Residues are int64 when q < 2**31, so no product of two
+    wraps, and Python ints otherwise.
+    """
+    dtype = np.int64 if q < 2**31 else object
+    rows = range(0, len(x), la._PANEL)
+
+    def residues(a: np.ndarray) -> np.ndarray:
+        # In a dtype that holds q even when a narrow candidate's does not.
+        return np.mod(a, q, dtype=dtype) if a.dtype != object else (a % q).astype(dtype)
+
+    for s in rows:
+        block = residues(x[s:s + la._PANEL])
+        units = np.flatnonzero(block % p)
+        if units.size:
+            i, j = divmod(int(units[0]), x.shape[1])
+            row = block[i] * pow(int(block[i, j]), -1, q) % q
+            break
+    else:
+        return False
+    col = residues(x[:, j])
+    return all(np.array_equal(np.outer(col[s:s + la._PANEL], row) % q,
+                              residues(x[s:s + la._PANEL])) for s in rows)
 
 
 # ---------------------------------------------------------------------------

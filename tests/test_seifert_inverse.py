@@ -1,8 +1,12 @@
 """The cyclic-discriminant certificate from the Seifert form: the closed-form
 candidate for d.G^-1 of a primitive Fermat lattice against the LAPACK
 inverse, the exact product as its only judge, the lattices that carry it,
-the float32 tier of int_matmul behind the product, and the copy-free u^(-1)
-fold of the radical's invariance check."""
+the float32 tier of int_matmul behind the product, the row-blocked
+rank-one test against its unblocked form, the certificate's memory, and
+the copy-free u^(-1) fold of the radical's invariance check."""
+
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ import pytest
 from fermatlat import _intlinalg as la
 from fermatlat import fermat_homology as fh
 from fermatlat import lattice_core as lc
+from fermatlat.cli import main
 from fermatlat.lattice_core import IntegerLattice, discriminant_is_cyclic_of_order
 from test_modp_kernel import count_calls
 
@@ -119,6 +124,111 @@ def test_float32_tier_is_exact_at_the_edge_and_refused_past_it():
     assert la._matmul_dtype(np.full((127, 1024), 127), b) == np.float64
     assert la._matmul_dtype(np.ones((1, 1), dtype=np.int8), np.ones((1, 1), dtype=np.int8)) == np.float64
     assert la._matmul_dtype(np.array([[2**53]]), np.array([[1]])) == np.int64
+
+
+def test_the_5_4_certificate_peaks_below_10_mb():
+    # numpy reports its buffers to tracemalloc.  The unblocked certificate
+    # peaked at 16.3 MB here: two 1024 x 1024 float32 copies of Z, Z.P,
+    # and q x q int64 residues and products (q = 820).
+    lattice = fh.build_primitive(5, 4).lattice
+    tracemalloc.start()
+    try:
+        assert discriminant_is_cyclic_of_order(lattice, 5) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_lattice_primitive_runs_one_determinant_certificate(monkeypatch, capsys):
+    cached = fh._build_primitive_cached(4, 4).lattice
+    scale, build = cached._scaled_inverse
+    calls = count_calls(monkeypatch, "scaled_integer_inverse", "smith_divisors_mod")
+    calls["_seifert_inverse"] = 0
+
+    def counted():
+        calls["_seifert_inverse"] += 1
+        return build()
+
+    monkeypatch.setattr(cached, "_scaled_inverse", (scale, counted))
+    assert main(["lattice", "--d", "4", "--n", "4", "--primitive"]) == 0
+    invariants = json.loads(capsys.readouterr().out)["invariants"]
+    assert (invariants["determinant"], invariants["discriminant_divisors"]) == (4, [4])
+    assert calls == {"scaled_integer_inverse": 1, "smith_divisors_mod": 1, "_seifert_inverse": 1}
+
+
+def rank_one_oracle(x, p, q):
+    """The rank-one test of discriminant_is_cyclic_of_order as it was before
+    it ran in row blocks: q x q int64 residues and one outer product."""
+    r = np.asarray(x % q, dtype=np.int64) if x.dtype == object else np.mod(x, q, dtype=np.int64)
+    units = np.flatnonzero(r % p)
+    if not units.size:
+        return False
+    i, j = divmod(int(units[0]), len(x))
+    row = r[i] * pow(int(r[i, j]), -1, q) % q
+    return np.array_equal(np.outer(r[:, j], row) % q, r)
+
+
+CASES = ["rank one", "unit past row 128", "unit past row 128, broken before it", "no unit",
+         "rank two", "rank one mod p only"]
+
+
+def synthetic_x(case, p, q, dtype, size=300):
+    """A size x size integer X with the residues mod q that case names,
+    lifted by random multiples of q within the range of dtype."""
+    rng = np.random.default_rng([size, p, q, CASES.index(case)])
+    col, row = rng.integers(0, q, size), rng.integers(0, q, size)
+    row[7] = 1  # a unit in every row whose col entry is a unit
+    if case == "unit past row 128":
+        col[:200] = p * rng.integers(0, q, 200) % q
+        col[200] = 1
+        res = np.outer(col, row) % q
+    elif case == "unit past row 128, broken before it":
+        col[:200] = p * rng.integers(0, q, 200) % q
+        col[200] = 1
+        res = np.outer(col, row) % q
+        res[20, 3] = (res[20, 3] + p) % q
+    elif case == "no unit":
+        res = p * rng.integers(0, q, (size, size)) % q
+    elif case == "rank two":
+        col2, row2 = rng.integers(0, q, size), rng.integers(0, q, size)
+        col2[:2], row2[:8] = (0, 1), 0
+        row2[9] = 1
+        res = (np.outer(col, row) + np.outer(col2, row2)) % q
+    elif case == "rank one mod p only":
+        res = (np.outer(col, row) + p * rng.integers(0, 2, (size, size))) % q
+    else:
+        res = np.outer(col, row) % q
+    top = 127 if dtype == np.int8 else 30000
+    lift = rng.integers(-(top // q) + 1, top // q, (size, size))
+    if dtype == object:
+        return (res + q * lift).astype(object) + q * 2**70
+    return (res + q * lift).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, object], ids=str)
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("p,q", [(2, 4), (5, 5), (3, 9)])
+def test_blocked_rank_one_test_is_the_unblocked_one(dtype, case, p, q):
+    x = synthetic_x(case, p, q, dtype)
+    assert x.dtype == dtype
+    want = {"rank one": True, "unit past row 128": True, "no unit": False,
+            "rank two": False}.get(case)
+    if case.endswith("broken before it") or case == "rank one mod p only":
+        want = q == p  # rank one mod p is the whole test when q = p
+    assert rank_one_oracle(x, p, q) is want
+    assert lc._is_rank_one_with_unit(x, p, q) is want
+
+
+def test_rank_one_test_past_int64_products():
+    # q = 2**61 - 1 is prime: residues are Python ints, where int64 products
+    # of two would wrap.
+    q = 2**61 - 1
+    col, row = np.array([3, q - 2, 2**60], dtype=object), np.array([1, q - 5, 2**59], dtype=object)
+    x = np.outer(col, row) % q
+    assert lc._is_rank_one_with_unit(x, q, q) is True
+    x[2, 2] += 1
+    assert lc._is_rank_one_with_unit(x, q, q) is False
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
