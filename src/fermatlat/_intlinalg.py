@@ -278,6 +278,24 @@ def _exact_modulus(p: int) -> bool:
     return p >= 2 and (p - 1) ** 2 * _PANEL < _FLOAT_EXACT_LIMIT
 
 
+def _float_mod(x: np.ndarray, p: int, out=None) -> np.ndarray:
+    """x mod p in [0, p) for an integer-valued float array x with -L + 2p
+    <= x < L, L = 2**53 in float64 and 2**24 in float32, without np.mod's
+    cost (a tenth of it on a 64 x 486 block): x - floor(x.(1/p)).p, then
+    one +-p correction.  x.(1/p) is x/p to within |x/p|.2**-52 < 2/p, so
+    the floor is off by at most one, floor(x.(1/p)).p lies in [x - 2p, x
+    + 1] and is exact, and the difference lies in [-p, 2p) before the
+    correction.  p is a Python int, so a float32 x stays float32 (numpy 1
+    and 2 alike); out may be x."""
+    p = int(p)
+    t = np.floor(x * (1.0 / p))
+    t *= p
+    out = np.subtract(x, t, out=out)
+    out[out < 0] += p
+    out[out >= p] -= p
+    return out
+
+
 def _residues(blocks, p: int) -> np.ndarray:
     """The integer matrices in blocks, side by side, reduced mod p into one
     float64 array (written by the ufunc, with no integer copy).  Raises
@@ -317,9 +335,9 @@ def _lower_inverse(low: np.ndarray, p: int) -> np.ndarray:
     k = len(low)
     inv = np.zeros((k, k))
     for t in range(k):
-        row = p - np.mod(low[t, :t] @ inv[:t], p)
+        row = p - _float_mod(low[t, :t] @ inv[:t], p)
         row[t] += 1
-        inv[t] = np.mod(row * pow(int(low[t, t]), p - 2, p), p)
+        _float_mod(row * pow(int(low[t, t]), p - 2, p), p, out=inv[t])
     return inv
 
 
@@ -341,7 +359,7 @@ def _eliminate_panel(m: np.ndarray, r: int, c0: int, c1: int, p: int,
         if t == len(w):
             break
         col = w[t:, j]
-        np.mod(col, p, out=col)
+        _float_mod(col, p, out=col)
         nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
@@ -349,8 +367,8 @@ def _eliminate_panel(m: np.ndarray, r: int, c0: int, c1: int, p: int,
         if i != t:
             w[[t, i]] = w[[i, t]]
             m[[r + t, r + i]] = m[[r + i, r + t]]
-        row = np.mod(w[t, j + 1:], p)
-        row = np.mod(row * pow(int(w[t, j]), p - 2, p), p)
+        row = _float_mod(w[t, j + 1:], p)
+        row = _float_mod(row * pow(int(w[t, j]), p - 2, p), p, out=row)
         w[t, j + 1:] = row
         below = t + 1 + np.flatnonzero(w[t + 1:, j])
         w[below, j + 1:] += np.outer(w[below, j], p - row)
@@ -359,14 +377,14 @@ def _eliminate_panel(m: np.ndarray, r: int, c0: int, c1: int, p: int,
     if k and c1 < m.shape[1]:
         low = w[:, local]
         top = m[r:r + k, c1:]
-        top[:] = np.mod(_lower_inverse(low[:k], p) @ top, p)
+        top[:] = _float_mod(_lower_inverse(low[:k], p) @ top, p)
         neg = p - top
         bottom = m[r + k:, c1:]
         for s in range(0, bottom.shape[1], _PANEL):
             blk = bottom[:, s:s + _PANEL]
             prod = low[k:] @ neg[:, s:s + _PANEL]
             prod += blk
-            np.mod(prod, p, out=blk)
+            _float_mod(prod, p, out=blk)
     panel = m[r:, c0:c1]
     panel[:] = 0
     for t, j in enumerate(local):
@@ -394,7 +412,7 @@ def _back_reduce(m: np.ndarray, pivots: list[int], p: int) -> None:
             fcols = column_index(free)
             # Reversing rows and columns makes the minor lower triangular.
             minor = rows[:, pcols][::-1, ::-1]
-            x = np.mod(_lower_inverse(minor, p)[::-1, ::-1] @ rows[:, fcols], p)
+            x = _float_mod(_lower_inverse(minor, p)[::-1, ::-1] @ rows[:, fcols], p)
             rows[:, fcols] = x
             coef = m[:b0, pcols]
             neg = p - x
@@ -402,7 +420,7 @@ def _back_reduce(m: np.ndarray, pivots: list[int], p: int) -> None:
                 chunk = column_index(free[s:s + _PANEL])
                 prod = coef @ neg[:, s:s + _PANEL]
                 prod += m[:b0, chunk]
-                m[:b0, chunk] = np.mod(prod, p)
+                m[:b0, chunk] = _float_mod(prod, p, out=prod)
         m[:b1, pcols] = 0
         rows[:, pcols] = np.eye(b1 - b0)
 
@@ -757,7 +775,7 @@ def _minus_pivot_combination(x: np.ndarray, rows: np.ndarray, cols: list[int],
     coef, neg = x[:, cols], p - rows
     for t in range(0, len(cols), _PANEL):
         if t:
-            x = np.mod(x, p)
+            x = _float_mod(x, p)
         x = x + coef[:, t:t + _PANEL] @ neg[t:t + _PANEL]
     return x
 
@@ -794,14 +812,14 @@ def _echelon_rows(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
             chunk = _minus_pivot_combination(chunk, ech, pivots, p)
             if _divisible(chunk, p):
                 continue
-            np.mod(chunk, p, out=chunk)
+            _float_mod(chunk, p, out=chunk)
         elif not chunk.any():
             continue
         reduced, new = modp_eliminate(_as_int64(chunk), p)
         rows = reduced[:len(new)].astype(np.float64)
         if pivots:
             ech = _minus_pivot_combination(ech, rows, new, p)
-            np.mod(ech, p, out=ech)
+            _float_mod(ech, p, out=ech)
         order = np.argsort(pivots + new, kind="stable")
         ech = np.vstack([ech, rows])[order]
         pivots = sorted(pivots + new)

@@ -15,9 +15,12 @@ too, hnf_row: the Smith form alternates it on A and on A^T.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import chain
+from math import gcd, isqrt, lcm
 from operator import index
 from typing import Sequence
+
+from .errors import PrimalityRangeError
 
 Mat = list[list[int]]
 Vec = list[int]
@@ -159,19 +162,96 @@ def same_row_span(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> boo
     return ha == hb
 
 
+# Trial division runs to this bound: a cofactor below its square with no
+# factor up to its own square root is prime.
+_TRIAL_LIMIT = 1000
+# Miller-Rabin with the 13 prime bases up to 41 has no strong liar below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017), so there it
+# decides primality.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def prime_factors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    p = 2
-    while p * p <= n:
+    """The distinct primes dividing n, ascending ([] for 0 and +-1).
+
+    Trial division by 2 and the odd numbers below _TRIAL_LIMIT (a
+    composite one divides nothing left by then), then Pollard-Brent rho
+    splits what is left until every part is proven prime by Miller-Rabin
+    on _MR_BASES, which is deterministic below _MR_LIMIT (about 3.3e24).
+    A part at or past that bound that no base proves composite raises
+    PrimalityRangeError: no probable prime is returned.
+    """
+    n = abs(index(n))
+    out = set()
+    for p in chain([2], range(3, _TRIAL_LIMIT, 2)):
+        if p * p > n:
+            break
         if n % p == 0:
-            out.append(p)
+            out.add(p)
             while n % p == 0:
                 n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if m < _TRIAL_LIMIT ** 2 or _is_prime(m):
+            out.add(m)
+        else:
+            f = _rho_factor(m)
+            parts += [f, m // f]
+    return sorted(out)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on _MR_BASES for an odd n > 41: False when a base
+    witnesses that n is composite (a proof), True when none does and n <
+    _MR_LIMIT, else PrimalityRangeError."""
+    s = ((n - 1) & -(n - 1)).bit_length() - 1
+    odd = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_LIMIT:
+        raise PrimalityRangeError(
+            f"{n} passes Miller-Rabin on every base, past the deterministic bound {_MR_LIMIT}")
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the composite n with no prime factor below 1000:
+    Pollard's rho with Brent's cycle search and products of 128 differences
+    per gcd (Brent, BIT 20, 1980), x -> x^2 + c from x = 2, c = 1, 2, ..."""
+    for c in range(1, n):
+        y, r, g, prod = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = gcd(prod, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # The batch overshot: step from its start one difference at a time.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+    raise ValueError(f"{n} is prime")
 
 
 # ---------------------------------------------------------------------------

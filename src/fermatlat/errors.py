@@ -31,6 +31,10 @@ class ResourceBoundError(FermatLatticeError):
     """Requested construction exceeds the configured size bound."""
 
 
+class PrimalityRangeError(ResourceBoundError):
+    """A number past the range where primality is proven, not guessed."""
+
+
 class VerificationError(FermatLatticeError):
     """An internal invariant asserted by the construction failed."""
 

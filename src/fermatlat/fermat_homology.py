@@ -14,11 +14,12 @@ actions, the connecting maps and the monomial coordinates are read off
 that one rule.  The Gram is the Seifert form V_1 x ... x V_1 plus (-1)^n
 its transpose, and its radical is the set of vectors fixed by the
 monodromy u_0.  Its basis K comes from the u_0-orbit sums of the first r
-basis vectors, one r x r float64 solve, with the characters of u_0 mod p
-as the fallback; either is proven exactly, and the proof uses only the
-number of characters (_certified_radical).  The same factorization gives
-d times the inverse of the primitive Gram in closed form, the candidate of
-the cyclic-discriminant certificate (_seifert_inverse).
+basis vectors, one r x r float64 inverse times the rest of the sums, with
+the characters of u_0 mod p as the fallback; either is proven exactly,
+and the proof uses only the number of characters (_certified_radical).
+The same factorization gives d times the inverse of the primitive Gram in
+closed form, the candidate of the cyclic-discriminant certificate
+(_seifert_inverse).  Kronecker products are broadcast products (_kron).
 """
 
 from __future__ import annotations
@@ -73,6 +74,25 @@ def _times_u(x: np.ndarray, axis: int, e: int, d: int) -> np.ndarray:
     padded = np.concatenate([x, np.zeros_like(x.take([0], axis=axis))], axis=axis)
     rolled = np.roll(padded, e, axis=axis)
     return rolled.take(range(d - 1), axis=axis) - rolled.take([d - 1], axis=axis)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of 2-d arrays, as one broadcast product and a reshape
+    (np.kron pays for expand_dims and concatenate on every call).  Its
+    inner loop runs along a row of b, so it is fastest with b the wide
+    factor."""
+    return np.multiply(a[:, None, :, None], b[None, :, None, :], order="C").reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def _kron_power(m: np.ndarray, k: int) -> np.ndarray:
+    """m x ... x m, k >= 0 factors (the 1 x 1 one for k = 0), built from the
+    right so that the power so far is the wide factor of each _kron: 20 to
+    50 times faster than from the left at Milnor rank 256 to 2048."""
+    out = np.ones((1, 1), m.dtype)
+    for _ in range(k):
+        out = _kron(m, out)
+    return out
 
 
 def _u_powers(d: int) -> list[np.ndarray]:
@@ -151,11 +171,12 @@ def build_milnor(d: int, n: int) -> MilnorModule:
     if rank > size_bound():
         raise ResourceBoundError(
             f"(d-1)^(n+1) = {rank} exceeds the size bound {size_bound()}")
-    v = reduce(np.kron, [_seifert_axis(d)] * (n + 1))
-    # Off the diagonal at most one of V and V^T is nonzero: int8 holds G.
-    # One pass, written in C order (rows are read whole) whatever the
-    # layout numpy would pick for V + V^T.
-    gram = (np.add if n % 2 == 0 else np.subtract)(v, v.T, order="C")
+    v1 = _seifert_axis(d)
+    # V^T is the power of V_1^T, so no N x N transpose is read.  Off the
+    # diagonal at most one of V and V^T is nonzero: int8 holds G, written
+    # over V in C order (rows are read whole).
+    v = _kron_power(v1, n + 1)
+    gram = (np.add if n % 2 == 0 else np.subtract)(v, _kron_power(v1.T, n + 1), out=v)
     if parity_sign(n) < 0:
         np.negative(gram, out=gram)
     gram.flags.writeable = False
@@ -195,7 +216,7 @@ def connecting_map(d: int, k: int) -> la.Mat:
     powers = _u_powers(d)
     out = np.zeros(((d - 1) ** k, size), dtype=np.int64)
     for exps, c in connecting_element(d, k).coeffs.items():
-        out += c * reduce(np.kron, [powers[e] for e in exps[:-1]] + [powers[exps[-1]][:1]])
+        out += c * reduce(_kron, [powers[e] for e in exps[:-1]] + [powers[exps[-1]][:1]])
     return out.tolist()
 
 
@@ -226,7 +247,7 @@ class PrimitiveFermatLattice:
         """Image in the primitive lattice of the monomial class u^K,
         K in (Z/d)^(n+2) taken modulo the diagonal."""
         powers = _u_powers(self.d)
-        vec = reduce(np.kron, [powers[e][0] for e in class_rep(K, self.d)[1:]])
+        vec = reduce(np.multiply.outer, [powers[e][0] for e in class_rep(K, self.d)[1:]]).ravel()
         return la.vec_mat(vec.tolist(), self.projection)
 
 
@@ -299,8 +320,12 @@ def _seifert_inverse(d: int, n: int, projection: np.ndarray) -> Optional[np.ndar
     below r times -B^T, la._PANEL rows of X at a time, the others added
     in place.  X, q x q, is the only large array.  Every product is of
     integers, so a float32 partial sum is an integer; past 2**24 it can
-    round, and X then fails the exact product (or the bound below).
+    round, and X then fails the exact product (or the bound below).  At n
+    = 0 none of this is needed: X is (d-1) x (d-1), exact in integers from
+    _seifert_inverse_axis, which forms no power of U and no stack of C_e.
     """
+    if n == 0:
+        return _seifert_inverse_axis(d)
     m, k = d - 1, (d - 1) ** n
     powers = _u_powers(d)
     upper = np.triu(np.ones((m, m), dtype=np.int64))
@@ -330,6 +355,24 @@ def _seifert_inverse(d: int, n: int, projection: np.ndarray) -> Optional[np.ndar
     if not top < 2 ** 24:
         return None
     return x.astype(np.min_scalar_type(-int(top) - 1))
+
+
+def _seifert_inverse_axis(d: int) -> np.ndarray:
+    """_seifert_inverse at n = 0, exactly and in O(d^2): X = -Z, Z =
+    V_1^(-T).W (r = 0, P = I, sigma = 1) for W = sum_e e.A^e = sum_f
+    (d-f).U^f, f = 1, ..., d-1.  Row j of U^f is u^(j+f) on 1, ..., u^(d-2):
+    a one at (j+f) mod d, or minus all ones when that is d-1, which happens
+    for f = d-1-j.  So W[j, c] = d - ((c-j) mod d) for c != j, minus j+1
+    everywhere, and row i of V_1^(-T).W sums rows i, ..., d-2 of W.  No
+    power of U is formed."""
+    j = np.arange(d - 1)
+    w = (j - j[:, None]) % d
+    np.subtract(d, w, out=w)
+    w[j, j] = 0
+    w -= j[:, None] + 1
+    x = np.cumsum(w[::-1], axis=0)[::-1]
+    np.negative(x, out=x)
+    return x.astype(np.min_scalar_type(-la._abs_max(x) - 1))
 
 
 def _certified_radical(d: int, n: int, r: int) -> np.ndarray:
@@ -397,17 +440,22 @@ def _orbit_candidate(d: int, n: int, r: int) -> Optional[np.ndarray]:
     u_0-orbit sums of the first r basis vectors.  M_0^d = I, so S is fixed
     by M_0 and lies in the radical, where each vector is its first r
     coordinates times the HNF K: S = S_1.K, and K is this candidate when
-    S_1 is invertible.  None when the float64 solve fails or its solution
-    is not near an integer matrix; _certified_radical proves the rest."""
+    S_1 is invertible.  S_1^(-1).S_2 is one float64 LAPACK inverse and one
+    product, which cost less than a solve's wrapper at these sizes.  None
+    when the inverse fails or the product is not near an integer matrix;
+    _certified_radical proves the rest."""
     s = sum(_kron_prefix(u.astype(np.min_scalar_type(-d)), n + 1, r) for u in _u_powers(d))
     try:
-        x = np.linalg.solve(s[:, :r].astype(np.float64), s[:, r:].astype(np.float64))
+        inv = np.linalg.inv(s[:, :r].astype(np.float64))
     except np.linalg.LinAlgError:
         return None
+    x = inv @ s[:, r:].astype(np.float64)
     k = np.rint(x)
     x -= k
-    # NaN fails both comparisons; below 2**53 the int64 cast is exact.
-    if not (np.abs(x).max(initial=0) < 1e-6 and np.abs(k).max(initial=0) < 2.0 ** 53):
+    # NaN fails both comparisons (np.maximum keeps it); below 2**53 the
+    # int64 cast is exact.
+    if not (np.maximum(x.max(initial=0), -x.min(initial=0)) < 1e-6
+            and np.maximum(k.max(initial=0), -k.min(initial=0)) < 2.0 ** 53):
         return None
     out = np.empty((r, s.shape[1]), dtype=np.int64)
     out[:, :r] = np.eye(r, dtype=np.int64)
@@ -424,9 +472,9 @@ def _kron_prefix(m: np.ndarray, k: int, rows: int) -> np.ndarray:
     q, rem = divmod(rows, block)
     parts = []
     if q:
-        parts.append(np.kron(m[:q], reduce(np.kron, [m] * (k - 1), np.ones((1, 1), m.dtype))))
+        parts.append(_kron(m[:q], _kron_power(m, k - 1)))
     if rem:
-        parts.append(np.kron(m[q:q + 1], _kron_prefix(m, k - 1, rem)))
+        parts.append(_kron(m[q:q + 1], _kron_prefix(m, k - 1, rem)))
     return np.concatenate(parts)
 
 
@@ -442,7 +490,7 @@ def _axis_eigenvectors(d: int) -> tuple[int, np.ndarray]:
     (e_a(w^b) = 0 exactly when b != a), so E is invertible.  Then those of
     _primitive_actions: U^d = I and U.V_1.U^T = V_1."""
     p = la.MODP_PRIMES[0] - (la.MODP_PRIMES[0] - 1) % d
-    while any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+    while la.prime_factors(p) != [p]:
         p -= d
     w = next(x for x in (pow(g, (p - 1) // d, p) for g in range(2, p))
              if all(pow(x, k, p) != 1 for k in range(1, d)))
@@ -469,7 +517,7 @@ def _character_rows(d: int, n: int, p: int, e: np.ndarray) -> np.ndarray:
     a row of one pairs with the rows of the other of opposite index sum."""
     halves = []
     for k in ((n + 1) // 2, n + 1 - (n + 1) // 2):
-        rows = reduce(lambda x, y: np.kron(x, y) % p, [e] * k)
+        rows = reduce(lambda x, _: _kron(e, x) % p, range(k - 1), e)
         halves.append((rows, reduce(np.add.outer, [np.arange(1, d)] * k).ravel() % d))
     (left, left_sums), (right, right_sums) = halves
     pairs = [left[left_sums == s][:, None, :, None] * right[right_sums == -s % d][None, :, None, :]
@@ -512,10 +560,19 @@ def _times_u_inverse(x: np.ndarray, axis: int, d: int, out: Optional[np.ndarray]
 
 
 def _left_times_u(x: np.ndarray, axis: int, e: int, d: int) -> np.ndarray:
-    """U^e.x along one axis: slot j is slot j + e (mod d) of x with a u^(d-1)
-    slot of minus the sum of the others appended; entries grow <= d-1 fold."""
-    padded = np.concatenate([x, -x.sum(axis=axis, keepdims=True, dtype=x.dtype)], axis=axis)
-    return np.roll(padded, -e, axis=axis).take(range(d - 1), axis=axis)
+    """U^e.x along one axis, 0 <= e < d: slot j is slot j + e (mod d) of x
+    with a u^(d-1) slot of minus the sum of the others appended, written as
+    one shifted copy of x and, for e > 0, one negated sum into slot d-1-e;
+    entries grow <= d-1 fold."""
+    out = np.empty_like(x)
+    src, dst = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    dst[:d - 1 - e] = src[e:]
+    if e:
+        dst[d - e:] = src[:e - 1]
+        total = dst[d - 1 - e]
+        np.sum(src, axis=0, dtype=x.dtype, out=total)
+        np.negative(total, out=total)
+    return out
 
 
 def _milnor_products(d: int, n: int, p: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:

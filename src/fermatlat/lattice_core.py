@@ -416,12 +416,46 @@ def _is_rank_one_with_unit(x: np.ndarray, p: int, q: int) -> bool:
     X == X[:, j] . X[i, :] . X[i, j]^{-1} (mod q): test (b) of
     discriminant_is_cyclic_of_order.
 
-    X is reduced la._PANEL rows at a time, once to find the first unit
+    X is read la._PANEL rows at a time, once to find the first unit
     (stopping at the first block that has one) and once to compare each
-    block with its rows of the outer product, so no N x N residue array
-    is made.  Residues are int64 when q < 2**31, so no product of two
-    wraps, and Python ints otherwise.
+    block with its rows of the outer product, so no N x N array is made.
+
+    The float path runs when (max|X| + q + 1).q is below 2**24 (float32)
+    or 2**53 (float64), a bound on every value it forms: X itself, X[i, :]
+    times an inverse below q, and X - c.r for residues c, r in [0, q),
+    at most max|X| + q^2 (+ q for the rounding in _divisible).  All are
+    integers exact in that float type.  A unit is an entry that p does not
+    divide, the residues come from la._float_mod, and a block passes when
+    q divides X - c.r (la._divisible), so no integer mod is taken.  Past
+    the guard the integer path reduces X mod q in int64 when q < 2**31, so
+    no product of two residues wraps, and in Python ints otherwise.
     """
+    bound = (la._abs_max(x) + q + 1) * q
+    ftype = (np.float32 if bound < la._FLOAT32_EXACT_LIMIT
+             else np.float64 if bound < la._FLOAT_EXACT_LIMIT else None)
+    if ftype is None:
+        return _is_rank_one_with_unit_int(x, p, q)
+    rows = range(0, len(x), la._PANEL)
+    for s in rows:
+        block = x[s:s + la._PANEL].astype(ftype)
+        units = np.flatnonzero(np.rint(block / p) * p != block)
+        if units.size:
+            i, j = divmod(int(units[0]), x.shape[1])
+            row = la._float_mod(block[i] * pow(int(block[i, j]), -1, q), q)
+            break
+    else:
+        return False
+    col = la._float_mod(x[:, j].astype(ftype), q)
+    for s in rows:
+        diff = x[s:s + la._PANEL].astype(ftype)
+        diff -= np.outer(col[s:s + la._PANEL], row)
+        if not la._divisible(diff, q):
+            return False
+    return True
+
+
+def _is_rank_one_with_unit_int(x: np.ndarray, p: int, q: int) -> bool:
+    """The integer path of _is_rank_one_with_unit."""
     dtype = np.int64 if q < 2**31 else object
     rows = range(0, len(x), la._PANEL)
 
