@@ -272,6 +272,8 @@ def _congruence_inertia(g: np.ndarray):
 # (p - 1)**2 * _PANEL < 2**53, i.e. p <= 2**23, that stays below 2**53, so
 # float64 (and BLAS dgemm) computes it exactly.
 _PANEL = 128
+# Arrays below this many entries are reduced by _float_mod with one np.mod.
+_SMALL_MOD = 2048
 
 
 def _exact_modulus(p: int) -> bool:
@@ -280,14 +282,18 @@ def _exact_modulus(p: int) -> bool:
 
 def _float_mod(x: np.ndarray, p: int, out=None) -> np.ndarray:
     """x mod p in [0, p) for an integer-valued float array x with -L + 2p
-    <= x < L, L = 2**53 in float64 and 2**24 in float32, without np.mod's
-    cost (a tenth of it on a 64 x 486 block): x - floor(x.(1/p)).p, then
-    one +-p correction.  x.(1/p) is x/p to within |x/p|.2**-52 < 2/p, so
-    the floor is off by at most one, floor(x.(1/p)).p lies in [x - 2p, x
-    + 1] and is exact, and the difference lies in [-p, 2p) before the
-    correction.  p is a Python int, so a float32 x stays float32 (numpy 1
-    and 2 alike); out may be x."""
+    <= x < L, L = 2**53 in float64 and 2**24 in float32.  An array below
+    _SMALL_MOD entries takes one np.mod, exact on integer-valued floats,
+    which costs less there than the several calls below.  A larger one
+    avoids np.mod's per-entry cost (ten times this path's on a 64 x 486
+    block): x - floor(x.(1/p)).p, then one +-p correction.  x.(1/p) is x/p
+    to within |x/p|.2**-52 < 2/p, so the floor is off by at most one,
+    floor(x.(1/p)).p lies in [x - 2p, x + 1] and is exact, and the
+    difference lies in [-p, 2p) before the correction.  p is a Python int,
+    so a float32 x stays float32 (numpy 1 and 2 alike); out may be x."""
     p = int(p)
+    if x.size < _SMALL_MOD:
+        return np.mod(x, p, out=out)
     t = np.floor(x * (1.0 / p))
     t *= p
     out = np.subtract(x, t, out=out)
@@ -331,14 +337,17 @@ def column_index(idx: list[int]):
 
 def _lower_inverse(low: np.ndarray, p: int) -> np.ndarray:
     """Inverse mod p of the lower triangle (diagonal included, nonzero) of a
-    square residue matrix, by forward substitution."""
+    square residue matrix: L = D.L' for the diagonal D and a unit lower
+    triangular L', whose inverse X takes one forward substitution step per
+    row, X[t, :t] = -L'[t, :t].X[:t, :t]; then L^-1 = X.D^-1."""
     k = len(low)
-    inv = np.zeros((k, k))
-    for t in range(k):
-        row = p - _float_mod(low[t, :t] @ inv[:t], p)
-        row[t] += 1
-        _float_mod(row * pow(int(low[t, t]), p - 2, p), p, out=inv[t])
-    return inv
+    dinv = np.array([pow(int(x), p - 2, p) for x in low.diagonal()], dtype=np.float64)
+    unit = _float_mod(low * dinv[:, None], p)
+    inv = np.eye(k)
+    for t in range(1, k):
+        row = unit[t, :t] @ inv[:t, :t]
+        _float_mod(np.negative(row, out=row), p, out=inv[t, :t])
+    return _float_mod(inv * dinv, p)
 
 
 def _eliminate_panel(m: np.ndarray, r: int, c0: int, c1: int, p: int,
@@ -347,21 +356,31 @@ def _eliminate_panel(m: np.ndarray, r: int, c0: int, c1: int, p: int,
 
     The per-pivot loop runs on a copy of the panel and keeps, LU style, each
     pivot and the multipliers under it; the rows of m are swapped along.
-    Panel entries are reduced only where they are read: a column before its
-    pivot search, a row before it is scaled; each entry takes at most _PANEL
-    updates in between.  The trailing columns then take one triangular solve
-    for the new pivot rows and one matrix product for the rows under them.
+    Panel entries are reduced where they are read: a column before its
+    pivot search, a row before it is scaled.  A column that is zero mod p
+    below the pivot rows has the rest of the panel below them reduced, and
+    the search jumps to the first column left that is not zero, or stops
+    when none is; so a pass costs the rank plus the number of zero runs,
+    not the panel width.  Reducing early only shortens a run of updates, so
+    each entry still takes at most _PANEL updates between two reductions.
+    The trailing columns then take one triangular solve for the new pivot
+    rows and one matrix product for the rows under them.
     """
     w = m[r:, c0:c1].copy()
     local: list[int] = []
-    for j in range(c1 - c0):
+    j = 0
+    while j < c1 - c0 and len(local) < len(w):
         t = len(local)
-        if t == len(w):
-            break
         col = w[t:, j]
         _float_mod(col, p, out=col)
-        nz = np.flatnonzero(col)
+        nz = col.nonzero()[0]
         if nz.size == 0:
+            rest = w[t:, j + 1:]
+            _float_mod(rest, p, out=rest)
+            live = rest.any(axis=0).nonzero()[0]
+            if live.size == 0:
+                break
+            j += 1 + int(live[0])
             continue
         i = t + int(nz[0])
         if i != t:
@@ -370,9 +389,9 @@ def _eliminate_panel(m: np.ndarray, r: int, c0: int, c1: int, p: int,
         row = _float_mod(w[t, j + 1:], p)
         row = _float_mod(row * pow(int(w[t, j]), p - 2, p), p, out=row)
         w[t, j + 1:] = row
-        below = t + 1 + np.flatnonzero(w[t + 1:, j])
-        w[below, j + 1:] += np.outer(w[below, j], p - row)
+        w[t + 1:, j + 1:] += w[t + 1:, j, None] * (p - row)
         local.append(j)
+        j += 1
     k = len(local)
     if k and c1 < m.shape[1]:
         low = w[:, local]

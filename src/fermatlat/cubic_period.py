@@ -78,7 +78,7 @@ class CubicFourfoldLattice:
 
     def embed(self, v: Sequence[int]) -> list[int]:
         """Coordinates in the glued lattice of a vector of lambda_o."""
-        return la.vec_mat(list(v), self.lambda_o_in_lambda)
+        return la.int_matmul(la.int_array(v), self.lambda_o_in_lambda).tolist()
 
     # -- predicates -------------------------------------------------------
 
@@ -92,7 +92,7 @@ class CubicFourfoldLattice:
         by 3 in the glued lattice, for one of the two signs) is recomputed and
         must agree; disagreement raises.
         """
-        vg = la.vec_mat(list(v), self.lambda_o.gram)
+        vg = la.int_matmul(la.int_array(v), self.lambda_o.gram).tolist()
         norm_six = la.dot(vg, v) == 6
         flag1 = norm_six and all(x % 3 == 0 for x in vg)
         flag2 = norm_six and self.special_eta_sign(v) is not None
@@ -525,7 +525,7 @@ def hyperplane_meets_eigenball(v: Sequence[int], k: int) -> tuple[bool, bool]:
     if not built.is_special(v):
         raise VerificationError("hyperplane test requires a special vector")
     h, basis = eigenlattice(k)
-    gv = la.int_array(la.vec_mat(list(v), built.lambda_o.gram))
+    gv = la.int_matmul(la.int_array(v), built.lambda_o.gram)
     return ball_meets_restriction(h, la.int_matmul(basis.transpose(0, 2, 1), gv))
 
 
@@ -569,7 +569,7 @@ def orbit_specials(built: CubicFourfoldLattice, seeds: Sequence[Sequence[int]],
         nxt = []
         for v in frontier:
             for name in names:
-                w = tuple(la.vec_mat(list(v), built.actions_o[name]))
+                w = tuple(la.int_matmul(la.int_array(v), built.actions_o[name]).tolist())
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)

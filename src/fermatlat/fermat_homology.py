@@ -488,7 +488,9 @@ def _axis_eigenvectors(d: int) -> tuple[int, np.ndarray]:
     V_1.A^T = -V_1^T for A = U^(d-1); E.A = diag(w^(-a)).E (mod p); and E.W
     (mod p), W[j, b-1] = w^(bj), is diagonal with a nonzero diagonal
     (e_a(w^b) = 0 exactly when b != a), so E is invertible.  Then those of
-    _primitive_actions: U^d = I and U.V_1.U^T = V_1."""
+    _primitive_actions: U^d = I and U.V_1.U^T = V_1.  Only U and A are
+    built, each from the shift rule of _times_u, and U^d by exact products:
+    no list of the d powers of U."""
     p = la.MODP_PRIMES[0] - (la.MODP_PRIMES[0] - 1) % d
     while la.prime_factors(p) != [p]:
         p -= d
@@ -497,15 +499,23 @@ def _axis_eigenvectors(d: int) -> tuple[int, np.ndarray]:
     powers = np.array([pow(w, k, p) for k in range(d)], dtype=np.int64)
     table = powers[np.outer(np.arange(1, d), np.arange(d - 1)) % d]  # [a-1, j] = w^(aj)
     e = np.cumsum(table, axis=1)[:, ::-1] % p
-    u_powers = _u_powers(d)
-    u, a, v1 = u_powers[1], u_powers[d - 1], _seifert_axis(d).astype(np.int64)
+    u, a = (_times_u(np.eye(d - 1, dtype=np.int64), 1, k, d) for k in (1, d - 1))
+    v1 = _seifert_axis(d).astype(np.int64)
     ew = la.int_matmul(e, table.T) % p
-    if not (np.array_equal(v1 @ a.T, -v1.T)
+    if not (np.array_equal(la.int_matmul(v1, a.T), -v1.T)
             and not np.any((la.int_matmul(e, a) - powers[-np.arange(1, d) % d, None] * e) % p)
             and np.count_nonzero(ew) == np.count_nonzero(np.diagonal(ew)) == d - 1):
         raise VerificationError(f"a per-axis check of the radical fails at d = {d}")
-    if not (np.array_equal(np.linalg.matrix_power(u, d), u_powers[0])
-            and np.array_equal(u @ v1 @ u.T, v1)):
+    # U^d by repeated squaring: every power of U has entries in {-1, 0, 1}.
+    power, square, k = np.eye(d - 1, dtype=np.int64), u, d
+    while k:
+        if k & 1:
+            power = la.int_matmul(power, square)
+        k >>= 1
+        if k:
+            square = la.int_matmul(square, square)
+    if not (np.array_equal(power, np.eye(d - 1, dtype=np.int64))
+            and np.array_equal(la.int_matmul(la.int_matmul(u, v1), u.T), v1)):
         raise VerificationError(f"a per-axis check of the actions fails at d = {d}")
     e.flags.writeable = False
     return p, e

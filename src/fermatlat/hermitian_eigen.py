@@ -180,8 +180,10 @@ def _realify(d: int, coords: np.ndarray, index: Optional[np.ndarray] = None) -> 
         index = np.arange(coords.size // phi).reshape(coords.shape[:2])
     values = coords.reshape(-1, phi)
     red = la.int_array(_reduction_rows(d))
-    # mult[v, s, t] is coordinate s of value v times zeta^t.
-    mult = np.stack([la.int_matmul(values, red[t:t + phi]) for t in range(phi)], axis=-1)
+    # mult[v, s, t] is coordinate s of value v times zeta^t: one product with
+    # the windows red[t:t + phi] side by side, window[i, s, t] = red[i + t, s].
+    window = red[np.add.outer(np.arange(phi), np.arange(phi))].transpose(0, 2, 1)
+    mult = la.int_matmul(values, window.reshape(phi, phi * phi)).reshape(-1, phi, phi)
     r, c = index.shape
     out = np.empty((r, phi, c, phi), dtype=mult.dtype)
     for s in range(phi):
@@ -362,22 +364,24 @@ def chi_form_on_vectors(prim: PrimitiveFermatLattice, k: int, vectors: la.Mat) -
     as an (r, r, phi) coordinate array.
 
     sum_{i in (Z/d)^k} T^i zeta^{|i|} = prod_j sum_e T_j^e zeta^e, so the
-    moved vectors b T^i, binned by |i| mod d, take one stack product per
-    action; the pairing with a . G is one more product.
+    moved vectors b T^i, binned by |i| mod d, take one product for the
+    first action and one stack product for each other; the pairing with
+    a . G is one more product.
     """
     d, n = prim.d, prim.n
     if not 1 <= k <= n + 1:
         raise ValueError("k out of range")
     rank = prim.lattice.rank
     vecs = la.int_array(vectors).reshape(-1, rank)
-    moved = np.zeros((d,) + vecs.shape, dtype=vecs.dtype)
-    moved[0] = vecs
+    moved = None
     for i in range(n + 2 - k, n + 2):
         t = la.int_array(prim.actions[f"u_{i}"])
         powers = [np.eye(rank, dtype=np.int64)]
         for _ in range(d - 1):
             powers.append(la.int_matmul(powers[-1], t))
-        moved = _shifted_product(d, moved, np.stack(powers))
+        powers = np.stack(powers)
+        # The first action bins b T^e under e: one product, not a stack product.
+        moved = la.int_matmul(vecs, powers) if moved is None else _shifted_product(d, moved, powers)
     paired = la.int_matmul(vecs, la.int_array(prim.lattice.gram))
     return _zeta_sum(d, la.int_matmul(paired, moved.transpose(0, 2, 1)))
 
@@ -452,17 +456,15 @@ def _twisted_trace_form(d: int, coords: np.ndarray, alpha: dict[int, int]) -> np
     """The symmetric rational form Tr(alpha h(x, y)) on the restriction of
     scalars, in the Q-basis e_i zeta^s."""
     r, _c, phi = coords.shape
-    rows = {}
+    rows = np.zeros((2 * phi - 1, phi), dtype=np.int64)
     for delta in range(-phi + 1, phi):
         # Tr(alpha zeta^(delta + i)) = sum_e alpha_e Tr(zeta^(delta + e + i))
-        vec = [0] * phi
         for e, c in alpha.items():
-            for i, t in enumerate(_trace_row(d, delta + e)):
-                vec[i] += c * t
-        rows[delta] = la.int_array(vec)
-    form = np.stack([np.stack([la.int_matmul(coords, rows[s - t]) for t in range(phi)], axis=-1)
-                     for s in range(phi)], axis=1)
-    return form.reshape(r * phi, r * phi)
+            rows[delta + phi - 1] += c * la.int_array(_trace_row(d, delta + e))
+    # One product with the rows for delta = s - t side by side: form[i, j, s, t].
+    pairs = rows[np.subtract.outer(np.arange(phi), np.arange(phi)) + phi - 1]
+    form = la.int_matmul(coords, pairs.transpose(2, 0, 1).reshape(phi, phi * phi))
+    return form.reshape(r, r, phi, phi).transpose(0, 2, 1, 3).reshape(r * phi, r * phi)
 
 
 def _embedding_signatures(d: int, coords: np.ndarray) -> tuple[list[tuple[int, int]], int]:

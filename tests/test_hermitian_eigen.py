@@ -4,10 +4,11 @@ from itertools import product
 import numpy as np
 import pytest
 
+from fermatlat import _intlinalg as la
 from fermatlat import fermat_homology as fh
 from fermatlat import hermitian_eigen as he
 from fermatlat.errors import ResourceBoundError, VerificationError
-from fermatlat.exact_algebra import CyclotomicElement, GroupRingElement
+from fermatlat.exact_algebra import CyclotomicElement, GroupRingElement, _reduction_rows, euler_phi
 from fermatlat.fermat_homology import build_primitive
 from fermatlat.hermitian_eigen import (
     HermitianLattice,
@@ -265,3 +266,53 @@ def test_parity_normalize_common_factor(d, n):
         if not coords.any():
             # gcd(den, 0) = den: a zero form is never scaled.
             assert scale == 1 and got.shape == coords.shape and not got.any()
+
+
+def realify_per_product(d, coords, index=None):
+    """_realify with one product per window of the reduction rows and one
+    gather per (s, t), as it was before the windows were stacked."""
+    phi = coords.shape[-1]
+    if index is None:
+        index = np.arange(coords.size // phi).reshape(coords.shape[:2])
+    values = coords.reshape(-1, phi)
+    red = la.int_array(_reduction_rows(d))
+    mult = np.stack([la.int_matmul(values, red[t:t + phi]) for t in range(phi)], axis=-1)
+    r, c = index.shape
+    out = np.empty((r, phi, c, phi), dtype=mult.dtype)
+    for s in range(phi):
+        for t in range(phi):
+            out[:, s, :, t] = mult[index, s, t]
+    return out.reshape(r * phi, c * phi)
+
+
+def twisted_trace_form_per_product(d, coords, alpha):
+    """_twisted_trace_form with one product per (s, t), as it was."""
+    r, _c, phi = coords.shape
+    rows = {}
+    for delta in range(-phi + 1, phi):
+        vec = [0] * phi
+        for e, c in alpha.items():
+            for i, t in enumerate(he._trace_row(d, delta + e)):
+                vec[i] += c * t
+        rows[delta] = la.int_array(vec)
+    form = np.stack([np.stack([la.int_matmul(coords, rows[s - t]) for t in range(phi)], axis=-1)
+                     for s in range(phi)], axis=1)
+    return form.reshape(r * phi, r * phi)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 7, 9])
+def test_batched_products_match_per_product_bodies(d):
+    phi = euler_phi(d)
+    rng = np.random.default_rng(d)
+    coords = rng.integers(-50, 51, (4, 3, phi))
+    got, want = he._realify(d, coords), realify_per_product(d, coords)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    values = rng.integers(-50, 51, (11, phi))
+    index = rng.integers(0, 11, (5, 6))
+    got, want = he._realify(d, values, index), realify_per_product(d, values, index)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    square = rng.integers(-50, 51, (4, 4, phi))
+    for alpha, _signs in he._twists(d):
+        got = he._twisted_trace_form(d, square, alpha)
+        want = twisted_trace_form_per_product(d, square, alpha)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -445,3 +445,70 @@ def test_scaled_integer_inverse_paths(monkeypatch):
     assert la.scaled_integer_inverse(np.array([[2, 1], [1, 2]], dtype=np.int8), 3).tolist() == [
         [2, -1], [-1, 2]]
     assert calls["modp_solve_matrix"] == 0
+
+
+def low_rank(seed, rows, cols, rank):
+    rng = np.random.default_rng(seed)
+    return rng.integers(-9, 10, (rows, rank)) @ rng.integers(-9, 10, (rank, cols))
+
+
+def pivot_walk_cases(p):
+    """Matrices for the panel's jump over columns that are zero mod p."""
+    rng = np.random.default_rng(p % 1000)
+    a = low_rank(1, 50, 600, 6)
+    # Runs of zero columns longer than a panel, between live columns.
+    a[:, 3:400] = 0
+    a[:, 410:560] = 0
+    b = low_rank(2, 40, 300, 3)
+    # Column 2 is independent over Q, but zero mod p below the two pivots
+    # of columns 0 and 1; column 5 is zero mod p before any pivot.
+    b[:, 2] = b[:, 0] - 2 * b[:, 1] + p * rng.integers(-3, 4, 40)
+    b[:, 5] = p * rng.integers(-3, 4, 40)
+    last = np.zeros((40, 300), dtype=np.int64)
+    # Pivots only in the last panel.
+    last[:, 256:] = low_rank(3, 40, 44, 5)
+    return [a, b, last, np.zeros((40, 300), dtype=np.int64), low_rank(4, 64, 486, 22),
+            low_rank(5, 64, 208, 52), low_rank(6, 44, 44, 2)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_pivot_walk_matches_per_pivot_oracle(p):
+    for a in pivot_walk_cases(p):
+        reduced, pivots = la.modp_eliminate(a, p)
+        expected, expected_pivots = oracle_eliminate(a, p)
+        assert pivots == expected_pivots
+        assert np.array_equal(reduced, expected)
+    _a, b, last, zero = (la.modp_eliminate(m, p)[1] for m in pivot_walk_cases(p)[:4])
+    assert 2 not in b and 5 not in b
+    assert min(last) >= 256 and zero == []
+
+
+def test_pivot_walk_costs_rank_not_width(monkeypatch):
+    # 64 x 486 at rank 2: the walk over every column made one reduction per
+    # column (507 in all); jumping over zero columns makes a few per pivot
+    # and per panel (31).
+    a = low_rank(7, 64, 486, 2)
+    calls = count_calls(monkeypatch, "_float_mod")
+    pivots = la.modp_eliminate(a, la.MODP_PRIMES[0])[1]
+    panels = -(-486 // la._PANEL)
+    assert len(pivots) == 2
+    assert calls["_float_mod"] <= 8 * (len(pivots) + panels)
+
+
+@pytest.mark.parametrize("dtype, limit", [(np.float64, 2**53), (np.float32, 2**24)])
+@pytest.mark.parametrize("size", [1, 7, la._SMALL_MOD - 1, la._SMALL_MOD, 3 * la._SMALL_MOD + 5])
+@pytest.mark.parametrize("p", [2, 3, 8191, la.MODP_PRIMES[0]])
+def test_float_mod_matches_python_remainder(dtype, limit, size, p):
+    # Integer-valued entries in [-L + 2p, L), both ends included.
+    rng = np.random.default_rng(size + p)
+    x = rng.integers(-limit + 2 * p, limit, size).astype(dtype)
+    x[0] = -limit + 2 * p
+    x[-1] = limit - 1
+    if size > 2:
+        x[1] = limit - p
+    want = [int(v) % p for v in x.tolist()]
+    got = la._float_mod(x, p)
+    assert got.dtype == dtype and got.tolist() == want
+    out = x.copy()
+    assert la._float_mod(out, p, out=out) is out
+    assert out.dtype == dtype and out.tolist() == want

@@ -3,12 +3,14 @@ certificate against the generic numpy calls they replaced: _kron against
 np.kron, _left_times_u against its pad/roll/take body, the float rank-one
 test against the integer oracle on both sides of its guard, _float_mod
 against np.mod, the orbit candidate K against digests recorded with the
-float64 solve it replaced, the n = 0 certificate at large d, and
-prime_factors against trial division."""
+float64 solve it replaced, the n = 0 certificate and actions at large d,
+and prime_factors against trial division."""
 
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -231,6 +233,27 @@ def test_n0_certificate_at_d_1025_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20
+
+
+CAPPED_ACTIONS = """
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20,) * 2)
+from fermatlat import fermat_homology as fh
+actions = fh.build_primitive(1025, 0).actions
+assert fh._axis_eigenvectors.cache_info().currsize == 1
+print(json.dumps([sorted(actions), actions["u_1"].shape]))
+"""
+
+
+def test_actions_at_d_1025_under_a_memory_cap():
+    # The per-axis checks build U and U^(d-1) only, not the d powers of U
+    # (8.6 GB at d = 1025), and prove U^d = I by repeated squaring.
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(DATA), os.pardir, "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", CAPPED_ACTIONS], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [["u_0", "u_1"], [1024, 1024]]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from fermatlat.hermitian_eigen import (
     hermitian_gram,
 )
 
+from test_modp_kernel import pivot_walk_cases
+
 DATA = os.path.join(os.path.dirname(__file__), "data", "hermitian_seed.json")
 P1 = la.MODP_PRIMES[0]
 
@@ -201,6 +203,18 @@ def test_echelon_rows_match_the_reeliminating_loop(rank, p):
     want_pivots, want_ech = reeliminating_echelon_rows(a, p)
     assert pivots == want_pivots and len(pivots) == rank
     assert ech.dtype == want_ech.dtype and np.array_equal(ech, want_ech)
+
+
+@pytest.mark.parametrize("p", [P1, la.MODP_PRIMES[7]])
+def test_echelon_rows_of_pivot_walk_cases_match(p):
+    # Zero runs past a panel, columns zero only mod p, rank 0, pivots only
+    # in the last panel, and the realified-Gram shapes 64 x 486 at rank 22
+    # and 64 x 208 at rank 52.
+    for a in pivot_walk_cases(p):
+        pivots, ech = la._echelon_rows(a, p)
+        want_pivots, want_ech = reeliminating_echelon_rows(a, p)
+        assert pivots == want_pivots
+        assert np.array_equal(ech, want_ech)
 
 
 def test_echelon_rows_of_large_entries_match():
