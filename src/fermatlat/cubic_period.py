@@ -12,8 +12,8 @@ dicts and lattice labels, over the same arrays, so no caller can change what
 the next one sees.  The eigenlattices and eigenball tests work on integer
 coordinate arrays over Z[zeta_3] (see hermitian_eigen): the eigenspace is
 the left kernel of one integer matrix, its Gram and the restricted forms are
-_hermitian_product calls, and only the Euclidean echelon works on
-CyclotomicElement objects.
+_hermitian_product calls, and the Euclidean echelon takes and returns a
+coordinate array.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .hermitian_eigen import (
     HermitianLattice,
     _embedding_signatures,
     _hermitian_product,
-    _to_elements,
     _zeta_table,
     cyclotomic_row_echelon,
 )
@@ -490,8 +489,7 @@ def _eigenlattice_arrays(k: int, conjugate: bool):
         if not ((moved == zrows).all(axis=1) | (moved == -zrows).all(axis=1)).all():
             raise VerificationError("permutation part is not scalar on the eigenspace")
     coords = zrows.reshape(len(zrows), phi, 22).transpose(0, 2, 1)
-    echelon = cyclotomic_row_echelon(3, _to_elements(3, coords))
-    b = la.frozen_int_array([[e.integral_coords() for e in row] for row in echelon])
+    b = la.frozen_int_array(cyclotomic_row_echelon(3, coords))
     gram = _hermitian_product(3, b, la.int_array(built.lambda_o.gram)[..., None], b)
     return la.frozen_int_array(gram), b
 

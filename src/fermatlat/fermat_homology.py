@@ -14,9 +14,9 @@ actions, the connecting maps and the monomial coordinates are read off
 that one rule.  The Gram is the Seifert form V_1 x ... x V_1 plus (-1)^n
 its transpose, and its radical is the set of vectors fixed by the
 monodromy u_0.  Its basis K comes from the u_0-orbit sums of the first r
-basis vectors, one r x r float64 inverse times the rest of the sums, with
-the characters of u_0 mod p as the fallback; either is proven exactly,
-and the proof uses only the number of characters (_certified_radical).
+basis vectors, one r x r float64 inverse times the rest of the sums,
+proven exactly by a proof that uses only the number of characters of u_0
+mod p (_certified_radical).
 The same factorization gives d times the inverse of the primitive Gram in
 closed form, the candidate of the cyclic-discriminant certificate
 (_seifert_inverse).  Kronecker products are broadcast products (_kron).
@@ -98,6 +98,14 @@ def _kron_power(m: np.ndarray, k: int) -> np.ndarray:
 def _u_powers(d: int) -> list[np.ndarray]:
     """U^0, ..., U^(d-1): row j of U^e holds the coordinates of u^(j+e)."""
     return [_times_u(np.eye(d - 1, dtype=np.int64), 1, e, d) for e in range(d)]
+
+
+def _u_power_row(d: int, e: int) -> np.ndarray:
+    """Row 0 of U^e, the coordinates of u^e, 0 <= e < d, by the shift rule:
+    e_e for e < d-1, and all -1 for u^(d-1) = -(1 + u + ... + u^(d-2))."""
+    if e == d - 1:
+        return np.full(d - 1, -1, dtype=np.int64)
+    return np.eye(1, d - 1, e, dtype=np.int64)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +254,8 @@ class PrimitiveFermatLattice:
     def class_image(self, K: Sequence[int]) -> list[int]:
         """Image in the primitive lattice of the monomial class u^K,
         K in (Z/d)^(n+2) taken modulo the diagonal."""
-        powers = _u_powers(self.d)
-        vec = reduce(np.multiply.outer, [powers[e][0] for e in class_rep(K, self.d)[1:]]).ravel()
-        return la.vec_mat(vec.tolist(), self.projection)
+        rows = [_u_power_row(self.d, e) for e in class_rep(K, self.d)[1:]]
+        return la.vec_mat(reduce(np.multiply.outer, rows).ravel().tolist(), self.projection)
 
 
 def build_primitive(d: int, n: int) -> PrimitiveFermatLattice:
@@ -395,21 +402,19 @@ def _certified_radical(d: int, n: int, r: int) -> np.ndarray:
         integral only for integral c: a saturated sublattice of rank r.
     With r = the count, K is a Z-basis of the radical and, with its identity
     pivot minor, its unique row HNF.  r = N - rank_formula(d, n) is checked.
-    The proof does not depend on where K comes from: first the u_0-orbit
-    sums (_orbit_candidate), and, when that candidate is missing or fails
-    (b) or (c), the RREF of the character rows mod p in symmetric residues
-    (_character_candidate), whose failure raises.
+    The proof does not depend on where K comes from; K is the u_0-orbit-sum
+    candidate (_orbit_candidate), and a missing candidate, or one that fails
+    (b) or (c), raises with the name of the check.
     """
-    p, e = _axis_eigenvectors(d)
+    _axis_eigenvectors(d)  # the per-axis checks of (a)
     count = _character_count(d, n)
     if count != r:
         raise VerificationError(f"{count} characters, expected {r} radical rows (count)")
     k = _orbit_candidate(d, n, r)
-    if k is None or _radical_refusal(k, d, n, r):
-        k = _character_candidate(_character_rows(d, n, p, e), p)
-        refusal = _radical_refusal(k, d, n, r)
-        if refusal:
-            raise VerificationError(refusal)
+    refusal = ("the u_0-orbit sums give no integral candidate (orbit candidate)" if k is None
+               else _radical_refusal(k, d, n, r))
+    if refusal:
+        raise VerificationError(refusal)
     return k
 
 
@@ -501,7 +506,11 @@ def _axis_eigenvectors(d: int) -> tuple[int, np.ndarray]:
     e = np.cumsum(table, axis=1)[:, ::-1] % p
     u, a = (_times_u(np.eye(d - 1, dtype=np.int64), 1, k, d) for k in (1, d - 1))
     v1 = _seifert_axis(d).astype(np.int64)
-    ew = la.int_matmul(e, table.T) % p
+    # E.W^T mod p from float64 panels of at most la._PANEL terms, each term
+    # below p**2, reduced mod p between panels: every sum is exact.
+    ew, ef, wf = np.zeros((d - 1, d - 1)), e.astype(np.float64), table.T.astype(np.float64)
+    for t in range(0, d - 1, la._PANEL):
+        ew = la._float_mod(ew + ef[:, t:t + la._PANEL] @ wf[t:t + la._PANEL], p)
     if not (np.array_equal(la.int_matmul(v1, a.T), -v1.T)
             and not np.any((la.int_matmul(e, a) - powers[-np.arange(1, d) % d, None] * e) % p)
             and np.count_nonzero(ew) == np.count_nonzero(np.diagonal(ew)) == d - 1):
@@ -519,26 +528,6 @@ def _axis_eigenvectors(d: int) -> tuple[int, np.ndarray]:
         raise VerificationError(f"a per-axis check of the actions fails at d = {d}")
     e.flags.writeable = False
     return p, e
-
-
-def _character_rows(d: int, n: int, p: int, e: np.ndarray) -> np.ndarray:
-    """The rows e_(a_0) x ... x e_(a_n) mod p with a_0 + ... + a_n = 0
-    (mod d), n >= 1: each half of the axes is a Kronecker power of E, and
-    a row of one pairs with the rows of the other of opposite index sum."""
-    halves = []
-    for k in ((n + 1) // 2, n + 1 - (n + 1) // 2):
-        rows = reduce(lambda x, _: _kron(e, x) % p, range(k - 1), e)
-        halves.append((rows, reduce(np.add.outer, [np.arange(1, d)] * k).ravel() % d))
-    (left, left_sums), (right, right_sums) = halves
-    pairs = [left[left_sums == s][:, None, :, None] * right[right_sums == -s % d][None, :, None, :]
-             for s in range(d)]
-    return np.concatenate([x.reshape(-1, len(e) ** (n + 1)) % p for x in pairs])
-
-
-def _character_candidate(c: np.ndarray, p: int) -> np.ndarray:
-    """The RREF of C mod p without its zero rows, in symmetric residues."""
-    k, pivots = la.modp_eliminate(c, p)
-    return la.symmetric_residues(k[:len(pivots)], p)
 
 
 def _widened(x: np.ndarray, growth: int) -> np.ndarray:

@@ -19,9 +19,11 @@ scalars replaces each entry by its phi x phi multiplication matrix.
 A HermitianLattice holds one read-only (r, r, phi) coordinate array and a
 positive common denominator, and every consumer (the hermitian check, the
 determinant norm, the signature, the eigenball tests) reads that array.
-CyclotomicElement objects appear only for scalars (zeta powers, the imaginary
-unit, reduction_entry), in the Euclidean echelon of cyclotomic_row_echelon,
-in the field elimination of HermitianLattice.determinant, and in
+The Euclidean echelon (cyclotomic_row_echelon) and the field determinant
+(_field_det) work on coordinate arrays of Python ints, dividing through the
+norm: b^(-1) = b*/N(b), b* the adjugate of b's multiplication matrix applied
+to e_0 (_norm_adjugate).  CyclotomicElement objects appear only for scalars
+(zeta powers, the imaginary unit, reduction_entry, the determinant) and in
 HermitianLattice.gram, which rebuilds element rows from the array.
 """
 
@@ -91,7 +93,7 @@ class HermitianLattice:
         return _to_elements(self.d, self.coords, self.den)
 
     def determinant(self) -> CyclotomicElement:
-        return _field_det(self.d, self.gram)
+        return _field_det(self.d, self.coords, self.den)
 
     def det_norm(self) -> Fraction:
         """N(det) as the rational determinant of the restriction of scalars."""
@@ -193,7 +195,8 @@ def _realify(d: int, coords: np.ndarray, index: Optional[np.ndarray] = None) -> 
 
 
 def _times(d: int, coords: np.ndarray, element: Sequence[int]) -> np.ndarray:
-    """Entrywise product of a coordinate array with an integral element."""
+    """Entrywise product of a coordinate array with an integral element,
+    exact (int64, or Python ints past int64 range)."""
     mult = la.int_array(_multiplication_matrix(d, list(element)))
     return la.int_matmul(coords, mult.T)
 
@@ -331,28 +334,6 @@ def _pivot_columns(d: int, coords: np.ndarray,
     phi = coords.shape[-1]
     pivots = la.certified_pivot_columns(_realify(d, coords, index), block=phi)
     return [c // phi for c in pivots[::phi]]
-
-
-def _field_det(d: int, gram: list[list[CyclotomicElement]]) -> CyclotomicElement:
-    n = len(gram)
-    if n == 0:
-        return CyclotomicElement.one(d)
-    m = [row[:] for row in gram]
-    det = CyclotomicElement.one(d)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return CyclotomicElement.zero(d)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = m[c][c].inverse()
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -538,60 +519,84 @@ def det_norms_agree_up_to_ramified(n1: Fraction, n2: Fraction, d: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Euclidean echelon over Z[zeta_d] (norm-Euclidean conductors)
+# Euclidean echelon and field determinant over Z[zeta_d]
 
-def _cyclo_divmod(a: CyclotomicElement, b: CyclotomicElement):
-    """Division with remainder in Z[zeta_d], N(r) < N(b), by coordinate
-    rounding of the field quotient with a small neighbor search."""
-    q_field = a * b.inverse()
-    base = [Fraction(c) for c in q_field.coords]
-    rounded = [int(c + Fraction(1, 2)) if c >= 0 else -int(-c + Fraction(1, 2))
-               for c in base]
-    nb = b.norm()
-    for offsets in itertools.product((0, -1, 1), repeat=len(base)):
-        q = CyclotomicElement(a.d, [r + o for r, o in zip(rounded, offsets)])
-        r = a - q * b
-        nr = r.norm()
-        if nr < nb:
-            return q, r
+def _norm_adjugate(d: int, b: Sequence[int]) -> tuple[int, list[int]]:
+    """(N(b), b*) for an integral element b: b* = N(b).b^(-1), the adjugate
+    of b's multiplication matrix M applied to e_0 (its cofactors along row
+    0), and N(b) = det M = M[0] . b*, positive in a CM field unless b = 0."""
+    m = _multiplication_matrix(d, [int(c) for c in b])
+    star = [(-1) ** i * la.det_bareiss([row[:i] + row[i + 1:] for row in m[1:]])
+            for i in range(len(m))]
+    return sum(x * y for x, y in zip(m[0], star)), star
+
+
+def _euclidean_quotient(d: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """q with N(a - q.b) < N(b) in Z[zeta_d]: the coordinates of a.b*/N(b)
+    rounded half away from zero, then the first neighbour in (0, -1, 1)^phi
+    order whose remainder is small enough."""
+    nb, star = _norm_adjugate(d, b)
+    rounded = [(1 if x >= 0 else -1) * ((2 * abs(x) + nb) // (2 * nb))
+               for x in map(int, _times(d, a, star))]
+    for offsets in itertools.product((0, -1, 1), repeat=len(rounded)):
+        q = np.array([x + o for x, o in zip(rounded, offsets)], dtype=object)
+        if _norm_adjugate(d, a - _times(d, b, q))[0] < nb:
+            return q
     raise VerificationError("division with remainder failed; conductor not norm-Euclidean?")
 
 
-def cyclotomic_row_echelon(d: int, rows: list[list[CyclotomicElement]]):
-    """Deterministic echelon basis of the Z[zeta_d]-row span (Euclidean HNF).
+def cyclotomic_row_echelon(d: int, coords: np.ndarray) -> np.ndarray:
+    """Deterministic echelon basis of the Z[zeta_d]-row span (Euclidean HNF)
+    of an (rows, cols, phi) integer coordinate array, as the
+    (rank, cols, phi) integer array of its nonzero echelon rows.
 
-    Valid for norm-Euclidean conductors (all d used here); returns the
-    nonzero echelon rows.
+    Valid for norm-Euclidean conductors (all d used here).  In each column
+    the rows nonzero there are stably sorted by the norm of that entry and
+    reduced by the first, until one is left; it is the next echelon row.
     """
-    work = [row[:] for row in rows if any(row)]
-    ncols = len(rows[0]) if rows else 0
-    out: list[list[CyclotomicElement]] = []
-    for c in range(ncols):
-        active = [r for r in work if r[c]]
+    cols, phi = np.shape(coords)[1:]
+    work = [row for row in la.int_array(coords).astype(object) if row.any()]
+    out = []
+    for c in range(cols):
+        active = [r for r in work if r[c].any()]
         if not active:
             continue
-        while True:
-            active.sort(key=lambda r: r[c].norm())
+        while len(active) > 1:
+            active.sort(key=lambda r: _norm_adjugate(d, r[c])[0])
             piv = active[0]
-            done = True
             for r in active[1:]:
-                q, rem = _cyclo_divmod(r[c], piv[c])
-                if q:
-                    for j in range(ncols):
-                        r[j] = r[j] - q * piv[j]
-                if r[c]:
-                    done = False
-            active = [piv] + [r for r in active[1:] if r[c]]
-            if done or len(active) == 1:
-                break
+                q = _euclidean_quotient(d, r[c], piv[c])
+                if q.any():
+                    r -= _times(d, piv, q)
+            active = [piv] + [r for r in active[1:] if r[c].any()]
         out.append(active[0])
-        work = [r for r in work if not r[c] or r is active[0]]
-        work.remove(active[0])
-        # Reduce the pivot column out of the remaining rows.
-        for r in work:
-            if r[c]:
-                q, _ = _cyclo_divmod(r[c], active[0][c])
-                for j in range(ncols):
-                    r[j] = r[j] - q * active[0][j]
-        work = [r for r in work if any(r)]
-    return out
+        work = [r for r in work if r is not active[0] and r.any()]
+    return la.int_array(np.array(out, dtype=object).reshape(len(out), cols, phi))
+
+
+def _field_det(d: int, coords: np.ndarray, den: int = 1) -> CyclotomicElement:
+    """det(h) for the (r, r, phi) coordinate array of den * h: fraction-free
+    (Bareiss) elimination over Z[zeta_d], each division by the previous
+    pivot exact through the norm, x/b = x.b*/N(b), and det(den * h) / den^r."""
+    r, phi = len(coords), np.shape(coords)[-1]
+    m = la.int_array(coords).astype(object)
+    sign, prev = 1, None
+    for k in range(r):
+        piv = next((i for i in range(k, r) if m[i, k].any()), None)
+        if piv is None:
+            return CyclotomicElement.zero(d)
+        if piv != k:
+            m[[k, piv]] = m[[piv, k]]
+            sign = -sign
+        for i in range(k + 1, r):
+            x = _times(d, m[i, k + 1:], m[k, k]) - _times(d, m[k, k + 1:], m[i, k])
+            if prev is not None:
+                norm, star = prev
+                x = _times(d, x, star)
+                if any(v % norm for v in x.flat):
+                    raise VerificationError("a fraction-free division is not exact")
+                x = x // norm
+            m[i, k + 1:] = x
+        prev = _norm_adjugate(d, m[k, k])
+    det = m[r - 1, r - 1] if r else [1] + [0] * (phi - 1)
+    return CyclotomicElement(d, [Fraction(sign * int(x), den ** r) for x in det])

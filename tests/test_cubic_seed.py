@@ -7,6 +7,11 @@ every CubicFourfoldLattice field and of the stdout of
 Fraction-based gluing and transport that the integer code replaced.  The
 fields are read-only arrays and tuples now; arrays are serialised with
 .tolist(), which gives the JSON of the former lists of rows.
+
+The "eigenlattice" block holds digests of the Gram and basis coordinate
+arrays of eigenlattice(k, conjugate) for k = 1, 2, 3 and both conjugates, as
+produced by the element-based Euclidean echelon that the array echelon
+replaced.
 """
 
 import hashlib
@@ -16,7 +21,7 @@ import os
 import pytest
 
 from fermatlat.cli import dumps_canonical, main
-from fermatlat.cubic_period import build_cubic_lattices
+from fermatlat.cubic_period import build_cubic_lattices, eigenlattice
 from fermatlat.lattice_core import lattice_to_json
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "cubic_seed.json")
@@ -48,6 +53,18 @@ def cubic_field_digests() -> dict:
     return {k: _sha(dumps_canonical(v)) for k, v in fields.items()}
 
 
+def eigenlattice_digests() -> dict:
+    out = {}
+    for k in (1, 2, 3):
+        for conjugate in (False, True):
+            h, basis = eigenlattice(k, conjugate)
+            out[f"{k}_conjugate" if conjugate else f"{k}"] = {
+                "gram": _sha(dumps_canonical(h.coords.tolist())),
+                "basis": _sha(dumps_canonical(basis.tolist())),
+            }
+    return out
+
+
 def verify_stdout_digest(key: str, capsys) -> str:
     capsys.readouterr()
     assert main(VERIFY_ARGS[key]) == 0
@@ -61,6 +78,10 @@ def _stored():
 
 def test_cubic_lattice_fields_match_stored_digests():
     assert cubic_field_digests() == _stored()["fields"]
+
+
+def test_eigenlattices_match_stored_digests():
+    assert eigenlattice_digests() == _stored()["eigenlattice"]
 
 
 @pytest.mark.parametrize("key", sorted(VERIFY_ARGS))

@@ -288,12 +288,11 @@ def test_tampered_radical_is_refused(how, monkeypatch):
     assert lc._is_radical_basis(k, pivots, gram)
     assert lc._is_radical_basis(*tampered(k, pivots, how), gram) == (how == "row dropped")
 
-    # With no orbit-sum candidate the build takes the character path, the
-    # one whose refusal raises.
-    monkeypatch.setattr(fh, "_orbit_candidate", lambda d, n, r: None)
-    candidate = fh._character_candidate
-    monkeypatch.setattr(fh, "_character_candidate",
-                        lambda c, p: tampered(candidate(c, p), list(range(len(c))), how)[0])
+    # The build's own radical, the orbit-sum candidate, tampered the same
+    # way, is refused by the same check.
+    candidate = fh._orbit_candidate
+    monkeypatch.setattr(fh, "_orbit_candidate",
+                        lambda d, n, r: tampered(candidate(d, n, r), list(range(r)), how)[0])
     with pytest.raises(VerificationError, match=REFUSED_BY[how]):
         fh._build_primitive(3, 4)
 
@@ -363,15 +362,16 @@ def count_calls(monkeypatch, *names):
 def test_primitive_build_eliminates_nothing(monkeypatch):
     # The per-axis eigenvectors are built afresh: E is shown invertible by
     # E.W being diagonal, with no elimination of its own.  The radical comes
-    # from the u_0-orbit sums, with no elimination mod p; the character
-    # path it falls back to eliminates once.
+    # from the u_0-orbit sums, with no elimination mod p; with no orbit-sum
+    # candidate the build raises, still without eliminating.
     fh._axis_eigenvectors.cache_clear()
     calls = count_calls(monkeypatch, "modp_eliminate", "modp_kernel")
     fh._build_primitive(3, 7)
     assert calls == {"modp_eliminate": 0, "modp_kernel": 0}
     monkeypatch.setattr(fh, "_orbit_candidate", lambda d, n, r: None)
-    fh._build_primitive(3, 7)
-    assert calls == {"modp_eliminate": 1, "modp_kernel": 0}
+    with pytest.raises(VerificationError, match="orbit candidate"):
+        fh._build_primitive(3, 7)
+    assert calls == {"modp_eliminate": 0, "modp_kernel": 0}
 
 
 def test_build_takes_the_proven_radical_unchecked(monkeypatch):

@@ -256,6 +256,39 @@ def test_actions_at_d_1025_under_a_memory_cap():
     assert json.loads(run.stdout) == [["u_0", "u_1"], [1024, 1024]]
 
 
+CAPPED_CLASS_IMAGE = """
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20,) * 2)
+from fermatlat import fermat_homology as fh
+prim = fh.build_primitive(1025, 0)
+print(json.dumps([prim.class_image((0, 1)), prim.class_image((0, 1024))]))
+"""
+
+
+def test_class_image_at_d_1025_under_a_memory_cap():
+    # Row 0 of U^e comes from the shift rule, not from the d powers of U
+    # (8.6 GB at d = 1025); at n = 0 the projection is the identity.
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(DATA), os.pardir, "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", CAPPED_CLASS_IMAGE], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    e1, last = json.loads(run.stdout)
+    assert e1 == [0, 1] + [0] * 1022 and last == [-1] * 1024
+
+
+@pytest.mark.parametrize("d", range(3, 10))
+def test_u_power_rows_are_the_rows_of_the_powers(d):
+    powers = fh._u_powers(d)
+    for e in range(d):
+        assert np.array_equal(fh._u_power_row(d, e), powers[e][0])
+    prim = fh.build_primitive(d, 1)
+    for a in range(d):
+        for b in range(d):
+            old = np.multiply.outer(powers[a][0], powers[b][0]).ravel()
+            assert prim.class_image((0, a, b)) == la.vec_mat(old.tolist(), prim.projection)
+
+
 # ---------------------------------------------------------------------------
 # prime_factors
 

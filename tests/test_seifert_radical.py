@@ -3,7 +3,11 @@ the star-element table it replaced, the factorization G = sign * V.(I -
 M_0^T) behind the radical's proof, the per-axis checks, the count of
 characters against the rank formula, the character radical against the
 certified mod-p kernel of the Gram, and the u_0-orbit-sum radical against
-the character radical, with its fallback."""
+the character radical, with the refusals of a missing or wrong candidate.
+
+The character rows and their RREF mod p (character_rows,
+character_candidate) were the build's fallback radical; they are kept here
+as the oracle of the orbit-sum radical."""
 
 from functools import reduce
 from itertools import product
@@ -47,6 +51,26 @@ def test_seifert_axis_is_the_star_axis():
         assert np.array_equal(v, np.eye(d - 1, dtype=np.int8) - np.eye(d - 1, k=-1, dtype=np.int8))
 
 
+def character_rows(d, n, p, e):
+    """The rows e_(a_0) x ... x e_(a_n) mod p with a_0 + ... + a_n = 0
+    (mod d), n >= 1: each half of the axes is a Kronecker power of E, and
+    a row of one pairs with the rows of the other of opposite index sum."""
+    halves = []
+    for k in ((n + 1) // 2, n + 1 - (n + 1) // 2):
+        rows = reduce(lambda x, _: fh._kron(e, x) % p, range(k - 1), e)
+        halves.append((rows, reduce(np.add.outer, [np.arange(1, d)] * k).ravel() % d))
+    (left, left_sums), (right, right_sums) = halves
+    pairs = [left[left_sums == s][:, None, :, None] * right[right_sums == -s % d][None, :, None, :]
+             for s in range(d)]
+    return np.concatenate([x.reshape(-1, len(e) ** (n + 1)) % p for x in pairs])
+
+
+def character_candidate(c, p):
+    """The RREF of C mod p without its zero rows, in symmetric residues."""
+    k, pivots = la.modp_eliminate(c, p)
+    return la.symmetric_residues(k[:len(pivots)], p)
+
+
 def kron_power(m, n):
     return reduce(np.kron, [m] * (n + 1))
 
@@ -66,7 +90,7 @@ def test_gram_factors_through_the_monodromy(d, n):
     k = fh._certified_radical(d, n, r)
     assert np.array_equal(k @ m0, k)
     p, e = fh._axis_eigenvectors(d)
-    c = fh._character_rows(d, n, p, e)
+    c = character_rows(d, n, p, e)
     assert len(c) == r and not np.any((c.astype(object) @ (m0 - np.eye(size, dtype=np.int64))) % p)
 
 
@@ -108,7 +132,7 @@ def test_character_count_is_the_radical_rank_at_every_rung():
         assert fh._character_count(d, n) == character_count(d, n) == radical_rank(d, n), (d, n)
         if n:
             p, e = fh._axis_eigenvectors(d)
-            assert len(fh._character_rows(d, n, p, e)) == radical_rank(d, n), (d, n)
+            assert len(character_rows(d, n, p, e)) == radical_rank(d, n), (d, n)
     assert sum(n >= 1 for d, n in rungs) == 99
 
 
@@ -117,18 +141,11 @@ def test_orbit_radical_is_the_character_radical(d, n):
     r = radical_rank(d, n)
     k = fh._orbit_candidate(d, n, r)
     p, e = fh._axis_eigenvectors(d)
-    expected = fh._character_candidate(fh._character_rows(d, n, p, e), p)
+    expected = character_candidate(character_rows(d, n, p, e), p)
     assert k.dtype == expected.dtype and np.array_equal(k, expected)
 
 
-def refuse_character_candidate(monkeypatch):
-    def refuse(c, p):
-        raise AssertionError("the character path was taken")
-    monkeypatch.setattr(fh, "_character_candidate", refuse)
-
-
-def test_orbit_candidate_passes_the_checks_at_3_10(monkeypatch):
-    refuse_character_candidate(monkeypatch)
+def test_orbit_candidate_passes_the_checks_at_3_10():
     r = radical_rank(3, 10)
     k = fh._certified_radical(3, 10, r)
     assert k.shape == (r, 2048) and fh._radical_refusal(k, 3, 10, r) is None
@@ -136,8 +153,12 @@ def test_orbit_candidate_passes_the_checks_at_3_10(monkeypatch):
 
 @pytest.mark.parametrize("d,n", [(3, 7), (5, 3), (4, 4), (3, 8), (4, 5), (5, 4)])
 def test_ladder_rungs_take_the_orbit_path(d, n, monkeypatch):
-    refuse_character_candidate(monkeypatch)
-    fh._build_primitive(d, n)
+    # The build's radical is the orbit candidate itself, not a recomputation.
+    orbit, candidates = fh._orbit_candidate, []
+    monkeypatch.setattr(fh, "_orbit_candidate",
+                        lambda d, n, r: candidates.append(orbit(d, n, r)) or candidates[-1])
+    r = radical_rank(d, n)
+    assert fh._certified_radical(d, n, r) is candidates[0] and len(candidates) == 1
 
 
 def off_by_one(k, column):
@@ -147,31 +168,19 @@ def off_by_one(k, column):
 
 
 @pytest.mark.parametrize("d,n", [(3, 4), (5, 3)])
-@pytest.mark.parametrize("how", ["none", "pivot minor", "invariance"])
-def test_failed_orbit_candidate_falls_back_to_the_characters(d, n, how, monkeypatch):
+@pytest.mark.parametrize("how", ["orbit candidate", "pivot minor", "invariance"])
+def test_failed_orbit_candidate_is_refused(d, n, how, monkeypatch):
     # A missing candidate, or one entry off by one (in the identity minor,
-    # refused by (c), or past it, refused by (b)), gives the character path's
-    # K: the same lattice and projection, never the wrong K.
-    real = fh._build_primitive_cached(d, n)
-    orbit, character = fh._orbit_candidate, fh._character_candidate
-    wrong, returned = [], []
-    if how == "none":
+    # refused by (c), or past it, refused by (b)), raises naming the check:
+    # never a wrong K, and no other path.
+    orbit = fh._orbit_candidate
+    if how == "orbit candidate":
         monkeypatch.setattr(fh, "_orbit_candidate", lambda d, n, r: None)
     else:
-        def tampered(d, n, r):
-            wrong.append(off_by_one(orbit(d, n, r), r - 1 if how == "pivot minor" else -1))
-            return wrong[-1]
-        monkeypatch.setattr(fh, "_orbit_candidate", tampered)
-    monkeypatch.setattr(fh, "_character_candidate",
-                        lambda c, p: returned.append(character(c, p)) or returned[-1])
-    r = radical_rank(d, n)
-    prim = fh._build_primitive(d, n)
-    assert len(wrong) == (how != "none") and len(returned) == 1
-    if wrong:
-        assert how in fh._radical_refusal(wrong[0], d, n, r)
-    assert np.array_equal(returned[0], orbit(d, n, r))
-    for a, b in [(prim.lattice.gram, real.lattice.gram), (prim.projection, real.projection)]:
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        monkeypatch.setattr(fh, "_orbit_candidate", lambda d, n, r: off_by_one(
+            orbit(d, n, r), r - 1 if how == "pivot minor" else -1))
+    with pytest.raises(VerificationError, match=f"\\({how}\\)"):
+        fh._build_primitive(d, n)
 
 
 def is_prime(q):
@@ -197,7 +206,7 @@ def test_axis_checks_refuse_a_wrong_seifert_form(monkeypatch):
 @pytest.mark.parametrize("d,n", [(3, 2), (4, 1), (5, 1)])
 def test_character_rows_are_the_kronecker_products(d, n):
     p, e = fh._axis_eigenvectors(d)
-    rows = {tuple(row) for row in fh._character_rows(d, n, p, e).tolist()}
+    rows = {tuple(row) for row in character_rows(d, n, p, e).tolist()}
     expected = set()
     for a in product(range(1, d), repeat=n + 1):
         if sum(a) % d == 0:
