@@ -470,10 +470,6 @@ def modp_eliminate(a, p: int):
     return _as_int64(m), pivots
 
 
-def modp_rank(a, p: int) -> int:
-    return len(modp_eliminate(a, p)[1])
-
-
 def modp_kernel(a, p: int) -> np.ndarray:
     """Basis (rows) of the right kernel of A mod p."""
     m, pivots = modp_eliminate(a, p)
@@ -523,20 +519,6 @@ def modp_solve_matrix(a, b, p: int):
     return _as_int64(m)[:, n:]
 
 
-def _inv_mod(a: int, m: int) -> tuple[int, int]:
-    g, x, _ = _xgcd(a % m, m)
-    return g, x % m
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 def symmetric_residues(a: np.ndarray, m: int) -> np.ndarray:
     """The residues a in [0, m) moved to the symmetric range (-m/2, m/2]."""
     return np.where(2 * a > m, a - m, a)
@@ -546,7 +528,7 @@ def _crt_combine(acc: np.ndarray, mod: int, res: np.ndarray, p: int) -> np.ndarr
     """The array congruent to acc (in [0, mod)) mod `mod` and to res (in
     [0, p)) mod p, with entries in [0, mod*p): int64 while mod*p < 2**62,
     Python ints beyond."""
-    _g, inv = _inv_mod(mod % p, p)
+    inv = pow(mod % p, -1, p)
     if mod * p >= _INT64_SAFE:
         acc, res = acc.astype(object), res.astype(object)
     return acc + (res - acc) % p * inv % p * mod
@@ -580,8 +562,8 @@ def crt_reconstruct_int_matrix(residue_fn, verify_fn):
 
 def scaled_integer_inverse(a: np.ndarray, d: int, candidate=None):
     """The integer matrix X = d.A^{-1} of a square integer array A, proven
-    by the exact product int_matmul(A, X) == d.I; None when A is singular
-    or no candidate passes (d.A^{-1} is not integral).
+    by the exact product int_matmul(A, X) == d.I, or by an exact rational
+    solve; None only when A is singular or d.A^{-1} is not integral.
 
     The first candidate is the caller's, when it gives one: an integer
     array that the caller knows in closed form (lattice_core takes it from
@@ -592,7 +574,9 @@ def scaled_integer_inverse(a: np.ndarray, d: int, candidate=None):
     int64 cast, so nothing wraps; A past int64 (dtype object) or |d| >=
     2**53 skips it.  The last is CRT reconstruction over
     modp_solve_matrix.  Wherever a candidate comes from, only the exact
-    product accepts it.  The product runs _PANEL rows of A at a time, in
+    product accepts it.  When none passes, solve_rational decides: CRT
+    stops at a modulus of about 2**414, and an integral d.A^{-1} can have
+    larger entries.  The product runs _PANEL rows of A at a time, in
     the dtype that _matmul_dtype picks once for A and X, so it holds no
     N x N product and no N x N copy of d.I, and one N x N copy of X (in
     that dtype, unless X has it already).
@@ -625,7 +609,13 @@ def scaled_integer_inverse(a: np.ndarray, d: int, candidate=None):
                 if solves(x):
                     return x
     eye = np.eye(n, dtype=np.int64 if abs(d) < _INT64_SAFE else object) * d
-    return crt_reconstruct_int_matrix(lambda p: modp_solve_matrix(a, eye, p), solves)
+    x = crt_reconstruct_int_matrix(lambda p: modp_solve_matrix(a, eye, p), solves)
+    if x is not None:
+        return x
+    x = solve_rational(a.tolist(), eye.tolist())
+    if x is None or any(v.denominator != 1 for row in x for v in row):
+        return None
+    return int_array([[v.numerator for v in row] for row in x])
 
 
 # ---------------------------------------------------------------------------

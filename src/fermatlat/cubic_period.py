@@ -532,27 +532,34 @@ def ball_meets_restriction(h: HermitianLattice, ell: np.ndarray) -> tuple[bool, 
     functional: (has negative direction, functional vanished identically).
 
     ell is the (rank, phi) integer coordinate array of the functional's
-    values on the basis.  With p the first index where ell is nonzero, the
-    rows ell[p] e_i - ell[i] e_p (i != p) are an integral basis of ell[p]
-    times the kernel over Q(zeta_d).  The form on them is |ell[p]|^2 times
-    the restriction, and |ell[p]|^2 is positive at every embedding, as is
-    the denominator of h.coords; neither changes the negative index, which
-    must agree at every embedding.
+    values on the basis.  The rows of _kernel_rows(ell) are ell[p] times a
+    basis of the kernel over Q(zeta_d), so the form on them is |ell[p]|^2
+    times the restriction, and |ell[p]|^2 is positive at every embedding,
+    as is the denominator of h.coords; neither changes the negative index,
+    which must agree at every embedding.
     """
     e = la.int_array(ell)
     if not e.any():
         return True, True
-    d = h.d
-    r = len(e)
-    p = next(i for i in range(r) if e[i].any())
-    others = [i for i in range(r) if i != p]
-    rows = np.zeros((r - 1,) + e.shape, dtype=e.dtype)
-    rows[np.arange(r - 1), others] = e[p]
-    rows[:, p] = -e[others]
-    sigs, _nullity = _embedding_signatures(d, _hermitian_product(d, rows, h.coords, rows))
+    rows = _kernel_rows(e)
+    sigs, _nullity = _embedding_signatures(h.d, _hermitian_product(h.d, rows, h.coords, rows))
     if len({q for _p, q in sigs}) > 1:
         raise VerificationError("negative index differs across complex embeddings")
     return sigs[0][1] > 0, False
+
+
+def _kernel_rows(f: np.ndarray) -> np.ndarray:
+    """The rows f[p].e_i - f[i].e_p, i != p, for p the first index where
+    the functional f, one value (an integer or a coordinate row) per basis
+    vector, is nonzero: f[p] times a basis of its kernel over the field of
+    the values, with no elimination."""
+    r = len(f)
+    p = next(i for i in range(r) if f[i].any())
+    others = [i for i in range(r) if i != p]
+    rows = np.zeros((r - 1,) + f.shape, dtype=f.dtype)
+    rows[np.arange(r - 1), others] = f[p]
+    rows[:, p] = -f[others]
+    return rows
 
 
 def orbit_specials(built: CubicFourfoldLattice, seeds: Sequence[Sequence[int]],
@@ -679,11 +686,11 @@ def _conjugate_int(u: la.Mat, m: la.Mat) -> la.Mat:
 
 
 def nodal_complement_signature(built: CubicFourfoldLattice, v: Sequence[int]) -> tuple[int, int]:
-    """Signature of the orthogonal complement of a nodal vector in lambda_o."""
+    """Signature of the orthogonal complement of a nodal vector in lambda_o:
+    that of the Gram on _kernel_rows(v.G), f_p^2 times the complement's
+    form on a basis of it over Q."""
     if not built.is_nodal(v):
         raise VerificationError("vector is not nodal")
-    functional = la.vec_mat(list(v), built.lambda_o.gram)
-    comp = la.right_kernel([functional])
     g = built.lambda_o.gram
-    sub = la.mat_mul(la.mat_mul(comp, g), la.mat_transpose(comp))
-    return signature(IntegerLattice(sub, "symmetric"))
+    rows = _kernel_rows(la.int_matmul(la.int_array(v), g))
+    return signature(IntegerLattice(la.int_matmul(la.int_matmul(rows, g), rows.T), "symmetric"))

@@ -116,16 +116,6 @@ class GroupRingElement:
         key = tuple(e % self.d for e in exps)
         return self.coeffs.get(key, 0)
 
-    def quotient_by_diagonal(self) -> "GroupRingElement":
-        """Push forward to Z[(Z/d)^k / diagonal], canonical reps with first entry 0."""
-        d = self.d
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in self.coeffs.items():
-            shift = e[0]
-            key = tuple((a - shift) % d for a in e)
-            out[key] = out.get(key, 0) + c
-        return GroupRingElement(self.d, self.k, out)
-
     # -- dunder plumbing -----------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -15,8 +15,8 @@ that one rule.  The Gram is the Seifert form V_1 x ... x V_1 plus (-1)^n
 its transpose, and its radical is the set of vectors fixed by the
 monodromy u_0.  Its basis K comes from the u_0-orbit sums of the first r
 basis vectors, one r x r float64 inverse times the rest of the sums,
-proven exactly by a proof that uses only the number of characters of u_0
-mod p (_certified_radical).
+proven exactly by a proof whose count of the radical's dimension is the
+trace of the average of the powers of u_0 (_certified_radical).
 The same factorization gives d times the inverse of the primitive Gram in
 closed form, the candidate of the cyclic-discriminant certificate
 (_seifert_inverse).  Kronecker products are broadcast products (_kron).
@@ -121,15 +121,6 @@ def star_halves(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
                  for v in (axis, axis[-np.arange(d) % d]))
 
 
-@lru_cache(maxsize=None)
-def milnor_star_element(d: int, n: int) -> GroupRingElement:
-    """e_n * e_n = (1 - bar(u_1...u_{n+1})) prod (1 - u_i) = A + (-1)^n B for
-    (A, B) = star_halves(d, n), with no group-ring product."""
-    a, b = star_halves(d, n)
-    w = a + (-1) ** n * b
-    return GroupRingElement(d, n + 1, {e: int(c) for e, c in np.ndenumerate(w) if c})
-
-
 def monomial_pairing(d: int, n: int, K: Sequence[int], L: Sequence[int]) -> int:
     """Intersection pairing of the monomial classes u^K, u^L in the primitive
     lattice: the Milnor star element at K - L, taken modulo the diagonal
@@ -154,17 +145,6 @@ class MilnorModule:
     @property
     def gram(self):
         return self.lattice.gram
-
-    @property
-    def star_value(self) -> GroupRingElement:
-        """The star element e_n * e_n, read off star_halves on first use (cached)."""
-        return milnor_star_element(self.d, self.n)
-
-    def star(self, K: Sequence[int], L: Sequence[int]) -> GroupRingElement:
-        """Group-ring-valued pairing u^K e * u^L e = u^(K-L) (e * e)."""
-        d, k = self.d, self.n + 1
-        mono = GroupRingElement.monomial(d, k, [(a - b) % d for a, b in zip(K, L)])
-        return mono * self.star_value
 
 
 def build_milnor(d: int, n: int) -> MilnorModule:
@@ -279,20 +259,14 @@ def _build_primitive_cached(d: int, n: int) -> PrimitiveFermatLattice:
 
 def _build_primitive(d: int, n: int) -> PrimitiveFermatLattice:
     milnor = build_milnor(d, n)
-    rank = len(milnor.basis)
-    expected = rank_formula(d, n)
     # _certified_radical proves its K is the radical's row HNF with pivots
     # 0 ... r-1, so radical_quotient takes it unchecked.  No reference to K
     # is kept here, so radical_quotient frees it once it has narrowed it.
-    # With r = 0 the certified mod-p radical proves the Gram nondegenerate.
-    r = rank - expected
-    quotient, projection, _ = (
-        radical_quotient(milnor.lattice, _certified_radical(d, n, r), range(r)) if r > 0
-        else radical_quotient(milnor.lattice))
+    # At n = 0, r = 0: K has no rows, and its proof shows G nondegenerate.
+    r = len(milnor.basis) - rank_formula(d, n)
+    quotient, projection, _ = radical_quotient(
+        milnor.lattice, _certified_radical(d, n, r), range(r))
     quotient = quotient.relabel(f"primitive(d={d},n={n})")
-    if quotient.rank != expected:
-        raise VerificationError(
-            f"primitive rank {quotient.rank} disagrees with the rank formula {expected}")
     quotient._scaled_inverse = (d, partial(_seifert_inverse, d, n, projection))
     return PrimitiveFermatLattice(d, n, quotient, dict(zip(milnor.basis, projection)),
                                   projection, milnor)
@@ -312,8 +286,8 @@ def _seifert_inverse(d: int, n: int, projection: np.ndarray) -> Optional[np.ndar
     by facts the build proves:
     (1) G = sigma.V.(I - M_0^T) (_certified_radical (a)) and G^T =
         (-1)^n.G, so G = (-1)^n.sigma.(I - M_0).V^T.
-    (2) M_0^d = I, from U^d = I, so Y = sum_e e.M_0^e has (I - M_0).Y =
-        W - d.I for W = M_0^0 + ... + M_0^(d-1).
+    (2) M_0^d = I, from U^d = I (_axis_check), so Y = sum_e e.M_0^e has
+        (I - M_0).Y = W - d.I for W = M_0^0 + ... + M_0^(d-1).
     (3) V^(-T).M_0^e = C_e^(x(n+1)), so G.Z' = d.I - W for Z' =
         -(-1)^n.sigma.V^(-T).Y = -(-1)^n.sigma.Z.
     (4) W.M_0 = W puts the rows of W in the radical, and K.P = 0, so W.P = 0.
@@ -384,18 +358,19 @@ def _seifert_inverse_axis(d: int) -> np.ndarray:
 
 def _certified_radical(d: int, n: int, r: int) -> np.ndarray:
     """The radical {x : x.G = 0} of the Milnor Gram as its row HNF K, r x N
-    with the identity on its first r columns; VerificationError when a step
-    of this proof fails.
+    with the identity on its first r columns (no rows at n = 0);
+    VerificationError when a step of this proof fails.
 
-    Over F_p the rows e_a of E diagonalize A = U^(d-1), the matrix of
-    u^(-1) on one axis, with eigenvalues w^(-a) (_axis_eigenvectors), so
-    their Kronecker products diagonalize M_0 = A x ... x A, the matrix of
-    u_0.  Those with eigenvalue 1 are the characters, a_0 + ... + a_n = 0
-    (mod d); _character_count counts them without building them.
-    (a) Nullity_Q G <= the count: V_1.A^T = -V_1^T gives G = sign * V.(I -
-        M_0^T) with V unitriangular, so rank_Q G = rank_Q (I - M_0) >=
-        rank_p (I - M_0) = N - count, as the Kronecker power of E,
-        invertible with E, conjugates M_0 to its eigenvalues.
+    A = U^(d-1) is the matrix of u^(-1) on one axis, and M_0 = A x ... x A
+    that of u_0.
+    (a) Nullity_Q G = _character_count(d, n), by the per-axis checks of
+        _axis_check.  V_1.A^T = -V_1^T gives G = sign * V.(I - M_0^T) with
+        V unitriangular, so the nullity of G is dim Fix(M_0).  U is the
+        companion matrix of 1 + u + ... + u^(d-1), so M_0^d = I and tr(A^e)
+        = tr(U^(d-e)) is d-1 at e = 0 and -1 at e = 1, ..., d-1.  So
+        (1/d) sum_e M_0^e is a projection onto Fix(M_0), and its trace,
+        the dimension, is (1/d) sum_e tr(A^e)^(n+1) = ((d-1)^(n+1) +
+        (-1)^(n+1) (d-1))/d.
     (b) K.G = 0: G^T = +-G, so x.G = 0 iff x.(I - M_0).V^T = 0 iff
         x.M_0 = x, checked by folding K along every axis.
     (c) K has r independent rows with the identity on r columns, so c.K is
@@ -406,10 +381,10 @@ def _certified_radical(d: int, n: int, r: int) -> np.ndarray:
     candidate (_orbit_candidate), and a missing candidate, or one that fails
     (b) or (c), raises with the name of the check.
     """
-    _axis_eigenvectors(d)  # the per-axis checks of (a)
+    _axis_check(d)
     count = _character_count(d, n)
     if count != r:
-        raise VerificationError(f"{count} characters, expected {r} radical rows (count)")
+        raise VerificationError(f"the radical has dimension {count}, expected {r} rows (count)")
     k = _orbit_candidate(d, n, r)
     refusal = ("the u_0-orbit sums give no integral candidate (orbit candidate)" if k is None
                else _radical_refusal(k, d, n, r))
@@ -433,9 +408,9 @@ def _radical_refusal(k: np.ndarray, d: int, n: int, r: int) -> Optional[str]:
 
 
 def _character_count(d: int, n: int) -> int:
-    """#{a in {1..d-1}^(n+1) : a_0 + ... + a_n = 0 (mod d)}: the last entry
-    is fixed by the others and lies in 1..d-1 unless they sum to 0, so the
-    count c_k over k entries has c_1 = 0 and c_(k+1) = (d-1)^k - c_k."""
+    """The nullity of the Milnor Gram by _certified_radical (a), (1/d) sum_e
+    tr(A^e)^(n+1): also #{a in {1..d-1}^(n+1) : a_0 + ... + a_n = 0 (mod
+    d)}, the number of characters of u_0 with eigenvalue 1."""
     return ((d - 1) ** (n + 1) + (-1) ** (n + 1) * (d - 1)) // d
 
 
@@ -448,7 +423,9 @@ def _orbit_candidate(d: int, n: int, r: int) -> Optional[np.ndarray]:
     S_1 is invertible.  S_1^(-1).S_2 is one float64 LAPACK inverse and one
     product, which cost less than a solve's wrapper at these sizes.  None
     when the inverse fails or the product is not near an integer matrix;
-    _certified_radical proves the rest."""
+    _certified_radical proves the rest.  At r = 0 (n = 0) it has no rows."""
+    if not r:
+        return np.zeros((0, (d - 1) ** (n + 1)), dtype=np.int64)
     s = sum(_kron_prefix(u.astype(np.min_scalar_type(-d)), n + 1, r) for u in _u_powers(d))
     try:
         inv = np.linalg.inv(s[:, :r].astype(np.float64))
@@ -483,51 +460,28 @@ def _kron_prefix(m: np.ndarray, k: int, rows: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-@lru_cache(maxsize=None)
-def _axis_eigenvectors(d: int) -> tuple[int, np.ndarray]:
-    """(p, E): p the largest prime = 1 (mod d) up to MODP_PRIMES[0], the
-    exact range of the float64 elimination; w of order d mod p; row a-1 of E
-    the coefficients of e_a = prod_{b != a} (u - w^b) = (1 + ... + u^(d-1))
-    / (u - w^a), sum_{t <= d-2-j} w^(at) at u^j.  Raises VerificationError
-    unless the per-axis checks of _certified_radical hold exactly:
-    V_1.A^T = -V_1^T for A = U^(d-1); E.A = diag(w^(-a)).E (mod p); and E.W
-    (mod p), W[j, b-1] = w^(bj), is diagonal with a nonzero diagonal
-    (e_a(w^b) = 0 exactly when b != a), so E is invertible.  Then those of
-    _primitive_actions: U^d = I and U.V_1.U^T = V_1.  Only U and A are
-    built, each from the shift rule of _times_u, and U^d by exact products:
-    no list of the d powers of U."""
-    p = la.MODP_PRIMES[0] - (la.MODP_PRIMES[0] - 1) % d
-    while la.prime_factors(p) != [p]:
-        p -= d
-    w = next(x for x in (pow(g, (p - 1) // d, p) for g in range(2, p))
-             if all(pow(x, k, p) != 1 for k in range(1, d)))
-    powers = np.array([pow(w, k, p) for k in range(d)], dtype=np.int64)
-    table = powers[np.outer(np.arange(1, d), np.arange(d - 1)) % d]  # [a-1, j] = w^(aj)
-    e = np.cumsum(table, axis=1)[:, ::-1] % p
-    u, a = (_times_u(np.eye(d - 1, dtype=np.int64), 1, k, d) for k in (1, d - 1))
+def _axis_check(d: int) -> None:
+    """The per-axis facts behind _certified_radical (a) and
+    _primitive_actions, checked exactly on U and A, _times_u by u and by
+    u^(d-1) on the identity: U is the companion matrix of 1 + x + ... +
+    x^(d-1) (ones above the diagonal and a last row of -1, built apart
+    from _times_u), U.A = I and V_1.A^T = -V_1^T.  So the eigenvalues of U
+    are the d-th roots of unity other than 1, once each, and U^d = I
+    (Cayley-Hamilton, as (x - 1)(1 + ... + x^(d-1)) = x^d - 1): A = U^(-1)
+    = U^(d-1), and tr(U^f) = -1 unless d | f.  Transposed, the last check
+    is V_1^T = -U.V_1, so V_1.A^T = U.V_1 and U.V_1.U^T = V_1.  Raises
+    VerificationError naming the check that fails."""
+    eye = np.eye(d - 1, dtype=np.int64)
+    u, a = (_times_u(eye, 1, e, d) for e in (1, d - 1))
+    companion = np.eye(d - 1, k=1, dtype=np.int64)
+    companion[-1] = -1
+    if not (np.array_equal(u, companion) and np.array_equal(la.int_matmul(u, a), eye)):
+        raise VerificationError(f"a per-axis check of the actions and of the radical's trace "
+                                f"fails at d = {d} (U the companion matrix, U.A = I)")
     v1 = _seifert_axis(d).astype(np.int64)
-    # E.W^T mod p from float64 panels of at most la._PANEL terms, each term
-    # below p**2, reduced mod p between panels: every sum is exact.
-    ew, ef, wf = np.zeros((d - 1, d - 1)), e.astype(np.float64), table.T.astype(np.float64)
-    for t in range(0, d - 1, la._PANEL):
-        ew = la._float_mod(ew + ef[:, t:t + la._PANEL] @ wf[t:t + la._PANEL], p)
-    if not (np.array_equal(la.int_matmul(v1, a.T), -v1.T)
-            and not np.any((la.int_matmul(e, a) - powers[-np.arange(1, d) % d, None] * e) % p)
-            and np.count_nonzero(ew) == np.count_nonzero(np.diagonal(ew)) == d - 1):
-        raise VerificationError(f"a per-axis check of the radical fails at d = {d}")
-    # U^d by repeated squaring: every power of U has entries in {-1, 0, 1}.
-    power, square, k = np.eye(d - 1, dtype=np.int64), u, d
-    while k:
-        if k & 1:
-            power = la.int_matmul(power, square)
-        k >>= 1
-        if k:
-            square = la.int_matmul(square, square)
-    if not (np.array_equal(power, np.eye(d - 1, dtype=np.int64))
-            and np.array_equal(la.int_matmul(la.int_matmul(u, v1), u.T), v1)):
-        raise VerificationError(f"a per-axis check of the actions fails at d = {d}")
-    e.flags.writeable = False
-    return p, e
+    if not np.array_equal(la.int_matmul(v1, a.T), -v1.T):
+        raise VerificationError(f"a per-axis check of the radical fails at d = {d} "
+                                "(V_1.A^T = -V_1^T)")
 
 
 def _widened(x: np.ndarray, growth: int) -> np.ndarray:
@@ -595,10 +549,11 @@ def _primitive_actions(d: int, n: int) -> Mapping[str, np.ndarray]:
 
     The projection P is the identity on its last q rows, which the section
     S = (0 | I) picks (the pivots 0, ..., r-1 of _certified_radical), so M
-    acts on the quotient as A_M = S.M.P, rows r, ..., N-1 of M.P.  With the
-    per-axis checks U^d = I and U.V_1.U^T = V_1 of _axis_eigenvectors and
-    the radical R = {x : x.M_0 = x} with basis K of _certified_radical,
-    every relation of the group holds on the quotient:
+    acts on the quotient as A_M = S.M.P, rows r, ..., N-1 of M.P.  With
+    U^d = I and U.V_1.U^T = V_1, which follow from the per-axis checks of
+    _axis_check (run by every build, at n = 0 too), and the radical R =
+    {x : x.M_0 = x} with basis K of _certified_radical, every relation of
+    the group holds on the quotient:
     (a) Every M commutes with M_0 = A x ... x A, A = U^(d-1): the u_i
         and u_0 are Kronecker products of powers of U, and a swap of two
         axes fixes M_0.  So R.M = R.
@@ -615,7 +570,6 @@ def _primitive_actions(d: int, n: int) -> Mapping[str, np.ndarray]:
         So A_M.G_22.A_M^T = S.M.G.M^T.S^T = G_22.
     At n = 0, r = 0 and P = S = I: A_M = M.
     """
-    _axis_eigenvectors(d)  # its per-axis checks, at n = 0 too (no radical there)
     p = _build_primitive_cached(d, n).projection
     r = len(p) - p.shape[1]
     return MappingProxyType({name: la.frozen_int_array(m[r:])

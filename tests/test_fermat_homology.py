@@ -18,7 +18,6 @@ from fermatlat.fermat_homology import (
     connecting_element,
     connecting_map,
     milnor_basis,
-    milnor_star_element,
     monomial_pairing,
     parity_sign,
     rank_formula,
@@ -59,6 +58,20 @@ def test_milnor_size_bound():
         build_milnor(3, 99)
 
 
+def star_table_element(d, n):
+    """e_n * e_n = (1 - bar(u_1...u_{n+1})) prod (1 - u_i) = A + (-1)^n B
+    for (A, B) = star_halves(d, n), as a group-ring element."""
+    a, b = star_halves(d, n)
+    w = a + (-1) ** n * b
+    return GroupRingElement(d, n + 1, {e: int(c) for e, c in np.ndenumerate(w) if c})
+
+
+def star(d, n, K, L):
+    """Group-ring-valued pairing u^K e * u^L e = u^(K-L) (e * e)."""
+    mono = GroupRingElement.monomial(d, n + 1, [(a - b) % d for a, b in zip(K, L)])
+    return mono * star_table_element(d, n)
+
+
 def test_star_parity_identity():
     # star(a, b) = (-1)^n bar(star(b, a)) on monomials
     rng = random.Random(2)
@@ -67,8 +80,8 @@ def test_star_parity_identity():
         for _ in range(10):
             K = rng.choice(m.basis)
             L = rng.choice(m.basis)
-            lhs = m.star(K, L)
-            rhs = m.star(L, K).bar() * ((-1) ** n)
+            lhs = star(3, n, K, L)
+            rhs = star(3, n, L, K).bar() * ((-1) ** n)
             assert lhs == rhs
 
 
@@ -86,7 +99,13 @@ def primitive_star_element(d, n):
     w = one
     for i in range(k):
         w = w * (one - GroupRingElement.generator(d, k, i))
-    return w.quotient_by_diagonal()
+    # Push forward to Z[(Z/d)^k / diagonal], on representatives with first
+    # entry 0.
+    out = {}
+    for e, c in w.coeffs.items():
+        key = class_rep(e, d)
+        out[key] = out.get(key, 0) + c
+    return GroupRingElement(d, k, out)
 
 
 def monomial_pairing_oracle(d, n, K, L):
@@ -131,7 +150,7 @@ def reduction_entry_oracle(d, n, K, L):
 
 def product_star_element(d, n):
     """e_n * e_n = (1 - bar(u_1...u_{n+1})) prod (1 - u_i), multiplied out in
-    the group ring: the construction milnor_star_element replaced."""
+    the group ring: the construction star_halves replaced."""
     k = n + 1
     one = GroupRingElement.one(d, k)
     w = one - GroupRingElement.monomial(d, k, [-1] * k)
@@ -143,7 +162,7 @@ def product_star_element(d, n):
 @pytest.mark.parametrize("d,n", [(d, n) for d in range(3, 8) for n in range(5)
                                  if d ** (n + 1) <= 5000])
 def test_milnor_star_element_is_the_group_ring_product(d, n):
-    w = milnor_star_element(d, n)
+    w = star_table_element(d, n)
     assert w == product_star_element(d, n)
     assert all(type(c) is int and all(type(e) is int for e in exps)
                for exps, c in w.coeffs.items())
@@ -299,15 +318,15 @@ def test_frozen_builds_keep_every_entry():
 
 
 def test_cached_group_ring_elements_are_read_only():
-    # The star and connecting elements are lru_cached and shared: a caller
-    # that could change their coefficients would change every later build.
+    # The star halves and connecting elements are lru_cached and shared: a
+    # caller that could change their coefficients would change every later
+    # build.
     gram, conn = build_milnor(3, 2).gram, connecting_map(3, 2)
-    for elt in (milnor_star_element(3, 2), connecting_element(3, 2),
-                build_primitive(3, 2).milnor.star_value):
-        key = next(iter(elt.coeffs))
-        with pytest.raises(TypeError):
-            elt.coeffs[key] += 5
-        assert pickle.loads(pickle.dumps(elt)) == elt
+    elt = connecting_element(3, 2)
+    key = next(iter(elt.coeffs))
+    with pytest.raises(TypeError):
+        elt.coeffs[key] += 5
+    assert pickle.loads(pickle.dumps(elt)) == elt
     assert np.array_equal(build_milnor(3, 2).gram, gram)
     assert connecting_map(3, 2) == conn
     assert not any(h.flags.writeable for h in star_halves(3, 2))

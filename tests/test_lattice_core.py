@@ -351,6 +351,25 @@ def test_cyclic_certificate_skips_float_candidates_past_2_53(monkeypatch):
     assert calls["modp_solve_matrix"]
 
 
+def test_cyclic_certificate_past_the_crt_cap():
+    # 5.G^-1 has 769-bit entries, past the modulus of the CRT primes (about
+    # 2**414): no CRT candidate can pass, and the exact rational solve
+    # decides, so the answer is True, as the Smith form says.
+    rng = random.Random(1)
+    u = [[int(i == j) for j in range(6)] for i in range(6)]
+    for _ in range(40):
+        i, j = rng.sample(range(6), 2)
+        c = rng.randint(-2**30, 2**30)
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    diag = [[(5 if i == 5 else 1) * (i == j) for j in range(6)] for i in range(6)]
+    gram = la.mat_mul(la.mat_mul(la.mat_transpose(u), diag), u)
+    assert max(abs(x) for row in gram for x in row).bit_length() == 705
+    x = la.scaled_integer_inverse(la.int_array(gram), 5)
+    assert max(abs(int(v)) for v in x.flat).bit_length() == 769
+    assert discriminant_is_cyclic_of_order(IntegerLattice(gram), 5) is True
+    assert discriminant(IntegerLattice(gram)).elementary_divisors == (5,)
+
+
 def test_cyclic_certificate_on_singular_and_empty_lattices():
     for gram in ([[1, 1], [1, 1]], [[0]], [[2, 4], [4, 8]]):
         assert discriminant_is_cyclic_of_order(IntegerLattice(gram), 2) is False

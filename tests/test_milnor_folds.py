@@ -168,19 +168,22 @@ def test_folded_actions_keep_large_sections_exact():
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_per_axis_checks_refuse_a_wrong_u_or_v1(d, monkeypatch):
     times_u, seifert_axis = fh._times_u, fh._seifert_axis
-    # -U keeps the isometry but has order 2d (d odd), which only the
-    # repeated squaring sees; U^T has order d but moves V_1.
+    # -U keeps the isometry but has order 2d (d odd), and U^T has order d
+    # but moves V_1; neither is the companion matrix of 1 + ... + u^(d-1).
+    # The build runs the check at every n, n = 0 too.
     for u in (lambda u: -u, lambda u: u.T):
         monkeypatch.setattr(fh, "_times_u", lambda x, axis, e, d: u(times_u(x, axis, e, d))
                             if e == 1 else times_u(x, axis, e, d))
-        with pytest.raises(VerificationError, match="per-axis check of the actions"):
-            fh._axis_eigenvectors.__wrapped__(d)
+        for check in (lambda: fh._axis_check(d), lambda: fh._build_primitive(d, 0)):
+            with pytest.raises(VerificationError, match="per-axis check of the actions"):
+                check()
     # V_1.A^T = -V_1^T with U.A = I implies U.V_1.U^T = V_1, so a wrong V_1
-    # fails the radical's check first.
+    # fails the radical's check.
     monkeypatch.setattr(fh, "_times_u", times_u)
     monkeypatch.setattr(fh, "_seifert_axis", lambda d: seifert_axis(d).T)
-    with pytest.raises(VerificationError, match="per-axis check"):
-        fh._axis_eigenvectors.__wrapped__(d)
+    for check in (lambda: fh._axis_check(d), lambda: fh._build_primitive(d, 0)):
+        with pytest.raises(VerificationError, match="per-axis check of the radical"):
+            check()
 
 
 def test_relations_hold_on_random_vectors_at_milnor_rank_2048():

@@ -94,7 +94,6 @@ def test_rank_deficient_panels(p):
     expected, expected_pivots = oracle_eliminate(a, p)
     assert pivots == expected_pivots and pivots[-1] == 384
     assert np.array_equal(reduced, expected)
-    assert la.modp_rank(a, p) == len(pivots)
 
 
 def test_entries_beyond_int64_and_lists():
@@ -111,7 +110,7 @@ def test_entries_beyond_int64_and_lists():
 def test_kernel_vectors_vanish(p):
     a = structured_matrix(11, 40, 300)
     ker = la.modp_kernel(a, p)
-    assert ker.shape == (300 - la.modp_rank(a, p), 300)
+    assert ker.shape == (300 - len(oracle_eliminate(a, p)[1]), 300)
     assert not np.any(a.astype(object) @ ker.T.astype(object) % p)
 
 
@@ -348,8 +347,7 @@ def test_radical_candidate_matches_two_eliminations_on_low_rank_forms(p, n, anti
 
 def count_calls(monkeypatch, *names):
     """Wrap the named _intlinalg functions with call counters; calls from
-    inside _intlinalg (modp_rank and modp_kernel call modp_eliminate) count
-    too."""
+    inside _intlinalg (modp_kernel calls modp_eliminate) count too."""
     calls = dict.fromkeys(names, 0)
     for name in names:
         def counted(*args, _real=getattr(la, name), _name=name, **kwargs):
@@ -359,18 +357,24 @@ def count_calls(monkeypatch, *names):
     return calls
 
 
-def test_primitive_build_eliminates_nothing(monkeypatch):
-    # The per-axis eigenvectors are built afresh: E is shown invertible by
-    # E.W being diagonal, with no elimination of its own.  The radical comes
-    # from the u_0-orbit sums, with no elimination mod p; with no orbit-sum
+@pytest.mark.parametrize("d,n", [(3, 7), (5, 0), (65, 0)])
+def test_primitive_build_eliminates_nothing(d, n, monkeypatch):
+    # The per-axis checks are exact integer products, and the radical's
+    # dimension is a closed-form trace.  The radical comes from the u_0-orbit
+    # sums (no rows at n = 0), with no elimination mod p; with no orbit-sum
     # candidate the build raises, still without eliminating.
-    fh._axis_eigenvectors.cache_clear()
     calls = count_calls(monkeypatch, "modp_eliminate", "modp_kernel")
-    fh._build_primitive(3, 7)
+    radicals = []
+    real = fh._certified_radical
+    monkeypatch.setattr(fh, "_certified_radical",
+                        lambda d, n, r: radicals.append(r) or real(d, n, r))
+    fh._build_primitive(d, n)
     assert calls == {"modp_eliminate": 0, "modp_kernel": 0}
+    assert radicals == [(d - 1) ** (n + 1) - fh.rank_formula(d, n)]
+    assert (radicals[0] == 0) == (n == 0)
     monkeypatch.setattr(fh, "_orbit_candidate", lambda d, n, r: None)
     with pytest.raises(VerificationError, match="orbit candidate"):
-        fh._build_primitive(3, 7)
+        fh._build_primitive(d, n)
     assert calls == {"modp_eliminate": 0, "modp_kernel": 0}
 
 
@@ -392,15 +396,20 @@ def test_build_takes_the_proven_radical_unchecked(monkeypatch):
 
 def test_nondegenerate_build_still_certifies_its_radical(monkeypatch):
     # With no radical to quotient by (r = 0, every n = 0 rung), the build
-    # still proves the Milnor Gram nondegenerate by the certified mod-p
-    # radical, so a wrong rank formula cannot pass.
+    # still proves the Milnor Gram nondegenerate: the trace of the radical
+    # proof gives dimension 0, and the mod-p radical is never taken.  So a
+    # wrong rank formula cannot pass, at n = 0 or past it: the radical's
+    # rows, and so the quotient's rank, are checked against the trace.
     grams = []
     real = lc.certified_radical
     monkeypatch.setattr(lc, "certified_radical", lambda g: grams.append(len(g)) or real(g))
     assert fh._build_primitive(5, 0).lattice.rank == 4
-    assert grams == [4]
+    assert grams == []
+    monkeypatch.setattr(fh, "rank_formula", lambda d, n: (d - 1) ** (n + 1) - 1)
+    with pytest.raises(VerificationError, match="dimension 0, expected 1 rows \\(count\\)"):
+        fh._build_primitive(5, 0)
     monkeypatch.setattr(fh, "rank_formula", lambda d, n: (d - 1) ** (n + 1))
-    with pytest.raises(VerificationError, match="disagrees with the rank formula"):
+    with pytest.raises(VerificationError, match="dimension 2, expected 0 rows \\(count\\)"):
         fh._build_primitive(3, 1)
 
 
@@ -409,9 +418,9 @@ def test_cyclic_discriminant_certificate_eliminates_no_rank(monkeypatch):
     # mod-p solve at all.
     from fermatlat.lattice_core import discriminant_is_cyclic_of_order
     lattice = build_primitive(4, 4).lattice
-    calls = count_calls(monkeypatch, "modp_rank", "modp_eliminate", "modp_solve_matrix")
+    calls = count_calls(monkeypatch, "modp_eliminate", "modp_solve_matrix")
     assert discriminant_is_cyclic_of_order(lattice, 4)
-    assert calls == {"modp_rank": 0, "modp_eliminate": 0, "modp_solve_matrix": 0}
+    assert calls == {"modp_eliminate": 0, "modp_solve_matrix": 0}
 
 
 @settings(max_examples=25, deadline=None)

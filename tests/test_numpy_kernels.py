@@ -239,15 +239,17 @@ CAPPED_ACTIONS = """
 import json, resource
 resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20,) * 2)
 from fermatlat import fermat_homology as fh
+checked, check = [], fh._axis_check
+fh._axis_check = lambda d: checked.append(d) or check(d)
 actions = fh.build_primitive(1025, 0).actions
-assert fh._axis_eigenvectors.cache_info().currsize == 1
+assert checked == [1025]
 print(json.dumps([sorted(actions), actions["u_1"].shape]))
 """
 
 
 def test_actions_at_d_1025_under_a_memory_cap():
     # The per-axis checks build U and U^(d-1) only, not the d powers of U
-    # (8.6 GB at d = 1025), and prove U^d = I by repeated squaring.
+    # (8.6 GB at d = 1025): U^d = I follows from U's companion form.
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(DATA), os.pardir, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     run = subprocess.run([sys.executable, "-c", CAPPED_ACTIONS], capture_output=True, text=True,

@@ -1,15 +1,17 @@
 """The Milnor lattice as a Seifert form: the Gram of build_milnor against
 the star-element table it replaced, the factorization G = sign * V.(I -
-M_0^T) behind the radical's proof, the per-axis checks, the count of
-characters against the rank formula, the character radical against the
-certified mod-p kernel of the Gram, and the u_0-orbit-sum radical against
-the character radical, with the refusals of a missing or wrong candidate.
+M_0^T) behind the radical's proof, the per-axis checks, the count of the
+radical's dimension as a trace and as a number of characters against the
+rank formula, the character radical against the certified mod-p kernel of
+the Gram, and the u_0-orbit-sum radical against the character radical,
+with the refusals of a missing or wrong candidate.
 
 The character rows and their RREF mod p (character_rows,
-character_candidate) were the build's fallback radical; they are kept here
+character_candidate) were the build's fallback radical, and the axis
+eigenvectors E (axis_eigenvectors) bounded its nullity; they are kept here
 as the oracle of the orbit-sum radical."""
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -51,6 +53,34 @@ def test_seifert_axis_is_the_star_axis():
         assert np.array_equal(v, np.eye(d - 1, dtype=np.int8) - np.eye(d - 1, k=-1, dtype=np.int8))
 
 
+def is_prime(q):
+    return q > 1 and all(q % f for f in range(2, int(q ** 0.5) + 1))
+
+
+@lru_cache(maxsize=None)
+def axis_root(d):
+    """(p, w): p the largest prime = 1 (mod d) up to MODP_PRIMES[0], the
+    exact range of the float64 elimination, and w of order d mod p."""
+    p = la.MODP_PRIMES[0] - (la.MODP_PRIMES[0] - 1) % d
+    while not is_prime(p):
+        p -= d
+    w = next(x for x in (pow(g, (p - 1) // d, p) for g in range(2, p))
+             if all(pow(x, k, p) != 1 for k in range(1, d)))
+    return p, w
+
+
+@lru_cache(maxsize=None)
+def axis_eigenvectors(d):
+    """(p, E): row a-1 of E the coefficients of e_a = prod_{b != a} (u - w^b)
+    = (1 + ... + u^(d-1)) / (u - w^a), sum_{t <= d-2-j} w^(at) at u^j,
+    mod p.  The e_a diagonalize A = U^(d-1) mod p with eigenvalues w^(-a)
+    (test_axis_eigenvectors_diagonalize_a)."""
+    p, w = axis_root(d)
+    powers = np.array([pow(w, k, p) for k in range(d)], dtype=np.int64)
+    table = powers[np.outer(np.arange(1, d), np.arange(d - 1)) % d]  # [a-1, j] = w^(aj)
+    return p, np.cumsum(table, axis=1)[:, ::-1] % p
+
+
 def character_rows(d, n, p, e):
     """The rows e_(a_0) x ... x e_(a_n) mod p with a_0 + ... + a_n = 0
     (mod d), n >= 1: each half of the axes is a Kronecker power of E, and
@@ -89,7 +119,7 @@ def test_gram_factors_through_the_monodromy(d, n):
     r = size - fh.rank_formula(d, n)
     k = fh._certified_radical(d, n, r)
     assert np.array_equal(k @ m0, k)
-    p, e = fh._axis_eigenvectors(d)
+    p, e = axis_eigenvectors(d)
     c = character_rows(d, n, p, e)
     assert len(c) == r and not np.any((c.astype(object) @ (m0 - np.eye(size, dtype=np.int64))) % p)
 
@@ -126,21 +156,30 @@ def radical_rank(d, n):
 
 def test_character_count_is_the_radical_rank_at_every_rung():
     # The closed form that _certified_radical uses, the count one axis at a
-    # time and, for n >= 1, the number of character rows.
+    # time, for d <= 65 the trace of (a), (1/d) sum_e tr(A^e)^(n+1) from
+    # the powers of U (A^e = U^(-e), and -e runs over Z/d with e), and, for
+    # n >= 1, the number of character rows.
     rungs = grid(fh.size_bound())
+    traces = {}
     for d, n in rungs:
         assert fh._character_count(d, n) == character_count(d, n) == radical_rank(d, n), (d, n)
+        if d <= 65:
+            if d not in traces:
+                traces[d] = [int(np.trace(u)) for u in fh._u_powers(d)]
+            total = sum(t ** (n + 1) for t in traces[d])
+            assert total % d == 0 and total // d == fh._character_count(d, n), (d, n)
         if n:
-            p, e = fh._axis_eigenvectors(d)
+            p, e = axis_eigenvectors(d)
             assert len(character_rows(d, n, p, e)) == radical_rank(d, n), (d, n)
     assert sum(n >= 1 for d, n in rungs) == 99
+    assert len(traces) == 63
 
 
 @pytest.mark.parametrize("d,n", grid(1024, n_min=1))
 def test_orbit_radical_is_the_character_radical(d, n):
     r = radical_rank(d, n)
     k = fh._orbit_candidate(d, n, r)
-    p, e = fh._axis_eigenvectors(d)
+    p, e = axis_eigenvectors(d)
     expected = character_candidate(character_rows(d, n, p, e), p)
     assert k.dtype == expected.dtype and np.array_equal(k, expected)
 
@@ -183,29 +222,50 @@ def test_failed_orbit_candidate_is_refused(d, n, how, monkeypatch):
         fh._build_primitive(d, n)
 
 
-def is_prime(q):
-    return q > 1 and all(q % f for f in range(2, int(q ** 0.5) + 1))
-
-
 def test_axis_checks_pass_for_every_d_up_to_65():
     for d in range(3, 66):
-        p, e = fh._axis_eigenvectors(d)  # raises VerificationError on a failed check
+        fh._axis_check(d)  # raises VerificationError on a failed check
+        u = fh._u_powers(d)
+        companion = np.eye(d - 1, k=1, dtype=np.int64)
+        companion[-1] = -1
+        assert np.array_equal(u[1], companion)
+        # What the check proves: U^d = I, U.V_1.U^T = V_1, and the traces.
+        eye = np.eye(d - 1, dtype=np.int64)
+        assert np.array_equal(u[d - 1] @ u[1], eye)
+        v1 = fh._seifert_axis(d).astype(np.int64)
+        assert np.array_equal(u[1] @ v1 @ u[1].T, v1)
+        assert [int(np.trace(m)) for m in u] == [d - 1] + [-1] * (d - 1)
+
+
+def test_axis_eigenvectors_diagonalize_a():
+    # The oracle's E: E.A = diag(w^(-a)).E (mod p), and E.W^T (mod p),
+    # W[b-1, j] = w^(bj), is diagonal with a nonzero diagonal (e_a(w^b) = 0
+    # exactly when b != a), so E is invertible mod p.
+    for d in range(3, 66):
+        p, w = axis_root(d)
+        _, e = axis_eigenvectors(d)
         assert p % d == 1 and is_prime(p) and la._exact_modulus(p)
         assert not any(is_prime(q) for q in range(p + d, 2 ** 23, d))
-        assert e.shape == (d - 1, d - 1) and not e.flags.writeable
         # The last coefficient of each e_a, of u^(d-2), is 1: monic.
         assert np.array_equal(e[:, -1], np.ones(d - 1))
+        a = fh._u_powers(d)[d - 1].astype(object)
+        eigen = np.array([pow(w, -k, p) for k in range(1, d)], dtype=object)
+        assert not np.any((e.astype(object) @ a - eigen[:, None] * e) % p)
+        table = np.array([[pow(w, b * j, p) for j in range(d - 1)] for b in range(1, d)],
+                         dtype=object)
+        ew = e.astype(object) @ table.T % p
+        assert np.count_nonzero(ew) == np.count_nonzero(np.diagonal(ew)) == d - 1
 
 
 def test_axis_checks_refuse_a_wrong_seifert_form(monkeypatch):
     monkeypatch.setattr(fh, "_seifert_axis", lambda d: np.eye(d - 1, dtype=np.int8))
-    with pytest.raises(VerificationError, match="per-axis"):
-        fh._axis_eigenvectors.__wrapped__(5)
+    with pytest.raises(VerificationError, match="per-axis check of the radical"):
+        fh._axis_check(5)
 
 
 @pytest.mark.parametrize("d,n", [(3, 2), (4, 1), (5, 1)])
 def test_character_rows_are_the_kronecker_products(d, n):
-    p, e = fh._axis_eigenvectors(d)
+    p, e = axis_eigenvectors(d)
     rows = {tuple(row) for row in character_rows(d, n, p, e).tolist()}
     expected = set()
     for a in product(range(1, d), repeat=n + 1):
