@@ -48,10 +48,10 @@ from ._pylinalg import (  # noqa: F401  (re-exported: la.X reaches both halves)
     prime_factors,
     rank_exact,
     right_kernel,
-    same_row_span,
     smith_normal_form,
     solve_rational,
     vec_mat,
+    xgcd,
 )
 from .errors import VerificationError
 

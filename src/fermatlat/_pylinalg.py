@@ -8,16 +8,18 @@ on entry (int_rows), so no narrow numpy dtype wraps inside it, and returns
 lists of lists of Python ints.  Exact dense elimination over Q has one
 kernel, _fraction_free: Bareiss's fraction-free elimination, in row echelon
 form for rank_exact and det_bareiss and in Gauss-Jordan form for
-solve_rational, which returns Fractions only at the end.  Integer row reduction has one kernel
-too, hnf_row: the Smith form alternates it on A and on A^T.
+solve_rational, which returns Fractions only at the end.  Integer row
+reduction has one kernel too, _echelon, with bounded entries: hnf_row,
+left_kernel (on [A | I]) and the Smith form (hnf_row on A and A^T) use it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt, lcm
-from operator import index
+from operator import add, index, sub
 from typing import Sequence
 
 from .errors import PrimalityRangeError
@@ -72,94 +74,92 @@ def dot(v: Sequence[int], w: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # Hermite normal form
 
-def hnf_row(a: Sequence[Sequence[int]], with_transform: bool = False):
-    """Row-style Hermite normal form.
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0 (extended Euclid)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, s0, s1, t0, t1 = b, a - q * b, s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
-    Returns (H, pivots) or (H, pivots, U) with U unimodular, U*A = (H padded
-    with zero rows).  H contains only the nonzero rows, pivots the pivot
-    column of each row.  Pivot entries are positive and entries above each
-    pivot are reduced into [0, pivot).
+
+def _subtract(row: Vec, q: int, p: Vec, c: int) -> None:
+    """row -= q * p in place, on the columns from c on."""
+    if q == 1:
+        row[c:] = map(sub, row[c:], p[c:])
+    elif q == -1:
+        row[c:] = map(add, row[c:], p[c:])
+    else:
+        row[c:] = [x - q * y for x, y in zip(row[c:], p[c:])]
+
+
+def _reduce_below(row: Vec, c: int, ech: dict[int, Vec], cols: list[int]) -> None:
+    """Reduce row in place into [0, pivot) at each pivot column after c, in
+    ascending order, by the echelon row of that column."""
+    for k in cols[bisect_right(cols, c):]:
+        q = row[k] // ech[k][k]
+        if q:
+            _subtract(row, q, ech[k], k)
+
+
+def _echelon(rows: Mat) -> dict[int, Vec]:
+    """Row echelon form {pivot column: row} of the integer rows, each row
+    joining the echelon form of the rows before it (Kannan and Bachem,
+    SIAM J. Comput. 8, 1979).  While the row is nonzero, take its first
+    nonzero entry x.  If its column has no pivot, the row, up to sign,
+    becomes the pivot row there.  Else a unimodular 2 x 2 step on the pivot
+    row p and the row clears x: a subtraction when p's pivot divides x,
+    else the extended-gcd step, which leaves gcd(p_c, x) as the pivot.  A
+    new or changed pivot row is reduced against the pivot rows below it,
+    so no entry grows without bound.
     """
-    rows = int_rows(a)
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    u = mat_identity(nrows) if with_transform else None
-    r = 0
-    pivots: list[int] = []
-    for c in range(ncols):
-        piv = None
-        best = None
-        for i in range(r, nrows):
-            x = rows[i][c]
-            if x != 0 and (best is None or abs(x) < best):
-                best = abs(x)
-                piv = i
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        if u is not None:
-            u[r], u[piv] = u[piv], u[r]
-        # Euclidean elimination below the pivot.
-        while True:
-            done = True
-            for i in range(r + 1, nrows):
-                if rows[i][c] == 0:
-                    continue
-                q = rows[i][c] // rows[r][c]
-                if q:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                    if u is not None:
-                        u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-                if rows[i][c] != 0:
-                    done = False
-                    if abs(rows[i][c]) < abs(rows[r][c]):
-                        rows[r], rows[i] = rows[i], rows[r]
-                        if u is not None:
-                            u[r], u[i] = u[i], u[r]
-            if done:
+    ech: dict[int, Vec] = {}
+    cols: list[int] = []
+    for row in rows:
+        c = 0
+        while (c := next((j for j in range(c, len(row)) if row[j]), -1)) >= 0:
+            x, p = row[c], ech.get(c)
+            if p is None:
+                ech[c] = row if x > 0 else [-y for y in row]
+                insort(cols, c)
+                _reduce_below(ech[c], c, ech, cols)
                 break
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-            if u is not None:
-                u[r] = [-x for x in u[r]]
-        for i in range(r):
-            q = rows[i][c] // rows[r][c]
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                if u is not None:
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    h = rows[:r]
-    if with_transform:
-        return h, pivots, u
-    return h, pivots
+            if x % p[c] == 0:
+                _subtract(row, x // p[c], p, c)
+                continue
+            g, s, t = xgcd(p[c], x)
+            a, b = x // g, p[c] // g
+            tp, tr = p[c:], row[c:]
+            ech[c] = row[:c] + [s * y + t * z for y, z in zip(tp, tr)]
+            row[c:] = [a * y - b * z for y, z in zip(tp, tr)]
+            _reduce_below(ech[c], c, ech, cols)
+    return ech
+
+
+def hnf_row(a: Sequence[Sequence[int]]) -> tuple[Mat, list[int]]:
+    """Row-style Hermite normal form (H, pivots): H holds the nonzero rows,
+    pivots the pivot column of each.  Pivot entries are positive, and the
+    echelon rows, from the bottom up, are reduced into [0, pivot) above
+    each pivot."""
+    ech = _echelon(int_rows(a))
+    cols = sorted(ech)
+    for c in reversed(cols):
+        _reduce_below(ech[c], c, ech, cols)
+    return [ech[c] for c in cols], cols
 
 
 def left_kernel(a: Sequence[Sequence[int]]) -> Mat:
-    """Saturated basis of {x : x*A = 0}, in row HNF."""
-    if not len(a):
-        return []
-    h, pivots, u = hnf_row(a, with_transform=True)
-    ker = u[len(h):]
-    if not ker:
-        return []
-    kh, _ = hnf_row(ker)
-    return kh
+    """Saturated basis of {x : x*A = 0}, in row HNF: the Hermite form of
+    the I-parts of the echelon rows of [A | I] that vanish on A."""
+    rows = int_rows(a)
+    m = len(rows[0]) if rows else 0
+    ech = _echelon([r + e for r, e in zip(rows, mat_identity(len(rows)))])
+    return hnf_row([r[m:] for c, r in ech.items() if c >= m])[0]
 
 
 def right_kernel(a: Sequence[Sequence[int]]) -> Mat:
     """Saturated basis of {x : A*x = 0}, as rows, in row HNF."""
     return left_kernel(mat_transpose(a))
-
-
-def same_row_span(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
-    """Whether two integer row families generate the same subgroup of Z^n."""
-    ha, _ = hnf_row(a)
-    hb, _ = hnf_row(b)
-    return ha == hb
 
 
 # Trial division runs to this bound: a cofactor below its square with no
@@ -258,15 +258,14 @@ def _rho_factor(n: int) -> int:
 # Smith normal form
 
 def _hnf_split(m: Mat, t: Mat) -> tuple[Mat, Mat]:
-    """Row HNF of [M | T], padded with zero rows and split back into (M', T')."""
+    """Row HNF of [M | T] (T unimodular: no row vanishes), split into (M', T')."""
     n = len(m[0])
     h = hnf_row([r + s for r, s in zip(m, t)])[0]
-    h += [[0] * (n + len(t[0]))] * (len(m) - len(h))
     return [r[:n] for r in h], [r[n:] for r in h]
 
 
-def smith_normal_form(a: Sequence[Sequence[int]], with_transform: bool = False):
-    """Smith normal form.  Returns divisors, or (divisors, U, V) with U*A*V = D.
+def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[list[int], Mat, Mat]:
+    """Smith normal form: (divisors, U, V) with U, V unimodular and U*A*V = D.
 
     Divisors are nonnegative, in divisibility order, padded with zeros up to
     min(nrows, ncols).  Alternates the row Hermite form of [A | U] and of
@@ -281,8 +280,8 @@ def smith_normal_form(a: Sequence[Sequence[int]], with_transform: bool = False):
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     size = min(nrows, ncols)
-    u = mat_identity(nrows) if with_transform else [[]] * nrows
-    vt = mat_identity(ncols) if with_transform else [[]] * ncols
+    u = mat_identity(nrows)
+    vt = mat_identity(ncols)
     while size:
         m, u = _hnf_split(m, u)
         mt, vt = _hnf_split(mat_transpose(m), vt)
@@ -297,10 +296,7 @@ def smith_normal_form(a: Sequence[Sequence[int]], with_transform: bool = False):
         i, j = bad
         m[j][i] = m[j][j]
         vt[i] = [x + y for x, y in zip(vt[i], vt[j])]
-    divisors = [m[i][i] for i in range(size)]
-    if with_transform:
-        return divisors, u, mat_transpose(vt)
-    return divisors
+    return [m[i][i] for i in range(size)], u, mat_transpose(vt)
 
 
 # ---------------------------------------------------------------------------

@@ -219,11 +219,14 @@ def construct_special_vector(built: CubicFourfoldLattice) -> list[int]:
     explicit e with e.e = e.eta = 1 (found by a fixed bounded scan)."""
     full = built.lambda_full
     eta = built.eta_in_lambda
-    f = la.vec_mat(eta, full.gram)
-    h, _piv, u = la.hnf_row([[x] for x in f], with_transform=True)
-    if h[0][0] != 1:
+    # e0 with e0.eta = 1, folding extended gcds over the entries of eta.G.
+    gcd_f, e0 = 0, [0] * full.rank
+    for i, x in enumerate(la.vec_mat(eta, full.gram)):
+        gcd_f, s, t = la.xgcd(gcd_f, x)
+        e0 = [s * y for y in e0]
+        e0[i] += t
+    if gcd_f != 1:
         raise VerificationError("eta is not primitive in the glued lattice")
-    e0 = u[0]
     target = 1 - full.pairing(e0, e0)
     emb = built.lambda_o_in_lambda.tolist()
     # e = e0 + a emb_i + b emb_j has e.e = 1 iff
@@ -320,7 +323,7 @@ def _disc_generator(lattice: IntegerLattice) -> list[Fraction]:
 
 def _assert_orthogonal_complement(lambda_full, eta_in_lambda, lambda_o_in_lambda):
     comp = la.right_kernel([la.vec_mat(eta_in_lambda, lambda_full.gram)])
-    if not la.same_row_span(comp, lambda_o_in_lambda):
+    if comp != la.hnf_row(lambda_o_in_lambda)[0]:
         raise VerificationError("lambda_o is not the orthogonal complement of eta")
 
 

@@ -637,9 +637,9 @@ def _image_kernel_index(image_rows: la.Mat, kernel_rows: la.Mat) -> int:
     is the ratio of the two products."""
     if not kernel_rows:
         return 1
-    if not la.same_row_span(kernel_rows + image_rows, kernel_rows):
+    ker_h, ker_pivots = la.hnf_row(kernel_rows)
+    if la.hnf_row(kernel_rows + image_rows)[0] != ker_h:
         raise VerificationError("image does not lie in the kernel")
     im_h, im_pivots = la.hnf_row(image_rows)
-    ker_h, ker_pivots = la.hnf_row(kernel_rows)
     return (math.prod(r[c] for r, c in zip(im_h, im_pivots))
             // math.prod(r[c] for r, c in zip(ker_h, ker_pivots)))

@@ -133,7 +133,7 @@ class GlueSpec:
 
 def smith_normal_form(m: Sequence[Sequence[int]]):
     """Smith divisors plus the unimodular transform pair (U, V) with U*M*V diagonal."""
-    divisors, u, v = la.smith_normal_form(m, with_transform=True)
+    divisors, u, v = la.smith_normal_form(m)
     return divisors, (u, v)
 
 
@@ -202,7 +202,7 @@ def radical_quotient(lattice: IntegerLattice, kernel_rows=None, proven_pivots=No
         quotient = IntegerLattice(sub, lattice.symmetry, lattice.label)
     else:
         # General path: complete the saturated kernel to a basis via SNF.
-        divisors, u, v = la.smith_normal_form(k, with_transform=True)
+        divisors, u, v = la.smith_normal_form(k)
         if any(dv != 1 for dv in divisors[:r]):
             raise DegenerateLatticeError("kernel of the pairing is not saturated")
         w = la.solve_rational(v, la.mat_identity(n))

@@ -23,7 +23,7 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 MOVED_KERNELS = (
     "mat_identity", "int_rows", "mat_transpose", "mat_vec", "vec_mat", "dot",
-    "hnf_row", "left_kernel", "right_kernel", "same_row_span", "prime_factors",
+    "xgcd", "hnf_row", "left_kernel", "right_kernel", "prime_factors",
     "smith_normal_form", "_fraction_free", "rank_exact", "det_bareiss",
     "solve_rational",
     "charpoly", "clear_denominators", "floor_sqrt_fraction", "Mat", "Vec",
