@@ -78,40 +78,14 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Mat:
 
 
 def saturate_row_span(rows: Sequence[Sequence[int]]) -> Mat:
-    """Saturation of the row span: {x in Z^n : x in Q-span(rows)}, in row HNF.
-
-    Only primes dividing the HNF pivot product can divide the index, so the
-    p-adic densification loop runs over those primes alone.
-    """
-    h, pivots = hnf_row(rows)
+    """Saturation of the row span: {x in Z^n : x in Q-span(rows)}, in row HNF:
+    the integer kernel of the integer kernel of the row HNF (all of Z^n
+    when that kernel is zero)."""
+    h, _pivots = hnf_row(rows)
     if not h:
         return []
-    cand = 1
-    for i, c in enumerate(pivots):
-        cand *= h[i][c]
-    primes = prime_factors(cand)
-    if not all(map(_exact_modulus, primes)):
-        # Beyond the mod-p kernel's range: the saturation is the integer
-        # kernel of the integer kernel.
-        ker = right_kernel(h)
-        return right_kernel(ker) if ker else mat_identity(len(h[0]))
-    for p in primes:
-        while True:
-            null = modp_kernel(mat_transpose(h), p)
-            if null.shape[0] == 0:
-                break
-            new_rows = list(h)
-            for cvec in null:
-                combo = [0] * len(h[0])
-                for ci, row in zip(cvec.tolist(), h):
-                    if ci:
-                        for j, x in enumerate(row):
-                            combo[j] += ci * x
-                if any(v % p for v in combo):
-                    raise VerificationError("mod-p kernel did not lift to a divisible row")
-                new_rows.append([v // p for v in combo])
-            h, pivots = hnf_row(new_rows)
-    return h
+    ker = right_kernel(h)
+    return right_kernel(ker) if ker else mat_identity(len(h[0]))
 
 
 def smith_divisors_mod(a, modulus: int) -> list[int]:

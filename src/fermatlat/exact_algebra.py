@@ -1,10 +1,18 @@
 """Exact arithmetic foundations: group rings of (Z/d)^k and cyclotomic integers.
 
-Everything here is immutable and exact.  Group-ring elements are finite
-integer combinations of exponent tuples, held in a read-only mapping (the
-cached star and connecting elements are shared); cyclotomic elements are
-vectors in the power basis of Z[zeta_d] reduced modulo the d-th cyclotomic
-polynomial.
+Everything here is immutable and exact: both element classes refuse
+attribute assignment and deletion, and pickle through their constructors.
+Group-ring elements are finite integer combinations of exponent tuples,
+held in a read-only mapping (the cached star and connecting elements are
+shared); cyclotomic elements are vectors in the power basis of Z[zeta_d]
+reduced modulo the d-th cyclotomic polynomial.
+
+One cached table, zeta_powers(d), holds the coordinates of zeta^s for
+s in [0, d), and every reduction of a power of zeta reads it as
+table[s % d]: zeta itself, the product (a convolution of length 2 phi - 1,
+then one table row per term), the Galois action, the multiplication matrix
+and the power traces.  The module loads no numpy: its few dense kernels come
+from _pylinalg.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import IncompatibleRingError, VerificationError
-from ._intlinalg import clear_denominators, det_bareiss, solve_rational
+from ._pylinalg import clear_denominators, det_bareiss, solve_rational
 
 
 # ---------------------------------------------------------------------------
@@ -44,9 +52,16 @@ class GroupRingElement:
                 raise ValueError("exponent tuple of wrong length")
             key = tuple(e % d for e in exps)
             clean[key] = clean.get(key, 0) + c
-        self.d = d
-        self.k = k
-        self.coeffs = MappingProxyType({e: c for e, c in clean.items() if c != 0})
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "coeffs",
+                           MappingProxyType({e: c for e, c in clean.items() if c != 0}))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return GroupRingElement, (self.d, self.k, dict(self.coeffs))
@@ -177,20 +192,21 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(d: int) -> tuple[tuple[int, ...], ...]:
-    """Power-basis expansion of zeta^j for j in [0, 2*phi-2], mod Phi_d."""
-    phi = len(cyclotomic_polynomial(d)) - 1
+def zeta_powers(d: int) -> tuple[tuple[int, ...], ...]:
+    """Power-basis coordinates of zeta_d^s for s in [0, d), mod Phi_d: each
+    row is the one before times zeta, with x^phi replaced by x^phi - Phi_d.
+    zeta^s is row s % d."""
+    poly = cyclotomic_polynomial(d)
+    phi = len(poly) - 1
     rows: list[tuple[int, ...]] = []
     cur = [1] + [0] * (phi - 1)
-    for _ in range(2 * phi - 1):
+    for _ in range(d):
         rows.append(tuple(cur))
-        nxt = [0] + cur[:-1]
         lead = cur[-1]
+        cur = [0] + cur[:-1]
         if lead:
-            poly = cyclotomic_polynomial(d)
             for i in range(phi):
-                nxt[i] -= lead * poly[i]
-        cur = nxt
+                cur[i] -= lead * poly[i]
     return tuple(rows)
 
 
@@ -200,12 +216,22 @@ class CyclotomicElement:
     __slots__ = ("d", "coords")
 
     def __init__(self, d: int, coords: Iterable):
-        self.d = d
         phi = euler_phi(d)
         cs = tuple(_as_number(x) for x in coords)
         if len(cs) != phi:
             raise ValueError(f"need {phi} coordinates for conductor {d}")
-        self.coords = cs
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "coords", cs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not __setattr__.
+        return CyclotomicElement, (self.d, self.coords)
 
     # -- constructors -------------------------------------------------------
 
@@ -226,22 +252,7 @@ class CyclotomicElement:
     @classmethod
     def zeta(cls, d: int, power: int = 1) -> "CyclotomicElement":
         """zeta_d^power, reduced modulo the d-th cyclotomic polynomial."""
-        power %= d
-        phi = euler_phi(d)
-        if power < phi:
-            coords = [0] * phi
-            coords[power] = 1
-            return cls(d, coords)
-        # Long division of x^power by the monic Phi_d.
-        work = [0] * (power + 1)
-        work[power] = 1
-        poly = cyclotomic_polynomial(d)
-        for i in range(power, phi - 1, -1):
-            lead = work[i]
-            if lead:
-                for j in range(phi + 1):
-                    work[i - phi + j] -= lead * poly[j]
-        return cls(d, work[:phi])
+        return cls(d, zeta_powers(d)[power % d])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -269,14 +280,15 @@ class CyclotomicElement:
                 for j, b in enumerate(other.coords):
                     if b:
                         conv[i + j] += a * b
-        rows = _reduction_rows(self.d)
+        d = self.d
+        table = zeta_powers(d)
         out = [0] * phi
         for j, c in enumerate(conv):
             if c:
-                row = rows[j]
+                row = table[j % d]
                 for i in range(phi):
                     out[i] += c * row[i]
-        return CyclotomicElement(self.d, out)
+        return CyclotomicElement(d, out)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -294,11 +306,14 @@ class CyclotomicElement:
 
     def galois(self, t: int) -> "CyclotomicElement":
         """Image under zeta -> zeta^t (t coprime to d)."""
-        out = CyclotomicElement.zero(self.d)
+        d = self.d
+        table = zeta_powers(d)
+        out = [0] * len(self.coords)
         for i, a in enumerate(self.coords):
             if a:
-                out = out + CyclotomicElement.zeta(self.d, (i * t) % self.d) * a
-        return out
+                for s, x in enumerate(table[i * t % d]):
+                    out[s] += a * x
+        return CyclotomicElement(d, out)
 
     def conj(self) -> "CyclotomicElement":
         """Complex conjugation zeta -> zeta^{d-1}."""
@@ -340,7 +355,11 @@ class CyclotomicElement:
                 and all(Fraction(a) == Fraction(b) for a, b in zip(self.coords, other.coords)))
 
     def __hash__(self) -> int:
-        return hash((self.d, tuple(Fraction(c) for c in self.coords)))
+        # A constant equals its constant term (an int or Fraction), so it
+        # hashes as that number.
+        if not any(self.coords[1:]):
+            return hash(self.coords[0])
+        return hash((self.d, self.coords))
 
     def __bool__(self) -> bool:
         return any(self.coords)
@@ -372,14 +391,14 @@ def euler_phi(d: int) -> int:
 def _multiplication_matrix(d: int, coords: list[int]) -> list[list[int]]:
     """Matrix of multiplication by the element on the power basis."""
     phi = euler_phi(d)
-    rows = _reduction_rows(d)
+    table = zeta_powers(d)
     cols = []
     for j in range(phi):
         # element * zeta^j expanded on the power basis
         acc = [0] * phi
         for i, a in enumerate(coords):
             if a:
-                row = rows[i + j]
+                row = table[(i + j) % d]
                 for t in range(phi):
                     acc[t] += a * row[t]
         cols.append(acc)
@@ -388,7 +407,7 @@ def _multiplication_matrix(d: int, coords: list[int]) -> list[list[int]]:
 
 @lru_cache(maxsize=None)
 def _power_trace(d: int, i: int) -> Fraction:
-    """Trace of zeta_d^i, as the trace of its multiplication matrix."""
-    z = CyclotomicElement.zeta(d, i)
-    m = _multiplication_matrix(d, [int(c) for c in z.coords])
-    return Fraction(sum(m[t][t] for t in range(len(m))))
+    """Trace of zeta_d^i, as the trace of its multiplication matrix: entry
+    t of column t is coordinate t of zeta^(i + t)."""
+    table = zeta_powers(d)
+    return Fraction(sum(table[(i + t) % d][t] for t in range(euler_phi(d))))

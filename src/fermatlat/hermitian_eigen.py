@@ -22,9 +22,10 @@ determinant norm, the signature, the eigenball tests) reads that array.
 The Euclidean echelon (cyclotomic_row_echelon) and the field determinant
 (_field_det) work on coordinate arrays of Python ints, dividing through the
 norm: b^(-1) = b*/N(b), b* the adjugate of b's multiplication matrix applied
-to e_0 (_norm_adjugate).  CyclotomicElement objects appear only for scalars
-(zeta powers, the imaginary unit, reduction_entry, the determinant) and in
-HermitianLattice.gram, which rebuilds element rows from the array.
+to e_0 (_norm_adjugate).  Powers of zeta are rows of the one table
+exact_algebra.zeta_powers (_zeta_table).  CyclotomicElement objects appear
+only for scalars (the imaginary unit, reduction_entry, the determinant) and
+in HermitianLattice.gram, which rebuilds element rows from the array.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .exact_algebra import (
     CyclotomicElement,
     _multiplication_matrix,
     _power_trace,
-    _reduction_rows,
     euler_phi,
+    zeta_powers,
 )
 from .errors import DegenerateLatticeError, ResourceBoundError, VerificationError
 from .fermat_homology import PrimitiveFermatLattice, parity_sign, size_bound, star_halves
@@ -139,8 +140,9 @@ def _to_elements(d: int, coords: np.ndarray, den: int = 1) -> list[list[Cyclotom
 
 @lru_cache(maxsize=None)
 def _zeta_table(d: int) -> np.ndarray:
-    """Read-only (d, phi) array whose row s is the coordinates of zeta^s."""
-    table = la.int_array([CyclotomicElement.zeta(d, s).coords for s in range(d)])
+    """exact_algebra.zeta_powers(d) as a read-only (d, phi) array: row s is
+    the coordinates of zeta^s."""
+    table = la.int_array(zeta_powers(d))
     table.setflags(write=False)
     return table
 
@@ -181,10 +183,11 @@ def _realify(d: int, coords: np.ndarray, index: Optional[np.ndarray] = None) -> 
     if index is None:
         index = np.arange(coords.size // phi).reshape(coords.shape[:2])
     values = coords.reshape(-1, phi)
-    red = la.int_array(_reduction_rows(d))
     # mult[v, s, t] is coordinate s of value v times zeta^t: one product with
-    # the windows red[t:t + phi] side by side, window[i, s, t] = red[i + t, s].
-    window = red[np.add.outer(np.arange(phi), np.arange(phi))].transpose(0, 2, 1)
+    # the windows of zeta powers t .. t + phi - 1 side by side,
+    # window[i, s, t] = coordinate s of zeta^(i + t).
+    powers = np.add.outer(np.arange(phi), np.arange(phi)) % d
+    window = _zeta_table(d)[powers].transpose(0, 2, 1)
     mult = la.int_matmul(values, window.reshape(phi, phi * phi)).reshape(-1, phi, phi)
     r, c = index.shape
     out = np.empty((r, phi, c, phi), dtype=mult.dtype)

@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +12,12 @@ from fermatlat.errors import IncompatibleRingError
 from fermatlat.exact_algebra import (
     CyclotomicElement,
     GroupRingElement,
+    _multiplication_matrix,
+    _power_trace,
     bar,
     cyclotomic_polynomial,
     euler_phi,
+    zeta_powers,
 )
 
 
@@ -166,3 +173,154 @@ def test_poly_divide_exact_raises_typed_errors():
         _poly_divide_exact([0, 1], [0, 2])          # x / 2x: non-integral quotient
     with pytest.raises(VerificationError, match="remainder"):
         _poly_divide_exact([1, 0, 1], [1, 1])       # x^2 + 1 = (x + 1)(x - 1) + 2
+
+
+# -- the table of zeta powers against the reductions it replaced -------------
+
+def zeta_long_division(d, power):
+    """Coordinates of zeta_d^power by long division of x^(power mod d) by Phi_d."""
+    power %= d
+    phi = euler_phi(d)
+    if power < phi:
+        coords = [0] * phi
+        coords[power] = 1
+        return tuple(coords)
+    work = [0] * (power + 1)
+    work[power] = 1
+    poly = cyclotomic_polynomial(d)
+    for i in range(power, phi - 1, -1):
+        lead = work[i]
+        if lead:
+            for j in range(phi + 1):
+                work[i - phi + j] -= lead * poly[j]
+    return tuple(work[:phi])
+
+
+def reduction_rows(d):
+    """Coordinates of zeta^j for j in [0, 2*phi - 2], one shift at a time:
+    enough rows to reduce a product of two reduced elements."""
+    poly = cyclotomic_polynomial(d)
+    phi = len(poly) - 1
+    rows = []
+    cur = [1] + [0] * (phi - 1)
+    for _ in range(2 * phi - 1):
+        rows.append(tuple(cur))
+        nxt = [0] + cur[:-1]
+        lead = cur[-1]
+        if lead:
+            for i in range(phi):
+                nxt[i] -= lead * poly[i]
+        cur = nxt
+    return tuple(rows)
+
+
+def product_oracle(d, a, b):
+    """Coordinates of a * b: the convolution, reduced by reduction_rows."""
+    phi = euler_phi(d)
+    rows = reduction_rows(d)
+    out = [0] * phi
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            for s in range(phi):
+                out[s] += x * y * rows[i + j][s]
+    return out
+
+
+def multiplication_matrix_oracle(d, coords):
+    """Column j is the element times zeta^j, by reduction_rows."""
+    phi = euler_phi(d)
+    rows = reduction_rows(d)
+    cols = [[sum(a * rows[i + j][t] for i, a in enumerate(coords)) for t in range(phi)]
+            for j in range(phi)]
+    return [[cols[j][i] for j in range(phi)] for i in range(phi)]
+
+
+# Every conductor up to 60: among them the d with d - 1 > 2 phi - 2 (the even
+# ones here), whose table holds rows a product never reads, and the d with
+# 2 phi - 2 >= d (5, 7, 9, ...), where a product reads the table at s % d.
+CONDUCTORS = range(1, 61)
+
+
+def random_coords(rng, d, fractions=False):
+    coords = [rng.randrange(-9, 10) for _ in range(euler_phi(d))]
+    if fractions:
+        coords[rng.randrange(len(coords))] = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+    return coords
+
+
+@pytest.mark.parametrize("d", CONDUCTORS)
+def test_zeta_powers_match_long_division(d):
+    assert zeta_powers(d) == tuple(zeta_long_division(d, s) for s in range(d))
+    assert zeta_powers(d)[:2 * euler_phi(d) - 1] == reduction_rows(d)[:d]
+    for power in range(-d, 2 * d + 1):
+        assert CyclotomicElement.zeta(d, power).coords == zeta_long_division(d, power)
+
+
+@pytest.mark.parametrize("d", CONDUCTORS)
+def test_products_match_reduction_rows(d):
+    rng = random.Random(d)
+    for fractions in (False, True):
+        a, b = random_coords(rng, d, fractions), random_coords(rng, d)
+        got = CyclotomicElement(d, a) * CyclotomicElement(d, b)
+        assert got == CyclotomicElement(d, product_oracle(d, a, b))
+    c = random_coords(rng, d)
+    assert _multiplication_matrix(d, c) == multiplication_matrix_oracle(d, c)
+
+
+@pytest.mark.parametrize("d", CONDUCTORS)
+def test_galois_and_power_trace_match_long_division(d):
+    rng = random.Random(-d)
+    a = random_coords(rng, d, fractions=True)
+    phi = euler_phi(d)
+    for t in {1, d - 1, *rng.sample([t for t in range(1, d + 1) if gcd(t, d) == 1], 1)}:
+        want = [0] * phi
+        for i, x in enumerate(a):
+            for s, z in enumerate(zeta_long_division(d, i * t)):
+                want[s] += x * z
+        assert CyclotomicElement(d, a).galois(t) == CyclotomicElement(d, want)
+    for i in {-1, 0, 1, d - 1, d, rng.randrange(d)}:
+        m = multiplication_matrix_oracle(d, zeta_long_division(d, i))
+        assert _power_trace(d, i) == sum(m[t][t] for t in range(phi))
+
+
+# -- hashing and immutability ------------------------------------------------
+
+def test_constant_elements_hash_as_their_constant_term():
+    for d in (3, 4, 12):
+        for n in (5, -2, 0, Fraction(1, 2)):
+            c = CyclotomicElement.from_int(d, n)
+            assert c == n and hash(c) == hash(n)
+            assert c in {n} and n in {c}
+    z = CyclotomicElement.zeta(5)
+    assert z in {CyclotomicElement(5, [0, 1, 0, 0])}
+
+
+def test_elements_refuse_assignment_and_deletion():
+    z = CyclotomicElement.zeta(3)
+    u = GroupRingElement.generator(3, 2, 0)
+    for element, field, value in ((z, "coords", (5, 5)), (z, "d", 4),
+                                  (u, "coeffs", {(0, 0): 1}), (u, "k", 1)):
+        with pytest.raises(AttributeError):
+            setattr(element, field, value)
+        with pytest.raises(AttributeError):
+            delattr(element, field)
+    assert z.coords == (0, 1) and u.coeffs == {(1, 0): 1}
+
+
+def test_cached_connecting_element_cannot_be_changed():
+    from fermatlat import fermat_homology
+
+    before = fermat_homology.connecting_map(3, 1)
+    with pytest.raises(AttributeError):
+        fermat_homology.connecting_element(3, 1).coeffs = {(0, 0): 1}
+    assert fermat_homology.connecting_map(3, 1) == before
+
+
+@pytest.mark.parametrize("element", [
+    CyclotomicElement(5, [1, Fraction(-2, 3), 0, 4]),
+    GroupRingElement(3, 2, {(1, 2): 4, (0, 0): -1}),
+])
+def test_elements_pickle_and_copy(element):
+    for twin in (pickle.loads(pickle.dumps(element)), copy.copy(element),
+                 copy.deepcopy(element)):
+        assert twin == element and hash(twin) == hash(element)

@@ -8,7 +8,7 @@ from fermatlat import _intlinalg as la
 from fermatlat import fermat_homology as fh
 from fermatlat import hermitian_eigen as he
 from fermatlat.errors import ResourceBoundError, VerificationError
-from fermatlat.exact_algebra import CyclotomicElement, GroupRingElement, _reduction_rows, euler_phi
+from fermatlat.exact_algebra import CyclotomicElement, GroupRingElement, euler_phi
 from fermatlat.fermat_homology import build_primitive
 from fermatlat.hermitian_eigen import (
     HermitianLattice,
@@ -24,6 +24,7 @@ from fermatlat.hermitian_eigen import (
     _parity_normalize,
     reduction_entry,
 )
+from test_exact_algebra import reduction_rows
 from test_fermat_homology import reduction_entry_oracle
 
 
@@ -269,13 +270,14 @@ def test_parity_normalize_common_factor(d, n):
 
 
 def realify_per_product(d, coords, index=None):
-    """_realify with one product per window of the reduction rows and one
-    gather per (s, t), as it was before the windows were stacked."""
+    """_realify with one product per window of the reduction rows (zeta^j
+    for j <= 2 phi - 2) and one gather per (s, t), as it was before the
+    windows were stacked."""
     phi = coords.shape[-1]
     if index is None:
         index = np.arange(coords.size // phi).reshape(coords.shape[:2])
     values = coords.reshape(-1, phi)
-    red = la.int_array(_reduction_rows(d))
+    red = la.int_array(reduction_rows(d))
     mult = np.stack([la.int_matmul(values, red[t:t + phi]) for t in range(phi)], axis=-1)
     r, c = index.shape
     out = np.empty((r, phi, c, phi), dtype=mult.dtype)

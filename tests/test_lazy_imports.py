@@ -1,8 +1,7 @@
 """What each entry point loads: `import fermatlat` loads no submodule, the
-`git` commands and the `git` and `hodge` suites run without numpy, and the
-lazy names, the re-exported
-pure-Python kernels and the CLI's suite names stay the objects and values
-they stand for.
+`git` commands, the `git` and `hodge` suites and exact_algebra run without
+numpy, and the lazy names, the re-exported pure-Python kernels and the CLI's
+suite names stay the objects and values they stand for.
 
 Every case that inspects sys.modules runs in a fresh interpreter, since this
 test process has long imported everything.
@@ -79,6 +78,12 @@ def test_git_stability_loads_no_dataclasses():
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True)
     assert run.stdout.split() == ["True"]
+
+
+def test_exact_algebra_loads_no_numpy():
+    loaded = loaded_after("import fermatlat.exact_algebra\n")
+    assert "numpy" not in loaded
+    assert "fermatlat._intlinalg" not in loaded
 
 
 def test_verify_suite_loads_only_its_modules():
