@@ -349,14 +349,18 @@ class CyclotomicElement:
         return tuple(int(c) for c in self.coords)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicElement.from_int(self.d, other)
-        return (isinstance(other, CyclotomicElement) and self.d == other.d
-                and all(Fraction(a) == Fraction(b) for a, b in zip(self.coords, other.coords)))
+        # A constant is the number it names: it equals that int, bool or
+        # Fraction and the equal constant of every conductor.  Any other
+        # element equals only its own conductor's element with its coords.
+        if isinstance(other, CyclotomicElement):
+            if other.d == self.d:
+                return self.coords == other.coords
+            other = other.coords[0] if not any(other.coords[1:]) else None
+        return (isinstance(other, (int, Fraction)) and not any(self.coords[1:])
+                and self.coords[0] == other)
 
     def __hash__(self) -> int:
-        # A constant equals its constant term (an int or Fraction), so it
-        # hashes as that number.
+        # A constant equals its constant term, so it hashes as that number.
         if not any(self.coords[1:]):
             return hash(self.coords[0])
         return hash((self.d, self.coords))

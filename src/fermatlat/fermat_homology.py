@@ -9,9 +9,12 @@ The Milnor module Z[mu_d^(n+1)]/(sum_j u_i^j) is the (n+1)-fold tensor
 power of Z[u]/(1 + u + ... + u^(d-1)) (Pham, Bull. SMF 1965; Sebastiani and
 Thom, Invent. Math. 1971).  A vector on its monomial basis {0..d-2}^(n+1)
 is an array with one axis per coordinate, and multiplication by u_i^e acts
-on axis i alone (_times_u, the (d-1) x (d-1) matrix U^e).  The symmetry
-actions, the connecting maps and the monomial coordinates are read off
-that one rule.  The Gram is the Seifert form V_1 x ... x V_1 plus (-1)^n
+on axis i alone by the (d-1) x (d-1) matrix U^e.  One fold applies it,
+x.U^e or U^e.x (_times_u), and _axis_check checks it on both sides.  The
+radical's invariance check, the symmetry actions and the monomial
+coordinates run that fold; the orbit sums, the connecting maps and the
+Seifert inverse read the powers U^e that it folds from the identity
+(_u_powers).  The Gram is the Seifert form V_1 x ... x V_1 plus (-1)^n
 its transpose, and its radical is the set of vectors fixed by the
 monodromy u_0.  Its basis K comes from the u_0-orbit sums of the first r
 basis vectors, one r x r float64 inverse times the rest of the sums,
@@ -66,14 +69,33 @@ def class_rep(exps: Sequence[int], d: int) -> tuple[int, ...]:
     return tuple((e - s) % d for e in exps)
 
 
-def _times_u(x: np.ndarray, axis: int, e: int, d: int) -> np.ndarray:
-    """x times u^e along one axis of coefficient arrays on 1, u, ..., u^(d-2):
-    pad a zero u^(d-1) slot, roll by e, and fold the slot back into the
-    others (u^(d-1) = -(1 + u + ... + u^(d-2))).  Each fold at most
-    doubles an entry."""
-    padded = np.concatenate([x, np.zeros_like(x.take([0], axis=axis))], axis=axis)
-    rolled = np.roll(padded, e, axis=axis)
-    return rolled.take(range(d - 1), axis=axis) - rolled.take([d - 1], axis=axis)
+def _times_u(x: np.ndarray, axis: int, e: int, d: int, left: bool = False) -> np.ndarray:
+    """u^e, 0 <= e < d, on one axis of coefficient arrays on 1, u, ...,
+    u^(d-2): x.U^e, or U^e.x with left, for the (d-1) x (d-1) matrix U^e
+    whose row j holds the coordinates of u^(j+e), u^(d-1) = -(1 + u + ...
+    + u^(d-2)).  On the right slot k is slot k-e (mod d) of x, zero at k =
+    e-1, minus slot d-1-e: an entry at most doubles.  On the left slot j is
+    slot j+e (mod d) of x, and slot d-1-e is minus the sum of x's slots:
+    an entry grows at most (d-1)-fold.  One slice copy and one subtraction
+    or sum, written into an array of x's dtype and layout.  Negation is a
+    subtraction from 0: numpy 2.4.6's np.negative with out= writes zeros
+    past the first entry of an int64 input at a stride of 8 entries (a
+    column of the identity at d = 9), which _axis_check refuses."""
+    out = np.empty_like(x)
+    src, dst = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    if not e:
+        dst[...] = src
+    elif left:
+        dst[:d - 1 - e] = src[e:]
+        dst[d - e:] = src[:e - 1]
+        total = dst[d - 1 - e]
+        np.subtract(0, np.sum(src, axis=0, dtype=x.dtype, out=total), out=total)
+    else:
+        last = src[d - 1 - e]
+        np.subtract(src[:d - 1 - e], last, out=dst[e:])
+        np.subtract(src[d - e:], last, out=dst[:e - 1])
+        np.subtract(0, last, out=dst[e - 1])
+    return out
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,14 +120,6 @@ def _kron_power(m: np.ndarray, k: int) -> np.ndarray:
 def _u_powers(d: int) -> list[np.ndarray]:
     """U^0, ..., U^(d-1): row j of U^e holds the coordinates of u^(j+e)."""
     return [_times_u(np.eye(d - 1, dtype=np.int64), 1, e, d) for e in range(d)]
-
-
-def _u_power_row(d: int, e: int) -> np.ndarray:
-    """Row 0 of U^e, the coordinates of u^e, 0 <= e < d, by the shift rule:
-    e_e for e < d-1, and all -1 for u^(d-1) = -(1 + u + ... + u^(d-2))."""
-    if e == d - 1:
-        return np.full(d - 1, -1, dtype=np.int64)
-    return np.eye(1, d - 1, e, dtype=np.int64)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +248,8 @@ class PrimitiveFermatLattice:
     def class_image(self, K: Sequence[int]) -> list[int]:
         """Image in the primitive lattice of the monomial class u^K,
         K in (Z/d)^(n+2) taken modulo the diagonal."""
-        rows = [_u_power_row(self.d, e) for e in class_rep(K, self.d)[1:]]
+        unit = np.eye(1, self.d - 1, dtype=np.int64)
+        rows = [_times_u(unit, 1, e, self.d)[0] for e in class_rep(K, self.d)[1:]]
         return la.vec_mat(reduce(np.multiply.outer, rows).ravel().tolist(), self.projection)
 
 
@@ -372,7 +387,8 @@ def _certified_radical(d: int, n: int, r: int) -> np.ndarray:
         the dimension, is (1/d) sum_e tr(A^e)^(n+1) = ((d-1)^(n+1) +
         (-1)^(n+1) (d-1))/d.
     (b) K.G = 0: G^T = +-G, so x.G = 0 iff x.(I - M_0).V^T = 0 iff
-        x.M_0 = x, checked by folding K along every axis.
+        x.M_0 = x, checked by _times_u folding every coordinate axis of K
+        by A on the right (e = d-1, a fold _axis_check checks).
     (c) K has r independent rows with the identity on r columns, so c.K is
         integral only for integral c: a saturated sublattice of rank r.
     With r = the count, K is a Z-basis of the radical and, with its identity
@@ -400,9 +416,10 @@ def _radical_refusal(k: np.ndarray, d: int, n: int, r: int) -> Optional[str]:
         return f"{len(k)} radical rows, expected {r} (count)"
     if not np.array_equal(k[:, :r], np.eye(r, dtype=k.dtype)):
         return "the radical rows do not start with the identity (pivot minor)"
-    # Each fold of _times_u_inverse at most doubles an entry.
+    # x.M_0 folds every coordinate axis by u^(d-1) = u^(-1) on the right;
+    # each fold at most doubles an entry.
     x = _widened(k, 2 ** (n + 1)).reshape((r,) + (d - 1,) * (n + 1))
-    if not np.array_equal(_times_u0(x, d), x):
+    if not np.array_equal(reduce(lambda y, i: _times_u(y, i, d - 1, d), range(1, n + 2), x), x):
         return "a radical row is not fixed by u_0 (invariance)"
     return None
 
@@ -462,22 +479,29 @@ def _kron_prefix(m: np.ndarray, k: int, rows: int) -> np.ndarray:
 
 def _axis_check(d: int) -> None:
     """The per-axis facts behind _certified_radical (a) and
-    _primitive_actions, checked exactly on U and A, _times_u by u and by
-    u^(d-1) on the identity: U is the companion matrix of 1 + x + ... +
-    x^(d-1) (ones above the diagonal and a last row of -1, built apart
-    from _times_u), U.A = I and V_1.A^T = -V_1^T.  So the eigenvalues of U
-    are the d-th roots of unity other than 1, once each, and U^d = I
-    (Cayley-Hamilton, as (x - 1)(1 + ... + x^(d-1)) = x^d - 1): A = U^(-1)
-    = U^(d-1), and tr(U^f) = -1 unless d | f.  Transposed, the last check
-    is V_1^T = -U.V_1, so V_1.A^T = U.V_1 and U.V_1.U^T = V_1.  Raises
-    VerificationError naming the check that fails."""
+    _primitive_actions, checked exactly on U and A = U^(d-1) as _times_u
+    folds them on the identity, at e = 1 and e = d-1 on both sides (I.U^e
+    along the columns, U^e.I along the rows): both sides equal, U is the
+    companion matrix of 1 + x + ... + x^(d-1) (ones above the diagonal
+    and a last row of -1, built apart from _times_u), U.A = I and V_1.A^T
+    = -V_1^T.  These are the folds that the radical's invariance check (e
+    = d-1 on the right) and the actions (e = 1 and e = d-1 on the left)
+    run.  So the eigenvalues of U are the d-th roots of unity other than
+    1, once each, and U^d = I (Cayley-Hamilton, as (x - 1)(1 + ... +
+    x^(d-1)) = x^d - 1): A = U^(-1), and tr(U^f) = -1 unless d | f.
+    Transposed, the last check is V_1^T = -U.V_1, so V_1.A^T = U.V_1 and
+    U.V_1.U^T = V_1.  Raises VerificationError naming the check that
+    fails."""
     eye = np.eye(d - 1, dtype=np.int64)
     u, a = (_times_u(eye, 1, e, d) for e in (1, d - 1))
+    sides = all(np.array_equal(_times_u(eye, 0, e, d, left=True), m)
+                for e, m in ((1, u), (d - 1, a)))
     companion = np.eye(d - 1, k=1, dtype=np.int64)
     companion[-1] = -1
-    if not (np.array_equal(u, companion) and np.array_equal(la.int_matmul(u, a), eye)):
+    if not (sides and np.array_equal(u, companion) and np.array_equal(la.int_matmul(u, a), eye)):
         raise VerificationError(f"a per-axis check of the actions and of the radical's trace "
-                                f"fails at d = {d} (U the companion matrix, U.A = I)")
+                                f"fails at d = {d} (U^e the same on both sides, U the "
+                                "companion matrix, U.A = I)")
     v1 = _seifert_axis(d).astype(np.int64)
     if not np.array_equal(la.int_matmul(v1, a.T), -v1.T):
         raise VerificationError(f"a per-axis check of the radical fails at d = {d} "
@@ -491,55 +515,20 @@ def _widened(x: np.ndarray, growth: int) -> np.ndarray:
     return x.astype(np.min_scalar_type(-top - 1))
 
 
-def _times_u0(x: np.ndarray, d: int) -> np.ndarray:
-    """x times u_0 = (u_1...u_{n+1})^(-1): every coordinate axis folded by
-    u^(-1), between two buffers of x's shape."""
-    bufs = [np.empty_like(x) for _ in range(min(2, x.ndim - 1))]
-    for i in range(1, x.ndim):
-        x = _times_u_inverse(x, i, d, out=bufs[i % len(bufs)])
-    return x
-
-
-def _times_u_inverse(x: np.ndarray, axis: int, d: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """_times_u(x, axis, d - 1, d) with no copy but out: u^(-1).u^j =
-    u^(j-1), and u^(-1) = u^(d-1) = -(1 + ... + u^(d-2)), so slot j of
-    the result is slot j+1 of x minus slot 0 for j < d-2, and the last is
-    minus slot 0."""
-    out = np.empty_like(x) if out is None else out
-    src, dst = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(src[1:], src[:1], out=dst[:-1])
-    np.negative(src[0], out=dst[-1])
-    return out
-
-
-def _left_times_u(x: np.ndarray, axis: int, e: int, d: int) -> np.ndarray:
-    """U^e.x along one axis, 0 <= e < d: slot j is slot j + e (mod d) of x
-    with a u^(d-1) slot of minus the sum of the others appended, written as
-    one shifted copy of x and, for e > 0, one negated sum into slot d-1-e;
-    entries grow <= d-1 fold."""
-    out = np.empty_like(x)
-    src, dst = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
-    dst[:d - 1 - e] = src[e:]
-    if e:
-        dst[d - e:] = src[:e - 1]
-        total = dst[d - 1 - e]
-        np.sum(src, axis=0, dtype=x.dtype, out=total)
-        np.negative(total, out=total)
-    return out
-
-
 def _milnor_products(d: int, n: int, p: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
     """(name, M.P) for each generator M of the symmetry action, with no N x N
-    matrix: P, with one axis per coordinate, folded from the left by U on
-    axis i for u_i and by U^(d-1) on every axis for u_0 = (u_1...u_{n+1})^(-1);
+    matrix: P, with one axis per coordinate, folded by _times_u from the
+    left, by U (e = 1) on axis i for u_i and by A = U^(d-1) on every axis
+    for u_0 = (u_1...u_{n+1})^(-1), the two left folds _axis_check checks;
     s_i (z_i and z_{i+1} swapped, twisted by the sign) negates a swap of
     axes.  The dtype holds max|P| (d-1)^(n+1), so no fold can wrap."""
     x = _widened(p, (d - 1) ** (n + 1)).reshape((d - 1,) * (n + 1) + p.shape[1:])
     for i in range(n + 1):
-        yield f"u_{i + 1}", _left_times_u(x, i, 1, d).reshape(p.shape)
+        yield f"u_{i + 1}", _times_u(x, i, 1, d, left=True).reshape(p.shape)
     for i in range(1, n + 1):
         yield f"s_{i}", -x.swapaxes(i - 1, i).reshape(p.shape)
-    yield "u_0", reduce(lambda y, i: _left_times_u(y, i, d - 1, d), range(n + 1), x).reshape(p.shape)
+    yield "u_0", reduce(lambda y, i: _times_u(y, i, d - 1, d, left=True), range(n + 1),
+                        x).reshape(p.shape)
 
 
 @lru_cache(maxsize=None)
@@ -549,7 +538,8 @@ def _primitive_actions(d: int, n: int) -> Mapping[str, np.ndarray]:
 
     The projection P is the identity on its last q rows, which the section
     S = (0 | I) picks (the pivots 0, ..., r-1 of _certified_radical), so M
-    acts on the quotient as A_M = S.M.P, rows r, ..., N-1 of M.P.  With
+    acts on the quotient as A_M = S.M.P, rows r, ..., N-1 of M.P, which
+    _milnor_products folds with _times_u on the left.  With
     U^d = I and U.V_1.U^T = V_1, which follow from the per-axis checks of
     _axis_check (run by every build, at n = 0 too), and the radical R =
     {x : x.M_0 = x} with basis K of _certified_radical, every relation of

@@ -295,6 +295,26 @@ def test_constant_elements_hash_as_their_constant_term():
     assert z in {CyclotomicElement(5, [0, 1, 0, 0])}
 
 
+def test_equality_is_transitive_across_conductors():
+    # A constant equals the equal constant of any conductor, so a set of
+    # them does not depend on the order of insertion.
+    a, b = CyclotomicElement.from_int(3, 5), CyclotomicElement.from_int(4, 5)
+    assert a == b and b == a and len({a, 5, b}) == len({5, a, b}) == 1
+    half = CyclotomicElement.from_int(12, Fraction(1, 2))
+    assert half == CyclotomicElement.from_int(5, Fraction(1, 2)) != a
+    # Non-constants are equal only at the same conductor.
+    z3, z6 = CyclotomicElement.zeta(3), CyclotomicElement.zeta(6)
+    assert z3 != z6 and z3 != CyclotomicElement.zeta(3, 2) and z3 != 0
+    assert len({z3, z6, CyclotomicElement(3, [0, 1])}) == 2
+
+
+def test_equality_with_a_bool_answers():
+    one, zero = CyclotomicElement.one(3), CyclotomicElement.zero(5)
+    assert one == True and zero == False and one != False  # noqa: E712
+    assert CyclotomicElement.zeta(3) != True  # noqa: E712
+    assert one != "1" and one != None  # noqa: E711
+
+
 def test_elements_refuse_assignment_and_deletion():
     z = CyclotomicElement.zeta(3)
     u = GroupRingElement.generator(3, 2, 0)

@@ -172,8 +172,9 @@ def test_per_axis_checks_refuse_a_wrong_u_or_v1(d, monkeypatch):
     # but moves V_1; neither is the companion matrix of 1 + ... + u^(d-1).
     # The build runs the check at every n, n = 0 too.
     for u in (lambda u: -u, lambda u: u.T):
-        monkeypatch.setattr(fh, "_times_u", lambda x, axis, e, d: u(times_u(x, axis, e, d))
-                            if e == 1 else times_u(x, axis, e, d))
+        monkeypatch.setattr(fh, "_times_u", lambda x, axis, e, d, left=False:
+                            u(times_u(x, axis, e, d, left)) if e == 1
+                            else times_u(x, axis, e, d, left))
         for check in (lambda: fh._axis_check(d), lambda: fh._build_primitive(d, 0)):
             with pytest.raises(VerificationError, match="per-axis check of the actions"):
                 check()
@@ -184,6 +185,48 @@ def test_per_axis_checks_refuse_a_wrong_u_or_v1(d, monkeypatch):
     for check in (lambda: fh._axis_check(d), lambda: fh._build_primitive(d, 0)):
         with pytest.raises(VerificationError, match="per-axis check of the radical"):
             check()
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+@pytest.mark.parametrize("d", range(3, 13))
+def test_fold_is_the_product_with_the_power_of_u(d, dtype):
+    # x.U^e and U^e.x along every axis, exactly in object dtype, for the
+    # matrices U^e of _u_powers.  Entries at most 200 grow at most 11-fold.
+    rng = np.random.default_rng(d)
+    powers = [u.astype(object) for u in fh._u_powers(d)]
+    for ndim in (3, 4):
+        x = rng.integers(-200, 201, size=(d - 1,) * (ndim - 1) + (3,)).astype(dtype)
+        for axis in range(ndim - 1):
+            moved = np.moveaxis(x, axis, -1).astype(object)
+            for e in range(d):
+                right = np.moveaxis(moved @ powers[e], -1, axis)
+                left = np.moveaxis(moved @ powers[e].T, -1, axis)
+                for side, want in ((False, right), (True, left)):
+                    got = fh._times_u(x, axis, e, d, left=side)
+                    assert got.dtype == dtype and got.flags.c_contiguous
+                    assert (got == want).all(), (axis, e, side)
+    # The result keeps x's layout: a Fortran-ordered x gives one.
+    x = np.asfortranarray(rng.integers(-9, 10, size=(d - 1, d - 1, 2)))
+    assert fh._times_u(x, 1, 1, d, left=True).flags.f_contiguous
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_per_axis_checks_refuse_a_wrong_left_fold(d, monkeypatch):
+    # The actions run the left fold: its transpose (the right fold) or a
+    # wrong sign in the summed slot is refused before any action is built.
+    times_u = fh._times_u
+
+    def plus_sum(x, axis, e, d, left=False):
+        out = times_u(x, axis, e, d, left)
+        if left and e:
+            np.moveaxis(out, axis, 0)[d - 1 - e] *= -1
+        return out
+
+    for wrong in (lambda x, axis, e, d, left=False: times_u(x, axis, e, d), plus_sum):
+        monkeypatch.setattr(fh, "_times_u", wrong)
+        for n in (0, 1, 2):
+            with pytest.raises(VerificationError, match="per-axis check of the actions"):
+                fh._build_primitive(d, n)
 
 
 def test_relations_hold_on_random_vectors_at_milnor_rank_2048():

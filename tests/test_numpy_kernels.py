@@ -1,10 +1,10 @@
 """The structure-aware numpy kernels of the primitive build and its
 certificate against the generic numpy calls they replaced: _kron against
-np.kron, _left_times_u against its pad/roll/take body, the float rank-one
-test against the integer oracle on both sides of its guard, _float_mod
-against np.mod, the orbit candidate K against digests recorded with the
-float64 solve it replaced, the n = 0 certificate and actions at large d,
-and prime_factors against trial division."""
+np.kron, the left fold of _times_u against its pad/roll/take body, the
+float rank-one test against the integer oracle on both sides of its
+guard, _float_mod against np.mod, the orbit candidate K against digests
+recorded with the float64 solve it replaced, the n = 0 certificate and
+actions at large d, and prime_factors against trial division."""
 
 import hashlib
 import json
@@ -64,11 +64,11 @@ def test_kron_power_is_the_np_kron_power(k):
 
 
 # ---------------------------------------------------------------------------
-# _left_times_u
+# The left fold of _times_u
 
 def padded_rolled_fold(x, axis, e, d):
-    """_left_times_u as it was: pad a u^(d-1) slot of minus the sum, roll,
-    take the first d-1 slots (three full-size copies)."""
+    """The left fold U^e.x as it was: pad a u^(d-1) slot of minus the sum,
+    roll, take the first d-1 slots (three full-size copies)."""
     padded = np.concatenate([x, -x.sum(axis=axis, keepdims=True, dtype=x.dtype)], axis=axis)
     return np.roll(padded, -e, axis=axis).take(range(d - 1), axis=axis)
 
@@ -80,7 +80,7 @@ def test_left_fold_is_the_padded_rolled_fold(d, dtype):
     x = rng.integers(-100, 101, size=(d - 1,) * 3 + (5,)).astype(dtype)
     for axis in range(3):
         for e in range(d):
-            got = fh._left_times_u(x, axis, e, d)
+            got = fh._times_u(x, axis, e, d, left=True)
             assert got.dtype == dtype
             assert np.array_equal(got, padded_rolled_fold(x, axis, e, d)), (axis, e)
 
@@ -268,7 +268,7 @@ print(json.dumps([prim.class_image((0, 1)), prim.class_image((0, 1024))]))
 
 
 def test_class_image_at_d_1025_under_a_memory_cap():
-    # Row 0 of U^e comes from the shift rule, not from the d powers of U
+    # Row 0 of U^e is one fold of the unit row, not a row of the d powers of U
     # (8.6 GB at d = 1025); at n = 0 the projection is the identity.
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(DATA), os.pardir, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -281,9 +281,14 @@ def test_class_image_at_d_1025_under_a_memory_cap():
 
 @pytest.mark.parametrize("d", range(3, 10))
 def test_u_power_rows_are_the_rows_of_the_powers(d):
+    # The shift rule that class_image read before: e_e for e < d-1, and all
+    # -1 for u^(d-1) = -(1 + u + ... + u^(d-2)).
     powers = fh._u_powers(d)
+    unit = np.eye(1, d - 1, dtype=np.int64)
     for e in range(d):
-        assert np.array_equal(fh._u_power_row(d, e), powers[e][0])
+        shift = np.full(d - 1, -1) if e == d - 1 else np.eye(1, d - 1, e, dtype=np.int64)[0]
+        assert np.array_equal(fh._times_u(unit, 1, e, d)[0], shift)
+        assert np.array_equal(powers[e][0], shift)
     prim = fh.build_primitive(d, 1)
     for a in range(d):
         for b in range(d):

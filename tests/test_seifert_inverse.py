@@ -3,7 +3,7 @@ candidate for d.G^-1 of a primitive Fermat lattice against the LAPACK
 inverse, the exact product as its only judge, the lattices that carry it,
 the float32 tier of int_matmul behind the product, the row-blocked
 rank-one test against its unblocked form, the certificate's memory, and
-the copy-free u^(-1) fold of the radical's invariance check."""
+the u^(-1) fold of the radical's invariance check."""
 
 import json
 import tracemalloc
@@ -231,6 +231,14 @@ def test_rank_one_test_past_int64_products():
     assert lc._is_rank_one_with_unit(x, q, q) is False
 
 
+def padded_rolled_fold(x, axis, e, d):
+    """The right fold x.U^e as it was: pad a zero u^(d-1) slot, roll by e,
+    and fold that slot back into the others."""
+    padded = np.concatenate([x, np.zeros_like(x.take([0], axis=axis))], axis=axis)
+    rolled = np.roll(padded, e, axis=axis)
+    return rolled.take(range(d - 1), axis=axis) - rolled.take([d - 1], axis=axis)
+
+
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
 @pytest.mark.parametrize("d", [3, 4, 5, 7])
 def test_u_inverse_fold_is_the_rolled_fold(dtype, d):
@@ -238,11 +246,12 @@ def test_u_inverse_fold_is_the_rolled_fold(dtype, d):
     top = min(np.iinfo(dtype).max // 8, 1000)  # three folds, each at most doubling
     x = rng.integers(-top, top + 1, size=(d - 1,) * 4).astype(dtype)
     for axis in range(4):
-        folded = fh._times_u_inverse(x, axis, d)
+        folded = fh._times_u(x, axis, d - 1, d)
         assert folded.dtype == dtype
-        assert np.array_equal(folded, fh._times_u(x, axis, d - 1, d))
-    # Axis 0 holds the rows; _times_u0 folds every other axis.
-    expected = x
+        assert np.array_equal(folded, padded_rolled_fold(x, axis, d - 1, d))
+    # Axis 0 holds the rows, as in the radical's check; u_0 folds every other axis.
+    expected, folded = x, x
     for axis in range(1, 4):
-        expected = fh._times_u(expected, axis, d - 1, d)
-    assert np.array_equal(fh._times_u0(x, d), expected)
+        expected = padded_rolled_fold(expected, axis, d - 1, d)
+        folded = fh._times_u(folded, axis, d - 1, d)
+    assert np.array_equal(folded, expected)
