@@ -19,13 +19,19 @@ checks: an inverse, for scaled_integer_inverse (the exact product, which
 also judges a caller's own candidate), and eigenvectors, for inertia (the
 exact congruence X^T.G.X must be strictly diagonally dominant).
 The modular Smith divisors, the inertia certificate and the symmetric
-elimination behind it, the mod-p _rref, CRT reconstruction, scaled integer
-inverses and certified pivot columns live here.
+elimination behind it, the mod-p _rref, scaled integer inverses and
+certified pivot columns live here.  Each certificate makes one cheap
+guess, checks it exactly, and otherwise runs one exact kernel:
+certified_pivot_columns lifts the reduced echelon form mod MODP_PRIMES[0]
+or else takes the pivots of _fraction_free, and scaled_integer_inverse
+falls back to solve_rational.  CRT reconstruction (crt_reconstruct_int_matrix
+over modp_solve_matrix) has no caller in the package; bench/recorder.py
+still wraps both by name.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt, lcm, prod
+from math import gcd, prod
 from typing import Sequence
 
 import numpy as np
@@ -546,14 +552,11 @@ def scaled_integer_inverse(a: np.ndarray, d: int, candidate=None):
     2006).  It is used only if the inverse raised no LinAlgError and every
     entry is finite and below 2**53 in absolute value, checked before the
     int64 cast, so nothing wraps; A past int64 (dtype object) or |d| >=
-    2**53 skips it.  The last is CRT reconstruction over
-    modp_solve_matrix.  Wherever a candidate comes from, only the exact
-    product accepts it.  When none passes, solve_rational decides: CRT
-    stops at a modulus of about 2**414, and an integral d.A^{-1} can have
-    larger entries.  The product runs _PANEL rows of A at a time, in
-    the dtype that _matmul_dtype picks once for A and X, so it holds no
-    N x N product and no N x N copy of d.I, and one N x N copy of X (in
-    that dtype, unless X has it already).
+    2**53 skips it.  Only the exact product accepts a candidate.  When
+    none passes, solve_rational on [A | d.I] decides.  The product runs
+    _PANEL rows of A at a time, in the dtype that _matmul_dtype picks once
+    for A and X, so it holds no N x N product and no N x N copy of d.I, and
+    one N x N copy of X (in that dtype, unless X has it already).
     """
     n = len(a)
 
@@ -582,11 +585,7 @@ def scaled_integer_inverse(a: np.ndarray, d: int, candidate=None):
                 x = _as_int64(x)
                 if solves(x):
                     return x
-    eye = np.eye(n, dtype=np.int64 if abs(d) < _INT64_SAFE else object) * d
-    x = crt_reconstruct_int_matrix(lambda p: modp_solve_matrix(a, eye, p), solves)
-    if x is not None:
-        return x
-    x = solve_rational(a.tolist(), eye.tolist())
+    x = solve_rational(a.tolist(), [[d if i == j else 0 for j in range(n)] for i in range(n)])
     if x is None or any(v.denominator != 1 for row in x for v in row):
         return None
     return int_array([[v.numerator for v in row] for row in x])
@@ -685,66 +684,18 @@ def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _as_int64(prod) if dtype == np.float64 else prod.astype(np.int64, copy=False)
 
 
-def _ratrecon(x: int, m: int, bound: int):
-    """(a, b) with a/b = x mod m, |a| <= bound, 0 < b <= bound, or None."""
-    r0, r1, s0, s1 = m, x % m, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound:
-        return None
-    return (r1, s1) if s1 > 0 else (-r1, -s1)
-
-
-def _rational_matrix(residues: np.ndarray, m: int):
-    """(den, N) with N/den = residues mod m entrywise and the entries of
-    N/den in lowest terms below sqrt(m/2), or None when none exists."""
-    bound = isqrt(m // 2)
-    sym = symmetric_residues(residues, m)
-    if _abs_max(sym) <= bound:
-        return 1, sym
-    fracs = {}
-    den = 1
-    for idx, x in np.ndenumerate(sym):
-        if abs(int(x)) > bound:
-            ab = _ratrecon(int(x), m, bound)
-            if ab is None:
-                return None
-            fracs[idx] = ab
-            den = lcm(den, ab[1])
-    n = sym.astype(object) * den
-    for idx, (num, b) in fracs.items():
-        n[idx] = num * (den // b)
-    return den, n
-
-
-def _pivots_precede(a: list[int], b: list[int]) -> bool:
-    """Whether pivot list a comes first: at the first difference a has the
-    smaller column, or b has run out.  The exact pivot set precedes every
-    mod-p pivot set that differs from it."""
-    for x, y in zip(a, b):
-        if x != y:
-            return x < y
-    return len(a) > len(b)
-
-
-def _certify_pivots(a: np.ndarray, pivots: list[int], den: int, n: np.ndarray,
-                    block: int) -> bool:
+def _certify_pivots(a: np.ndarray, pivots: list[int], n: np.ndarray) -> bool:
     """Exact checks that pivots are the lexicographically first independent
-    columns of A, given N with A[:, pivots] . N == den . A (pivot columns
-    are independent by their rank mod p)."""
-    if set(pivots) != {b * block + t for b in {c // block for c in pivots} for t in range(block)}:
-        return False
-    if any(n[i, c] != den for i, c in enumerate(pivots)):
+    columns of A, given N with A[:, pivots] . N == A (pivot columns are
+    independent by their rank mod p)."""
+    if any(n[i, c] != 1 for i, c in enumerate(pivots)):
         return False
     mask = np.arange(a.shape[1])[None, :] < np.array(pivots, dtype=np.int64)[:, None]
     if mask.size and np.any(n[mask] != 0):
         return False
     left = a[:, pivots]
-    if _abs_max(a) * den >= _INT64_SAFE:
-        a = a.astype(object)
     for s in range(0, a.shape[1], 64):
-        if np.any(int_matmul(left, n[:, s:s + 64]) != a[:, s:s + 64] * den):
+        if np.any(int_matmul(left, n[:, s:s + 64]) != a[:, s:s + 64]):
             return False
     return True
 
@@ -811,29 +762,24 @@ def _echelon_rows(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
 
 def certified_pivot_columns(a, block: int = 1) -> list[int]:
     """Lexicographically first maximal set of Q-independent columns of the
-    integer matrix A, chosen mod p and certified exactly.
+    integer matrix A, chosen mod one prime and certified exactly, else
+    found by the fraction-free elimination.
 
-    Each prime gives a pivot set P and reduced rows E mod p; primes that
-    agree on P are combined by CRT and rational reconstruction into N/den
-    with A[:, P] . N == den . A, which is checked as an exact integer product
-    together with the reduced-echelon support of N.  P must be a union of
-    whole blocks of `block` consecutive columns.  Raises VerificationError
-    when no prime certifies.
+    The prime p = MODP_PRIMES[0] gives a pivot set P and reduced rows E
+    mod p.  E lifted to symmetric residues is N, accepted by the exact
+    product A[:, P] . N == A together with the reduced-echelon support of
+    N.  When N fails (p divides a minor of A, or the reduced row echelon
+    form of A is not integral), P is the pivot set of _fraction_free(A),
+    Bareiss's elimination over Q.  P must be a union of whole blocks of
+    `block` consecutive columns: VerificationError otherwise.
     """
     a = int_array(a)
     if a.ndim != 2:
         raise ValueError("matrix expected")
-    best, acc, mod = None, None, 1
-    for p in MODP_PRIMES:
-        pivots, ech = _echelon_rows(a, p)
-        if best is None or _pivots_precede(pivots, best):
-            best, acc, mod = pivots, ech, p
-        elif pivots != best:
-            continue
-        else:
-            acc = _crt_combine(acc, mod, ech, p)
-            mod *= p
-        rat = _rational_matrix(acc, mod)
-        if rat is not None and _certify_pivots(a, best, rat[0], int_array(rat[1]), block):
-            return best
-    raise VerificationError("no prime certified the pivot columns")
+    p = MODP_PRIMES[0]
+    pivots, ech = _echelon_rows(a, p)
+    if not _certify_pivots(a, pivots, symmetric_residues(ech, p)):
+        pivots = _fraction_free(a)[1]
+    if set(pivots) != {b * block + t for b in {c // block for c in pivots} for t in range(block)}:
+        raise VerificationError("the pivot columns are not whole blocks")
+    return pivots

@@ -292,7 +292,8 @@ def _seifert_inverse(d: int, n: int, projection: np.ndarray) -> Optional[np.ndar
     Seifert form, as a candidate: None unless every entry is below 2**24.
     It is computed in float32 and proven by nothing here;
     la.scaled_integer_inverse accepts it only by the exact product
-    G_q.X == d.I, and otherwise runs its LAPACK and CRT candidates.
+    G_q.X == d.I, and otherwise runs its LAPACK candidate and then the
+    exact solve.
 
     Let sigma = parity_sign(n), A = U^(d-1), V_1^(-T) the upper triangular
     matrix of ones, C_e = V_1^(-T).A^e, M_0 = A x ... x A, K = (I_r | B)

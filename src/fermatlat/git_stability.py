@@ -20,7 +20,8 @@ from .errors import EmptyFormError, VerificationError
 
 
 class HomogeneousForm:
-    """Degree-d form in m variables as a map exponent-vector -> coefficient.
+    """Degree-d form in m >= 1 variables as a map exponent-vector ->
+    coefficient (ValueError naming 'm' for m < 1).
 
     Read-only once built: the terms are normalised to integer exponent
     tuples and nonzero Fraction coefficients, repeated exponent vectors
@@ -30,6 +31,8 @@ class HomogeneousForm:
     __slots__ = ("m", "degree", "terms")
 
     def __init__(self, m: int, degree: int, terms: dict | None = None):
+        if m < 1:
+            raise ValueError(f"form field 'm' must be at least 1: {m!r}")
         clean = {}
         for exps, coeff in (terms or {}).items():
             coeff = Fraction(coeff)

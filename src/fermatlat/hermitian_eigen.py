@@ -332,7 +332,8 @@ def _pivot_columns(d: int, coords: np.ndarray,
 
     On the restriction of scalars the phi rational columns of column j are
     all pivots or none, so j is a Q(zeta)-pivot iff column j*phi is a
-    Q-pivot; the rational pivots are chosen mod p and certified exactly.
+    Q-pivot; the rational pivots are chosen mod one prime and certified
+    exactly, or else found by the fraction-free elimination.
     """
     phi = coords.shape[-1]
     pivots = la.certified_pivot_columns(_realify(d, coords, index), block=phi)

@@ -9,6 +9,7 @@ accepts or rejects.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -151,11 +152,11 @@ def radical_quotient(lattice: IntegerLattice, kernel_rows=None, proven_pivots=No
     basis is saturated and deterministic (HNF of the kernel, then either a
     coordinate subsection certified by a unimodular minor or an SNF basis
     completion).  Without kernel_rows the kernel is the certified mod-p
-    radical, or the integer right kernel of the Gram when no prime
-    certifies it.  Supplied kernel_rows are checked to lie in the radical
-    and put in row HNF, unless proven_pivots is given too: then they are
-    taken as already proven to be the radical's row HNF with those pivot
-    columns, and nothing about them is checked here.
+    radical, or the integer right kernel of the Gram when the one prime
+    does not certify it.  Supplied kernel_rows are checked to lie in the
+    radical and put in row HNF, unless proven_pivots is given too: then
+    they are taken as already proven to be the radical's row HNF with
+    those pivot columns, and nothing about them is checked here.
     """
     g = lattice.gram
     n = lattice.rank
@@ -214,13 +215,15 @@ def radical_quotient(lattice: IntegerLattice, kernel_rows=None, proven_pivots=No
 
 
 def certified_radical(gram: np.ndarray) -> Optional[np.ndarray]:
-    """Row HNF of the radical {x : x.G = 0}, from the mod-p kernel of G and
-    certified exactly; None when none of the first four primes certifies.
+    """Row HNF of the radical {x : x.G = 0}, from the kernel of G mod
+    p = MODP_PRIMES[0] and certified exactly; None when it is not certified
+    (the rank of G drops mod p, or the radical's HNF has a pivot other
+    than 1), and then radical_quotient takes the integer right kernel.
 
-    For each prime, one reduced row echelon form of G with its columns
-    reversed gives the kernel of G mod p already in reduced row echelon
-    form, lifted to symmetric residues K (_radical_candidate), which
-    is accepted by _is_radical_basis.  Those checks prove that K is a
+    One reduced row echelon form of G with its columns reversed gives the
+    kernel of G mod p already in reduced row echelon form, lifted to
+    symmetric residues K (_radical_candidate), which is accepted by
+    _is_radical_basis.  Those checks prove that K is a
     Z-basis of the radical.  K has one row per dimension of the mod-p
     kernel, and the mod-p nullity is at least the nullity over Q, since the
     rank mod p is at most the rank over Q.  K.G = 0 with an identity pivot
@@ -230,11 +233,8 @@ def certified_radical(gram: np.ndarray) -> Optional[np.ndarray]:
     K is saturated.  A lifted RREF keeps its zeros, so K is also the
     radical's unique row HNF.
     """
-    for p in la.MODP_PRIMES[:4]:
-        k, pivots = _radical_candidate(gram, p)
-        if _is_radical_basis(k, pivots, gram):
-            return k
-    return None
+    k, pivots = _radical_candidate(gram, la.MODP_PRIMES[0])
+    return k if _is_radical_basis(k, pivots, gram) else None
 
 
 def _radical_candidate(gram: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -367,19 +367,21 @@ def discriminant(lattice: IntegerLattice,
 
 
 def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:
-    """Exact certificate that L*/L is cyclic of order d, feasible at large rank.
+    """Exact certificate that L*/L is cyclic of order d, feasible at large
+    rank.  d is an integer (operator.index) of at least 1: ValueError
+    otherwise.
 
     (a) X = d * G^{-1} is integral, so every invariant factor e_i of G
     divides d: X is la.scaled_integer_inverse(G, d), given the lattice's
     closed-form candidate when it has one for d (a primitive Fermat
     lattice has one from its Seifert form, fermat_homology._seifert_inverse),
-    else a float64 LAPACK inverse rounded under the 2**53 guard or, when
-    that fails, CRT reconstruction.  Each is accepted only by the exact
-    product G.X == d.I; nothing rests on where it came from.  (b) For each
-    p^v || d, X mod p^v is a rank-one matrix with a unit entry: for the
-    first entry X[i, j] that is a unit mod p, X == X[:, j] . X[i, :] .
-    X[i, j]^{-1} (mod p^v) (_is_rank_one_with_unit).  That is O(N^2)
-    integer work in row blocks and no elimination.
+    else a float64 LAPACK inverse rounded under the 2**53 guard.  Each is
+    accepted only by the exact product G.X == d.I; nothing rests on where
+    it came from.  When none passes, the exact rational solve decides.
+    (b) For each p^v || d, X mod p^v is a rank-one matrix with a unit
+    entry: for the first entry X[i, j] that is a unit mod p, X == X[:, j] .
+    X[i, :] . X[i, j]^{-1} (mod p^v) (_is_rank_one_with_unit).  That is
+    O(N^2) integer work in row blocks and no elimination.
 
     Why (b) pins the p-part: write G = U.diag(e).V with U, V unimodular.
     Then X = V^{-1}.diag(d/e_i).U^{-1}, and d/e_i has p-valuation
@@ -396,7 +398,9 @@ def discriminant_is_cyclic_of_order(lattice: IntegerLattice, d: int) -> bool:
     divisible by p is e_N for every p | d, so e_N = d and every other e_i
     is 1: L*/L is cyclic of order d.  Avoids a full Smith normal form.
     """
-    dd = int(d)
+    dd = operator.index(d)
+    if dd < 1:
+        raise ValueError(f"the order d must be at least 1, not {dd}")
     x = la.scaled_integer_inverse(lattice.gram, dd, _inverse_candidate(lattice, dd))
     if x is None:
         return False

@@ -284,9 +284,10 @@ def _one_term(exponents=(3, 0, 0), coeff="1", m=3, degree=3):
     (_one_term(m=None), "'m'"),
     (_one_term(m=3.5), "'m'"),
     (_one_term(degree=2.5), "'degree'"),
+    (_one_term(exponents=[], m=0, degree=0), "'m'"),
 ], ids=["no-degree", "terms-not-a-list", "top-level-list", "coeff-null", "coeff-zero-den",
         "coeff-infinity", "exponents-not-a-list", "exponents-not-integers", "m-null",
-        "m-not-integral", "degree-not-integral"])
+        "m-not-integral", "degree-not-integral", "m-zero"])
 @pytest.mark.parametrize("command", ["check", "cone"])
 def test_git_malformed_form_is_an_input_error(command, form, field, tmp_path, capsys):
     path = tmp_path / "form.json"

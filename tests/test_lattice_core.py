@@ -192,10 +192,13 @@ def test_radical_quotient_of_a_milnor_lattice_takes_the_certified_radical():
 
 
 def test_radical_with_a_non_unit_hnf_pivot_falls_back(monkeypatch):
-    # The radical is spanned by (2, 3): no mod-p kernel lifts to it, so the
-    # integer kernel and the Smith completion take over.
+    # The radical is spanned by (2, 3): no mod-p kernel lifts to it, so
+    # after one elimination mod the first prime the integer kernel and the
+    # Smith completion take over.
     gram = [[9, -6], [-6, 4]]
+    calls = count_calls(monkeypatch, "modp_eliminate")
     assert lc.certified_radical(la.int_array(gram)) is None
+    assert calls == {"modp_eliminate": 1}
     kernels = []
     right_kernel = la.right_kernel
 
@@ -334,37 +337,48 @@ def test_cyclic_certificate_matches_smith_form():
     assert seen >= 10
 
 
-def test_cyclic_certificate_falls_back_to_crt_on_an_ill_conditioned_form(monkeypatch):
+def test_cyclic_certificate_solves_exactly_on_an_ill_conditioned_form(monkeypatch):
     # G has entries below 2**53, so the float64 inverse runs, but d * G^{-1},
     # the only solution, has 77-bit entries: no float candidate can pass
     # the 2**53 guard and the product, whatever the LAPACK build.
     e = [1, 1, 1, 1, 1, 9]
     gram = congruent_form(random.Random(9), e, ops=60, bound=9)
     assert 2**40 < la._abs_max(la.int_array(gram)) < 2**53
-    calls = count_calls(monkeypatch, "modp_solve_matrix")
+    calls = count_calls(monkeypatch, "solve_rational")
     assert discriminant_is_cyclic_of_order(IntegerLattice(gram), 9) is is_cyclic_of_order(e, 9)
-    assert is_cyclic_of_order(e, 9) and calls["modp_solve_matrix"]
+    assert is_cyclic_of_order(e, 9) and calls["solve_rational"]
 
 
 def test_cyclic_certificate_skips_float_candidates_past_2_53(monkeypatch):
-    # X = [[2**55]]: d itself is past 2**53, so CRT finds X, and L*/L is
-    # trivial, not cyclic of order 2**55.
-    calls = count_calls(monkeypatch, "modp_solve_matrix")
+    # X = [[2**55]]: d itself is past 2**53, so the exact solve finds X, and
+    # L*/L is trivial, not cyclic of order 2**55.
+    calls = count_calls(monkeypatch, "solve_rational")
     assert discriminant_is_cyclic_of_order(IntegerLattice([[1]]), 2**55) is False
-    assert calls["modp_solve_matrix"]
+    assert calls["solve_rational"]
     # A unimodular G whose inverse, the only candidate that can pass the
     # product, has the entry 1 - 2**54: the float guess is refused by the
-    # 2**53 guard whatever LAPACK returns, and CRT certifies L*/L = 0.
-    calls["modp_solve_matrix"] = 0
+    # 2**53 guard whatever LAPACK returns, and the exact solve certifies
+    # L*/L = 0.
+    calls["solve_rational"] = 0
     k = 2**27
     assert discriminant_is_cyclic_of_order(IntegerLattice([[1, k], [k, k * k - 1]]), 1) is True
-    assert calls["modp_solve_matrix"]
+    assert calls["solve_rational"]
 
 
-def test_cyclic_certificate_past_the_crt_cap():
-    # 5.G^-1 has 769-bit entries, past the modulus of the CRT primes (about
-    # 2**414): no CRT candidate can pass, and the exact rational solve
-    # decides, so the answer is True, as the Smith form says.
+def test_cyclic_certificate_refuses_orders_that_are_not_positive_integers():
+    # L*/L of A2 is Z/3: d = 0 would pass the product (X = 0) with no prime
+    # to test, and 3.7 would be read as 3.
+    for d in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            discriminant_is_cyclic_of_order(A2, d)
+    with pytest.raises(TypeError):
+        discriminant_is_cyclic_of_order(A2, 3.7)
+    assert discriminant_is_cyclic_of_order(A2, np.int64(3)) is True
+
+
+def test_cyclic_certificate_with_a_769_bit_inverse():
+    # 5.G^-1 has 769-bit entries, far past any float candidate: the exact
+    # rational solve decides, so the answer is True, as the Smith form says.
     rng = random.Random(1)
     u = [[int(i == j) for j in range(6)] for i in range(6)]
     for _ in range(40):

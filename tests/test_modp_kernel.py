@@ -139,6 +139,27 @@ def test_solve_matrix_singular():
     assert la.modp_solve_matrix(a, np.eye(2, dtype=np.int64), 5) is not None
 
 
+def test_crt_reconstruction_of_an_inverse_past_2_53():
+    # A^-1 has the entry 1 - 2**54: the first prime is skipped, two more
+    # give a wrong candidate, and the third (a modulus past int64) the
+    # inverse.  No candidate passes a check that refuses them all.
+    k = 2**27
+    a = la.int_array([[1, k], [k, k * k - 1]])
+    eye = np.eye(2, dtype=np.int64)
+    seen = []
+
+    def residues(p):
+        seen.append(p)
+        return None if p == la.MODP_PRIMES[0] else la.modp_solve_matrix(a, eye, p)
+
+    x = la.crt_reconstruct_int_matrix(residues, lambda c: np.array_equal(la.int_matmul(a, c), eye))
+    assert x.tolist() == [[1 - k * k, k], [k, -1]]
+    assert seen == list(la.MODP_PRIMES[:4])
+    seen.clear()
+    assert la.crt_reconstruct_int_matrix(residues, lambda c: False) is None
+    assert seen == list(la.MODP_PRIMES[:la._CRT_MAX_PRIMES])
+
+
 @pytest.mark.parametrize("p", [2**31 - 1, 2**23 + 9, 1, 0])
 def test_modulus_guard(p):
     with pytest.raises(ValueError):
@@ -415,12 +436,12 @@ def test_nondegenerate_build_still_certifies_its_radical(monkeypatch):
 
 def test_cyclic_discriminant_certificate_eliminates_no_rank(monkeypatch):
     # The float64 candidate for 4 * G^{-1} passes the exact product: no
-    # mod-p solve at all.
+    # mod-p elimination and no exact solve at all.
     from fermatlat.lattice_core import discriminant_is_cyclic_of_order
     lattice = build_primitive(4, 4).lattice
-    calls = count_calls(monkeypatch, "modp_eliminate", "modp_solve_matrix")
+    calls = count_calls(monkeypatch, "modp_eliminate", "solve_rational")
     assert discriminant_is_cyclic_of_order(lattice, 4)
-    assert calls == {"modp_eliminate": 0, "modp_solve_matrix": 0}
+    assert calls == {"modp_eliminate": 0, "solve_rational": 0}
 
 
 @settings(max_examples=25, deadline=None)
@@ -436,24 +457,24 @@ def test_scaled_integer_inverse_is_exact(n, d, seed):
 
 
 def test_scaled_integer_inverse_paths(monkeypatch):
-    calls = count_calls(monkeypatch, "modp_solve_matrix")
-    # Not integral: the float candidate fails the product, then every CRT
-    # candidate does.
+    calls = count_calls(monkeypatch, "solve_rational")
+    # Not integral: the float candidate fails the product, and so does the
+    # exact solve.
     assert la.scaled_integer_inverse(np.array([[2]]), 1) is None
-    # Singular: LinAlgError is caught, and A is singular mod every prime.
+    # Singular: LinAlgError is caught, and the exact solve finds no inverse.
     assert la.scaled_integer_inverse(np.array([[1, 2], [2, 4]]), 2) is None
-    assert calls["modp_solve_matrix"] > 0
-    calls["modp_solve_matrix"] = 0
+    assert calls["solve_rational"] == 2
+    calls["solve_rational"] = 0
     # Entries past int64 skip the float64 inverse.
     big = 2**70
     x = la.scaled_integer_inverse(la.int_array([[big, 0], [0, 1]]), big)
     assert x.tolist() == [[1, 0], [0, big]]
-    assert calls["modp_solve_matrix"] > 0
-    calls["modp_solve_matrix"] = 0
+    assert calls["solve_rational"] == 1
+    calls["solve_rational"] = 0
     assert la.scaled_integer_inverse(np.zeros((0, 0), dtype=np.int8), 3).shape == (0, 0)
     assert la.scaled_integer_inverse(np.array([[2, 1], [1, 2]], dtype=np.int8), 3).tolist() == [
         [2, -1], [-1, 2]]
-    assert calls["modp_solve_matrix"] == 0
+    assert calls["solve_rational"] == 0
 
 
 def low_rank(seed, rows, cols, rank):

@@ -128,19 +128,38 @@ def test_first_prime_picks_wrong_pivots():
 def test_certificate_rejects_non_lex_first_basis():
     # Column 1 alone spans the column space of [p1, 1] (N = [p1, 1] passes
     # the product check), but column 0 comes first: the echelon support of N
-    # is what rules the basis out.
+    # is what rules the basis out.  Of [1, 1], N = [1, 1] certifies the
+    # lexicographically first basis [0] and not [1].
     a = la.int_array([[P1, 1]])
     n = la.int_array([[P1, 1]])
-    assert not la._certify_pivots(a, [1], 1, n, block=1)
-    assert la._certify_pivots(a, [0], P1, la.int_array([[P1, 1]]), block=1)
+    assert not la._certify_pivots(a, [1], n)
+    ones = la.int_array([[1, 1]])
+    assert la._certify_pivots(ones, [0], ones)
+    assert not la._certify_pivots(ones, [1], ones)
 
 
-def test_uncertified_pivots_raise(monkeypatch):
-    monkeypatch.setattr(la, "MODP_PRIMES", (P1,))
-    with pytest.raises(VerificationError):
-        la.certified_pivot_columns([[P1, 1]])
-    with pytest.raises(VerificationError):
-        pivots_of(4, [[CyclotomicElement.from_int(4, P1), CyclotomicElement.one(4)]])
+def count_fraction_free(monkeypatch):
+    calls = []
+    real = la._fraction_free
+    monkeypatch.setattr(la, "_fraction_free", lambda a: calls.append(1) or real(a))
+    return calls
+
+
+def test_uncertified_pivots_take_the_exact_elimination(monkeypatch):
+    calls = count_fraction_free(monkeypatch)
+    # Column 0 vanishes mod the first prime: its pivot set [1] fails the
+    # certificate.
+    assert la.certified_pivot_columns([[P1, 1]]) == [0]
+    # The reduced row echelon form [1, 1/2] is not integral, so no lift of
+    # it passes the product check.
+    assert la.certified_pivot_columns([[2, 1], [4, 2]]) == [0]
+    assert len(calls) == 2
+    # Over Q(zeta_4) the first realified block vanishes mod the first prime.
+    matrix = [[CyclotomicElement.from_int(4, P1), CyclotomicElement.one(4)]]
+    assert pivots_of(4, matrix) == [0] == oracle_pivot_columns(matrix)
+    assert len(calls) == 3
+    # A certified pivot set takes no elimination over Q.
+    assert la.certified_pivot_columns([[1, 2], [3, 4]]) == [0, 1] and len(calls) == 3
 
 
 def test_entries_beyond_int64():
@@ -149,10 +168,34 @@ def test_entries_beyond_int64():
     assert la.certified_pivot_columns(a) == [0, 2]
 
 
-def test_whole_blocks_required():
-    # The rational pivots {0, 2} are not a union of 2-column blocks.
+def test_whole_blocks_required(monkeypatch):
+    calls = count_fraction_free(monkeypatch)
+    # The rational pivots {0, 2} are not a union of 2-column blocks, whether
+    # the prime certifies them or the exact elimination finds them.
     with pytest.raises(VerificationError):
         la.certified_pivot_columns([[1, 0, 0, 0], [0, 0, 1, 0]], block=2)
+    assert calls == []
+    with pytest.raises(VerificationError):
+        la.certified_pivot_columns([[P1, 0, 1, 0]], block=2)
+    assert calls == [1]
+
+
+# The hermitian_cyclotomic workload's Grams and reductions (bench/worker.py).
+BENCH_GRAMS = [(3, 4, 1), (3, 3, -1), (4, 2, 1)]
+BENCH_GRID = ([(3, n, k) for n in range(1, 5) for k in range(1, n + 2)]
+              + [(4, n, k) for n in range(1, 4) for k in range(1, min(n + 2, 4))]
+              + [(5, 2, 1), (5, 2, 2)])
+
+
+def test_benchmark_pivots_are_certified_by_the_first_prime(monkeypatch):
+    def refuse(a):
+        raise AssertionError("the first prime did not certify the pivots")
+
+    monkeypatch.setattr(la, "_fraction_free", refuse)
+    for d, n, sign in BENCH_GRAMS:
+        hermitian_gram(d, n, sign)
+    for d, n, k in BENCH_GRID:
+        chi_reduce(build_primitive(d, n), k)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ def test_closed_form_is_the_lapack_inverse(d, n):
     prim = fh._build_primitive(d, n)
     candidate = lc._inverse_candidate(prim.lattice, d)
     assert candidate is not None and candidate.dtype.kind == "i"
-    # No candidate passed: the LAPACK inverse (or CRT) is what is proven.
+    # No candidate passed: LAPACK (or the exact solve) gives what is proven.
     x = la.scaled_integer_inverse(prim.lattice.gram, d)
     assert x is not None and np.array_equal(candidate, x)
 
@@ -49,18 +49,18 @@ def test_closed_form_passes_the_exact_product_at_milnor_rank_2048():
 def test_certificate_needs_no_lapack_inverse(monkeypatch, d, n):
     lattice = fh.build_primitive(d, n).lattice
     refuse_lapack(monkeypatch)
-    calls = count_calls(monkeypatch, "modp_solve_matrix")
+    calls = count_calls(monkeypatch, "solve_rational")
     assert discriminant_is_cyclic_of_order(lattice, d) is True
-    assert calls["modp_solve_matrix"] == 0
+    assert calls["solve_rational"] == 0
 
 
 def test_determinant_takes_the_candidate_when_its_scale_is_d(monkeypatch):
     lattice = fh.build_primitive(4, 4).lattice
     refuse_lapack(monkeypatch)
-    calls = count_calls(monkeypatch, "det_bareiss", "modp_solve_matrix")
+    calls = count_calls(monkeypatch, "det_bareiss", "solve_rational")
     assert lc.determinant(lattice) == 4
     assert lc.discriminant(lattice).elementary_divisors == (4,)
-    assert calls == {"det_bareiss": 0, "modp_solve_matrix": 0}
+    assert calls == {"det_bareiss": 0, "solve_rational": 0}
 
 
 def test_a_wrong_candidate_is_refused_and_lapack_decides():
