@@ -11,22 +11,24 @@ la.X works for both halves.
 
 numpy is used here only where the result is provably exact: float32 and
 float64 matrix products whose every intermediate value stays below 2**24
-and 2**53, and mod-p elimination on float64 residues, whose moduli satisfy
-(p - 1)**2 * 128 < 2**53 so that every 128-term product-sum is exact
-(checked: other moduli raise ValueError).  Two float64 LAPACK results
-propose integer candidates that are accepted only by exact integer
-checks: an inverse, for scaled_integer_inverse (the exact product, which
-also judges a caller's own candidate), and eigenvectors, for inertia (the
-exact congruence X^T.G.X must be strictly diagonally dominant).
+and 2**53, and mod-p arithmetic for moduli with (p - 1)**2 * 128 < 2**53
+(checked: other moduli raise ValueError), so that every 128-term
+product-sum of float64 residues is exact and every product of two int64
+residues is below 2**46.  Two float64 LAPACK results propose integer
+candidates that are accepted only by exact integer checks: an inverse,
+for scaled_integer_inverse (the exact product, which also judges a
+caller's own candidate), and eigenvectors, for inertia (the exact
+congruence X^T.G.X must be strictly diagonally dominant).
 The modular Smith divisors, the inertia certificate and the symmetric
-elimination behind it, the mod-p _rref, scaled integer inverses and
-certified pivot columns live here.  Each certificate makes one cheap
-guess, checks it exactly, and otherwise runs one exact kernel:
-certified_pivot_columns lifts the reduced echelon form mod MODP_PRIMES[0]
-or else takes the pivots of _fraction_free, and scaled_integer_inverse
-falls back to solve_rational.  CRT reconstruction (crt_reconstruct_int_matrix
-over modp_solve_matrix) has no caller in the package; bench/recorder.py
-still wraps both by name.
+elimination behind it, the one mod-p elimination _gauss_jordan (behind
+modp_eliminate, modp_kernel, modp_det and modp_solve_matrix), scaled
+integer inverses and certified pivot columns live here.  Each
+certificate makes one cheap guess, checks it exactly, and otherwise runs
+one exact kernel: certified_pivot_columns lifts the reduced echelon form
+mod MODP_PRIMES[0] or else takes the pivots of _fraction_free, and
+scaled_integer_inverse falls back to solve_rational.  CRT reconstruction
+(crt_reconstruct_int_matrix over modp_solve_matrix) has no caller in the
+package; bench/recorder.py still wraps both by name.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from ._pylinalg import (  # noqa: F401  (re-exported: la.X reaches both halves)
 )
 from .errors import VerificationError
 
-# The 20 largest primes below 2**23, the moduli of the float64 elimination.
+# The 20 largest primes below 2**23, the moduli of the mod-p elimination.
 MODP_PRIMES: tuple[int, ...] = (
     8388593, 8388587, 8388581, 8388571, 8388547,
     8388539, 8388473, 8388461, 8388451, 8388449,
@@ -245,12 +247,14 @@ def _congruence_inertia(g: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Mod-p linear algebra: blocked elimination on float64 residues
+# Mod-p linear algebra: Gauss-Jordan elimination on int64 residues
 
-# Column panel width.  Every product-sum below has at most _PANEL terms, each
-# a residue times a value in [0, p], plus one residue: for an integer p with
-# (p - 1)**2 * _PANEL < 2**53, i.e. p <= 2**23, that stays below 2**53, so
-# float64 (and BLAS dgemm) computes it exactly.
+# Row and column block size of the float64 products below (_echelon_rows,
+# and the row blocks of lattice_core and fermat_homology).  Each product-sum
+# has at most _PANEL terms, each a residue times a value in [0, p], plus one
+# residue: for an integer p with (p - 1)**2 * _PANEL < 2**53, i.e. p <=
+# 2**23, that stays below 2**53, so float64 (and BLAS dgemm) computes it
+# exactly.
 _PANEL = 128
 # Arrays below this many entries are reduced by _float_mod with one np.mod.
 _SMALL_MOD = 2048
@@ -315,139 +319,52 @@ def column_index(idx: list[int]):
     return np.array(idx, dtype=np.intp)
 
 
-def _lower_inverse(low: np.ndarray, p: int) -> np.ndarray:
-    """Inverse mod p of the lower triangle (diagonal included, nonzero) of a
-    square residue matrix: L = D.L' for the diagonal D and a unit lower
-    triangular L', whose inverse X takes one forward substitution step per
-    row, X[t, :t] = -L'[t, :t].X[:t, :t]; then L^-1 = X.D^-1."""
-    k = len(low)
-    dinv = np.array([pow(int(x), p - 2, p) for x in low.diagonal()], dtype=np.float64)
-    unit = _float_mod(low * dinv[:, None], p)
-    inv = np.eye(k)
-    for t in range(1, k):
-        row = unit[t, :t] @ inv[:t, :t]
-        _float_mod(np.negative(row, out=row), p, out=inv[t, :t])
-    return _float_mod(inv * dinv, p)
+def _gauss_jordan(m: np.ndarray, p: int) -> tuple[list[int], int]:
+    """Reduce the int64 residue matrix m (entries in [0, p), p <= 2**23) to
+    its reduced row echelon form mod p, in place.  Returns the pivot
+    columns and, for a square m, det m mod p in [0, p).
 
-
-def _eliminate_panel(m: np.ndarray, r: int, c0: int, c1: int, p: int,
-                     pivots: list[int]) -> None:
-    """Row echelon step for columns c0:c1 of m below row r, in place.
-
-    The per-pivot loop runs on a copy of the panel and keeps, LU style, each
-    pivot and the multipliers under it; the rows of m are swapped along.
-    Panel entries are reduced where they are read: a column before its
-    pivot search, a row before it is scaled.  A column that is zero mod p
-    below the pivot rows has the rest of the panel below them reduced, and
-    the search jumps to the first column left that is not zero, or stops
-    when none is; so a pass costs the rank plus the number of zero runs,
-    not the panel width.  Reducing early only shortens a run of updates, so
-    each entry still takes at most _PANEL updates between two reductions.
-    The trailing columns then take one triangular solve for the new pivot
-    rows and one matrix product for the rows under them.
+    The next pivot column is the first with a nonzero residue at or below
+    the pivot row: the column after the last pivot, or else the first one
+    past it that any(axis=0) finds, so a run of zero columns costs one
+    scan, not one step per column.  The first row with that nonzero
+    residue is swapped up (negating the determinant) and scaled to a unit
+    pivot (the determinant takes the pivot as a factor); one outer product
+    and one % p clear the column in every other row where it is nonzero.
+    Every product of two residues is below 2**46, so nothing wraps.
     """
-    w = m[r:, c0:c1].copy()
-    local: list[int] = []
-    j = 0
-    while j < c1 - c0 and len(local) < len(w):
-        t = len(local)
-        col = w[t:, j]
-        _float_mod(col, p, out=col)
-        nz = col.nonzero()[0]
-        if nz.size == 0:
-            rest = w[t:, j + 1:]
-            _float_mod(rest, p, out=rest)
-            live = rest.any(axis=0).nonzero()[0]
-            if live.size == 0:
-                break
-            j += 1 + int(live[0])
-            continue
-        i = t + int(nz[0])
-        if i != t:
-            w[[t, i]] = w[[i, t]]
-            m[[r + t, r + i]] = m[[r + i, r + t]]
-        row = _float_mod(w[t, j + 1:], p)
-        row = _float_mod(row * pow(int(w[t, j]), p - 2, p), p, out=row)
-        w[t, j + 1:] = row
-        w[t + 1:, j + 1:] += w[t + 1:, j, None] * (p - row)
-        local.append(j)
-        j += 1
-    k = len(local)
-    if k and c1 < m.shape[1]:
-        low = w[:, local]
-        top = m[r:r + k, c1:]
-        top[:] = _float_mod(_lower_inverse(low[:k], p) @ top, p)
-        neg = p - top
-        bottom = m[r + k:, c1:]
-        for s in range(0, bottom.shape[1], _PANEL):
-            blk = bottom[:, s:s + _PANEL]
-            prod = low[k:] @ neg[:, s:s + _PANEL]
-            prod += blk
-            _float_mod(prod, p, out=blk)
-    panel = m[r:, c0:c1]
-    panel[:] = 0
-    for t, j in enumerate(local):
-        panel[t, j] = 1
-        panel[t, j + 1:] = w[t, j + 1:]
-    pivots.extend(c0 + j for j in local)
-
-
-def _back_reduce(m: np.ndarray, pivots: list[int], p: int) -> None:
-    """Row echelon form (unit pivots) to reduced row echelon form, in place.
-
-    Pivot rows are taken in blocks of _PANEL from the bottom up.  A block's
-    non-pivot columns are solved against its unit upper triangular pivot
-    minor, then cleared from the rows above with one product per column
-    chunk.  Pivot columns become the identity.
-    """
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.shape[1]) if c not in pivot_set]
-    for b0 in reversed(range(0, rank, _PANEL)):
-        b1 = min(b0 + _PANEL, rank)
-        pcols = column_index(pivots[b0:b1])
-        rows = m[b0:b1]
-        if free:
-            fcols = column_index(free)
-            # Reversing rows and columns makes the minor lower triangular.
-            minor = rows[:, pcols][::-1, ::-1]
-            x = _float_mod(_lower_inverse(minor, p)[::-1, ::-1] @ rows[:, fcols], p)
-            rows[:, fcols] = x
-            coef = m[:b0, pcols]
-            neg = p - x
-            for s in range(0, len(free), _PANEL):
-                chunk = column_index(free[s:s + _PANEL])
-                prod = coef @ neg[:, s:s + _PANEL]
-                prod += m[:b0, chunk]
-                m[:b0, chunk] = _float_mod(prod, p, out=prod)
-        m[:b1, pcols] = 0
-        rows[:, pcols] = np.eye(b1 - b0)
-
-
-def _rref(m: np.ndarray, p: int) -> list[int]:
-    """Reduce the float64 residue matrix m to its reduced row echelon form
-    mod p, in place; returns the pivot columns.
-
-    Blocked elimination with delayed reduction (Dumas, Giorgi and Pernet,
-    "FFLAS and FFPACK", ACM TOMS 2008): per-pivot work is confined to a
-    panel of _PANEL columns, the rest is float64 matrix products reduced
-    mod p after each product of at most _PANEL terms; _residues checks p.
-    """
+    rows, cols = m.shape
     pivots: list[int] = []
-    for c0 in range(0, m.shape[1], _PANEL):
-        if len(pivots) == len(m):
-            break
-        _eliminate_panel(m, len(pivots), c0, min(c0 + _PANEL, m.shape[1]), p, pivots)
-    _back_reduce(m, pivots, p)
-    return pivots
+    det, j = 1, 0
+    while len(pivots) < rows and j < cols:
+        t = len(pivots)
+        if not m[t:, j].any():
+            live = np.flatnonzero(m[t:, j:].any(axis=0))
+            if not live.size:
+                break
+            j += int(live[0])
+        i = t + int(np.flatnonzero(m[t:, j])[0])
+        if i != t:
+            m[[t, i]] = m[[i, t]]
+            det = -det
+        pivot = int(m[t, j])
+        det = det * pivot % p
+        row = m[t, j:] * pow(pivot, -1, p) % p
+        col = m[:, j].copy()
+        col[t] = 0
+        rest = np.flatnonzero(col)
+        m[rest, j:] = (m[rest, j:] - np.outer(col[rest], row)) % p
+        m[t, j:] = row
+        pivots.append(j)
+        j += 1
+    return pivots, det if len(pivots) == rows == cols else 0
 
 
 def modp_eliminate(a, p: int):
     """Reduced row echelon form of A mod p: (reduced, pivot_columns), with
     reduced an int64 array of A's shape whose rows past the rank are zero."""
-    m = _residues([a], p)
-    pivots = _rref(m, p)
-    return _as_int64(m), pivots
+    m = _as_int64(_residues([a], p))
+    return m, _gauss_jordan(m, p)[0]
 
 
 def modp_kernel(a, p: int) -> np.ndarray:
@@ -463,27 +380,11 @@ def modp_kernel(a, p: int) -> np.ndarray:
 
 def modp_det(a, p: int) -> int:
     """det A mod p, in [0, p), of a square integer matrix A, for a modulus
-    in the exact range of the elimination: Gaussian elimination on int64
-    residues (a product of two stays below 2**46), multiplying the pivots
-    and negating on each row swap."""
+    in the exact range of the elimination (_gauss_jordan's determinant)."""
     m = _as_int64(_residues([a], p))
-    n = len(m)
-    if m.shape != (n, n):
+    if m.shape != (len(m), len(m)):
         raise ValueError("square matrix expected")
-    det = 1
-    for t in range(n):
-        nz = np.flatnonzero(m[t:, t])
-        if not nz.size:
-            return 0
-        i = t + int(nz[0])
-        if i != t:
-            m[[t, i]] = m[[i, t]]
-            det = -det
-        pivot = int(m[t, t])
-        det = det * pivot % p
-        factors = m[t + 1:, t] * pow(pivot, -1, p) % p
-        m[t + 1:, t + 1:] = (m[t + 1:, t + 1:] - np.outer(factors, m[t, t + 1:])) % p
-    return det
+    return _gauss_jordan(m, p)[1]
 
 
 def modp_solve_matrix(a, b, p: int):
@@ -492,11 +393,11 @@ def modp_solve_matrix(a, b, p: int):
     Reduces [A | B]: A is invertible mod p exactly when the pivots are the
     columns of A, and then the reduced form is [I | X].
     """
-    m = _residues([a, b], p)
+    m = _as_int64(_residues([a, b], p))
     n = len(m)
-    if _rref(m, p) != list(range(n)):
+    if _gauss_jordan(m, p)[0] != list(range(n)):
         return None
-    return _as_int64(m)[:, n:]
+    return m[:, n:]
 
 
 def symmetric_residues(a: np.ndarray, m: int) -> np.ndarray:
@@ -704,8 +605,8 @@ def _minus_pivot_combination(x: np.ndarray, rows: np.ndarray, cols: list[int],
                              p: int) -> np.ndarray:
     """x - x[:, cols].rows for float64 residue arrays, as a new array that is
     not reduced mod p after the last product.  Each product has at most
-    _PANEL terms of a residue times p - residue, as in _back_reduce, so every
-    value stays an exact integer below 2**53."""
+    _PANEL terms of a residue times p - residue, so every value stays an
+    exact integer below 2**53."""
     coef, neg = x[:, cols], p - rows
     for t in range(0, len(cols), _PANEL):
         if t:

@@ -47,6 +47,8 @@ from .lattice_core import (
 )
 
 BOX_POINT_LIMIT = 40_000_000
+# Grid points that _scan_grid filters at a time.
+_SCAN_CHUNK = 1 << 18
 
 
 class CubicFourfoldLattice:
@@ -400,7 +402,7 @@ def _coefficient_domains(n, bound, congruence):
     return domains
 
 
-def _scan_grid(gram, domains, norm, chunk=1 << 18):
+def _scan_grid(gram, domains, norm):
     n = len(domains)
     sizes = [len(d) for d in domains]
     total = 1
@@ -414,7 +416,7 @@ def _scan_grid(gram, domains, norm, chunk=1 << 18):
         radix[i] = radix[i + 1] * sizes[i + 1]
     start = 0
     while start < total:
-        stop = min(start + chunk, total)
+        stop = min(start + _SCAN_CHUNK, total)
         idx = np.arange(start, stop, dtype=np.int64)
         coords = np.empty((stop - start, n), dtype=np.int64)
         for j in range(n):
@@ -423,13 +425,9 @@ def _scan_grid(gram, domains, norm, chunk=1 << 18):
         norms = np.einsum("ij,ij->i", cf @ gram_f, cf)
         mask = norms == float(norm)
         for row in coords[mask]:
-            v = [int(x) for x in row]
             # exact recheck in integer arithmetic
-            val = 0
-            gv = gram @ np.array(v, dtype=np.int64)
-            val = int(np.dot(gv, np.array(v, dtype=np.int64)))
-            if val == norm:
-                out.append(tuple(v))
+            if int(row @ gram @ row) == norm:
+                out.append(tuple(int(x) for x in row))
         start = stop
     return out
 
@@ -596,16 +594,13 @@ def orbit_specials(built: CubicFourfoldLattice, seeds: Sequence[Sequence[int]],
 # ---------------------------------------------------------------------------
 # The remark-level search
 
-def remark_filter_search(gram: la.Mat, u4: la.Mat, u5: la.Mat, bound: int,
-                         special_test, congruence=None) -> list[tuple[int, ...]]:
-    """Vectors v in the box with: special_test(v), u4(v) == u5(v), and the
-    span of v and u5(v) positive definite of rank two."""
+def remark_filter_search(gram: la.Mat, u4: la.Mat, u5: la.Mat,
+                         candidates) -> list[tuple[int, ...]]:
+    """The candidate vectors v with u4(v) == u5(v) and the span of v and
+    u5(v) positive definite of rank two under gram, sorted."""
     lattice = IntegerLattice(gram, "symmetric")
     hits = []
-    candidates = bounded_box_vectors(lattice, 6, bound, congruence=congruence)
     for v in candidates:
-        if not special_test(v):
-            continue
         v4 = la.vec_mat(list(v), u4)
         v5 = la.vec_mat(list(v), u5)
         if v4 != v5:
@@ -634,25 +629,15 @@ def verify_remark_52(bound: int) -> dict:
     """Search for a special v with u4(v) = u5(v) and positive definite rank-2
     span of v and u5(v); expected empty (evidence, not proof).
 
-    The mu-generators u_4 and u_5 act on the final coordinate pair (the
-    reading of `acting on the last k coordinates').
+    The candidates are special_vectors_in_box(bound), in lambda_o
+    coordinates, filtered with lambda_o's Gram.  The mu-generators u_4 and
+    u_5 act on the final coordinate pair (the reading of `acting on the
+    last k coordinates').
     """
     built = build_cubic_lattices()
     prim = build_primitive(3, 4)
-    u4 = prim.actions["u_4"]
-    u5 = prim.actions["u_5"]
-    # search in the size-reduced basis with the mod-3 divisibility filter
-    u = built.reduction_transform
-    u4r = _conjugate_int(u, u4)
-    u5r = _conjugate_int(u, u5)
-
-    def special_in_reduced(v):
-        return built.is_special(tuple(la.vec_mat(list(v), u)))
-
-    hits_reduced = remark_filter_search(
-        built.reduced_basis, u4r, u5r, bound, special_in_reduced,
-        congruence=(built.reduced_basis, 3))
-    hits = sorted(tuple(la.vec_mat(list(h), u)) for h in hits_reduced)
+    hits = remark_filter_search(built.lambda_o.gram, prim.actions["u_4"], prim.actions["u_5"],
+                                special_vectors_in_box(built, bound))
     return {
         "bound": bound,
         "generator_indices": [4, 5],
@@ -671,21 +656,9 @@ def planted_remark_self_test() -> bool:
     """
     gram = [[6, 0, 0], [0, 6, 0], [0, 0, 6]]
     shift = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
-
-    def special_test(v):
-        lat = IntegerLattice(gram, "symmetric")
-        return lat.norm(v) == 6 and all(x % 3 == 0 for x in la.vec_mat(list(v), gram))
-
-    hits = remark_filter_search(gram, shift, shift, 1, special_test)
-    return (1, 0, 0) in hits
-
-
-def _conjugate_int(u: la.Mat, m: la.Mat) -> la.Mat:
-    """u * m * u^{-1} for unimodular u, exactly."""
-    inverse = la.scaled_integer_inverse(la.int_array(u), 1)
-    if inverse is None:
-        raise VerificationError("matrix is not unimodular")
-    return la.mat_mul(la.mat_mul(u, m), inverse.tolist())
+    box = bounded_box_vectors(IntegerLattice(gram, "symmetric"), 6, 1)
+    specials = [v for v in box if all(x % 3 == 0 for x in la.vec_mat(list(v), gram))]
+    return (1, 0, 0) in remark_filter_search(gram, shift, shift, specials)
 
 
 def nodal_complement_signature(built: CubicFourfoldLattice, v: Sequence[int]) -> tuple[int, int]:

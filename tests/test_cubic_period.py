@@ -134,14 +134,6 @@ def test_bounded_box_float_guard():
             bounded_box_vectors(IntegerLattice([[big, 0], [0, 1]]), big + 1, 1)
 
 
-def test_conjugate_int_refuses_a_non_unimodular_matrix():
-    from fermatlat.cubic_period import _conjugate_int
-
-    assert _conjugate_int([[2, 1], [1, 1]], [[0, 1], [1, 0]]) == [[-1, 3], [0, 1]]
-    with pytest.raises(VerificationError, match="not unimodular"):
-        _conjugate_int([[2, 0], [0, 1]], [[1, 0], [0, 1]])
-
-
 def primitive_arrays(prim):
     return ([prim.lattice.gram, prim.projection, prim.milnor.gram]
             + [prim.actions[name] for name in sorted(prim.actions)]
@@ -293,3 +285,17 @@ def test_remark_search_empty(built):
 
 def test_remark_planted_self_test():
     assert planted_remark_self_test()
+
+
+def test_remark_filter_keeps_fixed_vectors_with_positive_spans():
+    from fermatlat.cubic_period import remark_filter_search
+
+    gram = [[6, 0, 0], [0, 6, 0], [0, 0, 6]]
+    shift = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    # (1, 1, 1) is fixed by the shift: its span with its image has rank one.
+    candidates = [(1, 0, 0), (1, 1, 1), (0, 1, 0)]
+    assert remark_filter_search(gram, shift, shift, candidates) == [(0, 1, 0), (1, 0, 0)]
+    assert remark_filter_search(gram, eye, shift, candidates) == []
+    negative = [[-6, 0, 0], [0, -6, 0], [0, 0, -6]]
+    assert remark_filter_search(negative, shift, shift, candidates) == []

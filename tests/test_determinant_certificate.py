@@ -145,7 +145,16 @@ def test_modp_det_matches_bareiss(size):
         a = rng.integers(-9, 10, (size, size))
         if size > 1 and rng.random() < 0.3:
             a[-1] = a[0]
-        assert la.modp_det(a, p) == la.det_bareiss(a.tolist()) % p
+        # Zero above the last row in column 0: the first pivot takes a row swap.
+        swapped = a.copy()
+        swapped[:-1, 0] = 0
+        # The last row is the sum of the others (zero at size 1).
+        singular = a.copy()
+        singular[-1] = singular[:-1].sum(axis=0)
+        big = a.astype(object) + 2**70 * rng.integers(-3, 4, (size, size)).astype(object)
+        for m in (a, swapped, singular, big):
+            assert la.modp_det(m, p) == la.det_bareiss(m.tolist()) % p
+        assert la.modp_det(singular, p) == 0
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""The blocked float64 mod-p elimination against a per-pivot Gauss-Jordan
+"""The int64 mod-p Gauss-Jordan elimination against a column-by-column
 oracle, the exact-product helpers around it, the certified mod-p radicals
 of lattice_core and of build_primitive (which refuses a tampered one), and
 the primitive lattices against stored digests of the outputs of the
@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ PRIMES = [2, 3, 5, la.MODP_PRIMES[0]]
 
 def oracle_eliminate(a, p):
     """Per-pivot Gauss-Jordan mod p in int64 (one np.outer update per
-    pivot), the elimination the blocked kernel replaced."""
+    pivot), testing one column at a time for a pivot."""
     m = np.array([[int(x) % p for x in row] for row in a], dtype=np.int64)
     nrows, ncols = m.shape
     pivots = []
@@ -53,7 +54,7 @@ def oracle_eliminate(a, p):
 
 def structured_matrix(seed, rows, cols):
     """A random integer matrix with low-rank stretches, zero columns,
-    repeated columns across panel boundaries and sparse rows."""
+    repeated columns across 128-column blocks and sparse rows."""
     rng = np.random.default_rng(seed)
     rank = int(rng.integers(0, min(rows, cols) + 1))
     a = rng.integers(-6, 7, size=(rows, rank)) @ rng.integers(-6, 7, size=(rank, cols))
@@ -71,7 +72,7 @@ def structured_matrix(seed, rows, cols):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(PRIMES), st.integers(1, 150), st.sampled_from([1, 127, 128, 129, 300]),
        st.integers(0, 2**32 - 1))
-def test_blocked_elimination_matches_per_pivot_oracle(p, rows, cols, seed):
+def test_elimination_matches_per_pivot_oracle(p, rows, cols, seed):
     a = structured_matrix(seed, rows, cols)
     reduced, pivots = la.modp_eliminate(a, p)
     expected, expected_pivots = oracle_eliminate(a, p)
@@ -82,8 +83,8 @@ def test_blocked_elimination_matches_per_pivot_oracle(p, rows, cols, seed):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_rank_deficient_panels(p):
-    # Panel 0 has rank 2, panel 1 is zero, panel 2 repeats panel 0 and a
-    # last column that is independent mod every p.
+    # Columns 0-127 have rank 2, columns 128-255 are zero, columns 256-383
+    # repeat the first 128, and a last column is independent mod every p.
     rng = np.random.default_rng(p)
     basis = rng.integers(-3, 4, size=(2, 128))
     block = rng.integers(-3, 4, size=(200, 2)) @ basis
@@ -483,10 +484,10 @@ def low_rank(seed, rows, cols, rank):
 
 
 def pivot_walk_cases(p):
-    """Matrices for the panel's jump over columns that are zero mod p."""
+    """Matrices for the jump over columns that are zero mod p."""
     rng = np.random.default_rng(p % 1000)
     a = low_rank(1, 50, 600, 6)
-    # Runs of zero columns longer than a panel, between live columns.
+    # Runs of zero columns longer than 128, between live columns.
     a[:, 3:400] = 0
     a[:, 410:560] = 0
     b = low_rank(2, 40, 300, 3)
@@ -495,7 +496,7 @@ def pivot_walk_cases(p):
     b[:, 2] = b[:, 0] - 2 * b[:, 1] + p * rng.integers(-3, 4, 40)
     b[:, 5] = p * rng.integers(-3, 4, 40)
     last = np.zeros((40, 300), dtype=np.int64)
-    # Pivots only in the last panel.
+    # Pivots only in the last 44 columns.
     last[:, 256:] = low_rank(3, 40, 44, 5)
     return [a, b, last, np.zeros((40, 300), dtype=np.int64), low_rank(4, 64, 486, 22),
             low_rank(5, 64, 208, 52), low_rank(6, 44, 44, 2)]
@@ -513,16 +514,28 @@ def test_pivot_walk_matches_per_pivot_oracle(p):
     assert min(last) >= 256 and zero == []
 
 
-def test_pivot_walk_costs_rank_not_width(monkeypatch):
-    # 64 x 486 at rank 2: the walk over every column made one reduction per
-    # column (507 in all); jumping over zero columns makes a few per pivot
-    # and per panel (31).
+def test_pivot_walk_costs_rank_not_width():
+    # 64 x 486 at rank 2: a walk that tests every column in turn runs at
+    # least one line of the kernel per column, 486 in all; jumping over the
+    # zero columns runs a few lines per pivot.
     a = low_rank(7, 64, 486, 2)
-    calls = count_calls(monkeypatch, "_float_mod")
-    pivots = la.modp_eliminate(a, la.MODP_PRIMES[0])[1]
-    panels = -(-486 // la._PANEL)
+    kernel = la._gauss_jordan.__code__
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        if frame.f_code is kernel:
+            lines += event == "line"
+            return trace
+        return None
+
+    sys.settrace(trace)
+    try:
+        pivots = la.modp_eliminate(a, la.MODP_PRIMES[0])[1]
+    finally:
+        sys.settrace(None)
     assert len(pivots) == 2
-    assert calls["_float_mod"] <= 8 * (len(pivots) + panels)
+    assert 0 < lines <= 20 * (len(pivots) + 1)
 
 
 @pytest.mark.parametrize("dtype, limit", [(np.float64, 2**53), (np.float32, 2**24)])

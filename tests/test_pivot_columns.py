@@ -250,8 +250,8 @@ def test_echelon_rows_match_the_reeliminating_loop(rank, p):
 
 @pytest.mark.parametrize("p", [P1, la.MODP_PRIMES[7]])
 def test_echelon_rows_of_pivot_walk_cases_match(p):
-    # Zero runs past a panel, columns zero only mod p, rank 0, pivots only
-    # in the last panel, and the realified-Gram shapes 64 x 486 at rank 22
+    # Zero runs past 128 columns, columns zero only mod p, rank 0, pivots
+    # only in the last 44 columns, and the realified-Gram shapes 64 x 486 at rank 22
     # and 64 x 208 at rank 52.
     for a in pivot_walk_cases(p):
         pivots, ech = la._echelon_rows(a, p)
